@@ -44,6 +44,7 @@ from .specfun import (
 )
 
 __all__ = [
+    "BracketError",
     "HopPair",
     "SelectionThresholds",
     "ModulationParams",
@@ -88,6 +89,10 @@ BRANCH_TOL = 1e-6
 # Below this |mu - 1| the ratio shapes switch to their mu -> 1 limits
 # (the general forms divide by mu - 1).
 _MU_ONE_TOL = 1e-8
+
+
+class BracketError(ValueError):
+    """A threshold search could not bracket its root within log10 rho in [-30, 30]."""
 
 
 @dataclass(frozen=True)
@@ -486,7 +491,7 @@ def rho_opt_fixed(pair: HopPair) -> float:
     lo, hi = -30.0, 30.0
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
-        raise ValueError("could not bracket q_s = 1/2 within log10 rho in [-30, 30]")
+        raise BracketError("could not bracket q_s = 1/2 within log10 rho in [-30, 30]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -509,7 +514,7 @@ def rho_for_qs(pair: HopPair, q_target: float) -> float:
         raise ValueError("q_target must lie in (0, 1)")
     lo, hi = -30.0, 30.0
     if lsp(pair, 10.0**lo)[0] > q_target or lsp(pair, 10.0**hi)[0] < q_target:
-        raise ValueError("q_target not bracketed within log10 rho in [-30, 30]")
+        raise BracketError("q_target not bracketed within log10 rho in [-30, 30]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f = lsp(pair, 10.0**mid)[0] - q_target
@@ -574,7 +579,7 @@ def avg_rate_cabr(
     glo = gap(lo)[0]
     ghi = gap(hi)[0]
     if glo > 0.0 or ghi < 0.0:
-        raise ValueError("could not bracket the rate balance point")
+        raise BracketError("could not bracket the rate balance point")
     rs = rr = 0.0
     mid = 0.0
     for _ in range(200):

@@ -23,7 +23,6 @@ __all__ = [
     "NodeGeometry",
     "PowerConstraints",
     "LinkParams",
-    "RegimeOverride",
     "REGIMES",
     "derive_link_params",
     "link_ccdf",
@@ -106,22 +105,10 @@ class LinkParams:
         return abs(self.p - p_ref) <= 1e-12
 
 
-@dataclass(frozen=True)
-class RegimeOverride:
-    """Formula-path override: keep stored (lam, mu) but force p to 0 or 1."""
-
-    mode: str = "exact"
-
-    def __post_init__(self) -> None:
-        if self.mode not in REGIMES:
-            raise ValueError(f"mode must be one of {REGIMES}")
-
-
-def _regime_mode(regime) -> str:
-    mode = getattr(regime, "mode", regime)
-    if mode not in REGIMES:
+def _regime_mode(regime: str) -> str:
+    if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-    return mode
+    return regime
 
 
 def _effective_p(link: LinkParams, regime) -> float:

@@ -21,14 +21,18 @@ Exit codes: 0 success, 2 bad configuration, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
+import functools
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from typing import NamedTuple, Optional
+from dataclasses import asdict
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -104,6 +108,28 @@ def _as_int(value, field, minimum=None):
     return value
 
 
+def _as_list(doc, key, what="non-empty list", field=None):
+    raw = doc.get(key)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{field or key}: {what} required")
+    return raw
+
+
+def _as_nums(doc, key, field=None, **checks):
+    field = field or key
+    raw = _as_list(doc, key, field=field)
+    return [_as_num(v, f"{field}[{i}]", **checks) for i, v in enumerate(raw)]
+
+
+@contextlib.contextmanager
+def _reraise(prefix=None, error=ConfigError):
+    """Turn a ValueError raised by a library constructor or solver into ``error``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{prefix}: {exc}" if prefix else str(exc)) from exc
+
+
 def _get_by_path(doc, path, what):
     node = doc
     for part in path.split("."):
@@ -140,13 +166,7 @@ def _axis(doc, key, values_key, monotone=False):
     path = sec.get("parameter")
     if not isinstance(path, str) or not path:
         raise ConfigError(f"{key}.parameter: non-empty string required")
-    raw = sec.get(values_key)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{key}.{values_key}: non-empty list required")
-    values = [
-        _as_num(v, f"{key}.{values_key}[{i}]", allow_inf=True)
-        for i, v in enumerate(raw)
-    ]
+    values = _as_nums(sec, values_key, field=f"{key}.{values_key}", allow_inf=True)
     if monotone and len(values) > 1:
         diffs = [b - a for a, b in zip(values, values[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
@@ -164,11 +184,7 @@ def _expand_points(doc):
     """Cross the optional series and sweep axes into labelled point documents."""
     series = _axis(doc, "series", "values")
     sweep = _axis(doc, "sweep", "grid", monotone=True)
-    labels = []
-    if series:
-        labels.append(series.label)
-    if sweep:
-        labels.append(sweep.label)
+    labels = [axis.label for axis in (series, sweep) if axis]
     points = []
     for sv in series.values if series else [None]:
         base = copy.deepcopy(doc)
@@ -197,12 +213,10 @@ def _expand_points(doc):
 def _build_link(sec, field):
     lam = _as_num(sec.get("lam"), f"{field}.lam", positive=True, allow_inf=True)
     mu = _as_num(sec.get("mu"), f"{field}.mu", positive=True)
-    try:
+    with _reraise(field):
         if "p" in sec:
             return LinkParams(lam=lam, mu=mu, p=_as_num(sec["p"], f"{field}.p"))
         return LinkParams.from_lambda_mu(lam, mu)
-    except ValueError as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def build_pair(doc) -> HopPair:
@@ -215,7 +229,7 @@ def build_pair(doc) -> HopPair:
         )
     geom_sec = _as_map(sec, "geometry", required=True)
     power_sec = _as_map(sec, "power", required=True)
-    try:
+    with _reraise("pair"):
         geom = NodeGeometry(
             d_sr=_as_num(geom_sec.get("d_sr", 1.0), "pair.geometry.d_sr"),
             d_rd=_as_num(geom_sec.get("d_rd", 1.0), "pair.geometry.d_rd"),
@@ -235,47 +249,56 @@ def build_pair(doc) -> HopPair:
             None if ohs is None else _as_num(ohs, "pair.omega_h_s", positive=True),
             None if ohr is None else _as_num(ohr, "pair.omega_h_r", positive=True),
         )
-    except ValueError as exc:
-        raise ConfigError(f"pair: {exc}") from exc
     return HopPair(s=hop_s, r=hop_r)
 
 
-def _resolve_rho(doc, pair, key="rho"):
-    spec = doc.get(key)
+class _Point:
+    """One grid point's document and hop pair; its balance point is solved at most once."""
+
+    def __init__(self, doc):
+        self.doc = doc
+        self.pair = build_pair(doc)
+
+    @functools.cached_property
+    def balance(self):
+        """(rate, rho) of the adaptive scheme at its rate balance point."""
+        return analytic.avg_rate_cabr(self.pair)
+
+
+def _resolve_rho(pt, key="rho"):
+    spec = pt.doc.get(key)
     if spec is None:
         raise ConfigError(f"{key}: required here (number, 'balance' or 'fixed-opt')")
     if isinstance(spec, str):
         if spec == "balance":
-            return analytic.avg_rate_cabr(pair)[1]
+            return pt.balance[1]
         if spec == "fixed-opt":
-            return analytic.rho_opt_fixed(pair)
+            return analytic.rho_opt_fixed(pt.pair)
         raise ConfigError(f"{key}: must be a positive number, 'balance' or 'fixed-opt'")
     return _as_num(spec, key, positive=True)
 
 
-def _build_thresholds(doc, pair) -> SelectionThresholds:
-    rho = _resolve_rho(doc, pair)
-    rho_c = _resolve_rho(doc, pair, "rho_c") if "rho_c" in doc else rho
-    rho_d = _resolve_rho(doc, pair, "rho_d") if "rho_d" in doc else rho
+def _build_thresholds(pt) -> SelectionThresholds:
+    rho = _resolve_rho(pt)
+    rho_c = _resolve_rho(pt, "rho_c") if "rho_c" in pt.doc else rho
+    rho_d = _resolve_rho(pt, "rho_d") if "rho_d" in pt.doc else rho
     return SelectionThresholds(rho=rho, rho_c=rho_c, rho_d=rho_d)
 
 
 def _build_modulation(doc) -> ModulationParams:
     sec = _as_map(doc, "modulation")
-    try:
+    with _reraise("modulation"):
         return ModulationParams(
             eta=_as_num(sec.get("eta", 2.0), "modulation.eta", positive=True),
             phi=_as_num(sec.get("phi", 1.0), "modulation.phi", positive=True),
             rate_R=_as_num(sec.get("rate_R", 1.0), "modulation.rate_R", positive=True),
         )
-    except ValueError as exc:
-        raise ConfigError(f"modulation: {exc}") from exc
 
 
 def _build_buffer(doc, rate_mode) -> sim.BufferState:
     sec = _as_map(doc, "buffer")
     mode = sec.get("mode", "bit" if rate_mode == "adaptive" else "packet")
-    try:
+    with _reraise("buffer"):
         return sim.BufferState(
             discipline=sec.get("discipline", "fifo"),
             capacity=_as_num(
@@ -284,13 +307,11 @@ def _build_buffer(doc, rate_mode) -> sim.BufferState:
             occupancy=_as_num(sec.get("occupancy", 0.0), "buffer.occupancy"),
             mode=mode,
         )
-    except ValueError as exc:
-        raise ConfigError(f"buffer: {exc}") from exc
 
 
 def _build_chain(sec) -> ThresholdProtocolParams:
     L = _as_num(sec.get("buffer_size_L"), "chain.buffer_size_L", positive=True, allow_inf=True)
-    try:
+    with _reraise("chain"):
         if "q_s" in sec:
             return ThresholdProtocolParams(
                 buffer_size_L=L,
@@ -305,8 +326,6 @@ def _build_chain(sec) -> ThresholdProtocolParams:
                 xi_c=_as_num(sec.get("xi_c", 0.0), "chain.xi_c"),
                 xi_d=_as_num(sec.get("xi_d", 0.0), "chain.xi_d"),
             )
-    except ValueError as exc:
-        raise ConfigError(f"chain: {exc}") from exc
     raise ConfigError("chain: needs q_s (with q_c, q_d) or xi (with xi_c, xi_d)")
 
 
@@ -324,25 +343,22 @@ def _doc_slots(doc, default=200_000) -> int:
 
 
 # ---------------------------------------------------------------------------
-# point evaluators (top-level so the process pool can pickle them)
+# row records and point evaluators
+#
+# Each mode declares its columns once, as a row record that the evaluator
+# builds with keyword arguments; a header is the point labels followed by the
+# record's fields. Workers get a mode name and a payload of plain data and
+# hand rows back as plain lists, so nothing sent between processes is a record.
 
-_METRIC_COLUMNS = {
-    "capacity": ("capacity_s", "capacity_r"),
-    "rate_cabr": ("rho_balance", "rate_cabr"),
-    "rho_balance": ("rho_balance", "log2_rho_balance"),
-    "rate_noncognitive": ("rate_noncognitive",),
-    "rate_cnbr": ("rate_cnbr",),
-    "rate_cbr": ("rate_cbr",),
-    "rho_opt_fixed": ("rho_opt_fixed",),
-    "lsp": ("q_s", "q_r"),
-    "ser_cabr": ("ser_cabr_s", "ser_cabr_r"),
-    "ser_asym_cabr": ("ser_asym_cabr_s", "ser_asym_cabr_r"),
-    "ser_cnbr": ("ser_cnbr_s", "ser_cnbr_r"),
-    "ser_asym_cnbr": ("ser_asym_cnbr_s", "ser_asym_cnbr_r"),
-    "delay_bound": ("delay_bound",),
-}
 
-_DEFAULT_METRICS = ["rate_cabr", "rate_cnbr", "rate_cbr"]
+def _record(name, fields, nan_default=False):
+    """Row record over whitespace-separated fields; nan_default fills unset cells with nan."""
+    fields = fields.split()
+    return namedtuple(name, fields, defaults=[math.nan] * len(fields) if nan_default else None)
+
+
+def _row(p, record):
+    return [list(p["labels"]) + list(record)]
 
 
 def _noncognitive_pair(pair: HopPair) -> HopPair:
@@ -357,57 +373,97 @@ def _noncognitive_pair(pair: HopPair) -> HopPair:
     return HopPair(s=links[0], r=links[1])
 
 
-def _metric_values(metric, doc, pair):
-    if metric == "capacity":
-        return [analytic.avg_capacity_hop(pair.s), analytic.avg_capacity_hop(pair.r)]
-    if metric == "rate_cabr":
-        rate, rho = analytic.avg_rate_cabr(pair)
-        return [rho, rate]
-    if metric == "rho_balance":
-        _, rho = analytic.avg_rate_cabr(pair)
-        return [rho, math.log2(rho)]
-    if metric == "rate_noncognitive":
-        return [analytic.avg_rate_cabr(_noncognitive_pair(pair))[0]]
-    if metric == "rate_cnbr":
-        return [analytic.avg_rate_cnbr(pair)]
-    if metric == "rate_cbr":
-        return [analytic.avg_rate_cbr(pair)]
-    if metric == "rho_opt_fixed":
-        return [analytic.rho_opt_fixed(pair)]
-    if metric == "lsp":
-        return list(analytic.lsp(pair, _resolve_rho(doc, pair)))
-    if metric == "ser_cabr":
-        t = analytic.ser_exact_cabr(pair, _resolve_rho(doc, pair), _build_modulation(doc))
-        return [t.p_s, t.p_r]
-    if metric == "ser_asym_cabr":
-        t = analytic.ser_asym_cabr(pair, _resolve_rho(doc, pair), _build_modulation(doc))
-        return [t.p_s, t.p_r]
-    if metric == "ser_cnbr":
-        t = analytic.ser_exact_cnbr(pair, _build_modulation(doc))
-        return [t.p_s, t.p_r]
-    if metric == "ser_asym_cnbr":
-        t = analytic.ser_asym_cnbr(pair, _build_modulation(doc))
-        return [t.p_s, t.p_r]
-    if metric == "delay_bound":
-        try:
-            return [analytic.delay_bound_adaptive(pair, _resolve_rho(doc, pair))]
-        except ValueError:
-            return [math.nan]  # no bound on this side of the balance point
-    raise ConfigError(f"metrics: unknown metric '{metric}'")
+def _per_hop(metric, ser, pt, *rho):
+    """Cells {metric}_s and {metric}_r of a per-hop symbol error rate."""
+    t = ser(pt.pair, *rho, _build_modulation(pt.doc))
+    return {f"{metric}_s": t.p_s, f"{metric}_r": t.p_r}
+
+
+def _delay_bound(pair, rho_of):
+    """Adaptive delay bound at threshold ``rho_of()``, or nan where either has no value."""
+    try:
+        return analytic.delay_bound_adaptive(pair, rho_of())
+    except ValueError:
+        return math.nan  # no bound on this side of the balance point
+
+
+# metric name -> (row record, evaluator returning the record's cells by name)
+_METRICS = {
+    name: (_record(name, fields), value)
+    for name, fields, value in [
+        ("capacity", "capacity_s capacity_r", lambda pt: dict(
+            capacity_s=analytic.avg_capacity_hop(pt.pair.s),
+            capacity_r=analytic.avg_capacity_hop(pt.pair.r),
+        )),
+        ("rate_cabr", "rho_balance rate_cabr", lambda pt: dict(
+            rho_balance=pt.balance[1], rate_cabr=pt.balance[0]
+        )),
+        ("rho_balance", "rho_balance log2_rho_balance", lambda pt: dict(
+            rho_balance=pt.balance[1], log2_rho_balance=math.log2(pt.balance[1])
+        )),
+        ("rate_noncognitive", "rate_noncognitive", lambda pt: dict(
+            rate_noncognitive=analytic.avg_rate_cabr(_noncognitive_pair(pt.pair))[0]
+        )),
+        ("rate_cnbr", "rate_cnbr", lambda pt: dict(rate_cnbr=analytic.avg_rate_cnbr(pt.pair))),
+        ("rate_cbr", "rate_cbr", lambda pt: dict(rate_cbr=analytic.avg_rate_cbr(pt.pair))),
+        ("rho_opt_fixed", "rho_opt_fixed", lambda pt: dict(
+            rho_opt_fixed=analytic.rho_opt_fixed(pt.pair)
+        )),
+        ("lsp", "q_s q_r", lambda pt: dict(
+            zip(("q_s", "q_r"), analytic.lsp(pt.pair, _resolve_rho(pt)))
+        )),
+        ("ser_cabr", "ser_cabr_s ser_cabr_r", lambda pt: _per_hop(
+            "ser_cabr", analytic.ser_exact_cabr, pt, _resolve_rho(pt)
+        )),
+        ("ser_asym_cabr", "ser_asym_cabr_s ser_asym_cabr_r", lambda pt: _per_hop(
+            "ser_asym_cabr", analytic.ser_asym_cabr, pt, _resolve_rho(pt)
+        )),
+        ("ser_cnbr", "ser_cnbr_s ser_cnbr_r", lambda pt: _per_hop(
+            "ser_cnbr", analytic.ser_exact_cnbr, pt
+        )),
+        ("ser_asym_cnbr", "ser_asym_cnbr_s ser_asym_cnbr_r", lambda pt: _per_hop(
+            "ser_asym_cnbr", analytic.ser_asym_cnbr, pt
+        )),
+        ("delay_bound", "delay_bound", lambda pt: dict(
+            delay_bound=_delay_bound(pt.pair, lambda: _resolve_rho(pt))
+        )),
+    ]
+}
+
+_DEFAULT_METRICS = ["rate_cabr", "rate_cnbr", "rate_cbr"]
+
+
+def _table_fields(doc, labels):
+    metrics = _as_list(doc, "metrics") if "metrics" in doc else list(_DEFAULT_METRICS)
+    fields = []
+    for m in metrics:
+        if m not in _METRICS:
+            raise ConfigError(
+                f"metrics: unknown metric '{m}' (choices: {', '.join(sorted(_METRICS))})"
+            )
+        for col in _METRICS[m][0]._fields:
+            if col in labels or col in fields:
+                raise ConfigError(f"metrics: column '{col}' requested twice")
+            fields.append(col)
+    return fields, {"metrics": metrics}
 
 
 def _pt_table(p):
-    doc = p["doc"]
-    pair = build_pair(doc)
+    pt = _Point(p["doc"])
     row = list(p["labels"])
     for metric in p["metrics"]:
-        row.extend(_metric_values(metric, doc, pair))
+        record, value = _METRICS[metric]
+        row.extend(record(**value(pt)))
     return [row]
 
 
+_ChainRow = _record("_ChainRow", """
+    L q_s q_c q_d xi xi_c xi_d tau pi_0 pi_L mean_occupancy t_q t_u t_o t_total lifo_t_q
+""")
+
+
 def _pt_chain(p):
-    doc = p["doc"]
-    chain = _build_chain(_as_map(doc, "chain", required=True))
+    chain = _build_chain(_as_map(p["doc"], "chain", required=True))
     L = chain.buffer_size_L
     if math.isinf(L):
         pi_0, pi_L = queueing._pi0_infinite(chain), 0.0
@@ -417,120 +473,130 @@ def _pt_chain(p):
         pi_0, pi_L = float(pi[0]), float(pi[-1])
         occ = queueing.mean_occupancy(chain)
         lifo_tq = queueing.lifo_equivalent_queue_delay(chain)
-    d = queueing.delays(chain)
-    return [
-        list(p["labels"])
-        + [
-            L,
-            chain.q_s,
-            chain.q_c,
-            chain.q_d,
-            chain.xi,
-            chain.xi_c,
-            chain.xi_d,
-            queueing.throughput(chain),
-            pi_0,
-            pi_L,
-            occ,
-            d.t_q,
-            d.t_u,
-            d.t_o,
-            d.t_total,
-            lifo_tq,
-        ]
-    ]
+    return _row(p, _ChainRow(
+        L=L, q_s=chain.q_s, q_c=chain.q_c, q_d=chain.q_d,
+        xi=chain.xi, xi_c=chain.xi_c, xi_d=chain.xi_d,
+        tau=queueing.throughput(chain), pi_0=pi_0, pi_L=pi_L, mean_occupancy=occ,
+        **asdict(queueing.delays(chain)), lifo_t_q=lifo_tq,
+    ))
+
+
+class _Design(NamedTuple):
+    knob: str  # document key of the design's free parameter
+    default: Optional[float]
+    positive: bool
+    xi_c: Callable  # (knob value, xi) -> boundary drift xi_c
+
+
+_DESIGNS = {
+    "mdmt": _Design("x_star", None, True, lambda x_star, xi: x_star * xi),
+    "ct": _Design("tau_star", None, True, lambda tau_star, xi: queueing.ct_xi_c(tau_star, xi)),
+    "eps": _Design("epsilon", 0.0, False, lambda eps, xi: queueing.epsilon_xi_c(eps, xi)),
+}
 
 
 def _design_knob(design):
-    kind = design["name"]
-    if kind == "mdmt":
-        return _as_num(design.get("x_star"), "designs[].x_star", positive=True)
-    if kind == "ct":
-        return _as_num(design.get("tau_star"), "designs[].tau_star", positive=True)
-    if kind == "eps":
-        return _as_num(design.get("epsilon", 0.0), "designs[].epsilon")
-    raise ConfigError("designs[].name: must be one of mdmt, ct, eps")
+    name = design["name"]
+    if not isinstance(name, str) or name not in _DESIGNS:
+        raise ConfigError("designs[].name: must be one of mdmt, ct, eps")
+    spec = _DESIGNS[name]
+    return _as_num(
+        design.get(spec.knob, spec.default), f"designs[].{spec.knob}", positive=spec.positive
+    )
 
 
-def _design_xi_c(design, xi):
-    kind = design["name"]
-    knob = _design_knob(design)
-    if kind == "mdmt":
-        return knob * xi
-    if kind == "ct":
-        return queueing.ct_xi_c(knob, xi)
-    return queueing.epsilon_xi_c(knob, xi)
+_TRADEOFF = "design knob xi xi_c tau"
+_DelayTradeoffRow = _record("_DelayTradeoffRow", _TRADEOFF + " t_q t_u t_o t_total", True)
+_BerTradeoffRow = _record("_BerTradeoffRow", _TRADEOFF + " ser_s_approx ser_s_exact")
 
 
 def _pt_tradeoff(p):
     if p["design"] is None:  # feasibility-boundary row: tau (1 + t) = 1
         tau = p["tau"]
-        return [["bound", math.nan, math.nan, math.nan, tau] + p["tail"](tau)]
+        return [list(_DelayTradeoffRow(design="bound", tau=tau, t_total=1.0 / tau - 1.0))]
     design = p["design"]
     xi = p["xi"]
-    xi_c = _design_xi_c(design, xi)
+    knob = _design_knob(design)
+    xi_c = _DESIGNS[design["name"]].xi_c(knob, xi)
     chain = ThresholdProtocolParams.from_xis(math.inf, xi, xi_c, 1.0)
-    tau = queueing.throughput(chain)
-    row = [design["name"], _design_knob(design), xi, xi_c, tau]
+    common = dict(
+        design=design["name"], knob=knob, xi=xi, xi_c=xi_c, tau=queueing.throughput(chain)
+    )
     if p["objective"] == "delay":
-        d = queueing.delays(chain)
-        row += [d.t_q, d.t_u, d.t_o, d.t_total]
-    else:
-        pair = build_pair(p["doc"])
-        mod = _build_modulation(p["doc"])
-        try:
-            row += [
-                queueing.ser_asym_threshold_pip(pair, xi, xi_c, mod, method="approx"),
-                queueing.ser_asym_threshold_pip(pair, xi, xi_c, mod, method="exact"),
-            ]
-        except ValueError as exc:
-            raise ConfigError(f"pair: {exc}") from exc
-    return [row]
+        return [list(_DelayTradeoffRow(**common, **asdict(queueing.delays(chain))))]
+    pair = build_pair(p["doc"])
+    mod = _build_modulation(p["doc"])
+    with _reraise("pair"):
+        return [list(_BerTradeoffRow(
+            **common,
+            ser_s_approx=queueing.ser_asym_threshold_pip(pair, xi, xi_c, mod, method="approx"),
+            ser_s_exact=queueing.ser_asym_threshold_pip(pair, xi, xi_c, mod, method="exact"),
+        ))]
+
+
+_CompareRow = _record(
+    "_CompareRow", "rho_balance rate_cabr rate_cnbr ratio_cnbr rate_cbr ratio_cbr"
+)
 
 
 def _pt_compare(p):
-    doc = p["doc"]
-    pair = build_pair(doc)
+    pair = build_pair(p["doc"])
     rate, rho = analytic.avg_rate_cabr(pair)
     cnbr = analytic.avg_rate_cnbr(pair)
     cbr = analytic.avg_rate_cbr(pair)
-    return [
-        list(p["labels"]) + [rho, rate, cnbr, rate / cnbr, cbr, rate / cbr]
-    ]
+    return _row(p, _CompareRow(
+        rho_balance=rho, rate_cabr=rate,
+        rate_cnbr=cnbr, ratio_cnbr=rate / cnbr, rate_cbr=cbr, ratio_cbr=rate / cbr,
+    ))
+
+
+_DelayCompareRow = _record("_DelayCompareRow", "rho delay_bound rate_cabr rate_cnbr ratio_cnbr")
+
+
+def _rho_for_delay_bound(pair, t_target):
+    with _reraise(f"t_target={t_target}", InfeasibleError):
+        return analytic.rho_for_delay_bound(pair, t_target)
 
 
 def _pt_delay_compare(p):
     doc = p["doc"]
     pair = build_pair(doc)
-    t_target = _as_num(doc.get("t_target"), "t_target", positive=True)
-    try:
-        rho = analytic.rho_for_delay_bound(pair, t_target)
-    except ValueError as exc:
-        raise InfeasibleError(f"t_target={t_target}: {exc}") from exc
+    rho = _rho_for_delay_bound(pair, _as_num(doc.get("t_target"), "t_target", positive=True))
     bound = analytic.delay_bound_adaptive(pair, rho)
     rate = analytic.avg_rate_cabr_hop_s(pair, rho)  # arrival-limited throughput
     cnbr = analytic.avg_rate_cnbr(pair)
-    return [list(p["labels"]) + [rho, bound, rate, cnbr, rate / cnbr]]
+    return _row(p, _DelayCompareRow(
+        rho=rho, delay_bound=bound, rate_cabr=rate, rate_cnbr=cnbr, ratio_cnbr=rate / cnbr
+    ))
+
+
+_OverflowRow = _record("_OverflowRow", "t_target d_sp d_rp rho L overflow_prob")
 
 
 def _pt_overflow(p):
     pair = build_pair(p["doc"])
-    try:
-        rho = analytic.rho_for_delay_bound(pair, p["t_target"])
-    except ValueError as exc:
-        raise InfeasibleError(f"t_target={p['t_target']}: {exc}") from exc
+    rho = _rho_for_delay_bound(pair, p["t_target"])
     config = sim.SchemeConfig(
         scheme="cabr",
         rate_mode="adaptive",
         slots=p["slots"],
-        seed=p["seed"],
+        seed=_point_seed(p["seed"], p["index"]),
         thresholds=SelectionThresholds.uniform(rho),
     )
     curve = sim.overflow_probability(config, pair, np.asarray(p["l_grid"], dtype=float))
     return [
-        list(p["labels"]) + [rho, l_value, float(prob)]
+        list(_OverflowRow(
+            t_target=p["t_target"], d_sp=p["d_sp"], d_rp=p["d_rp"],
+            rho=rho, L=l_value, overflow_prob=float(prob),
+        ))
         for l_value, prob in zip(p["l_grid"], curve)
     ]
+
+
+_SerSweepRow = _record("_SerSweepRow", """
+    case gamma_max_db scheme rho ser_s_exact ser_r_exact ser_s_asym ser_r_asym
+    ser_s_sim ser_r_sim ser_s_se ser_r_se
+""")
 
 
 def _pt_ser_sweep(p):
@@ -538,206 +604,155 @@ def _pt_ser_sweep(p):
     mod = _build_modulation(p["doc"])
     scheme = p["scheme"]
     marginal = analytic.ser_exact_cnbr(pair, mod)
-    thresh_cols = []
     if scheme == "cabr":
         rho = analytic.rho_opt_fixed(pair)
         exact = analytic.ser_exact_cabr(pair, rho, mod)
         asym = analytic.ser_asym_cabr(pair, rho, mod)
-        config = sim.SchemeConfig(
-            scheme="cabr",
-            rate_mode="fixed",
-            slots=p["slots"],
-            seed=p["seed"],
-            thresholds=SelectionThresholds.uniform(rho),
-            modulation=mod,
-            buffer=sim.BufferState(mode="packet"),
-        )
+        thresholds = SelectionThresholds.uniform(rho)
         # balanced drift: the empty/full mixing weights reduce to 1/L
-        for L in p["buffer_sizes"]:
-            chain = ThresholdProtocolParams(L, 0.5, 1.0, 1.0)
-            ts, tr = queueing.ser_threshold(
-                chain, exact.p_s, marginal.p_s, exact.p_r, marginal.p_r
+        thresh_cols = [
+            ser
+            for L in p["buffer_sizes"]
+            for ser in queueing.ser_threshold(
+                ThresholdProtocolParams(L, 0.5, 1.0, 1.0),
+                exact.p_s, marginal.p_s, exact.p_r, marginal.p_r,
             )
-            thresh_cols += [ts, tr]
-    else:
-        rho = math.nan
-        exact, asym = marginal, analytic.ser_asym_cnbr(pair, mod)
-        config = sim.SchemeConfig(
-            scheme="cnbr",
-            rate_mode="fixed",
-            slots=p["slots"],
-            seed=p["seed"],
-            modulation=mod,
-            buffer=sim.BufferState(mode="packet"),
-        )
-        thresh_cols = [math.nan] * (2 * len(p["buffer_sizes"]))
-    out = sim.run(config, pair)
-    return [
-        list(p["labels"])
-        + [
-            scheme,
-            rho,
-            exact.p_s,
-            exact.p_r,
-            asym.p_s,
-            asym.p_r,
-            out.ser_per_hop[0],
-            out.ser_per_hop[1],
-            out.ci_halfwidths.get("ser_s", math.nan),
-            out.ci_halfwidths.get("ser_r", math.nan),
         ]
-        + thresh_cols
-    ]
+    else:
+        rho, thresholds = math.nan, None
+        exact, asym = marginal, analytic.ser_asym_cnbr(pair, mod)
+        thresh_cols = [math.nan] * (2 * len(p["buffer_sizes"]))
+    config = sim.SchemeConfig(
+        scheme=scheme,
+        rate_mode="fixed",
+        slots=p["slots"],
+        seed=_point_seed(p["seed"], p["index"]),
+        thresholds=thresholds,
+        modulation=mod,
+        buffer=sim.BufferState(mode="packet"),
+    )
+    out = sim.run(config, pair)
+    row = _SerSweepRow(
+        case=p["case"], gamma_max_db=p["gamma_max_db"], scheme=scheme, rho=rho,
+        ser_s_exact=exact.p_s, ser_r_exact=exact.p_r, ser_s_asym=asym.p_s, ser_r_asym=asym.p_r,
+        ser_s_sim=out.ser_per_hop[0], ser_r_sim=out.ser_per_hop[1],
+        ser_s_se=out.ci_halfwidths.get("ser_s", math.nan),
+        ser_r_se=out.ci_halfwidths.get("ser_r", math.nan),
+    )
+    return [list(row) + thresh_cols]
 
 
-def _chain_from_thresholds(pair, thr, capacity):
-    q_s = analytic.lsp(pair, thr.rho)[0]
-    q_c = analytic.lsp(pair, thr.rho_c)[0]
-    q_d = 1.0 - analytic.lsp(pair, thr.rho_d)[0]
-    return ThresholdProtocolParams(capacity, q_s, q_c, q_d)
+_RunRow = _record("_RunRow", """
+    scheme rate_mode slots seed rho
+    avg_rate avg_rate_se avg_rate_ref
+    rate_hop_s rate_hop_s_ref rate_hop_r rate_hop_r_ref
+    q_s q_s_ref q_c q_c_ref q_d q_d_ref
+    ser_s ser_s_se ser_s_ref ser_r ser_r_se ser_r_ref
+    tau_pps tau_ref
+    t_q t_q_ref t_u t_u_ref t_o t_o_ref t_total t_total_ref
+    mean_occupancy underflow overflow delay_bound
+""", nan_default=True)
+
+
+def _selection_refs(pair, thr):
+    """Chain probabilities q_s, q_c, q_d that the selection thresholds induce."""
+    return dict(
+        q_s_ref=analytic.lsp(pair, thr.rho)[0],
+        q_c_ref=analytic.lsp(pair, thr.rho_c)[0],
+        q_d_ref=1.0 - analytic.lsp(pair, thr.rho_d)[0],
+    )
+
+
+def _refs_cabr_adaptive(pair, thr, mod, buffer):
+    refs = _selection_refs(pair, thr)
+    hop_s = analytic.avg_rate_cabr_hop_s(pair, thr.rho)
+    hop_r = analytic.avg_rate_cabr_hop_r(pair, thr.rho)
+    return dict(
+        refs, rate_hop_s_ref=hop_s, rate_hop_r_ref=hop_r, avg_rate_ref=min(hop_s, hop_r),
+        delay_bound=_delay_bound(pair, lambda: thr.rho),
+    )
+
+
+def _refs_cabr_fixed(pair, thr, mod, buffer):
+    refs = _selection_refs(pair, thr)
+    exact = analytic.ser_exact_cabr(pair, thr.rho, mod)
+    p_c = analytic.ser_exact_cabr(pair, thr.rho_c, mod).p_s
+    p_d = analytic.ser_exact_cabr(pair, thr.rho_d, mod).p_r
+    try:
+        chain = ThresholdProtocolParams(
+            buffer.capacity, refs["q_s_ref"], refs["q_c_ref"], refs["q_d_ref"]
+        )
+        ser_s, ser_r = queueing.ser_threshold(chain, exact.p_s, p_c, exact.p_r, p_d)
+    except ValueError:
+        return refs  # growing chain on an unbounded buffer: no steady state
+    tau = queueing.throughput(chain)
+    delays = {f"{k}_ref": v for k, v in asdict(queueing.delays(chain)).items()}
+    return dict(
+        refs, **delays, ser_s_ref=ser_s, ser_r_ref=ser_r,
+        tau_ref=tau, avg_rate_ref=tau * mod.rate_R,
+    )
+
+
+def _refs_fixed_schedule(pair, thr, mod, buffer):
+    t = analytic.ser_exact_cnbr(pair, mod)
+    return dict(ser_s_ref=t.p_s, ser_r_ref=t.p_r, tau_ref=0.5, avg_rate_ref=0.5 * mod.rate_R)
+
+
+# (scheme, rate_mode) -> analytic reference cells of a run row; unset cells read nan
+_RUN_REFS = {
+    ("cabr", "adaptive"): _refs_cabr_adaptive,
+    ("cabr", "fixed"): _refs_cabr_fixed,
+    ("cnbr", "adaptive"): lambda pair, *_: dict(avg_rate_ref=analytic.avg_rate_cnbr(pair)),
+    ("cbr", "adaptive"): lambda pair, *_: dict(avg_rate_ref=analytic.avg_rate_cbr(pair)),
+    ("cnbr", "fixed"): _refs_fixed_schedule,
+    ("cbr", "fixed"): _refs_fixed_schedule,
+}
 
 
 def _pt_run(p):
-    doc = p["doc"]
-    pair = build_pair(doc)
-    scheme = doc.get("scheme")
+    pt = _Point(p["doc"])
+    scheme = pt.doc.get("scheme")
     if scheme not in ("cabr", "cnbr", "cbr"):
         raise ConfigError("scheme: must be one of cabr, cnbr, cbr")
-    rate_mode = doc.get("rate_mode", "adaptive")
+    rate_mode = pt.doc.get("rate_mode", "adaptive")
     if rate_mode not in ("adaptive", "fixed"):
         raise ConfigError("rate_mode: must be 'adaptive' or 'fixed'")
-    thresholds = _build_thresholds(doc, pair) if scheme == "cabr" else None
-    modulation = _build_modulation(doc) if rate_mode == "fixed" else None
-    buffer = _build_buffer(doc, rate_mode)
-    try:
+    thresholds = _build_thresholds(pt) if scheme == "cabr" else None
+    modulation = _build_modulation(pt.doc) if rate_mode == "fixed" else None
+    buffer = _build_buffer(pt.doc, rate_mode)
+    seed = _point_seed(p["seed"], p["index"])
+    with _reraise():
         config = sim.SchemeConfig(
             scheme=scheme,
             rate_mode=rate_mode,
             slots=p["slots"],
-            seed=p["seed"],
+            seed=seed,
             thresholds=thresholds,
             modulation=modulation,
             buffer=buffer,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = sim.run(config, pair)
-
-    nan = math.nan
-    rho = thresholds.rho if thresholds else nan
-    rate_ref = hop_s_ref = hop_r_ref = q_s_ref = q_c_ref = q_d_ref = nan
-    ser_s_ref = ser_r_ref = tau_ref = nan
-    t_q_ref = t_u_ref = t_o_ref = t_total_ref = bound = nan
-    if scheme == "cabr":
-        q_s_ref = analytic.lsp(pair, rho)[0]
-        q_c_ref = analytic.lsp(pair, thresholds.rho_c)[0]
-        q_d_ref = 1.0 - analytic.lsp(pair, thresholds.rho_d)[0]
-        if rate_mode == "adaptive":
-            hop_s_ref = analytic.avg_rate_cabr_hop_s(pair, rho)
-            hop_r_ref = analytic.avg_rate_cabr_hop_r(pair, rho)
-            rate_ref = min(hop_s_ref, hop_r_ref)
-            try:
-                bound = analytic.delay_bound_adaptive(pair, rho)
-            except ValueError:
-                bound = nan
-        else:
-            exact = analytic.ser_exact_cabr(pair, rho, modulation)
-            p_c = analytic.ser_exact_cabr(pair, thresholds.rho_c, modulation).p_s
-            p_d = analytic.ser_exact_cabr(pair, thresholds.rho_d, modulation).p_r
-            try:
-                chain = ThresholdProtocolParams(
-                    buffer.capacity, q_s_ref, q_c_ref, q_d_ref
-                )
-                ser_s_ref, ser_r_ref = queueing.ser_threshold(
-                    chain, exact.p_s, p_c, exact.p_r, p_d
-                )
-                tau_ref = queueing.throughput(chain)
-                d_ref = queueing.delays(chain)
-                t_q_ref, t_u_ref, t_o_ref, t_total_ref = (
-                    d_ref.t_q,
-                    d_ref.t_u,
-                    d_ref.t_o,
-                    d_ref.t_total,
-                )
-            except ValueError:
-                pass  # growing chain on an unbounded buffer: no steady state
-            rate_ref = tau_ref * modulation.rate_R if not math.isnan(tau_ref) else nan
-    elif scheme == "cnbr":
-        if rate_mode == "adaptive":
-            rate_ref = analytic.avg_rate_cnbr(pair)
-        else:
-            t = analytic.ser_exact_cnbr(pair, modulation)
-            ser_s_ref, ser_r_ref = t.p_s, t.p_r
-            tau_ref, rate_ref = 0.5, 0.5 * modulation.rate_R
-    else:
-        if rate_mode == "adaptive":
-            rate_ref = analytic.avg_rate_cbr(pair)
-        else:
-            t = analytic.ser_exact_cnbr(pair, modulation)
-            ser_s_ref, ser_r_ref = t.p_s, t.p_r
-            tau_ref, rate_ref = 0.5, 0.5 * modulation.rate_R
-
+    out = sim.run(config, pt.pair)
+    refs = _RUN_REFS[scheme, rate_mode](pt.pair, thresholds, modulation, buffer)
     ci = out.ci_halfwidths
-    return [
-        list(p["labels"])
-        + [
-            scheme,
-            rate_mode,
-            out.slots_run,
-            p["seed"],
-            rho,
-            out.avg_rate,
-            ci.get("avg_rate", nan),
-            rate_ref,
-            out.rate_hop_s,
-            hop_s_ref,
-            out.rate_hop_r,
-            hop_r_ref,
-            out.lsp_empirical[0],
-            q_s_ref,
-            out.lsp_empirical[1],
-            q_c_ref,
-            out.lsp_empirical[2],
-            q_d_ref,
-            out.ser_per_hop[0],
-            ci.get("ser_s", nan),
-            ser_s_ref,
-            out.ser_per_hop[1],
-            ci.get("ser_r", nan),
-            ser_r_ref,
-            out.throughput_pps,
-            tau_ref,
-            out.delay.t_q,
-            t_q_ref,
-            out.delay.t_u,
-            t_u_ref,
-            out.delay.t_o,
-            t_o_ref,
-            out.delay.t_total,
-            t_total_ref,
-            out.mean_occupancy,
-            out.underflow_count,
-            out.overflow_count,
-            bound,
-        ]
-    ]
-
-
-_POINT_FUNCS = {
-    "table": _pt_table,
-    "chain": _pt_chain,
-    "tradeoff": _pt_tradeoff,
-    "compare": _pt_compare,
-    "delay-compare": _pt_delay_compare,
-    "overflow": _pt_overflow,
-    "ser-sweep": _pt_ser_sweep,
-    "run": _pt_run,
-}
+    return _row(p, _RunRow(
+        scheme=scheme, rate_mode=rate_mode, slots=out.slots_run, seed=seed,
+        rho=thresholds.rho if thresholds else math.nan,
+        avg_rate=out.avg_rate, avg_rate_se=ci.get("avg_rate", math.nan),
+        rate_hop_s=out.rate_hop_s, rate_hop_r=out.rate_hop_r,
+        q_s=out.lsp_empirical[0], q_c=out.lsp_empirical[1], q_d=out.lsp_empirical[2],
+        ser_s=out.ser_per_hop[0], ser_s_se=ci.get("ser_s", math.nan),
+        ser_r=out.ser_per_hop[1], ser_r_se=ci.get("ser_r", math.nan),
+        tau_pps=out.throughput_pps,
+        **asdict(out.delay),
+        mean_occupancy=out.mean_occupancy,
+        underflow=out.underflow_count, overflow=out.overflow_count,
+        **refs,
+    ))
 
 
 def _eval_task(task):
     name, payload = task
-    return _POINT_FUNCS[name](payload)
+    return _MODES[name].point(payload)
 
 
 def _run_tasks(name, payloads, workers):
@@ -751,87 +766,56 @@ def _run_tasks(name, payloads, workers):
 
 
 # ---------------------------------------------------------------------------
-# mode builders: document -> (columns, payloads, evaluator name)
+# mode builders: document -> (columns, payloads)
 
 
-def _build_table(doc):
-    labels, points = _expand_points(doc)
-    metrics = doc.get("metrics", list(_DEFAULT_METRICS))
-    if not isinstance(metrics, list) or not metrics:
-        raise ConfigError("metrics: non-empty list required")
-    columns = list(labels)
-    for m in metrics:
-        if m not in _METRIC_COLUMNS:
-            raise ConfigError(
-                f"metrics: unknown metric '{m}' (choices: {', '.join(sorted(_METRIC_COLUMNS))})"
-            )
-        for col in _METRIC_COLUMNS[m]:
-            if col in columns:
-                raise ConfigError(f"metrics: column '{col}' requested twice")
-            columns.append(col)
-    payloads = [{"labels": lab, "doc": pt, "metrics": metrics} for lab, pt in points]
-    return columns, payloads, "table"
+def _grid_builder(fields):
+    """Builder of a mode with one payload per series x sweep point.
+
+    ``fields(doc, labels)`` returns the mode's columns after the labels and the
+    payload entries every point shares.
+    """
+
+    def build(doc):
+        labels, points = _expand_points(doc)
+        columns, shared = fields(doc, labels)
+        payloads = [
+            dict(shared, labels=lab, doc=pt, index=i) for i, (lab, pt) in enumerate(points)
+        ]
+        return list(labels) + list(columns), payloads
+
+    return build
 
 
-def _build_chain_table(doc):
-    labels, points = _expand_points(doc)
-    columns = list(labels) + [
-        "L",
-        "q_s",
-        "q_c",
-        "q_d",
-        "xi",
-        "xi_c",
-        "xi_d",
-        "tau",
-        "pi_0",
-        "pi_L",
-        "mean_occupancy",
-        "t_q",
-        "t_u",
-        "t_o",
-        "t_total",
-        "lifo_t_q",
-    ]
-    payloads = [{"labels": lab, "doc": pt} for lab, pt in points]
-    return columns, payloads, "chain"
+def _fields_of(record):
+    return lambda doc, labels: (record._fields, {})
 
 
-def _tradeoff_designs(doc):
-    raw = doc.get("designs")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("designs: non-empty list required")
-    designs = []
-    for i, d in enumerate(raw):
-        if not isinstance(d, dict) or "name" not in d:
-            raise ConfigError(f"designs[{i}]: mapping with a 'name' required")
-        _design_knob(d)  # validates name and knob
-        designs.append(d)
-    return designs
+def _run_fields(doc, labels):
+    return _RunRow._fields, {"seed": _doc_seed(doc), "slots": _doc_slots(doc)}
 
 
 def _build_tradeoff(doc):
     objective = doc.get("objective", "delay")
     if objective not in ("delay", "ber"):
         raise ConfigError("objective: must be 'delay' or 'ber'")
-    grid = doc.get("xi_grid")
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("xi_grid: non-empty list required")
-    xi_grid = [_as_num(v, f"xi_grid[{i}]") for i, v in enumerate(grid)]
+    xi_grid = _as_nums(doc, "xi_grid")
     if any(not (x > 1.0) for x in xi_grid):
         raise ConfigError("xi_grid: every drift ratio must exceed 1")
-    designs = _tradeoff_designs(doc)
+    designs = _as_list(doc, "designs")
+    for i, d in enumerate(designs):
+        if not isinstance(d, dict) or "name" not in d:
+            raise ConfigError(f"designs[{i}]: mapping with a 'name' required")
+        _design_knob(d)  # validates name and knob
 
     constraint = None
     if "constraint" in doc:
         sec = _as_map(doc, "constraint", required=True)
-        try:
+        with _reraise("constraint"):
             constraint = SchemeConstraint(
                 t_max=_as_num(sec.get("t_max"), "constraint.t_max"),
                 tau_min=_as_num(sec.get("tau_min"), "constraint.tau_min"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"constraint: {exc}") from exc
         feas = queueing.feasibility(constraint)
         if not feas.feasible:
             raise InfeasibleError(feas.violated)
@@ -850,134 +834,31 @@ def _build_tradeoff(doc):
                     raise InfeasibleError(
                         f"ct tau*={design['tau_star']}: below the throughput floor"
                     )
-                try:
+                with _reraise(f"ct tau*={design['tau_star']}", InfeasibleError):
                     xi_min = queueing.ct_xi_min(design["tau_star"], constraint.t_max)
-                except ValueError as exc:
-                    raise InfeasibleError(f"ct tau*={design['tau_star']}: {exc}") from exc
                 grid_d = [x for x in xi_grid if x >= xi_min]
         for xi in grid_d:
             payloads.append(
                 {"design": design, "xi": xi, "objective": objective, "doc": doc}
             )
     if objective == "delay":
-        columns = ["design", "knob", "xi", "xi_c", "tau", "t_q", "t_u", "t_o", "t_total"]
         for tau in doc.get("bound_tau_grid", []):
-            t = _as_num(tau, "bound_tau_grid[]", positive=True)
-            payloads.append(
-                {
-                    "design": None,
-                    "tau": t,
-                    "tail": _bound_delay_tail,
-                    "objective": objective,
-                }
-            )
-    else:
-        columns = ["design", "knob", "xi", "xi_c", "tau", "ser_s_approx", "ser_s_exact"]
-    return columns, payloads, "tradeoff"
-
-
-def _bound_delay_tail(tau):
-    return [math.nan, math.nan, math.nan, 1.0 / tau - 1.0]
-
-
-def _build_compare(doc):
-    labels, points = _expand_points(doc)
-    columns = list(labels) + [
-        "rho_balance",
-        "rate_cabr",
-        "rate_cnbr",
-        "ratio_cnbr",
-        "rate_cbr",
-        "ratio_cbr",
-    ]
-    payloads = [{"labels": lab, "doc": pt} for lab, pt in points]
-    return columns, payloads, "compare"
-
-
-def _build_delay_compare(doc):
-    labels, points = _expand_points(doc)
-    columns = list(labels) + [
-        "rho",
-        "delay_bound",
-        "rate_cabr",
-        "rate_cnbr",
-        "ratio_cnbr",
-    ]
-    payloads = [{"labels": lab, "doc": pt} for lab, pt in points]
-    return columns, payloads, "delay-compare"
-
-
-def _build_run(doc):
-    labels, points = _expand_points(doc)
-    seed = _doc_seed(doc)
-    slots = _doc_slots(doc)
-    columns = list(labels) + [
-        "scheme",
-        "rate_mode",
-        "slots",
-        "seed",
-        "rho",
-        "avg_rate",
-        "avg_rate_se",
-        "avg_rate_ref",
-        "rate_hop_s",
-        "rate_hop_s_ref",
-        "rate_hop_r",
-        "rate_hop_r_ref",
-        "q_s",
-        "q_s_ref",
-        "q_c",
-        "q_c_ref",
-        "q_d",
-        "q_d_ref",
-        "ser_s",
-        "ser_s_se",
-        "ser_s_ref",
-        "ser_r",
-        "ser_r_se",
-        "ser_r_ref",
-        "tau_pps",
-        "tau_ref",
-        "t_q",
-        "t_q_ref",
-        "t_u",
-        "t_u_ref",
-        "t_o",
-        "t_o_ref",
-        "t_total",
-        "t_total_ref",
-        "mean_occupancy",
-        "underflow",
-        "overflow",
-        "delay_bound",
-    ]
-    payloads = [
-        {"labels": lab, "doc": pt, "slots": slots, "seed": _point_seed(seed, i)}
-        for i, (lab, pt) in enumerate(points)
-    ]
-    return columns, payloads, "run"
+            tau = _as_num(tau, "bound_tau_grid[]", positive=True)
+            payloads.append({"design": None, "tau": tau})
+        return list(_DelayTradeoffRow._fields), payloads
+    return list(_BerTradeoffRow._fields), payloads
 
 
 def _build_overflow(doc):
-    grid = doc.get("l_grid")
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("l_grid: non-empty list required")
-    l_grid = [_as_num(v, f"l_grid[{i}]", positive=True) for i, v in enumerate(grid)]
+    l_grid = _as_nums(doc, "l_grid", positive=True)
     if any(b <= a for a, b in zip(l_grid, l_grid[1:])):
         raise ConfigError("l_grid: must be strictly increasing")
-    targets = doc.get("t_targets")
-    if not isinstance(targets, list) or not targets:
-        raise ConfigError("t_targets: non-empty list required")
-    geometries = doc.get("geometries")
-    if not isinstance(geometries, list) or not geometries:
-        raise ConfigError("geometries: non-empty list of {d_sp, d_rp} required")
-    seed = _doc_seed(doc)
-    slots = _doc_slots(doc, default=500_000)
+    targets = _as_list(doc, "t_targets")
+    geometries = _as_list(doc, "geometries", "non-empty list of {d_sp, d_rp}")
+    shared = {"l_grid": l_grid, "seed": _doc_seed(doc), "slots": _doc_slots(doc, default=500_000)}
     base_geom = _as_map(doc, "geometry_base")
     power = _as_map(doc, "power", required=True)
-    columns = ["t_target", "d_sp", "d_rp", "rho", "L", "overflow_prob"]
     payloads = []
-    index = 0
     for t_target in targets:
         t = _as_num(t_target, "t_targets[]", positive=True)
         for g in geometries:
@@ -992,54 +873,23 @@ def _build_overflow(doc):
                 }
             }
             payloads.append(
-                {
-                    "labels": [t, d_sp, d_rp],
-                    "doc": point_doc,
-                    "t_target": t,
-                    "l_grid": l_grid,
-                    "slots": slots,
-                    "seed": _point_seed(seed, index),
-                }
+                dict(shared, doc=point_doc, t_target=t, d_sp=d_sp, d_rp=d_rp, index=len(payloads))
             )
-            index += 1
-    return columns, payloads, "overflow"
+    return list(_OverflowRow._fields), payloads
 
 
 def _build_ser_sweep(doc):
-    cases = doc.get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise ConfigError("cases: non-empty list required")
+    cases = _as_list(doc, "cases")
     schemes = doc.get("schemes", ["cabr", "cnbr"])
     if not isinstance(schemes, list) or any(s not in ("cabr", "cnbr") for s in schemes):
         raise ConfigError("schemes: list drawn from cabr, cnbr")
-    grid = doc.get("gamma_max_db_grid")
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("gamma_max_db_grid: non-empty list required")
-    gammas = [_as_num(v, f"gamma_max_db_grid[{i}]") for i, v in enumerate(grid)]
+    gammas = _as_nums(doc, "gamma_max_db_grid")
     buffer_sizes = [
         _as_int(v, "threshold_buffer_sizes[]", minimum=1)
         for v in doc.get("threshold_buffer_sizes", [])
     ]
-    seed = _doc_seed(doc)
-    slots = _doc_slots(doc)
-    columns = [
-        "case",
-        "gamma_max_db",
-        "scheme",
-        "rho",
-        "ser_s_exact",
-        "ser_r_exact",
-        "ser_s_asym",
-        "ser_r_asym",
-        "ser_s_sim",
-        "ser_r_sim",
-        "ser_s_se",
-        "ser_r_se",
-    ]
-    for L in buffer_sizes:
-        columns += [f"ser_s_L{L}", f"ser_r_L{L}"]
+    shared = {"buffer_sizes": buffer_sizes, "seed": _doc_seed(doc), "slots": _doc_slots(doc)}
     payloads = []
-    index = 0
     for case in cases:
         if not isinstance(case, dict) or "name" not in case:
             raise ConfigError("cases[]: mapping with a 'name' required")
@@ -1059,35 +909,33 @@ def _build_ser_sweep(doc):
                 "modulation": _as_map(doc, "modulation"),
             }
             for scheme in schemes:
-                payloads.append(
-                    {
-                        "labels": [case["name"], gdb],
-                        "doc": point_doc,
-                        "scheme": scheme,
-                        "buffer_sizes": buffer_sizes,
-                        "slots": slots,
-                        "seed": _point_seed(seed, index),
-                    }
-                )
-                index += 1
-    return columns, payloads, "ser-sweep"
+                payloads.append(dict(
+                    shared, case=case["name"], gamma_max_db=gdb, doc=point_doc,
+                    scheme=scheme, index=len(payloads),
+                ))
+    # per-hop error rates of the threshold protocol at each finite buffer size
+    thresh_fields = [f"ser_{hop}_L{L}" for L in buffer_sizes for hop in ("s", "r")]
+    return list(_SerSweepRow._fields) + thresh_fields, payloads
 
 
+class _Mode(NamedTuple):
+    kind: str  # the command that runs the mode
+    build: Callable  # document -> (columns, payloads)
+    point: Callable  # payload -> the point's rows
+
+
+# the first mode of each kind is its default
 _MODES = {
-    "table": _build_table,
-    "chain-table": _build_chain_table,
-    "tradeoff": _build_tradeoff,
-    "compare": _build_compare,
-    "delay-compare": _build_delay_compare,
-    "run": _build_run,
-    "overflow": _build_overflow,
-    "ser-sweep": _build_ser_sweep,
-}
-
-_KIND_MODES = {
-    "analyze": ("table", "chain-table", "tradeoff"),
-    "compare": ("compare", "delay-compare"),
-    "simulate": ("run", "overflow", "ser-sweep"),
+    "table": _Mode("analyze", _grid_builder(_table_fields), _pt_table),
+    "chain-table": _Mode("analyze", _grid_builder(_fields_of(_ChainRow)), _pt_chain),
+    "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff),
+    "compare": _Mode("compare", _grid_builder(_fields_of(_CompareRow)), _pt_compare),
+    "delay-compare": _Mode(
+        "compare", _grid_builder(_fields_of(_DelayCompareRow)), _pt_delay_compare
+    ),
+    "run": _Mode("simulate", _grid_builder(_run_fields), _pt_run),
+    "overflow": _Mode("simulate", _build_overflow, _pt_overflow),
+    "ser-sweep": _Mode("simulate", _build_ser_sweep, _pt_ser_sweep),
 }
 
 
@@ -1120,35 +968,27 @@ def _fig_pair(d_sp, d_rp):
     }
 
 
+def _d_sp_curves(kind, mode, **fields):
+    """Preset over the source-to-primary distance, one curve per relay-to-primary distance."""
+    return {
+        "kind": kind,
+        "mode": mode,
+        **fields,
+        "pair": _fig_pair(2.0, 2.0),
+        "series": {"parameter": "pair.geometry.d_rp", "values": _D_RP_SERIES},
+        "sweep": {"parameter": "pair.geometry.d_sp", "grid": _D_SP_GRID},
+    }
+
+
 PRESETS = {
     # adaptive-rate throughput vs source-to-primary distance, one curve per
     # relay-to-primary distance, with the unconstrained-power reference
-    "fig3": {
-        "kind": "analyze",
-        "mode": "table",
-        "metrics": ["rate_cabr", "rate_noncognitive"],
-        "pair": _fig_pair(2.0, 2.0),
-        "series": {"parameter": "pair.geometry.d_rp", "values": _D_RP_SERIES},
-        "sweep": {"parameter": "pair.geometry.d_sp", "grid": _D_SP_GRID},
-    },
+    "fig3": _d_sp_curves("analyze", "table", metrics=["rate_cabr", "rate_noncognitive"]),
     # balance threshold (log2) vs source-to-primary distance; crosses zero
     # where the two interference distances coincide
-    "fig4": {
-        "kind": "analyze",
-        "mode": "table",
-        "metrics": ["rho_balance"],
-        "pair": _fig_pair(2.0, 2.0),
-        "series": {"parameter": "pair.geometry.d_rp", "values": _D_RP_SERIES},
-        "sweep": {"parameter": "pair.geometry.d_sp", "grid": _D_SP_GRID},
-    },
+    "fig4": _d_sp_curves("analyze", "table", metrics=["rho_balance"]),
     # adaptive-selection rate gain over the alternating schedule
-    "fig5": {
-        "kind": "compare",
-        "mode": "compare",
-        "pair": _fig_pair(2.0, 2.0),
-        "series": {"parameter": "pair.geometry.d_rp", "values": _D_RP_SERIES},
-        "sweep": {"parameter": "pair.geometry.d_sp", "grid": _D_SP_GRID},
-    },
+    "fig5": _d_sp_curves("compare", "compare"),
     # rate gain over the block fill-then-drain schedule vs the distance ratio;
     # the sweep value multiplies the per-series d_rp to give d_sp
     "fig6": {
@@ -1242,21 +1082,13 @@ PRESETS = {
 # commands
 
 
-def _default_mode(kind, doc):
-    if kind == "analyze" and "chain" in doc:
-        return "chain-table"
-    return _KIND_MODES[kind][0]
-
-
 def _table_for(kind, doc, workers):
-    mode = doc.get("mode", _default_mode(kind, doc))
-    if mode not in _KIND_MODES[kind]:
-        raise ConfigError(
-            f"mode: '{mode}' not valid for {kind} (choices: {', '.join(_KIND_MODES[kind])})"
-        )
-    columns, payloads, evaluator = _MODES[mode](doc)
-    rows = _run_tasks(evaluator, payloads, workers)
-    return columns, rows
+    choices = [name for name, spec in _MODES.items() if spec.kind == kind]
+    mode = doc.get("mode", "chain-table" if kind == "analyze" and "chain" in doc else choices[0])
+    if mode not in choices:
+        raise ConfigError(f"mode: '{mode}' not valid for {kind} (choices: {', '.join(choices)})")
+    columns, payloads = _MODES[mode].build(doc)
+    return columns, _run_tasks(mode, payloads, workers)
 
 
 def cmd_analyze(doc, workers=1):
@@ -1283,22 +1115,16 @@ def _py(value):
 
 
 def _write_csv(columns, rows, stream):
-    writer = csv.writer(stream)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_py(v) for v in row])
+    csv.writer(stream).writerows([columns, *rows])
 
 
 def _write_json(columns, rows, stream):
-    json.dump(
-        {"columns": list(columns), "rows": [[_py(v) for v in row] for row in rows]},
-        stream,
-        indent=1,
-    )
+    json.dump({"columns": list(columns), "rows": rows}, stream, indent=1)
     stream.write("\n")
 
 
 def _emit(columns, rows, path, fmt):
+    rows = [[_py(v) for v in row] for row in rows]
     writer = _write_csv if fmt == "csv" else _write_json
     if path is None or path == "-":
         writer(columns, rows, sys.stdout)
@@ -1353,8 +1179,9 @@ def _resolve_workers(args):
 
 def _effective_kind(command, doc):
     kind = doc.get("kind", "analyze" if command == "sweep" else command)
-    if kind not in _KIND_MODES:
-        raise ConfigError(f"kind: must be one of {', '.join(sorted(_KIND_MODES))}")
+    kinds = sorted({mode.kind for mode in _MODES.values()})
+    if kind not in kinds:
+        raise ConfigError(f"kind: must be one of {', '.join(kinds)}")
     if command == "sweep":
         if kind != "analyze":
             raise ConfigError(f"sweep runs analyze documents; this one says kind={kind}")
@@ -1407,7 +1234,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
+    except (ConvergenceError, analytic.BracketError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except InfeasibleError as exc:

@@ -11,7 +11,6 @@ from bufrelay.channel import (
     LinkParams,
     NodeGeometry,
     PowerConstraints,
-    RegimeOverride,
     derive_link_params,
     link_ccdf,
     link_pdf,
@@ -103,7 +102,7 @@ class TestMarginals:
         assert link_ccdf(pip_link, s) == pytest.approx(10.0 / (s + 10.0))
         with pytest.raises(ValueError):
             link_ccdf(link, s, regime="nope")
-        assert link_ccdf(link, s, RegimeOverride("ptp")) == pytest.approx(
+        assert link_ccdf(link, s, "ptp") == pytest.approx(
             math.exp(-s / 4.0)
         )
 

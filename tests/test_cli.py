@@ -152,6 +152,15 @@ class TestAnalyze:
         assert "convergence failure" in capsys.readouterr().err
 
 
+    def test_unbracketed_balance_point_exits_convergence(self, tmp_path, capsys):
+        links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
+        path = write_doc(tmp_path, {"metrics": ["rate_cabr"], "pair": {"links": links}})
+        assert cli.main(["analyze", path]) == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("convergence failure: ")
+
+
 class TestOutputs:
     def test_json_format(self, tmp_path, capsys):
         path = write_doc(tmp_path, table_doc())

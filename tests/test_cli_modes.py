@@ -1,0 +1,271 @@
+"""Per-mode output pins and the balance-solve count of table points.
+
+Each mode's header and first row are pinned to values recorded before the
+CLI modes were rebuilt around row records: strings and integers exactly,
+floats to a relative 1e-12 (nan pins nan). Simulated documents run 2000 slots
+with fixed seeds, so their rows are deterministic too.
+"""
+
+import math
+
+import pytest
+
+from bufrelay import cli
+
+nan = math.nan
+inf = math.inf
+
+PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
+BPSK = {"eta": 2.0, "phi": 1.0, "rate_R": 1.0}
+
+
+def _run(**fields):
+    doc = {"kind": "simulate", "mode": "run", "pair": PAIR, "slots": 2000, "seed": 7}
+    doc.update(fields)
+    return doc
+
+
+# mode (or mode variant) -> (command, document)
+DOCS = {
+    "table": ("analyze", {
+        "mode": "table",
+        "metrics": ["capacity", "rate_cabr", "lsp", "ser_cabr", "delay_bound"],
+        "rho": 0.8,
+        "modulation": BPSK,
+        "pair": PAIR,
+        "sweep": {"parameter": "pair.links.s.lam", "grid": [4.0, 8.0]},
+    }),
+    "chain-table": ("analyze", {
+        "mode": "chain-table",
+        "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
+        "series": {"parameter": "chain.buffer_size_L", "values": [4, "inf"]},
+    }),
+    "tradeoff": ("analyze", {
+        "mode": "tradeoff",
+        "xi_grid": [2.0, 3.0],
+        "designs": [{"name": "ct", "tau_star": 0.4}, {"name": "mdmt", "x_star": 0.5}],
+        "bound_tau_grid": [0.3],
+    }),
+    "compare": ("compare", {"mode": "compare", "pair": PAIR}),
+    "delay-compare": ("compare", {"mode": "delay-compare", "pair": PAIR, "t_target": 7.3}),
+    "run": ("simulate", _run(
+        scheme="cabr", rate_mode="fixed", rho=0.6, rho_c=1.2, rho_d=0.3,
+        modulation=BPSK, buffer={"capacity": 4},
+    )),
+    "run-cabr-adaptive": ("simulate", _run(scheme="cabr", rho="balance", rho_c=2.0)),
+    "run-cnbr-fixed": ("simulate", _run(scheme="cnbr", rate_mode="fixed", modulation=BPSK)),
+    "run-cbr-adaptive": ("simulate", _run(scheme="cbr")),
+    "overflow": ("simulate", {
+        "mode": "overflow",
+        "geometry_base": {"d_sr": 1.0, "d_rd": 1.0, "alpha": 3.0},
+        "power": {"gamma_max_db": 30.0, "gamma_p_db": 10.0},
+        "t_targets": [7.3],
+        "geometries": [{"d_sp": 1.5, "d_rp": 2.0}],
+        "l_grid": [1.0, 4.0],
+        "slots": 2000,
+        "seed": 20,
+    }),
+    "ser-sweep": ("simulate", {
+        "mode": "ser-sweep",
+        "cases": [{"name": "symmetric", "omega_h_r": 0.5787, "mu_s": 156.25, "mu_r": 156.25}],
+        "gamma_max_db_grid": [20.0],
+        "modulation": BPSK,
+        "threshold_buffer_sizes": [2],
+        "slots": 2000,
+        "seed": 9,
+    }),
+}
+
+# header and first row of each document, recorded before the rebuild
+PINS = {
+    'table': (
+        [
+            'lam', 'capacity_s', 'capacity_r', 'rho_balance', 'rate_cabr', 'q_s', 'q_r',
+            'ser_cabr_s', 'ser_cabr_r', 'delay_bound',
+        ],
+        [
+            4.0, 1.9121939177056027, 1.902756672176349, 1.046596167628764, 1.2756299537274787,
+            0.4624593470761672, 0.5375406529238328, 0.015785572539982275, 0.017212818537758027,
+            13.039904398293952,
+        ],
+    ),
+    'chain-table': (
+        [
+            'buffer_size_L', 'L', 'q_s', 'q_c', 'q_d', 'xi', 'xi_c', 'xi_d', 'tau', 'pi_0',
+            'pi_L', 'mean_occupancy', 't_q', 't_u', 't_o', 't_total', 'lifo_t_q',
+        ],
+        [
+            4.0, 4.0, 0.4, 0.9, 0.8, 1.4999999999999998, 0.11111111111111108,
+            0.24999999999999994, 0.48148148148148145, 0.2222222222222222, 0.07407407407407408,
+            1.5185185185185186, 3.153846153846154, 0.04615384615384613, 0.030769230769230767,
+            3.230769230769231, 5.153846153846153,
+        ],
+    ),
+    'tradeoff': (
+        [
+            'design', 'knob', 'xi', 'xi_c', 'tau', 't_q', 't_u', 't_o', 't_total',
+        ],
+        [
+            'ct', 0.4, 2.0, 0.9999999999999998, 0.4, 2.999999999999999, 0.4999999999999999, 0.0,
+            3.499999999999999,
+        ],
+    ),
+    'compare': (
+        [
+            'rho_balance', 'rate_cabr', 'rate_cnbr', 'ratio_cnbr', 'rate_cbr', 'ratio_cbr',
+        ],
+        [
+            1.046596167628764, 1.2756299537274787, 0.6317254939127847, 2.0192788893582168,
+            0.9513783360881745, 1.3408229989475526,
+        ],
+    ),
+    'delay-compare': (
+        [
+            'rho', 'delay_bound', 'rate_cabr', 'rate_cnbr', 'ratio_cnbr',
+        ],
+        [
+            0.6244232913576464, 7.299999999276951, 1.0322736172575644, 0.6317254939127847,
+            1.6340540744427816,
+        ],
+    ),
+    'run': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
+            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
+            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
+            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
+            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.416, 0.007243248336530128,
+            0.4201898656183503, nan, nan, nan, nan, 0.40694789081885857, 0.3994361717277644,
+            0.5431309904153354, 0.5533317098379443, 0.696969696969697, 0.736786876097602,
+            0.019230769230769232, 0.004941655971537432, 0.015935132017638708,
+            0.014423076923076924, 0.0040989337439883275, 0.0203590191861829, 0.416,
+            0.4201898656183503, 3.3341346153846154, 3.2006961873522703, 0.34375,
+            0.3361126698875951, 0.06009615384615385, 0.04376386170938309, 3.737980769230769,
+            3.5805727189492487, 1.387, 286, 50, nan,
+        ],
+    ),
+    'run-cabr-adaptive': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
+            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
+            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
+            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
+            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'adaptive', 2000, 16920295385781661272, 1.046596167628764,
+            1.2275017187713266, 0.03290574073355199, 1.275629953017497, 1.3095638018368776,
+            1.275629953017497, 1.2524393132758744, 1.27562995443746, 0.5286656519533232,
+            0.5226823957162633, 0.4827586206896552, 0.6636199330721383, nan, 0.4773176042837367,
+            nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+            15, 0, 2069222500.222108,
+        ],
+    ),
+    'run-cnbr-fixed': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
+            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
+            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
+            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
+            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
+        ],
+        [
+            'cnbr', 'fixed', 2000, 16920295385781661272, nan, 0.5, nan, 0.5, nan, nan, nan, nan,
+            nan, nan, nan, nan, nan, nan, 0.053, 0.00708456067798138, 0.05410645988406182,
+            0.073, 0.008226238508577295, 0.06477513888317488, 0.5, 0.5, nan, nan, nan, nan, nan,
+            nan, nan, nan, nan, 0, 0, nan,
+        ],
+    ),
+    'run-cbr-adaptive': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
+            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
+            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
+            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
+            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
+        ],
+        [
+            'cbr', 'adaptive', 2000, 16920295385781661272, nan, 0.9278003961780046,
+            0.0193675798984656, 0.9513783360881745, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+            nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+            nan, 0, 0, nan,
+        ],
+    ),
+    'overflow': (
+        [
+            't_target', 'd_sp', 'd_rp', 'rho', 'L', 'overflow_prob',
+        ],
+        [
+            7.3, 1.5, 2.0, 1.6601810547993667, 1.0, 0.813,
+        ],
+    ),
+    'ser-sweep': (
+        [
+            'case', 'gamma_max_db', 'scheme', 'rho', 'ser_s_exact', 'ser_r_exact', 'ser_s_asym',
+            'ser_r_asym', 'ser_s_sim', 'ser_r_sim', 'ser_s_se', 'ser_r_se', 'ser_s_L2',
+            'ser_r_L2',
+        ],
+        [
+            'symmetric', 20.0, 'cabr', 0.6203439382183222, 4.534019142497342e-05,
+            0.00011592839945701643, 4.672601226855062e-05, 0.00012142095184593806, 0.0,
+            0.0010256410256410256, 0.0, 0.0012499999999999998, 0.001427031470299591,
+            0.002242293729020381,
+        ],
+    ),
+}
+
+
+def _same(got, want):
+    if isinstance(want, float):
+        if math.isnan(want):
+            return isinstance(got, float) and math.isnan(got)
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    return type(got) is type(want) and got == want
+
+
+def test_every_mode_is_pinned():
+    modes = {doc.get("mode") for _, doc in DOCS.values()}
+    assert modes == set(cli._MODES)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_header_and_first_row(name):
+    kind, doc = DOCS[name]
+    columns, rows = getattr(cli, f"cmd_{kind}")(doc)
+    header, first = PINS[name]
+    assert list(columns) == header
+    assert len(rows[0]) == len(header)
+    bad = [
+        (col, got, want)
+        for col, got, want in zip(header, rows[0], first)
+        if not _same(got, want)
+    ]
+    assert not bad
+
+
+def test_balance_point_solved_once_per_table_point(monkeypatch):
+    calls = []
+    solve = cli.analytic.avg_rate_cabr
+
+    def counted(pair, *args, **kwargs):
+        calls.append(pair)
+        return solve(pair, *args, **kwargs)
+
+    monkeypatch.setattr(cli.analytic, "avg_rate_cabr", counted)
+    doc = {
+        "metrics": ["rate_cabr", "lsp", "ser_cabr", "delay_bound"],
+        "rho": "balance",
+        "modulation": BPSK,
+        "pair": PAIR,
+        "sweep": {"parameter": "pair.links.s.lam", "grid": [2.0, 4.0, 8.0]},
+    }
+    _, rows = cli.cmd_analyze(doc)
+    assert len(rows) == 3
+    assert len(calls) == 3
