@@ -197,4 +197,10 @@ def sample_snr(link: LinkParams, rng: np.random.Generator, size=None, regime="ex
             "link has a forced p inconsistent with (lam, mu); "
             "sample with an explicit regime override instead"
         )
-    return np.minimum(link.lam, link.mu / v) * u
+    if np.ndim(v) == 0:
+        return np.minimum(link.lam, link.mu / v) * u
+    # min(lam, mu / v) * u, computed in v's storage: the same operations
+    np.divide(link.mu, v, out=v)
+    np.minimum(v, link.lam, out=v)
+    v *= u
+    return v

@@ -123,9 +123,15 @@ def _as_nums(doc, key, field=None, **checks):
 
 @contextlib.contextmanager
 def _reraise(prefix=None, error=ConfigError):
-    """Turn a ValueError raised by a library constructor or solver into ``error``."""
+    """Turn a ValueError raised by a library constructor or solver into ``error``.
+
+    A failed root bracket is a numerical failure, not a bad or infeasible
+    input, so ``analytic.BracketError`` passes through (exit 3).
+    """
     try:
         yield
+    except analytic.BracketError:
+        raise
     except ValueError as exc:
         raise error(f"{prefix}: {exc}" if prefix else str(exc)) from exc
 
@@ -379,10 +385,10 @@ def _per_hop(metric, ser, pt, *rho):
     return {f"{metric}_s": t.p_s, f"{metric}_r": t.p_r}
 
 
-def _delay_bound(pair, rho_of):
-    """Adaptive delay bound at threshold ``rho_of()``, or nan where either has no value."""
+def _delay_bound(pair, rho):
+    """Adaptive delay bound at threshold ``rho``, or nan where it has no value."""
     try:
-        return analytic.delay_bound_adaptive(pair, rho_of())
+        return analytic.delay_bound_adaptive(pair, rho)
     except ValueError:
         return math.nan  # no bound on this side of the balance point
 
@@ -425,7 +431,7 @@ _METRICS = {
             "ser_asym_cnbr", analytic.ser_asym_cnbr, pt
         )),
         ("delay_bound", "delay_bound", lambda pt: dict(
-            delay_bound=_delay_bound(pt.pair, lambda: _resolve_rho(pt))
+            delay_bound=_delay_bound(pt.pair, _resolve_rho(pt))
         )),
     ]
 }
@@ -437,7 +443,7 @@ def _table_fields(doc, labels):
     metrics = _as_list(doc, "metrics") if "metrics" in doc else list(_DEFAULT_METRICS)
     fields = []
     for m in metrics:
-        if m not in _METRICS:
+        if not isinstance(m, str) or m not in _METRICS:
             raise ConfigError(
                 f"metrics: unknown metric '{m}' (choices: {', '.join(sorted(_METRICS))})"
             )
@@ -669,7 +675,7 @@ def _refs_cabr_adaptive(pair, thr, mod, buffer):
     hop_r = analytic.avg_rate_cabr_hop_r(pair, thr.rho)
     return dict(
         refs, rate_hop_s_ref=hop_s, rate_hop_r_ref=hop_r, avg_rate_ref=min(hop_s, hop_r),
-        delay_bound=_delay_bound(pair, lambda: thr.rho),
+        delay_bound=_delay_bound(pair, thr.rho),
     )
 
 

@@ -7,14 +7,24 @@ packets forwarded rather than dropped. Standard errors come from batch means
 (100 batches by default), which also absorbs the buffer-state autocorrelation
 of fixed-rate runs.
 
-The hot loops are compiled with numba when available; the pure-python
-fallbacks perform the same operations in the same order, so results are
-bit-identical either way.
+An infinite buffer whose empty-buffer threshold equals the interior one
+selects the same way in every slot, so its occupancy is a reflected random
+walk (Lindley's recursion B_n = max(B_{n-1} + x_n, 0)) and is computed in
+chunks with cumulative sums and running minima. Three inputs take that path:
+overflow curves, adaptive-rate cabr runs with an infinite buffer and
+rho_c == rho, and fixed-rate cabr runs with an infinite FIFO buffer and
+rho_c == rho. All other buffers (finite capacity, distinct boundary
+thresholds, infinite LIFO) run the slot loops, which numba compiles when it is
+installed. On the same streams the two paths give identical counts and
+float sums within 1e-9 relative (tests/test_sim.py checks both against the
+loops); only rounding differs: of the running bit level, of the capacity
+logarithms, and of the order in which batch sums are added.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,6 +63,7 @@ __all__ = [
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
+_CHUNK = 1 << 16  # slots per step of the vectorized walks
 
 
 @dataclass
@@ -152,6 +163,17 @@ class DualityReport:
 # ---------------------------------------------------------------------------
 # kernels
 
+# per-batch totals of a run, in the order the kernels return them; slot and
+# packet counts are int64, bit and slot sums float64
+_AdaptiveTotals = namedtuple("_AdaptiveTotals", """
+    rate_s rate_r bits_in bits_out under over n_empty n_full n_inter
+    sel_empty sel_inter sel2_full b_final
+""")
+_FixedTotals = namedtuple("_FixedTotals", """
+    arrivals departures errs_s errs_r delay_sum occ_sum under over n_empty n_full n_inter
+    sel_empty sel_inter sel2_full count_final
+""")
+
 
 @njit(cache=True)
 def _kernel_adaptive(gs, gr, rho, rho_c, rho_d, cap, start_b, nb):
@@ -229,26 +251,6 @@ def _kernel_adaptive(gs, gr, rho, rho_c, rho_d, cap, start_b, nb):
         sel2_full,
         B,
     )
-
-
-@njit(cache=True)
-def _kernel_adaptive_occupancy(gs, gr, rho, l_grid):
-    n_slots = gs.shape[0]
-    counts = np.zeros(l_grid.shape[0], np.int64)
-    B = 0.0
-    for n in range(n_slots):
-        if gr[n] <= rho * gs[n]:
-            B += math.log1p(gs[n]) * _INV_LN2
-        else:
-            cr = math.log1p(gr[n]) * _INV_LN2
-            if cr >= B:
-                B = 0.0
-            else:
-                B -= cr
-        for g in range(l_grid.shape[0]):
-            if B > l_grid[g]:
-                counts[g] += 1
-    return counts
 
 
 @njit(cache=True)
@@ -345,6 +347,178 @@ def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, nb
     )
 
 
+def _reflected_walk(x, start):
+    """Levels B_n = max(B_{n-1} + x_n, 0) of a walk with B_{-1} = start.
+
+    With T = start + cumsum(x), B = T - min(0, running min of T); B is exactly
+    0 in the slots where T reaches a new running minimum at or below 0.
+    """
+    level = np.cumsum(x)
+    level += start
+    floor = np.minimum.accumulate(level)
+    np.minimum(floor, 0, out=floor)
+    level -= floor
+    assert level.min() >= 0
+    return level
+
+
+def _walk_chunks(gs, gr, rho, start, packets=False):
+    """Per chunk of slots: (lo, hi, hop-s selected, chosen hop's capacity, level before, after).
+
+    A selected first-hop slot raises the level, a second-hop slot lowers it:
+    by one packet each when ``packets`` (the capacity is then None), else by
+    the chosen hop's capacity in bits.
+    """
+    level = start
+    for lo in range(0, gs.shape[0], _CHUNK):
+        hi = min(lo + _CHUNK, gs.shape[0])
+        sel = gr[lo:hi] <= rho * gs[lo:hi]
+        if packets:
+            cap = None
+            after = _reflected_walk(np.where(sel, 1, -1), level)
+        else:
+            cap = np.log1p(np.where(sel, gs[lo:hi], gr[lo:hi]))
+            cap *= _INV_LN2
+            after = _reflected_walk(np.where(sel, cap, -cap), level)
+        before = np.empty_like(after)
+        before[0] = level
+        before[1:] = after[:-1]
+        yield lo, hi, sel, cap, before, after
+        level = after[-1]
+
+
+def _batch_adder(lo, hi, n_slots, nb):
+    """Function adding per-slot values of slots lo..hi-1 into per-batch totals.
+
+    Batches are the loops' contiguous slot ranges, the last one taking the
+    remainder, so each batch's share of the chunk is one segment sum.
+    """
+    size = max(n_slots // nb, 1)
+    ids = np.arange(min(lo // size, nb - 1), min((hi - 1) // size, nb - 1) + 1)
+    starts = np.maximum(ids * size - lo, 0)
+
+    def add(total, values):
+        total[ids] += np.add.reduceat(values, starts, dtype=total.dtype)
+
+    return add
+
+
+def _batch_lengths(n_slots, nb):
+    size = max(n_slots // nb, 1)
+    lengths = np.full(nb, size, np.int64)
+    lengths[-1] = n_slots - (nb - 1) * size
+    return lengths
+
+
+def _walk_adaptive(gs, gr, rho, start_b, nb):
+    """``_kernel_adaptive`` for an infinite buffer with rho_c == rho, as a reflected walk."""
+    n_slots = gs.shape[0]
+    rate_s = np.zeros(nb)
+    rate_r = np.zeros(nb)
+    bits_out = np.zeros(nb)
+    under = np.zeros(nb, np.int64)
+    n_empty = np.zeros(nb, np.int64)
+    n_sel = np.zeros(nb, np.int64)
+    sel_empty = np.zeros(nb, np.int64)
+    b_final = float(start_b)
+    for lo, hi, sel, cap, before, after in _walk_chunks(gs, gr, rho, b_final):
+        add = _batch_adder(lo, hi, n_slots, nb)
+        empty = before == 0.0
+        add(rate_s, np.where(sel, cap, 0.0))
+        add(rate_r, np.where(sel, 0.0, cap))
+        add(bits_out, np.where(sel, 0.0, np.minimum(cap, before)))
+        add(under, ~sel & empty)
+        add(n_empty, empty)
+        add(n_sel, sel)
+        add(sel_empty, sel & empty)
+        b_final = float(after[-1])
+    zeros = np.zeros(nb, np.int64)
+    return _AdaptiveTotals(
+        rate_s=rate_s,
+        rate_r=rate_r,
+        bits_in=rate_s.copy(),  # an infinite buffer takes every bit offered
+        bits_out=bits_out,
+        under=under,
+        over=zeros,
+        n_empty=n_empty,
+        n_full=zeros,
+        n_inter=_batch_lengths(n_slots, nb) - n_empty,
+        sel_empty=sel_empty,
+        sel_inter=n_sel - sel_empty,
+        sel2_full=zeros,
+        b_final=b_final,
+    )
+
+
+def _walk_fixed_fifo(gs, gr, e_s, e_r, rho, mod, nb):
+    """``_kernel_fixed`` for an infinite FIFO buffer with rho_c == rho, as a reflected walk.
+
+    The k-th departure carries the k-th arrival; the slots of arrivals still
+    queued at the end of a chunk carry over to the next.
+    """
+    n_slots = gs.shape[0]
+    arrivals = np.zeros(nb, np.int64)
+    departures = np.zeros(nb, np.int64)
+    errs_s = np.zeros(nb, np.int64)
+    errs_r = np.zeros(nb, np.int64)
+    delay_sum = np.zeros(nb)
+    occ_sum = np.zeros(nb)
+    under = np.zeros(nb, np.int64)
+    n_empty = np.zeros(nb, np.int64)
+    sel_empty = np.zeros(nb, np.int64)
+    queued = np.zeros(0, np.int64)
+    n_final = 0
+    for lo, hi, sel, _, before, after in _walk_chunks(gs, gr, rho, 0, packets=True):
+        add = _batch_adder(lo, hi, n_slots, nb)
+        empty = before == 0
+        dep = ~sel & ~empty
+        err = np.zeros(hi - lo, bool)
+        err[sel] = e_s[lo:hi][sel] < _error_prob(gs[lo:hi][sel], mod)
+        err[dep] = e_r[lo:hi][dep] < _error_prob(gr[lo:hi][dep], mod)
+        queued = np.concatenate((queued, np.flatnonzero(sel) + lo))
+        dep_at = np.flatnonzero(dep)
+        delay = np.zeros(hi - lo)
+        delay[dep_at] = dep_at + lo - queued[: dep_at.shape[0]]
+        queued = queued[dep_at.shape[0] :]
+        add(delay_sum, delay)
+        add(occ_sum, before)
+        add(arrivals, sel)
+        add(departures, dep)
+        add(errs_s, sel & err)
+        add(errs_r, dep & err)
+        add(under, ~sel & empty)
+        add(n_empty, empty)
+        add(sel_empty, sel & empty)
+        n_final = int(after[-1])
+        assert queued.shape[0] == n_final
+    zeros = np.zeros(nb, np.int64)
+    return _FixedTotals(
+        arrivals=arrivals,
+        departures=departures,
+        errs_s=errs_s,
+        errs_r=errs_r,
+        delay_sum=delay_sum,
+        occ_sum=occ_sum,
+        under=under,
+        over=zeros,
+        n_empty=n_empty,
+        n_full=zeros,
+        n_inter=_batch_lengths(n_slots, nb) - n_empty,
+        sel_empty=sel_empty,
+        sel_inter=arrivals - sel_empty,
+        sel2_full=zeros,
+        count_final=n_final,
+    )
+
+
+def _walk_occupancy(gs, gr, rho, l_grid):
+    """Slots whose end-of-slot bit level exceeds each L, for an empty-start infinite buffer."""
+    counts = np.zeros(l_grid.shape[0], np.int64)
+    for lo, hi, _, _, _, after in _walk_chunks(gs, gr, rho, 0.0):
+        counts += (hi - lo) - np.searchsorted(np.sort(after), l_grid, side="right")
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # batch-mean helpers
 
@@ -367,14 +541,25 @@ def _safe_div(a: float, b: float) -> float:
     return a / b if b > 0 else math.nan
 
 
+def _selection(t) -> tuple:
+    """Empirical (q_s, q_c, q_d) of a run's totals, and their batch standard errors."""
+    counts = ((t.sel_inter, t.n_inter), (t.sel_empty, t.n_empty), (t.sel2_full, t.n_full))
+    lsp = tuple(_safe_div(float(k.sum()), float(m.sum())) for k, m in counts)
+    se = {q: _batch_se(_ratio_batches(k, m)) for q, (k, m) in zip(("q_s", "q_c", "q_d"), counts)}
+    return lsp, se
+
+
 # ---------------------------------------------------------------------------
 # per-scheme runners
 
 
-def _draw_streams(pair: HopPair, slots: int, seed: int):
+def _draw_streams(pair: HopPair, slots: int, seed: int, errors: bool = True):
+    """SNR streams of both hops, then (if ``errors``) the decode-error uniforms."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gs = sample_snr(pair.s, rng, size=slots)
     gr = sample_snr(pair.r, rng, size=slots)
+    if not errors:
+        return gs, gr, None, None
     e_s = rng.random(slots)
     e_r = rng.random(slots)
     return gs, gr, e_s, e_r
@@ -388,64 +573,42 @@ def _run_cabr_adaptive(config, streams) -> SimOutcome:
     gs, gr, _, _ = streams
     thr = config.thresholds
     nb = min(_N_BATCHES, config.slots)
-    (
-        rate_s,
-        rate_r,
-        bits_in,
-        bits_out,
-        under,
-        over,
-        n_empty,
-        n_full,
-        n_inter,
-        sel_empty,
-        sel_inter,
-        sel2_full,
-        b_final,
-    ) = _kernel_adaptive(
-        gs,
-        gr,
-        thr.rho,
-        thr.rho_c,
-        thr.rho_d,
-        config.buffer.capacity,
-        config.buffer.occupancy,
-        nb,
-    )
+    if math.isinf(config.buffer.capacity) and thr.rho_c == thr.rho:
+        t = _walk_adaptive(gs, gr, thr.rho, config.buffer.occupancy, nb)
+    else:
+        t = _AdaptiveTotals(*_kernel_adaptive(
+            gs,
+            gr,
+            thr.rho,
+            thr.rho_c,
+            thr.rho_d,
+            config.buffer.capacity,
+            config.buffer.occupancy,
+            nb,
+        ))
     n = config.slots
-    batch_sizes = np.full(nb, n // nb, dtype=np.float64)
-    batch_sizes[-1] += n - (n // nb) * nb
-    rate_s_b = rate_s / batch_sizes
-    rate_r_b = rate_r / batch_sizes
-    qs_b = _ratio_batches(sel_inter, n_inter)
-    qc_b = _ratio_batches(sel_empty, n_empty)
-    qd_b = _ratio_batches(sel2_full, n_full)
+    batch_sizes = _batch_lengths(n, nb).astype(np.float64)
+    lsp, q_se = _selection(t)
     ci = {
-        "rate_hop_s": _batch_se(rate_s_b),
-        "rate_hop_r": _batch_se(rate_r_b),
-        "avg_rate": _batch_se(bits_out / batch_sizes),
-        "q_s": _batch_se(qs_b),
-        "q_c": _batch_se(qc_b),
-        "q_d": _batch_se(qd_b),
+        "rate_hop_s": _batch_se(t.rate_s / batch_sizes),
+        "rate_hop_r": _batch_se(t.rate_r / batch_sizes),
+        "avg_rate": _batch_se(t.bits_out / batch_sizes),
+        **q_se,
     }
     return SimOutcome(
-        avg_rate=float(bits_out.sum()) / n,
-        lsp_empirical=(
-            _safe_div(float(sel_inter.sum()), float(n_inter.sum())),
-            _safe_div(float(sel_empty.sum()), float(n_empty.sum())),
-            _safe_div(float(sel2_full.sum()), float(n_full.sum())),
-        ),
+        avg_rate=float(t.bits_out.sum()) / n,
+        lsp_empirical=lsp,
         ser_per_hop=(math.nan, math.nan),
         delay=_nan_delay(),
-        underflow_count=int(under.sum()),
-        overflow_count=int(over.sum()),
+        underflow_count=int(t.under.sum()),
+        overflow_count=int(t.over.sum()),
         slots_run=n,
         ci_halfwidths=ci,
-        rate_hop_s=float(rate_s.sum()) / n,
-        rate_hop_r=float(rate_r.sum()) / n,
-        bits_in=float(bits_in.sum()),
-        bits_out=float(bits_out.sum()),
-        final_occupancy=float(b_final),
+        rate_hop_s=float(t.rate_s.sum()) / n,
+        rate_hop_r=float(t.rate_r.sum()) / n,
+        bits_in=float(t.bits_in.sum()),
+        bits_out=float(t.bits_out.sum()),
+        final_occupancy=float(t.b_final),
     )
 
 
@@ -456,91 +619,73 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
     cap = config.buffer.capacity
     cap_n = int(cap) if not math.isinf(cap) else config.slots
     nb = min(_N_BATCHES, config.slots)
-    (
-        arrivals,
-        departures,
-        errs_s,
-        errs_r,
-        delay_sum,
-        occ_sum,
-        under,
-        over,
-        n_empty,
-        n_full,
-        n_inter,
-        sel_empty,
-        sel_inter,
-        sel2_full,
-        count_final,
-    ) = _kernel_fixed(
-        gs,
-        gr,
-        e_s,
-        e_r,
-        thr.rho,
-        thr.rho_c,
-        thr.rho_d,
-        cap_n,
-        mod.phi,
-        mod.eta,
-        config.buffer.discipline == "lifo",
-        nb,
-    )
+    lifo = config.buffer.discipline == "lifo"
+    if math.isinf(cap) and thr.rho_c == thr.rho and not lifo:
+        t = _walk_fixed_fifo(gs, gr, e_s, e_r, thr.rho, mod, nb)
+    else:
+        t = _FixedTotals(*_kernel_fixed(
+            gs,
+            gr,
+            e_s,
+            e_r,
+            thr.rho,
+            thr.rho_c,
+            thr.rho_d,
+            cap_n,
+            mod.phi,
+            mod.eta,
+            lifo,
+            nb,
+        ))
     n = config.slots
-    batch_sizes = np.full(nb, n // nb, dtype=np.float64)
-    batch_sizes[-1] += n - (n // nb) * nb
-    dep_total = int(departures.sum())
-    arr_total = int(arrivals.sum())
-    per_packet = _safe_div(float(delay_sum.sum()), dep_total)
-    if config.buffer.discipline == "lifo" and not math.isinf(cap):
+    batch_sizes = _batch_lengths(n, nb).astype(np.float64)
+    dep_total = int(t.departures.sum())
+    arr_total = int(t.arrivals.sum())
+    per_packet = _safe_div(float(t.delay_sum.sum()), dep_total)
+    if lifo and not math.isinf(cap):
         # newest-first drain: the framework's queueing delay tracks the
         # buffer vacancies, (L - mean occupancy) / arrival rate, because the
         # mean departed-packet age converges to the discipline-independent
         # residence time instead
-        t_q = _safe_div(cap * n - float(occ_sum.sum()), arr_total)
-        tq_b = _ratio_batches(cap * batch_sizes - occ_sum, arrivals)
+        t_q = _safe_div(cap * n - float(t.occ_sum.sum()), arr_total)
+        tq_b = _ratio_batches(cap * batch_sizes - t.occ_sum, t.arrivals)
     else:
         t_q = per_packet
-        tq_b = _ratio_batches(delay_sum, departures)
-    t_u = _safe_div(float(under.sum()), dep_total)
-    t_o = _safe_div(float(over.sum()), dep_total)
-    tu_b = _ratio_batches(under.astype(np.float64), departures)
-    to_b = _ratio_batches(over.astype(np.float64), departures)
-    pps_b = departures / batch_sizes
+        tq_b = _ratio_batches(t.delay_sum, t.departures)
+    t_u = _safe_div(float(t.under.sum()), dep_total)
+    t_o = _safe_div(float(t.over.sum()), dep_total)
+    tu_b = _ratio_batches(t.under.astype(np.float64), t.departures)
+    to_b = _ratio_batches(t.over.astype(np.float64), t.departures)
+    pps_b = t.departures / batch_sizes
+    lsp, q_se = _selection(t)
     ci = {
         "throughput_pps": _batch_se(pps_b),
         "avg_rate": mod.rate_R * _batch_se(pps_b),
-        "ser_s": _batch_se(_ratio_batches(errs_s, arrivals)),
-        "ser_r": _batch_se(_ratio_batches(errs_r, departures)),
+        "ser_s": _batch_se(_ratio_batches(t.errs_s, t.arrivals)),
+        "ser_r": _batch_se(_ratio_batches(t.errs_r, t.departures)),
         "t_q": _batch_se(tq_b),
         "t_u": _batch_se(tu_b),
         "t_o": _batch_se(to_b),
         "t_total": _batch_se(tq_b + tu_b + to_b),
-        "per_packet_delay": _batch_se(_ratio_batches(delay_sum, departures)),
-        "q_s": _batch_se(_ratio_batches(sel_inter, n_inter)),
-        "q_c": _batch_se(_ratio_batches(sel_empty, n_empty)),
-        "q_d": _batch_se(_ratio_batches(sel2_full, n_full)),
-        "mean_occupancy": _batch_se(occ_sum / batch_sizes),
+        "per_packet_delay": _batch_se(_ratio_batches(t.delay_sum, t.departures)),
+        **q_se,
+        "mean_occupancy": _batch_se(t.occ_sum / batch_sizes),
     }
     return SimOutcome(
         avg_rate=mod.rate_R * dep_total / n,
-        lsp_empirical=(
-            _safe_div(float(sel_inter.sum()), float(n_inter.sum())),
-            _safe_div(float(sel_empty.sum()), float(n_empty.sum())),
-            _safe_div(float(sel2_full.sum()), float(n_full.sum())),
-        ),
+        lsp_empirical=lsp,
         ser_per_hop=(
-            _safe_div(float(errs_s.sum()), arr_total),
-            _safe_div(float(errs_r.sum()), dep_total),
+            _safe_div(float(t.errs_s.sum()), arr_total),
+            _safe_div(float(t.errs_r.sum()), dep_total),
         ),
         delay=DelayDecomposition(t_q, t_u, t_o, t_q + t_u + t_o),
-        underflow_count=int(under.sum()),
-        overflow_count=int(over.sum()),
+        underflow_count=int(t.under.sum()),
+        overflow_count=int(t.over.sum()),
         slots_run=n,
         ci_halfwidths=ci,
         throughput_pps=dep_total / n,
-        mean_occupancy=float(occ_sum.sum()) / n,
-        final_occupancy=float(count_final),
+        mean_occupancy=float(t.occ_sum.sum()) / n,
+        final_occupancy=float(t.count_final),
         per_packet_delay=per_packet,
     )
 
@@ -642,7 +787,7 @@ def _run_cbr(config, streams) -> SimOutcome:
 
 def run(config: SchemeConfig, pair: HopPair) -> SimOutcome:
     """Execute one seeded run; identical (config, seed) gives identical output."""
-    streams = _draw_streams(pair, config.slots, config.seed)
+    streams = _draw_streams(pair, config.slots, config.seed, config.rate_mode == "fixed")
     return _run_with_streams(config, streams)
 
 
@@ -684,7 +829,9 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
             mode=config.buffer.mode,
         ),
     )
-    gs, gr, e_s, e_r = _draw_streams(pair, config.slots, config.seed)
+    gs, gr, e_s, e_r = _draw_streams(
+        pair, config.slots, config.seed, config.rate_mode == "fixed"
+    )
     original = _run_with_streams(config, (gs, gr, e_s, e_r))
     dual = _run_with_streams(dual_config, (gr, gs, e_r, e_s))
     diffs: dict = {}
@@ -737,6 +884,6 @@ def overflow_probability(
     grid = np.asarray(l_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("l_grid must be a non-empty 1-d array")
-    gs, gr, _, _ = _draw_streams(pair, config.slots, config.seed)
-    counts = _kernel_adaptive_occupancy(gs, gr, config.thresholds.rho, grid)
+    gs, gr, _, _ = _draw_streams(pair, config.slots, config.seed, errors=False)
+    counts = _walk_occupancy(gs, gr, config.thresholds.rho, grid)
     return counts / config.slots

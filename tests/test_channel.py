@@ -186,3 +186,17 @@ class TestSampleSnr:
         zero = LinkParams(lam=4.0, mu=10.0, p=0.0)
         draws = sample_snr(zero, rng, size=50_000)
         assert float(np.mean(draws)) == pytest.approx(4.0, rel=0.05)
+
+    def test_exact_draw_bytes_match_reference_expression(self):
+        # the in-place build must not change a single bit of the stream
+        link = LinkParams.from_lambda_mu(4.0, 10.0)
+        got = sample_snr(link, np.random.default_rng(2024), size=50_000)
+        rng = np.random.default_rng(2024)
+        u = rng.standard_exponential(50_000)
+        v = rng.standard_exponential(50_000)
+        want = np.minimum(link.lam, link.mu / v) * u
+        assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_exponential(), rng.standard_exponential()
+        scalar = sample_snr(link, np.random.default_rng(5))
+        assert scalar == np.minimum(link.lam, link.mu / v) * u

@@ -161,6 +161,24 @@ class TestAnalyze:
         assert err[0].startswith("convergence failure: ")
 
 
+    def test_unbracketed_balance_point_in_delay_target_exits_convergence(self, tmp_path, capsys):
+        links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
+        doc = {"mode": "delay-compare", "pair": {"links": links}, "t_target": 7.3}
+        assert cli.main(["compare", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith("convergence failure: ")
+
+    def test_unbracketed_balance_point_in_delay_bound_exits_convergence(self, tmp_path, capsys):
+        links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
+        doc = {"metrics": ["delay_bound"], "rho": "balance", "pair": {"links": links}}
+        assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith("convergence failure: ")
+
+    def test_non_string_metric_is_config_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, table_doc(metrics=[["capacity"]]))
+        assert cli.main(["analyze", path]) == cli.EXIT_CONFIG
+        assert "unknown metric" in capsys.readouterr().err
+
+
 class TestOutputs:
     def test_json_format(self, tmp_path, capsys):
         path = write_doc(tmp_path, table_doc())

@@ -233,3 +233,121 @@ class TestOverflowCurve:
         again = sim.overflow_probability(cfg, PAIR_MIXED, grid)
         assert np.array_equal(probs, again)
         assert probs[0] > probs[-1] > 0.0
+
+
+def _occupancy_oracle(gs, gr, rho, l_grid):
+    """Slot loop counting end-of-slot bit levels above each L (empty start, no cap)."""
+    counts = np.zeros(l_grid.shape[0], np.int64)
+    B = 0.0
+    for n in range(gs.shape[0]):
+        if gr[n] <= rho * gs[n]:
+            B += math.log1p(gs[n]) / math.log(2.0)
+        else:
+            B = max(B - math.log1p(gr[n]) / math.log(2.0), 0.0)
+        counts += B > l_grid
+    return counts
+
+
+# (chunk, slots, batches): below one chunk, an exact multiple of it, not a
+# multiple, batch counts that do not divide the slots, and the real chunk size
+WALK_SHAPES = [
+    (1000, 700, 100),
+    (1000, 3000, 100),
+    (1000, 3517, 100),
+    (1000, 3517, 7),
+    (sim._CHUNK, sim._CHUNK + 777, 100),
+]
+
+
+@pytest.fixture(params=WALK_SHAPES, ids=lambda s: f"chunk{s[0]}-slots{s[1]}-nb{s[2]}")
+def walk_shape(request, monkeypatch):
+    chunk, slots, nb = request.param
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    return slots, nb
+
+
+def _assert_totals_match(got, want, skip=()):
+    """Integer totals equal; per-batch float sums within 1e-9 relative."""
+    want = type(got)(*want)
+    for name in got._fields:
+        if name in skip:
+            continue
+        g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        if w.dtype.kind == "i":
+            assert g.dtype.kind == "i" and np.array_equal(g, w), name
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=0.0, err_msg=name)
+
+
+class TestVectorizedWalks:
+    """Each reflected-walk path against its slot loop on the same streams."""
+
+    # 0.8 sits below the balance point (1.047); 3.0 makes the walk transient
+    @pytest.mark.parametrize("rho, start_b", [(0.8, 0.0), (0.8, 5.5), (3.0, 0.0)])
+    def test_adaptive_matches_loop(self, walk_shape, rho, start_b):
+        slots, nb = walk_shape
+        gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 17, errors=False)
+        got = sim._walk_adaptive(gs, gr, rho, start_b, nb)
+        want = sim._kernel_adaptive(gs, gr, rho, rho, rho, math.inf, start_b, nb)
+        _assert_totals_match(got, want, skip=("b_final",))
+        # the end level carries the rounding of every bit moved
+        bits_in = got.bits_in.sum()
+        assert got.b_final == pytest.approx(want[-1], rel=1e-9, abs=1e-12 * bits_in)
+
+    @pytest.mark.parametrize("rho", [0.6, 3.0])
+    def test_fixed_fifo_matches_loop(self, walk_shape, rho):
+        slots, nb = walk_shape
+        gs, gr, e_s, e_r = sim._draw_streams(PAIR_MIXED, slots, 23)
+        got = sim._walk_fixed_fifo(gs, gr, e_s, e_r, rho, BPSK, nb)
+        want = sim._kernel_fixed(
+            gs, gr, e_s, e_r, rho, rho, rho, slots, BPSK.phi, BPSK.eta, False, nb
+        )
+        _assert_totals_match(got, want)
+
+    @pytest.mark.parametrize("rho", [0.5, 3.0])
+    def test_occupancy_matches_loop(self, walk_shape, rho):
+        slots, _ = walk_shape
+        gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 29, errors=False)
+        grid = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+        got = sim._walk_occupancy(gs, gr, rho, grid)
+        assert np.array_equal(got, _occupancy_oracle(gs, gr, rho, grid))
+
+    def test_error_draws_do_not_shift_snr_streams(self):
+        with_errors = sim._draw_streams(PAIR_MIXED, 5000, 3)
+        without = sim._draw_streams(PAIR_MIXED, 5000, 3, errors=False)
+        assert np.array_equal(with_errors[0], without[0])
+        assert np.array_equal(with_errors[1], without[1])
+        assert without[2] is None and without[3] is None
+
+    @pytest.mark.parametrize(
+        "rate_mode, thresholds, buffer, walks",
+        [
+            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), True),
+            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), False),
+            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(capacity=8.0), False),
+            ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), True),
+            (
+                "fixed",
+                SelectionThresholds.uniform(0.6),
+                BufferState(discipline="lifo", mode="packet"),
+                False,
+            ),
+            ("fixed", SelectionThresholds(0.6, 1.2, 0.6), BufferState(mode="packet"), False),
+            ("fixed", SelectionThresholds.uniform(0.6), BufferState(capacity=8, mode="packet"), False),
+        ],
+    )
+    def test_path_follows_buffer_and_thresholds(
+        self, monkeypatch, rate_mode, thresholds, buffer, walks
+    ):
+        calls = []
+        for name in ("_walk_adaptive", "_walk_fixed_fifo", "_kernel_adaptive", "_kernel_fixed"):
+            inner = getattr(sim, name)
+            monkeypatch.setattr(
+                sim, name, lambda *a, _f=inner, _n=name: calls.append(_n) or _f(*a)
+            )
+        config = SchemeConfig(
+            "cabr", rate_mode, 2000, 1,
+            thresholds=thresholds, modulation=BPSK, buffer=buffer,
+        )
+        sim.run(config, PAIR_MIXED)
+        assert len(calls) == 1 and calls[0].startswith("_walk") == walks
