@@ -7,18 +7,31 @@ packets forwarded rather than dropped. Standard errors come from batch means
 (100 batches by default), which also absorbs the buffer-state autocorrelation
 of fixed-rate runs.
 
-An infinite buffer whose empty-buffer threshold equals the interior one
-selects the same way in every slot, so its occupancy is a reflected random
-walk (Lindley's recursion B_n = max(B_{n-1} + x_n, 0)) and is computed in
-chunks with cumulative sums and running minima. Three inputs take that path:
-overflow curves, adaptive-rate cabr runs with an infinite buffer and
-rho_c == rho, and fixed-rate cabr runs with an infinite FIFO buffer and
-rho_c == rho. All other buffers (finite capacity, distinct boundary
-thresholds, infinite LIFO) run the slot loops, which numba compiles when it is
-installed. On the same streams the two paths give identical counts and
-float sums within 1e-9 relative (tests/test_sim.py checks both against the
-loops); only rounding differs: of the running bit level, of the capacity
-logarithms, and of the order in which batch sums are added.
+Which path computes a run's buffer depends only on its capacity and
+thresholds, never on whether numba is installed:
+
+- An infinite buffer whose empty-buffer threshold equals the interior one
+  selects the same way in every slot, so its occupancy is a reflected random
+  walk (Lindley's recursion B_n = max(B_{n-1} + x_n, 0)), computed in chunks
+  with cumulative sums and running minima. Overflow curves, adaptive-rate
+  cabr runs with an infinite buffer and rho_c == rho, and fixed-rate cabr
+  runs with an infinite buffer (FIFO or LIFO) and rho_c == rho take it.
+- A finite packet buffer (fixed rate, any capacity, thresholds and drain
+  order) is a blocked scan: each slot maps the packet count 0..L to its next
+  value, the maps are composed blockwise and the counts replayed, all blocks
+  at once in numpy.
+- The other buffers (adaptive finite-capacity buffers, and infinite buffers
+  with rho_c != rho) run the slot loops, which numba compiles when it is
+  installed.
+
+Given the counts, every per-slot event of a fixed-rate run is elementwise; a
+FIFO departure carries the oldest queued arrival, a LIFO departure at count c
+the latest arrival that raised the count to c. Fixed-rate totals equal the
+loop's exactly (every per-slot term is an integer); adaptive float sums agree
+within 1e-9 relative, differing only in the rounding of the running bit
+level, of the capacity logarithms, and of the order in which batch sums are
+added. tests/test_sim.py checks every path against the loops on the same
+streams.
 """
 
 from __future__ import annotations
@@ -63,7 +76,8 @@ __all__ = [
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
-_CHUNK = 1 << 16  # slots per step of the vectorized walks
+_CHUNK = 1 << 16  # slots per step of the vectorized walks and scans
+_BLOCK = 32  # slots per block of the finite-buffer scan
 
 
 @dataclass
@@ -89,6 +103,8 @@ class BufferState:
         if self.mode == "packet" and not math.isinf(self.capacity):
             if self.capacity != int(self.capacity):
                 raise ValueError("packet-mode capacity must be a whole count")
+        if self.mode == "packet" and self.occupancy != int(self.occupancy):
+            raise ValueError("packet-mode occupancy must be a whole count")
         if not (0.0 <= self.occupancy <= self.capacity):
             raise ValueError("occupancy must lie in [0, capacity]")
 
@@ -254,7 +270,7 @@ def _kernel_adaptive(gs, gr, rho, rho_c, rho_d, cap, start_b, nb):
 
 
 @njit(cache=True)
-def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, nb):
+def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, start, nb):
     n_slots = gs.shape[0]
     batch = max(n_slots // nb, 1)
     arrivals = np.zeros(nb, np.int64)
@@ -271,10 +287,10 @@ def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, nb
     sel_empty = np.zeros(nb, np.int64)
     sel_inter = np.zeros(nb, np.int64)
     sel2_full = np.zeros(nb, np.int64)
+    # arrival slot of each queued packet; the start packets arrived at slot 0
     buf_slot = np.zeros(cap_n, np.int64)
-    buf_err = np.zeros(cap_n, np.uint8)
     head = 0  # fifo read position; lifo uses count as stack pointer
-    count = 0
+    count = start
     for n in range(n_slots):
         b = min(n // batch, nb - 1)
         occ_sum[b] += count
@@ -301,13 +317,10 @@ def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, nb
                 pe = 0.5 * phi * math.erfc(math.sqrt(0.5 * eta * gs[n]))
                 if pe > 1.0:
                     pe = 1.0
-                err = 1 if e_s[n] < pe else 0
-                write = (head + count) % cap_n
-                buf_slot[write] = n
-                buf_err[write] = err
+                buf_slot[(head + count) % cap_n] = n
                 count += 1
                 arrivals[b] += 1
-                errs_s[b] += err
+                errs_s[b] += 1 if e_s[n] < pe else 0
         else:
             if state == 2:
                 sel2_full[b] += 1
@@ -323,9 +336,8 @@ def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, nb
                 pe = 0.5 * phi * math.erfc(math.sqrt(0.5 * eta * gr[n]))
                 if pe > 1.0:
                     pe = 1.0
-                err = 1 if e_r[n] < pe else 0
                 departures[b] += 1
-                errs_r[b] += err
+                errs_r[b] += 1 if e_r[n] < pe else 0
                 delay_sum[b] += n - buf_slot[read]
         assert 0 <= count <= cap_n
     return (
@@ -367,11 +379,13 @@ def _walk_chunks(gs, gr, rho, start, packets=False):
 
     A selected first-hop slot raises the level, a second-hop slot lowers it:
     by one packet each when ``packets`` (the capacity is then None), else by
-    the chosen hop's capacity in bits.
+    the chosen hop's capacity in bits. Packet chunks are a quarter as long,
+    like the scan's, because the fixed-rate totals keep more per slot alive.
     """
     level = start
-    for lo in range(0, gs.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, gs.shape[0])
+    step = _CHUNK // 4 if packets else _CHUNK
+    for lo in range(0, gs.shape[0], step):
+        hi = min(lo + step, gs.shape[0])
         sel = gr[lo:hi] <= rho * gs[lo:hi]
         if packets:
             cap = None
@@ -397,8 +411,14 @@ def _batch_adder(lo, hi, n_slots, nb):
     ids = np.arange(min(lo // size, nb - 1), min((hi - 1) // size, nb - 1) + 1)
     starts = np.maximum(ids * size - lo, 0)
 
-    def add(total, values):
-        total[ids] += np.add.reduceat(values, starts, dtype=total.dtype)
+    def add(total, values, at=None):
+        """Add per-slot ``values``, or with ``at`` the values of the events at those sorted offsets."""
+        if at is None:
+            total[ids] += np.add.reduceat(values, starts, dtype=total.dtype)
+            return
+        bounds = np.searchsorted(at, np.append(starts, hi - lo))
+        partial = np.concatenate(([0], np.cumsum(values, dtype=total.dtype)))
+        total[ids] += partial[bounds[1:]] - partial[bounds[:-1]]
 
     return add
 
@@ -450,71 +470,186 @@ def _walk_adaptive(gs, gr, rho, start_b, nb):
     )
 
 
-def _walk_fixed_fifo(gs, gr, e_s, e_r, rho, mod, nb):
-    """``_kernel_fixed`` for an infinite FIFO buffer with rho_c == rho, as a reflected walk.
+def _slot_maps(cap_n):
+    """The eight per-slot maps of a finite packet buffer's count, as one flat table.
 
-    The k-th departure carries the k-th arrival; the slots of arrivals still
-    queued at the end of a chunk carry over to the next.
+    Entry ``code * (cap_n + 1) + c`` is the count after a slot that starts at
+    count c, where ``code = 4 * (gr <= rho_c*gs) + 2 * (gr <= rho*gs) +
+    (gr <= rho_d*gs)``: an empty buffer selects by the first bit, a full one
+    by the last, any other by the middle one; a selected slot adds a packet
+    unless the buffer is full, another slot removes one unless it is empty.
     """
+    count = np.arange(cap_n + 1)
+    code = np.arange(8)[:, None]
+    bit = np.where(count == 0, 2, np.where(count == cap_n, 0, 1))
+    selected = (code >> bit) & 1 == 1
+    return np.where(selected, np.minimum(count + 1, cap_n), np.maximum(count - 1, 0)).ravel()
+
+
+def _scan_counts(up_c, up, up_d, start, cap_n, maps):
+    """Count before each slot of a chunk, and after its last, from the slots' threshold tests.
+
+    The chunk is cut into blocks of ``_BLOCK`` slots. First every block's
+    composed map is built for all blocks at once, then the block-start counts
+    are chained block by block, and last every block is replayed from its
+    start, again for all blocks at once. Only counts within ``_BLOCK`` of a
+    boundary need the composed map: from any other count no slot of the
+    block meets a boundary, so the block shifts it by its interior steps.
+    """
+    k = _BLOCK
+    n = up.shape[0]
+    n_blocks = -(-n // k)
+    width = cap_n + 1
+    # offset of each slot's map in ``maps``; padding slots only follow the last
+    off = np.zeros(n_blocks * k, np.intp)
+    off[:n] = up_c.view(np.uint8) << 2 | up.view(np.uint8) << 1 | up_d.view(np.uint8)
+    off *= width
+    off = off.reshape(n_blocks, k)
+    skip = max(width - 2 * k, 0)  # counts k..cap_n-k, tracked by their shift
+    tracked = np.concatenate((np.arange(min(k, width)), np.arange(k + skip, width)))
+    ends = np.broadcast_to(tracked, (n_blocks, tracked.shape[0]))
+    for j in range(k):
+        ends = maps[off[:, j, None] + ends]
+    # interior steps of a block: +1 per slot that passes the rho test, else -1
+    shift = (2 * np.add.reduceat(up, np.arange(0, n, k), dtype=np.intp) - k).tolist()
+    starts = []
+    count = start
+    for b in range(n_blocks):
+        starts.append(count)
+        if count < k:
+            count = int(ends[b, count])
+        elif count >= k + skip:
+            count = int(ends[b, count - skip])
+        else:
+            count += shift[b]
+    before = np.empty((n_blocks, k), np.intp)
+    count = np.array(starts, np.intp)
+    for j in range(k):
+        before[:, j] = count
+        count = maps[off[:, j] + count]
+    before = before.ravel()[:n]
+    return before, int(maps[off.flat[n - 1] + before[-1]])
+
+
+def _scan_chunks(gs, gr, thr, cap_n, start):
+    """Per chunk of slots: (lo, hi, hop-s selected, count before each slot) of a finite packet buffer.
+
+    The scan and the totals keep about 40 bytes per slot of a chunk alive,
+    so the chunks are a quarter of the walks' to keep peak memory no higher.
+    """
+    maps = _slot_maps(cap_n)
+    count = start
+    step = _CHUNK // 4
+    for lo in range(0, gs.shape[0], step):
+        hi = min(lo + step, gs.shape[0])
+        g_s, g_r = gs[lo:hi], gr[lo:hi]
+        up_c, up, up_d = (g_r <= r * g_s for r in (thr.rho_c, thr.rho, thr.rho_d))
+        before, count = _scan_counts(up_c, up, up_d, count, cap_n, maps)
+        yield lo, hi, np.where(before == 0, up_c, np.where(before == cap_n, up_d, up)), before
+
+
+def _match_fifo(queue, lo, hi, push_at, pop_at, before):
+    """FIFO delivery: the k-th departure carries the k-th arrival.
+
+    ``queue`` holds the arrival slots of the packets queued before slot lo,
+    oldest first; push_at and pop_at are the chunk's arrival and departure
+    offsets from lo. Returns the arrival slot of each departing packet and the
+    queue after slot hi - 1.
+    """
+    queue = np.concatenate((queue, push_at + lo))
+    return queue[: pop_at.shape[0]], queue[pop_at.shape[0] :]
+
+
+def _match_lifo(stack, lo, hi, push_at, pop_at, before):
+    """LIFO delivery: a departure at count c carries the latest arrival that raised the count to c.
+
+    Same arguments as ``_match_fifo``, with ``stack`` bottom first. Arrivals
+    are keyed by (count reached, slot) and departures by (count left, slot),
+    so each match is one ``searchsorted``; slots enter the key as offsets
+    from lo plus one, and the packets carried in as slot 0.
+    """
+    span = hi - lo + 2
+    keys = np.concatenate((
+        np.arange(1, stack.shape[0] + 1) * span,
+        (before[push_at] + 1) * span + push_at + 1,
+    ))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    slots = np.concatenate((stack, push_at + lo))[order]
+    taken = np.searchsorted(keys, before[pop_at] * span + pop_at + 1) - 1
+    assert np.array_equal(keys[taken] // span, before[pop_at])
+    n_left = stack.shape[0] + push_at.shape[0] - pop_at.shape[0]
+    left = np.searchsorted(keys, np.arange(1, n_left + 1) * span + span - 1) - 1
+    return slots[taken], slots[left]
+
+
+def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
+    """``_kernel_fixed``'s totals from the buffer's count before every slot.
+
+    ``chunks`` yields (lo, hi, hop-s selected, count before each slot) for
+    consecutive slot ranges; cap may be infinite. Given the counts, every
+    per-slot event is elementwise; the start packets count as arrived at
+    slot 0, without a first-hop error.
+    """
+    gs, gr, e_s, e_r = streams
     n_slots = gs.shape[0]
-    arrivals = np.zeros(nb, np.int64)
-    departures = np.zeros(nb, np.int64)
-    errs_s = np.zeros(nb, np.int64)
-    errs_r = np.zeros(nb, np.int64)
-    delay_sum = np.zeros(nb)
-    occ_sum = np.zeros(nb)
-    under = np.zeros(nb, np.int64)
-    n_empty = np.zeros(nb, np.int64)
-    sel_empty = np.zeros(nb, np.int64)
-    queued = np.zeros(0, np.int64)
-    n_final = 0
-    for lo, hi, sel, _, before, after in _walk_chunks(gs, gr, rho, 0, packets=True):
-        add = _batch_adder(lo, hi, n_slots, nb)
+    totals = {name: np.zeros(nb, np.int64) for name in _FixedTotals._fields[:-1]}
+    totals["delay_sum"] = np.zeros(nb)
+    totals["occ_sum"] = np.zeros(nb)
+    match = _match_lifo if lifo else _match_fifo
+    held = np.zeros(start, np.int64)
+    for lo, hi, sel, before in chunks:
         empty = before == 0
+        full = before == cap
+        inter = ~empty & ~full
+        arr = sel & ~full
         dep = ~sel & ~empty
-        err = np.zeros(hi - lo, bool)
-        err[sel] = e_s[lo:hi][sel] < _error_prob(gs[lo:hi][sel], mod)
-        err[dep] = e_r[lo:hi][dep] < _error_prob(gr[lo:hi][dep], mod)
-        queued = np.concatenate((queued, np.flatnonzero(sel) + lo))
-        dep_at = np.flatnonzero(dep)
-        delay = np.zeros(hi - lo)
-        delay[dep_at] = dep_at + lo - queued[: dep_at.shape[0]]
-        queued = queued[dep_at.shape[0] :]
-        add(delay_sum, delay)
-        add(occ_sum, before)
-        add(arrivals, sel)
-        add(departures, dep)
-        add(errs_s, sel & err)
-        add(errs_r, dep & err)
-        add(under, ~sel & empty)
-        add(n_empty, empty)
-        add(sel_empty, sel & empty)
-        n_final = int(after[-1])
-        assert queued.shape[0] == n_final
-    zeros = np.zeros(nb, np.int64)
-    return _FixedTotals(
-        arrivals=arrivals,
-        departures=departures,
-        errs_s=errs_s,
-        errs_r=errs_r,
-        delay_sum=delay_sum,
-        occ_sum=occ_sum,
-        under=under,
-        over=zeros,
-        n_empty=n_empty,
-        n_full=zeros,
-        n_inter=_batch_lengths(n_slots, nb) - n_empty,
-        sel_empty=sel_empty,
-        sel_inter=arrivals - sel_empty,
-        sel2_full=zeros,
-        count_final=n_final,
+        push_at = np.flatnonzero(arr)
+        pop_at = np.flatnonzero(dep)
+        src, held = match(held, lo, hi, push_at, pop_at, before)
+        add = _batch_adder(lo, hi, n_slots, nb)
+        add(totals["delay_sum"], pop_at + lo - src, at=pop_at)
+        add(totals["errs_s"], e_s[lo + push_at] < _error_prob(gs[lo + push_at], mod), at=push_at)
+        add(totals["errs_r"], e_r[lo + pop_at] < _error_prob(gr[lo + pop_at], mod), at=pop_at)
+        for name, values in (
+            ("arrivals", arr),
+            ("departures", dep),
+            ("occ_sum", before),
+            ("under", ~sel & empty),
+            ("over", sel & full),
+            ("n_empty", empty),
+            ("n_full", full),
+            ("n_inter", inter),
+            ("sel_empty", sel & empty),
+            ("sel_inter", sel & inter),
+            ("sel2_full", ~sel & full),
+        ):
+            add(totals[name], values)
+        assert held.shape[0] == before[-1] + arr[-1] - dep[-1]
+    return _FixedTotals(**totals, count_final=held.shape[0])
+
+
+def _walk_fixed(streams, rho, mod, lifo, start, nb):
+    """``_kernel_fixed`` for an infinite buffer with rho_c == rho, as a reflected walk."""
+    gs, gr, _, _ = streams
+    chunks = (
+        (lo, hi, sel, before)
+        for lo, hi, sel, _, before, _ in _walk_chunks(gs, gr, rho, start, packets=True)
     )
+    return _fixed_totals(chunks, streams, mod, math.inf, lifo, start, nb)
 
 
-def _walk_occupancy(gs, gr, rho, l_grid):
-    """Slots whose end-of-slot bit level exceeds each L, for an empty-start infinite buffer."""
+def _scan_fixed(streams, thr, cap_n, mod, lifo, start, nb):
+    """``_kernel_fixed`` for a finite buffer of cap_n packets, as a blocked scan."""
+    gs, gr, _, _ = streams
+    chunks = _scan_chunks(gs, gr, thr, cap_n, start)
+    return _fixed_totals(chunks, streams, mod, cap_n, lifo, start, nb)
+
+
+def _walk_occupancy(gs, gr, rho, start_b, l_grid):
+    """Slots whose end-of-slot bit level exceeds each L, for an infinite buffer."""
     counts = np.zeros(l_grid.shape[0], np.int64)
-    for lo, hi, _, _, _, after in _walk_chunks(gs, gr, rho, 0.0):
+    for lo, hi, _, _, _, after in _walk_chunks(gs, gr, rho, start_b):
         counts += (hi - lo) - np.searchsorted(np.sort(after), l_grid, side="right")
     return counts
 
@@ -613,28 +748,28 @@ def _run_cabr_adaptive(config, streams) -> SimOutcome:
 
 
 def _run_cabr_fixed(config, streams) -> SimOutcome:
-    gs, gr, e_s, e_r = streams
     thr = config.thresholds
     mod = config.modulation
     cap = config.buffer.capacity
-    cap_n = int(cap) if not math.isinf(cap) else config.slots
+    start = int(config.buffer.occupancy)
     nb = min(_N_BATCHES, config.slots)
     lifo = config.buffer.discipline == "lifo"
-    if math.isinf(cap) and thr.rho_c == thr.rho and not lifo:
-        t = _walk_fixed_fifo(gs, gr, e_s, e_r, thr.rho, mod, nb)
+    if not math.isinf(cap):
+        t = _scan_fixed(streams, thr, int(cap), mod, lifo, start, nb)
+    elif thr.rho_c == thr.rho:
+        t = _walk_fixed(streams, thr.rho, mod, lifo, start, nb)
     else:
+        # the ring buffer must hold every packet the run can queue
         t = _FixedTotals(*_kernel_fixed(
-            gs,
-            gr,
-            e_s,
-            e_r,
+            *streams,
             thr.rho,
             thr.rho_c,
             thr.rho_d,
-            cap_n,
+            start + config.slots,
             mod.phi,
             mod.eta,
             lifo,
+            start,
             nb,
         ))
     n = config.slots
@@ -853,9 +988,9 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
         diffs["underflow_vs_dual_overflow"] = float(
             original.underflow_count - dual.overflow_count
         )
-        # Mirrored histories satisfy B' = L - B, but both runs start empty,
-        # so boundary-event counts can differ by up to one buffer's worth of
-        # transient slots before the mirror locks in.
+        # Mirrored histories satisfy B' = L - B, but both runs start at the
+        # same occupancy, so boundary-event counts can differ by up to one
+        # buffer's worth of transient slots before the mirror locks in.
         cap = config.buffer.capacity
         sigmas["underflow_vs_dual_overflow"] = (
             float(int(cap)) if not math.isinf(cap) else 1.0
@@ -873,7 +1008,7 @@ def overflow_probability(
 ) -> np.ndarray:
     """Pr{occupancy > L} for each L, from an unbounded-buffer occupancy trace.
 
-    The threshold is expected to sit below the rate balance point so the
+    The trace starts at the buffer's occupancy. The threshold is expected to sit below the rate balance point so the
     trace is positive recurrent; the caller picks it (typically from the
     delay-bound inversion).
     """
@@ -881,9 +1016,12 @@ def overflow_probability(
         raise ValueError("overflow curve requires an adaptive-rate cabr config")
     if not math.isinf(config.buffer.capacity):
         raise ValueError("overflow curve is measured on an unbounded buffer")
+    thr = config.thresholds
+    if thr.rho_c != thr.rho:
+        raise ValueError("overflow curve needs rho_c == rho")
     grid = np.asarray(l_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("l_grid must be a non-empty 1-d array")
     gs, gr, _, _ = _draw_streams(pair, config.slots, config.seed, errors=False)
-    counts = _walk_occupancy(gs, gr, config.thresholds.rho, grid)
+    counts = _walk_occupancy(gs, gr, thr.rho, float(config.buffer.occupancy), grid)
     return counts / config.slots

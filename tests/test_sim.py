@@ -21,11 +21,13 @@ def adaptive_cfg(rho, slots=200_000, seed=42, **kw):
     )
 
 
-def fixed_cfg(th, capacity, slots=300_000, seed=5, discipline="fifo"):
+def fixed_cfg(th, capacity, slots=300_000, seed=5, discipline="fifo", occupancy=0):
     return SchemeConfig(
         "cabr", "fixed", slots, seed,
         thresholds=th, modulation=BPSK,
-        buffer=BufferState(discipline=discipline, capacity=capacity, mode="packet"),
+        buffer=BufferState(
+            discipline=discipline, capacity=capacity, occupancy=occupancy, mode="packet"
+        ),
     )
 
 
@@ -223,6 +225,25 @@ class TestOverflowCurve:
             sim.overflow_probability(
                 adaptive_cfg(0.3, slots=1000), PAIR_MIXED, np.array([])
             )
+        with pytest.raises(ValueError):
+            sim.overflow_probability(
+                SchemeConfig(
+                    "cabr", "adaptive", 1000, 1,
+                    thresholds=SelectionThresholds(0.3, 0.6, 0.3),
+                ),
+                PAIR_MIXED,
+                grid,
+            )
+
+    def test_starts_at_buffer_occupancy(self):
+        grid = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        empty = sim.overflow_probability(adaptive_cfg(0.3, slots=2000, seed=11), PAIR_MIXED, grid)
+        loaded = sim.overflow_probability(
+            adaptive_cfg(0.3, slots=2000, seed=11, buffer=BufferState(occupancy=30.0)),
+            PAIR_MIXED,
+            grid,
+        )
+        assert np.all(loaded >= empty) and loaded[-1] > empty[-1]
 
     def test_monotone_and_reproducible(self):
         grid = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -235,10 +256,10 @@ class TestOverflowCurve:
         assert probs[0] > probs[-1] > 0.0
 
 
-def _occupancy_oracle(gs, gr, rho, l_grid):
-    """Slot loop counting end-of-slot bit levels above each L (empty start, no cap)."""
+def _occupancy_oracle(gs, gr, rho, start_b, l_grid):
+    """Slot loop counting end-of-slot bit levels above each L (no cap)."""
     counts = np.zeros(l_grid.shape[0], np.int64)
-    B = 0.0
+    B = start_b
     for n in range(gs.shape[0]):
         if gr[n] <= rho * gs[n]:
             B += math.log1p(gs[n]) / math.log(2.0)
@@ -264,6 +285,14 @@ def walk_shape(request, monkeypatch):
     chunk, slots, nb = request.param
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     return slots, nb
+
+
+def _assert_totals_equal(got, want):
+    """Every total equal, float sums included (their per-slot terms are integers)."""
+    want = type(got)(*want)
+    for name in got._fields:
+        g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w), name
 
 
 def _assert_totals_match(got, want, skip=()):
@@ -294,23 +323,40 @@ class TestVectorizedWalks:
         bits_in = got.bits_in.sum()
         assert got.b_final == pytest.approx(want[-1], rel=1e-9, abs=1e-12 * bits_in)
 
+    @staticmethod
+    def _check_fixed(walk_shape, rho, start, lifo):
+        slots, nb = walk_shape
+        streams = sim._draw_streams(PAIR_MIXED, slots, 23)
+        got = sim._walk_fixed(streams, rho, BPSK, lifo, start, nb)
+        want = sim._kernel_fixed(
+            *streams, rho, rho, rho, start + slots, BPSK.phi, BPSK.eta, lifo, start, nb
+        )
+        _assert_totals_equal(got, want)
+
     @pytest.mark.parametrize("rho", [0.6, 3.0])
     def test_fixed_fifo_matches_loop(self, walk_shape, rho):
-        slots, nb = walk_shape
-        gs, gr, e_s, e_r = sim._draw_streams(PAIR_MIXED, slots, 23)
-        got = sim._walk_fixed_fifo(gs, gr, e_s, e_r, rho, BPSK, nb)
-        want = sim._kernel_fixed(
-            gs, gr, e_s, e_r, rho, rho, rho, slots, BPSK.phi, BPSK.eta, False, nb
-        )
-        _assert_totals_match(got, want)
+        self._check_fixed(walk_shape, rho, 0, False)
 
-    @pytest.mark.parametrize("rho", [0.5, 3.0])
-    def test_occupancy_matches_loop(self, walk_shape, rho):
+    @pytest.mark.parametrize(
+        "rho, start, lifo", [(0.6, 5, False), (0.6, 0, True), (0.6, 5, True), (3.0, 0, True)]
+    )
+    def test_fixed_start_and_lifo_match_loop(self, walk_shape, rho, start, lifo):
+        self._check_fixed(walk_shape, rho, start, lifo)
+
+    @staticmethod
+    def _check_occupancy(walk_shape, rho, start_b):
         slots, _ = walk_shape
         gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 29, errors=False)
         grid = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-        got = sim._walk_occupancy(gs, gr, rho, grid)
-        assert np.array_equal(got, _occupancy_oracle(gs, gr, rho, grid))
+        got = sim._walk_occupancy(gs, gr, rho, start_b, grid)
+        assert np.array_equal(got, _occupancy_oracle(gs, gr, rho, start_b, grid))
+
+    @pytest.mark.parametrize("rho", [0.5, 3.0])
+    def test_occupancy_matches_loop(self, walk_shape, rho):
+        self._check_occupancy(walk_shape, rho, 0.0)
+
+    def test_occupancy_from_start_matches_loop(self, walk_shape):
+        self._check_occupancy(walk_shape, 0.5, 6.0)
 
     def test_error_draws_do_not_shift_snr_streams(self):
         with_errors = sim._draw_streams(PAIR_MIXED, 5000, 3)
@@ -320,27 +366,50 @@ class TestVectorizedWalks:
         assert without[2] is None and without[3] is None
 
     @pytest.mark.parametrize(
-        "rate_mode, thresholds, buffer, walks",
+        "rate_mode, thresholds, buffer, path",
         [
-            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), True),
-            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), False),
-            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(capacity=8.0), False),
-            ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), True),
+            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), "_walk_adaptive"),
+            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), "_kernel_adaptive"),
+            (
+                "adaptive",
+                SelectionThresholds.uniform(0.8),
+                BufferState(capacity=8.0),
+                "_kernel_adaptive",
+            ),
+            ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), "_walk_fixed"),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
                 BufferState(discipline="lifo", mode="packet"),
-                False,
+                "_walk_fixed",
             ),
-            ("fixed", SelectionThresholds(0.6, 1.2, 0.6), BufferState(mode="packet"), False),
-            ("fixed", SelectionThresholds.uniform(0.6), BufferState(capacity=8, mode="packet"), False),
+            (
+                "fixed",
+                SelectionThresholds(0.6, 1.2, 0.6),
+                BufferState(mode="packet"),
+                "_kernel_fixed",
+            ),
+            (
+                "fixed",
+                SelectionThresholds.uniform(0.6),
+                BufferState(capacity=8, mode="packet"),
+                "_scan_fixed",
+            ),
+            (
+                "fixed",
+                SelectionThresholds(0.6, 1.2, 0.3),
+                BufferState(discipline="lifo", capacity=8, mode="packet"),
+                "_scan_fixed",
+            ),
         ],
     )
     def test_path_follows_buffer_and_thresholds(
-        self, monkeypatch, rate_mode, thresholds, buffer, walks
+        self, monkeypatch, rate_mode, thresholds, buffer, path
     ):
         calls = []
-        for name in ("_walk_adaptive", "_walk_fixed_fifo", "_kernel_adaptive", "_kernel_fixed"):
+        for name in (
+            "_walk_adaptive", "_walk_fixed", "_scan_fixed", "_kernel_adaptive", "_kernel_fixed"
+        ):
             inner = getattr(sim, name)
             monkeypatch.setattr(
                 sim, name, lambda *a, _f=inner, _n=name: calls.append(_n) or _f(*a)
@@ -350,4 +419,66 @@ class TestVectorizedWalks:
             thresholds=thresholds, modulation=BPSK, buffer=buffer,
         )
         sim.run(config, PAIR_MIXED)
-        assert len(calls) == 1 and calls[0].startswith("_walk") == walks
+        assert calls == [path]
+
+
+# uniform, rho_c > rho > rho_d (the boundaries push toward the interior), and
+# rho_c < rho < rho_d (they hold the buffer at its boundaries)
+SCAN_THRESHOLDS = [
+    SelectionThresholds.uniform(0.9),
+    SelectionThresholds(0.6, 1.2, 0.3),
+    SelectionThresholds(1.0, 0.5, 2.0),
+]
+
+
+class TestFiniteScan:
+    """The finite-buffer scan against the slot loop on the same streams."""
+
+    @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
+    @pytest.mark.parametrize("thr", SCAN_THRESHOLDS, ids=["uniform", "inward", "outward"])
+    @pytest.mark.parametrize("cap_n", [1, 2, 16, 64])
+    def test_scan_matches_loop(self, walk_shape, monkeypatch, cap_n, thr, lifo):
+        slots, nb = walk_shape
+        streams = sim._draw_streams(PAIR_MIXED, slots, 31 + cap_n)
+        want = sim._kernel_fixed(
+            *streams, thr.rho, thr.rho_c, thr.rho_d, cap_n, BPSK.phi, BPSK.eta, lifo, 0, nb
+        )
+        # blocks of 8 slots leave counts 8..cap_n-8 to the interior shift
+        for block in (sim._BLOCK, 8):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            got = sim._scan_fixed(streams, thr, cap_n, BPSK, lifo, 0, nb)
+            _assert_totals_equal(got, want)
+
+    @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
+    def test_start_occupancy(self, lifo):
+        th = SelectionThresholds(rho=0.6, rho_c=1.2, rho_d=0.3)
+        runs = {}
+        for occupancy in (0, 5):
+            config = fixed_cfg(
+                th, 8, slots=2000, discipline="lifo" if lifo else "fifo", occupancy=occupancy
+            )
+            runs[occupancy] = sim.run(config, PAIR_MIXED)
+            streams = sim._draw_streams(PAIR_MIXED, 2000, config.seed)
+            want = sim._kernel_fixed(
+                *streams, th.rho, th.rho_c, th.rho_d, 8, BPSK.phi, BPSK.eta, lifo, occupancy, 20
+            )
+            _assert_totals_equal(sim._scan_fixed(streams, th, 8, BPSK, lifo, occupancy, 20), want)
+        assert runs[5].mean_occupancy != runs[0].mean_occupancy
+
+    def test_packet_occupancy_must_be_whole(self):
+        with pytest.raises(ValueError):
+            BufferState(capacity=8, occupancy=2.5, mode="packet")
+
+
+@pytest.mark.skipif(not sim._HAVE_NUMBA, reason="numba is not installed")
+def test_jitted_kernels_match_their_python_source():
+    gs, gr, e_s, e_r = sim._draw_streams(PAIR_MIXED, 20_000, 37)
+    thr = SCAN_THRESHOLDS[1]
+    for lifo in (False, True):
+        args = (gs, gr, e_s, e_r, thr.rho, thr.rho_c, thr.rho_d, 8, BPSK.phi, BPSK.eta, lifo, 3, 50)
+        _assert_totals_equal(
+            sim._FixedTotals(*sim._kernel_fixed(*args)), sim._kernel_fixed.py_func(*args)
+        )
+    args = (gs, gr, thr.rho, thr.rho_c, thr.rho_d, 12.0, 2.5, 50)
+    jitted = sim._AdaptiveTotals(*sim._kernel_adaptive(*args))
+    _assert_totals_equal(jitted, sim._kernel_adaptive.py_func(*args))
