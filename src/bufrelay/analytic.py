@@ -27,12 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from . import specfun
 from .channel import LinkParams
 from .specfun import (
-    DEFAULT_QUAD,
     EULER_GAMMA,
-    QuadratureSpec,
     dilog,
     exp_integral_en_scaled,
     integral_I,
@@ -61,21 +58,16 @@ __all__ = [
     "rho_for_qs",
     "avg_capacity_hop",
     "avg_rate_cabr_hop_s",
-    "avg_rate_cabr_hop_s_quad",
     "avg_rate_cabr_hop_r",
     "avg_rate_cabr",
     "avg_rate_cnbr",
-    "avg_rate_cnbr_quad",
     "avg_rate_cbr",
     "ew_joint_ccdf_sr",
-    "ew_joint_ccdf_sr_quad",
     "ser_exact_cabr",
-    "ser_exact_cabr_quad",
     "ser_exact_cnbr",
     "ser_asym_cabr",
     "ser_asym_cnbr",
     "second_moment_rate_hop_s",
-    "second_moment_rate_hop_s_quad",
     "delay_bound_adaptive",
     "rho_for_delay_bound",
 ]
@@ -184,7 +176,7 @@ def eval_terms(terms: Iterable[_Term], x: float) -> float:
     return math.fsum(_eval_term(t, x) for t in terms)
 
 
-def _rate_term_nats(t: _Term, quad: QuadratureSpec) -> float:
+def _rate_term_nats(t: _Term) -> float:
     """int_0^inf term(x)/(1+x) dx for one primitive shape."""
     c, mu, a = t.c, t.mu, t.a
     if t.kind == "exp":
@@ -209,16 +201,16 @@ def _rate_term_nats(t: _Term, quad: QuadratureSpec) -> float:
             - g * integral_I(2, mu, a)
         )
     if t.kind == "e1":
-        return c * integral_J(mu, a, quad)
+        return c * integral_J(mu, a)
     # e1log: meaningful only summed over a zero-sum group
     return c * dilog(1.0 - mu)
 
 
-def rate_terms_nats(terms: Iterable[_Term], quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    return math.fsum(_rate_term_nats(t, quad) for t in terms)
+def rate_terms_nats(terms: Iterable[_Term]) -> float:
+    return math.fsum(_rate_term_nats(t) for t in terms)
 
 
-def _ew_term(t: _Term, eta: float, quad: QuadratureSpec) -> float:
+def _ew_term(t: _Term, eta: float) -> float:
     """Expectation of one shape under the weight sqrt(eta/(2 pi w)) e^(-eta w/2)."""
     c, mu, a = t.c, t.mu, t.a
     if t.kind == "exp":
@@ -234,23 +226,21 @@ def _ew_term(t: _Term, eta: float, quad: QuadratureSpec) -> float:
             + mu * math.sqrt(0.5 * eta * kappa)
         )
     if t.kind == "e1":
-        return c * integral_L(mu, a, eta, quad)
-    return c * integral_L(mu, math.inf, eta, quad)
+        return c * integral_L(mu, a, eta)
+    return c * integral_L(mu, math.inf, eta)
 
 
-def ew_terms(
-    terms: Iterable[_Term], eta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    return math.fsum(_ew_term(t, eta, quad) for t in terms)
+def ew_terms(terms: Iterable[_Term], eta: float) -> float:
+    return math.fsum(_ew_term(t, eta) for t in terms)
 
 
-def _w2_term_nats(t: _Term, quad: QuadratureSpec) -> float:
+def _w2_term_nats(t: _Term) -> float:
     """int_0^inf 2 ln(1+x) term(x) / (1+x) dx for one shape."""
     c, mu, a = t.c, t.mu, t.a
     if t.kind == "exp":
         if math.isinf(a):
             raise ValueError("second moment diverges: constant term with no decay")
-        return 2.0 * c * integral_J(1.0, a, quad)
+        return 2.0 * c * integral_J(1.0, a)
     if t.kind == "ratio":
         if math.isinf(a):
             if abs(mu - 1.0) < _MU_ONE_TOL:
@@ -261,9 +251,9 @@ def _w2_term_nats(t: _Term, quad: QuadratureSpec) -> float:
             def f(x: float) -> float:
                 return 2.0 * math.log1p(x) * math.exp(-x / a) / (1.0 + x) ** 2
 
-            return c * quad_semi_infinite(f, quad)
+            return c * quad_semi_infinite(f)
         g = mu / (mu - 1.0)
-        return 2.0 * c * g * (integral_J(1.0, a, quad) - integral_J(mu, a, quad))
+        return 2.0 * c * g * (integral_J(1.0, a) - integral_J(mu, a))
     if t.kind == "ratio2":
         inv_a = _inv(a)
 
@@ -276,27 +266,22 @@ def _w2_term_nats(t: _Term, quad: QuadratureSpec) -> float:
                 / (1.0 + x)
             )
 
-        return c * quad_semi_infinite(f2, quad)
+        return c * quad_semi_infinite(f2)
     if t.kind == "e1":
-        return c * integral_M(mu, a, quad)
+        return c * integral_M(mu, a)
 
     def f3(x: float) -> float:
         return 2.0 * math.log1p(x) * (math.log1p(x) - math.log(x + mu)) / (1.0 + x)
 
-    return c * quad_semi_infinite(f3, quad)
+    return c * quad_semi_infinite(f3)
 
 
-def w2_terms_nats(terms: Iterable[_Term], quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    return math.fsum(_w2_term_nats(t, quad) for t in terms)
+def w2_terms_nats(terms: Iterable[_Term]) -> float:
+    return math.fsum(_w2_term_nats(t) for t in terms)
 
 
 # ---------------------------------------------------------------------------
 # term builders
-
-
-def _require_samplable(link: LinkParams, label: str) -> None:
-    if math.isinf(link.lam) and link.p != 1.0:
-        raise ValueError(f"{label}: infinite lam requires p = 1")
 
 
 def marginal_terms(link: LinkParams) -> list[_Term]:
@@ -337,8 +322,6 @@ def joint_terms_sr(pair: HopPair, rho: float) -> list[_Term]:
     """Terms of Pr{select first hop, gamma_s > x} for the interior threshold rho."""
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
-    _require_samplable(pair.s, "hop s")
-    _require_samplable(pair.r, "hop r")
     ps, mus, lams = pair.s.p, pair.s.mu, pair.s.lam
     pr, mur, lamr = pair.r.p, pair.r.mu, pair.r.lam
     inv_ls, inv_lr = _inv(lams), _inv(lamr)
@@ -527,41 +510,23 @@ def rho_for_qs(pair: HopPair, q_target: float) -> float:
     return 10.0 ** (0.5 * (lo + hi))
 
 
-def avg_capacity_hop(link: LinkParams, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def avg_capacity_hop(link: LinkParams) -> float:
     """Ergodic capacity E[log2(1 + gamma)] of one hop in bits per channel use."""
-    return rate_terms_nats(marginal_terms(link), quad) / LN2
+    return rate_terms_nats(marginal_terms(link)) / LN2
 
 
-def avg_rate_cabr_hop_s(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def avg_rate_cabr_hop_s(pair: HopPair, rho: float) -> float:
     """Average rate carried by the first hop under adaptive selection."""
-    return rate_terms_nats(joint_terms_sr(pair, rho), quad) / LN2
+    return rate_terms_nats(joint_terms_sr(pair, rho)) / LN2
 
 
-def avg_rate_cabr_hop_s_quad(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Same quantity by direct quadrature of the joint CCDF (cross-check path)."""
-    terms = joint_terms_sr(pair, rho)
-
-    def f(x: float) -> float:
-        return eval_terms(terms, x) / (1.0 + x)
-
-    return quad_semi_infinite(f, quad) / LN2
-
-
-def avg_rate_cabr_hop_r(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def avg_rate_cabr_hop_r(pair: HopPair, rho: float) -> float:
     """Average rate carried by the second hop under adaptive selection."""
     rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    return avg_rate_cabr_hop_s(rpair, 1.0 / rho, quad)
+    return avg_rate_cabr_hop_s(rpair, 1.0 / rho)
 
 
-def avg_rate_cabr(
-    pair: HopPair, quad: QuadratureSpec = DEFAULT_QUAD
-) -> tuple[float, float]:
+def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     """Adaptive-rate throughput and the threshold balancing the two hop rates.
 
     The first-hop rate grows with rho while the second-hop rate shrinks, so
@@ -571,8 +536,8 @@ def avg_rate_cabr(
 
     def gap(log10_rho: float) -> tuple[float, float, float]:
         rho = 10.0**log10_rho
-        rs = avg_rate_cabr_hop_s(pair, rho, quad)
-        rr = avg_rate_cabr_hop_r(pair, rho, quad)
+        rs = avg_rate_cabr_hop_s(pair, rho)
+        rr = avg_rate_cabr_hop_r(pair, rho)
         return rs - rr, rs, rr
 
     lo, hi = -30.0, 30.0
@@ -594,50 +559,22 @@ def avg_rate_cabr(
     return 0.5 * (rs + rr), 10.0**mid
 
 
-def avg_rate_cnbr(pair: HopPair, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def avg_rate_cnbr(pair: HopPair) -> float:
     """Fixed-alternation relay rate (1/2) E[log2(1 + min(gamma_s, gamma_r))]."""
-    return rate_terms_nats(product_terms(pair), quad) / (2.0 * LN2)
+    return rate_terms_nats(product_terms(pair)) / (2.0 * LN2)
 
 
-def avg_rate_cnbr_quad(pair: HopPair, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Cross-check path: direct quadrature over the product CCDF."""
-    terms = product_terms(pair)
-
-    def f(x: float) -> float:
-        return eval_terms(terms, x) / (1.0 + x)
-
-    return quad_semi_infinite(f, quad) / (2.0 * LN2)
-
-
-def avg_rate_cbr(pair: HopPair, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def avg_rate_cbr(pair: HopPair) -> float:
     """Block-scheduled buffered relay rate: half the bottleneck hop capacity."""
-    return 0.5 * min(avg_capacity_hop(pair.s, quad), avg_capacity_hop(pair.r, quad))
+    return 0.5 * min(avg_capacity_hop(pair.s), avg_capacity_hop(pair.r))
 
 
-def ew_joint_ccdf_sr(
-    pair: HopPair, rho: float, eta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def ew_joint_ccdf_sr(pair: HopPair, rho: float, eta: float) -> float:
     """Expectation of the joint selection CCDF under the gaussian error weight."""
-    return ew_terms(joint_terms_sr(pair, rho), eta, quad)
+    return ew_terms(joint_terms_sr(pair, rho), eta)
 
 
-def ew_joint_ccdf_sr_quad(
-    pair: HopPair, rho: float, eta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Cross-check path: direct quadrature with w = t*t against the term sum."""
-    terms = joint_terms_sr(pair, rho)
-    coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
-
-    def f(t: float) -> float:
-        w = t * t
-        return coef * math.exp(-0.5 * eta * w) * eval_terms(terms, w)
-
-    return quad_semi_infinite(f, quad)
-
-
-def ser_exact_cabr(
-    pair: HopPair, rho: float, mod: ModulationParams, quad: QuadratureSpec = DEFAULT_QUAD
-) -> SerTriple:
+def ser_exact_cabr(pair: HopPair, rho: float, mod: ModulationParams) -> SerTriple:
     """Per-hop symbol error rates conditioned on selection, and their sum bound."""
     q_s, q_r = lsp(pair, rho)
     # conditioning divides two absolutely-accurate closed forms; below ~1e-12
@@ -647,34 +584,19 @@ def ser_exact_cabr(
         raise ValueError(
             "selection is too one-sided to condition on (q_s or q_r <= 1e-12)"
         )
-    ew_s = ew_joint_ccdf_sr(pair, rho, mod.eta, quad)
+    ew_s = ew_joint_ccdf_sr(pair, rho, mod.eta)
     p_s = 0.5 * mod.phi * (q_s - ew_s) / q_s
     rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    ew_r = ew_joint_ccdf_sr(rpair, 1.0 / rho, mod.eta, quad)
+    ew_r = ew_joint_ccdf_sr(rpair, 1.0 / rho, mod.eta)
     p_r = 0.5 * mod.phi * (q_r - ew_r) / q_r
     return SerTriple(p_s, p_r, p_s + p_r)
 
 
-def ser_exact_cabr_quad(
-    pair: HopPair, rho: float, mod: ModulationParams, quad: QuadratureSpec = DEFAULT_QUAD
-) -> SerTriple:
-    """Cross-check path for the conditional error rates via direct quadrature."""
-    q_s, q_r = lsp(pair, rho)
-    ew_s = ew_joint_ccdf_sr_quad(pair, rho, mod.eta, quad)
-    p_s = 0.5 * mod.phi * (q_s - ew_s) / q_s
-    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    ew_r = ew_joint_ccdf_sr_quad(rpair, 1.0 / rho, mod.eta, quad)
-    p_r = 0.5 * mod.phi * (q_r - ew_r) / q_r
-    return SerTriple(p_s, p_r, p_s + p_r)
-
-
-def ser_exact_cnbr(
-    pair: HopPair, mod: ModulationParams, quad: QuadratureSpec = DEFAULT_QUAD
-) -> SerTriple:
+def ser_exact_cnbr(pair: HopPair, mod: ModulationParams) -> SerTriple:
     """Per-hop symbol error rates of the fixed-alternation relay."""
     vals = []
     for link in (pair.s, pair.r):
-        ew = ew_terms(marginal_terms(link), mod.eta, quad)
+        ew = ew_terms(marginal_terms(link), mod.eta)
         vals.append(0.5 * mod.phi * (1.0 - ew))
     return SerTriple(vals[0], vals[1], vals[0] + vals[1])
 
@@ -701,35 +623,17 @@ def ser_asym_cnbr(pair: HopPair, mod: ModulationParams) -> SerTriple:
     return SerTriple(p_s, p_r, p_s + p_r)
 
 
-def second_moment_rate_hop_s(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def second_moment_rate_hop_s(pair: HopPair, rho: float) -> float:
     """Second moment of the selected first-hop rate (bits^2 per channel use^2)."""
-    return w2_terms_nats(joint_terms_sr(pair, rho), quad) / (LN2 * LN2)
+    return w2_terms_nats(joint_terms_sr(pair, rho)) / (LN2 * LN2)
 
 
-def second_moment_rate_hop_s_quad(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Cross-check path: direct quadrature of the defining log-squared integral."""
-    terms = joint_terms_sr(pair, rho)
-
-    def f(x: float) -> float:
-        return 2.0 * math.log1p(x) * eval_terms(terms, x) / (1.0 + x)
-
-    return quad_semi_infinite(f, quad) / (LN2 * LN2)
-
-
-def second_moment_rate_hop_r(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def second_moment_rate_hop_r(pair: HopPair, rho: float) -> float:
     rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    return second_moment_rate_hop_s(rpair, 1.0 / rho, quad)
+    return second_moment_rate_hop_s(rpair, 1.0 / rho)
 
 
-def delay_bound_adaptive(
-    pair: HopPair, rho: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def delay_bound_adaptive(pair: HopPair, rho: float) -> float:
     """Mean-delay upper bound for the adaptive scheme run below the balance point.
 
     Requires the buffer-starving condition xi = (second-hop rate)/(first-hop
@@ -742,13 +646,13 @@ def delay_bound_adaptive(
         raise ValueError(
             "threshold too one-sided for the conditional-moment delay bound"
         )
-    m1s = avg_rate_cabr_hop_s(pair, rho, quad)
-    m1r = avg_rate_cabr_hop_r(pair, rho, quad)
+    m1s = avg_rate_cabr_hop_s(pair, rho)
+    m1r = avg_rate_cabr_hop_r(pair, rho)
     xi = m1r / m1s
     if not (xi > 1.0):
         raise ValueError("delay bound requires a starving buffer (xi > 1)")
-    m2s = second_moment_rate_hop_s(pair, rho, quad)
-    m2r = second_moment_rate_hop_r(pair, rho, quad)
+    m2s = second_moment_rate_hop_s(pair, rho)
+    m2r = second_moment_rate_hop_r(pair, rho)
     return (
         0.5
         / (xi * m1s) ** 2
@@ -757,11 +661,7 @@ def delay_bound_adaptive(
     )
 
 
-def rho_for_delay_bound(
-    pair: HopPair,
-    t_target: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     """Largest rho (below the rate balance point) whose delay bound meets t_target.
 
     The bound increases toward infinity as rho approaches the balance point,
@@ -769,7 +669,7 @@ def rho_for_delay_bound(
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
-    _, rho_bal = avg_rate_cabr(pair, quad)
+    _, rho_bal = avg_rate_cabr(pair)
     hi = math.log10(rho_bal) - 1e-3
     lo = hi
     for _ in range(200):
@@ -777,7 +677,7 @@ def rho_for_delay_bound(
         if lo < -30.0:
             raise ValueError("delay target unreachable within the search range")
         try:
-            if delay_bound_adaptive(pair, 10.0**lo, quad) <= t_target:
+            if delay_bound_adaptive(pair, 10.0**lo) <= t_target:
                 break
         except ValueError:
             continue
@@ -787,7 +687,7 @@ def rho_for_delay_bound(
     # numerically past the balance point
     while hi > lo:
         try:
-            if delay_bound_adaptive(pair, 10.0**hi, quad) > t_target:
+            if delay_bound_adaptive(pair, 10.0**hi) > t_target:
                 break
         except ValueError:
             pass
@@ -795,7 +695,7 @@ def rho_for_delay_bound(
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         try:
-            val = delay_bound_adaptive(pair, 10.0**mid, quad)
+            val = delay_bound_adaptive(pair, 10.0**mid)
         except ValueError:
             hi = mid
             continue

@@ -10,6 +10,10 @@ interference channel (mean Omega_g), the received SNR of hop i is
 which is fully described by the pair (lam, mu) plus the derived probability p
 that the interference cap binds. p = 0 recovers the peak-power-only regime,
 p = 1 with infinite lam the interference-limited regime.
+
+A link may also carry a forced p that differs from exp(-mu/lam). The marginal
+CCDF and PDF take any p in [0, 1]; sample_snr draws only a consistent link or
+a forced p = 0. An infinite lam always means p = 1.
 """
 
 from __future__ import annotations
@@ -23,14 +27,11 @@ __all__ = [
     "NodeGeometry",
     "PowerConstraints",
     "LinkParams",
-    "REGIMES",
     "derive_link_params",
     "link_ccdf",
     "link_pdf",
     "sample_snr",
 ]
-
-REGIMES = ("exact", "ptp", "pip")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class LinkParams:
     lam  mean SNR when only the peak power constraint binds (may be inf),
     mu   mean SNR of the interference-limited branch,
     p    probability the interference cap binds; equals exp(-mu/lam) whenever
-         the parameters come from one physical configuration.
+         the parameters come from one physical configuration, and must be 1
+         when lam is infinite.
     """
 
     lam: float
@@ -92,6 +94,8 @@ class LinkParams:
             raise ValueError("mu must be positive and finite")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")
+        if math.isinf(self.lam) and self.p != 1.0:
+            raise ValueError("infinite lam requires p = 1")
 
     @classmethod
     def from_lambda_mu(cls, lam: float, mu: float) -> "LinkParams":
@@ -103,21 +107,6 @@ class LinkParams:
         """True when p matches exp(-mu/lam), i.e. the link is physically samplable."""
         p_ref = 1.0 if math.isinf(self.lam) else math.exp(-self.mu / self.lam)
         return abs(self.p - p_ref) <= 1e-12
-
-
-def _regime_mode(regime: str) -> str:
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}")
-    return regime
-
-
-def _effective_p(link: LinkParams, regime) -> float:
-    mode = _regime_mode(regime)
-    if mode == "ptp":
-        return 0.0
-    if mode == "pip":
-        return 1.0
-    return link.p
 
 
 def derive_link_params(
@@ -149,20 +138,18 @@ def derive_link_params(
     return hop_s, hop_r
 
 
-def link_ccdf(link: LinkParams, s, regime="exact"):
+def link_ccdf(link: LinkParams, s):
     """Marginal CCDF Pr{gamma > s} = e^(-s/lam) [1 - p (1 - mu/(s+mu))]."""
-    p = _effective_p(link, regime)
     s = np.asarray(s, dtype=float)
     decay = np.exp(-s / link.lam) if not math.isinf(link.lam) else np.ones_like(s)
-    out = decay * (1.0 - p * (1.0 - link.mu / (s + link.mu)))
+    out = decay * (1.0 - link.p * (1.0 - link.mu / (s + link.mu)))
     return float(out) if out.ndim == 0 else out
 
 
-def link_pdf(link: LinkParams, s, regime="exact"):
+def link_pdf(link: LinkParams, s):
     """Marginal PDF of the link SNR; written so the infinite-lam case stays finite."""
-    p = _effective_p(link, regime)
     s = np.asarray(s, dtype=float)
-    mu = link.mu
+    p, mu = link.p, link.mu
     if math.isinf(link.lam):
         out = p * mu / (s + mu) ** 2
     else:
@@ -172,30 +159,24 @@ def link_pdf(link: LinkParams, s, regime="exact"):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_snr(link: LinkParams, rng: np.random.Generator, size=None, regime="exact"):
+def sample_snr(link: LinkParams, rng: np.random.Generator, size=None):
     """Draw instantaneous SNR(s): min(lam, mu/v) * u with u, v unit exponentials.
 
-    Both exponentials are always consumed so that matched-seed runs stay
-    aligned across regime choices. Forced overrides only reinterpret the
-    draw; an exact-regime link must carry a consistent p.
+    Both exponentials are always consumed, so matched-seed runs stay aligned
+    across links of every kind. A link must carry p = exp(-mu/lam) (p = 1 at
+    infinite lam) or the forced p = 0, which draws the peak-power-only SNR
+    lam * u; any other forced p has no sampling law here.
     """
-    mode = _regime_mode(regime)
     u = rng.standard_exponential(size)
     v = rng.standard_exponential(size)
-    if mode == "ptp":
-        if math.isinf(link.lam):
-            raise ValueError("peak-power-only regime needs a finite lam")
-        return link.lam * u
-    if mode == "pip":
-        return link.mu * u / v
     if math.isinf(link.lam):
         return link.mu * u / v
     if not link.consistent:
         if link.p == 0.0:
             return link.lam * u
         raise ValueError(
-            "link has a forced p inconsistent with (lam, mu); "
-            "sample with an explicit regime override instead"
+            f"link (lam={link.lam:g}, mu={link.mu:g}) has a forced p={link.p:g} "
+            "that cannot be sampled: only p = exp(-mu/lam) or p = 0 can"
         )
     if np.ndim(v) == 0:
         return np.minimum(link.lam, link.mu / v) * u

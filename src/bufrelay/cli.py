@@ -737,7 +737,8 @@ def _pt_run(p):
             modulation=modulation,
             buffer=buffer,
         )
-    out = sim.run(config, pt.pair)
+    with _reraise("pair"):  # a forced p the sampler cannot draw
+        out = sim.run(config, pt.pair)
     refs = _RUN_REFS[scheme, rate_mode](pt.pair, thresholds, modulation, buffer)
     ci = out.ci_halfwidths
     return _row(p, _RunRow(

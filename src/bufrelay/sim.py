@@ -940,7 +940,8 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
     """Run the configured buffer against its role-reversed mirror.
 
     The mirror swaps the hop roles and the drain order, inverts and swaps the
-    boundary thresholds, and reuses the same random draws with the streams
+    boundary thresholds, starts a finite buffer at the mirrored occupancy
+    capacity - occupancy, and reuses the same random draws with the streams
     exchanged, so the two runs see mirrored slot histories. Rate, summed
     error rate, and mean delay must agree within Monte Carlo noise.
     """
@@ -950,6 +951,9 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
 
     rpair, rthr = reverse(pair, config.thresholds)
     flipped = "lifo" if config.buffer.discipline == "fifo" else "fifo"
+    cap, occupancy = config.buffer.capacity, config.buffer.occupancy
+    if not math.isinf(cap):
+        occupancy = cap - occupancy  # the mirror of level B is L - B
     dual_config = SchemeConfig(
         scheme=config.scheme,
         rate_mode=config.rate_mode,
@@ -959,8 +963,8 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
         modulation=config.modulation,
         buffer=BufferState(
             discipline=flipped,
-            capacity=config.buffer.capacity,
-            occupancy=config.buffer.occupancy,
+            capacity=cap,
+            occupancy=occupancy,
             mode=config.buffer.mode,
         ),
     )
@@ -988,10 +992,12 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
         diffs["underflow_vs_dual_overflow"] = float(
             original.underflow_count - dual.overflow_count
         )
-        # Mirrored histories satisfy B' = L - B, but both runs start at the
-        # same occupancy, so boundary-event counts can differ by up to one
-        # buffer's worth of transient slots before the mirror locks in.
-        cap = config.buffer.capacity
+        # The mirror starts at L - B and sees the same draws, so its history is
+        # B' = L - B slot by slot. The mirrored threshold tests compare against
+        # rounded reciprocals, though: a slot whose SNR ratio sits within
+        # rounding of a threshold can go different ways in the two runs, and
+        # the levels then disagree until both walks meet a common boundary,
+        # which can shift the boundary-event counts by up to one buffer's worth.
         sigmas["underflow_vs_dual_overflow"] = (
             float(int(cap)) if not math.isinf(cap) else 1.0
         )

@@ -5,18 +5,20 @@ show up throughout the rate / error-probability / delay expressions; each one
 is exposed with its closed or semi-closed form plus enough numerical care to
 survive the parameter ranges the sweeps use (decay scales from 1e-4 to 1e4 and
 the distinguished infinite scale).
+
+The semi-closed integrals (J, L, M and the second-moment shapes in analytic)
+all go through quad_semi_infinite, whose tolerances are fixed: absolute 1e-10,
+relative 1e-9, at most 200 subdivisions. A result whose error estimate exceeds
+50 times the requested tolerance raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import integrate, special
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "ConvergenceError",
     "EULER_GAMMA",
     "exp_integral_en",
@@ -32,22 +34,10 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature used by the semi-closed integrals."""
-
-    absolute_tolerance: float = 1e-10
-    relative_tolerance: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.absolute_tolerance > 0.0 and self.relative_tolerance > 0.0):
-            raise ValueError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# tolerances of quad_semi_infinite, the one quadrature behind every semi-closed form
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -61,7 +51,7 @@ class ConvergenceError(RuntimeError):
         self.requested = requested
 
 
-def quad_semi_infinite(f, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def quad_semi_infinite(f) -> float:
     """Integrate f over [0, inf) by mapping x = t/(1-t) onto [0, 1).
 
     The compactified form lets one adaptive scheme cover every tail weight we
@@ -77,13 +67,13 @@ def quad_semi_infinite(f, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
         g,
         0.0,
         1.0,
-        epsabs=quad.absolute_tolerance,
-        epsrel=quad.relative_tolerance,
-        limit=quad.max_subdivisions,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, abserr = res[0], res[1]
-    requested = max(quad.absolute_tolerance, quad.relative_tolerance * abs(value))
+    requested = max(_ABS_TOL, _REL_TOL * abs(value))
     # quad reports its own error estimate; a modest safety factor separates
     # "roundoff-limited but fine" from genuinely unconverged results.
     if abserr > 50.0 * requested or math.isnan(value):
@@ -187,23 +177,7 @@ def integral_I(n: int, mu: float, lam: float, x: float = 0.0) -> float:
     )
 
 
-def integral_I_quad(
-    n: int, mu: float, lam: float, x: float = 0.0, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Defining-integral evaluation of I_n, kept as an independent cross-check path."""
-    if n < 1 or n != int(n):
-        raise ValueError("order n must be a positive integer")
-    if not (mu > 0.0) or not (lam > 0.0):
-        raise ValueError("mu and lam must be positive")
-
-    def f(t: float) -> float:
-        s = x + t
-        return mu ** (n - 1) * math.exp(-s / lam) / (s + mu) ** n
-
-    return quad_semi_infinite(f, quad)
-
-
-def integral_J(mu: float, lam: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def integral_J(mu: float, lam: float) -> float:
     """J(mu, lam) = int_0^inf ln(1+x) e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
         raise ValueError("mu and lam must be positive and finite")
@@ -211,7 +185,7 @@ def integral_J(mu: float, lam: float, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     def f(x: float) -> float:
         return math.log1p(x) * math.exp(-x / lam) / (x + mu)
 
-    return quad_semi_infinite(f, quad)
+    return quad_semi_infinite(f)
 
 
 def integral_K(mu: float, lam: float, eta: float) -> float:
@@ -230,23 +204,7 @@ def integral_K(mu: float, lam: float, eta: float) -> float:
     )
 
 
-def integral_K_quad(
-    mu: float, lam: float, eta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Defining-integral evaluation of K (substituting w = t*t to kill the 1/sqrt(w))."""
-    inv_lam = 0.0 if math.isinf(lam) else 1.0 / lam
-    coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
-
-    def f(t: float) -> float:
-        w = t * t
-        return coef * mu * math.exp(-(0.5 * eta + inv_lam) * w) / (w + mu)
-
-    return quad_semi_infinite(f, quad)
-
-
-def integral_L(
-    mu: float, lam: float, eta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def integral_L(mu: float, lam: float, eta: float) -> float:
     """L(mu, lam, eta) = int_0^inf sqrt(eta/(2 pi w)) e^(-eta w/2) e^(mu/lam) E_1((w+mu)/lam) dw.
 
     The w = t*t substitution removes the integrable endpoint singularity.
@@ -269,7 +227,7 @@ def integral_L(
             w = t * t
             return coef * math.exp(-0.5 * eta * w) * (-EULER_GAMMA - math.log(w + mu))
 
-        return quad_semi_infinite(f_reg, quad)
+        return quad_semi_infinite(f_reg)
 
     def f(t: float) -> float:
         w = t * t
@@ -279,10 +237,10 @@ def integral_L(
             * exp_integral_en_scaled(1, (w + mu) / lam)
         )
 
-    return quad_semi_infinite(f, quad)
+    return quad_semi_infinite(f)
 
 
-def integral_M(mu: float, lam: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def integral_M(mu: float, lam: float) -> float:
     """M(mu, lam) = int_0^inf ln(1+x)^2 e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
         raise ValueError("mu and lam must be positive and finite")
@@ -291,4 +249,4 @@ def integral_M(mu: float, lam: float, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
         lg = math.log1p(x)
         return lg * lg * math.exp(-x / lam) / (x + mu)
 
-    return quad_semi_infinite(f, quad)
+    return quad_semi_infinite(f)

@@ -101,12 +101,11 @@ class TestClosedFormCorners:
         assert q_r == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_unsamplable_links(self):
-        forced = HopPair(
-            s=LinkParams(lam=math.inf, mu=5.0, p=0.7),
-            r=LinkParams.from_lambda_mu(7.0, 3.0),
-        )
-        with pytest.raises(ValueError):
-            analytic.lsp(forced, 1.0)
+        with pytest.raises(ValueError, match="infinite lam requires p = 1"):
+            HopPair(
+                s=LinkParams(lam=math.inf, mu=5.0, p=0.7),
+                r=LinkParams.from_lambda_mu(7.0, 3.0),
+            )
 
 
 class TestApproximateSelection:

@@ -9,6 +9,7 @@ from scipy import special
 from bufrelay import analytic
 from bufrelay.analytic import HopPair, ModulationParams
 from bufrelay.channel import LinkParams
+from bufrelay.specfun import quad_semi_infinite
 
 from conftest import (
     PAIR_MIXED,
@@ -36,6 +37,30 @@ def gaussian_ser(g, mod):
     return 0.5 * mod.phi * special.erfc(np.sqrt(0.5 * mod.eta * g))
 
 
+def ew_joint_ccdf_sr_quad(pair, rho, eta):
+    """Oracle: the gaussian-weight expectation of the joint CCDF by direct quadrature.
+
+    The substitution w = t*t removes the weight's 1/sqrt(w) endpoint singularity.
+    """
+    terms = analytic.joint_terms_sr(pair, rho)
+    coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
+
+    def f(t):
+        w = t * t
+        return coef * math.exp(-0.5 * eta * w) * analytic.eval_terms(terms, w)
+
+    return quad_semi_infinite(f)
+
+
+def ser_exact_cabr_quad(pair, rho, mod):
+    """Oracle: the conditional per-hop error rates through ew_joint_ccdf_sr_quad."""
+    q_s, q_r = analytic.lsp(pair, rho)
+    p_s = 0.5 * mod.phi * (q_s - ew_joint_ccdf_sr_quad(pair, rho, mod.eta)) / q_s
+    rpair, _ = analytic.reverse(pair, analytic.SelectionThresholds.uniform(rho))
+    p_r = 0.5 * mod.phi * (q_r - ew_joint_ccdf_sr_quad(rpair, 1.0 / rho, mod.eta)) / q_r
+    return analytic.SerTriple(p_s, p_r, p_s + p_r)
+
+
 class TestExactCabr:
     def test_matches_quadrature_route(self):
         rng = np.random.default_rng(51)
@@ -46,7 +71,7 @@ class TestExactCabr:
                 eta=float(rng.uniform(0.5, 4.0)), phi=float(rng.uniform(0.5, 2.0))
             )
             closed = analytic.ser_exact_cabr(pair, rho, mod)
-            quad = analytic.ser_exact_cabr_quad(pair, rho, mod)
+            quad = ser_exact_cabr_quad(pair, rho, mod)
             assert closed.p_s == pytest.approx(quad.p_s, rel=1e-7)
             assert closed.p_r == pytest.approx(quad.p_r, rel=1e-7)
 

@@ -51,6 +51,8 @@ class TestLinkParams:
             LinkParams(lam=1.0, mu=math.inf, p=0.5)
         with pytest.raises(ValueError):
             LinkParams(lam=1.0, mu=1.0, p=1.5)
+        with pytest.raises(ValueError, match="infinite lam requires p = 1"):
+            LinkParams(lam=math.inf, mu=1.0, p=0.7)
 
     def test_from_lambda_mu(self):
         link = LinkParams.from_lambda_mu(4.0, 10.0)
@@ -92,19 +94,13 @@ class TestMarginals:
         assert link_ccdf(link, 1e9) == pytest.approx(0.0, abs=1e-12)
 
     def test_regime_limits(self):
-        link = LinkParams.from_lambda_mu(4.0, 10.0)
         s = 3.7
-        assert link_ccdf(link, s, regime="ptp") == pytest.approx(math.exp(-s / 4.0))
-        assert link_ccdf(link, s, regime="pip") == pytest.approx(
+        assert link_ccdf(LinkParams(4.0, 10.0, 0.0), s) == pytest.approx(math.exp(-s / 4.0))
+        assert link_ccdf(LinkParams(4.0, 10.0, 1.0), s) == pytest.approx(
             math.exp(-s / 4.0) * 10.0 / (s + 10.0)
         )
         pip_link = LinkParams.from_lambda_mu(math.inf, 10.0)
         assert link_ccdf(pip_link, s) == pytest.approx(10.0 / (s + 10.0))
-        with pytest.raises(ValueError):
-            link_ccdf(link, s, regime="nope")
-        assert link_ccdf(link, s, "ptp") == pytest.approx(
-            math.exp(-s / 4.0)
-        )
 
     def test_pdf_is_derivative_of_ccdf(self):
         for link in (
@@ -159,28 +155,30 @@ class TestSampleSnr:
 
     def test_forced_regimes(self):
         rng = np.random.default_rng(1)
-        link = LinkParams.from_lambda_mu(4.0, 100.0)
-        draws = sample_snr(link, rng, size=200_000, regime="ptp")
+        draws = sample_snr(LinkParams(4.0, 100.0, 0.0), rng, size=200_000)
         assert float(np.mean(draws)) == pytest.approx(4.0, rel=0.02)
         with pytest.raises(ValueError):
-            sample_snr(LinkParams.from_lambda_mu(math.inf, 5.0), rng, regime="ptp")
+            LinkParams(math.inf, 5.0, 0.0)
 
     def test_stream_alignment_across_regimes(self):
-        # every call consumes the same number of variates regardless of regime,
+        # every call consumes the same number of variates whatever the link,
         # so matched-seed streams stay in lockstep after the call
-        link = LinkParams.from_lambda_mu(4.0, 10.0)
         tails = []
-        for regime in ("exact", "ptp", "pip"):
+        for link in (
+            LinkParams.from_lambda_mu(4.0, 10.0),
+            LinkParams(4.0, 10.0, 0.0),
+            LinkParams.from_lambda_mu(math.inf, 10.0),
+        ):
             rng = np.random.default_rng(77)
-            sample_snr(link, rng, size=1000, regime=regime)
+            sample_snr(link, rng, size=1000)
             tails.append(rng.standard_normal(4))
         assert np.array_equal(tails[0], tails[1])
         assert np.array_equal(tails[0], tails[2])
 
-    def test_inconsistent_p_requires_override(self):
+    def test_forced_p_other_than_zero_is_not_samplable(self):
         rng = np.random.default_rng(3)
         forced = LinkParams(lam=4.0, mu=10.0, p=0.33)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot be sampled"):
             sample_snr(forced, rng, size=10)
         # p = 0 is the documented peak-power shortcut
         zero = LinkParams(lam=4.0, mu=10.0, p=0.0)
@@ -200,3 +198,7 @@ class TestSampleSnr:
         u, v = rng.standard_exponential(), rng.standard_exponential()
         scalar = sample_snr(link, np.random.default_rng(5))
         assert scalar == np.minimum(link.lam, link.mu / v) * u
+        rng = np.random.default_rng(2024)
+        u = rng.standard_exponential(50_000)
+        forced = sample_snr(LinkParams(4.0, 10.0, 0.0), np.random.default_rng(2024), size=50_000)
+        assert forced.tobytes() == (4.0 * u).tobytes()

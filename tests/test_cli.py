@@ -173,6 +173,25 @@ class TestAnalyze:
         assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("convergence failure: ")
 
+    def test_infinite_lam_with_forced_p_is_config_error(self, tmp_path, capsys):
+        links = {"s": {"lam": "inf", "mu": 5.0, "p": 0.0}, "r": {"lam": 7.0, "mu": 3.0}}
+        doc = {"metrics": ["capacity"], "pair": {"links": links}}
+        assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: pair.links.s: infinite lam requires p = 1"]
+
+    def test_unsamplable_forced_p_in_run_is_config_error(self, tmp_path, capsys):
+        links = {"s": {"lam": 4.0, "mu": 5.0, "p": 0.5}, "r": {"lam": 7.0, "mu": 3.0}}
+        doc = {
+            "mode": "run", "scheme": "cabr", "rho": 0.8, "slots": 100,
+            "pair": {"links": links},
+        }
+        assert cli.main(["simulate", write_doc(tmp_path, doc)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: pair: ")
+        assert "cannot be sampled" in err[0]
+
     def test_non_string_metric_is_config_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, table_doc(metrics=[["capacity"]]))
         assert cli.main(["analyze", path]) == cli.EXIT_CONFIG

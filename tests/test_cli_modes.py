@@ -1,12 +1,17 @@
-"""Per-mode output pins and the balance-solve count of table points.
+"""Per-mode output pins, preset row pins, and the balance-solve count of table points.
 
 Each mode's header and first row are pinned to values recorded before the
 CLI modes were rebuilt around row records: strings and integers exactly,
 floats to a relative 1e-12 (nan pins nan). Simulated documents run 2000 slots
-with fixed seeds, so their rows are deterministic too.
+with fixed seeds, so their rows are deterministic too. Every row of the
+closed-form presets is pinned the same way in ``preset_rows.json``, recorded
+before the quadrature tolerances became fixed constants.
 """
 
+import copy
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +250,26 @@ def test_header_and_first_row(name):
     bad = [
         (col, got, want)
         for col, got, want in zip(header, rows[0], first)
+        if not _same(got, want)
+    ]
+    assert not bad
+
+
+PRESET_ROWS = json.loads((Path(__file__).parent / "preset_rows.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_ROWS))
+def test_every_row_of_closed_form_preset(name):
+    doc = copy.deepcopy(cli.PRESETS[name])
+    columns, rows = getattr(cli, f"cmd_{doc['kind']}")(doc)
+    pin = PRESET_ROWS[name]
+    assert list(columns) == pin["header"]
+    assert len(rows) == len(pin["rows"])
+    assert all(len(row) == len(columns) for row in rows)
+    bad = [
+        (i, col, got, want)
+        for i, (row, want_row) in enumerate(zip(rows, pin["rows"]))
+        for col, got, want in zip(pin["header"], row, want_row)
         if not _same(got, want)
     ]
     assert not bad

@@ -199,6 +199,16 @@ class TestDuality:
         for key, diff in rep.differences.items():
             assert diff <= 4.0 * rep.sigmas[key] + 1e-12, key
 
+    @pytest.mark.parametrize("occupancy", [0, 3, 6])
+    def test_mirror_starts_at_mirrored_occupancy(self, occupancy):
+        # the mirror of level B is L - B, so from a mirrored start every
+        # original underflow slot is a dual overflow slot
+        th = SelectionThresholds(rho=0.7, rho_c=1.1, rho_d=0.4)
+        rep = sim.run_lifo_duality_check(
+            fixed_cfg(th, 6, slots=20_000, occupancy=occupancy), PAIR_MIXED
+        )
+        assert rep.differences["underflow_vs_dual_overflow"] == 0.0
+
     def test_symmetric_pair_is_self_dual(self):
         pair = analytic.HopPair(PAIR_MIXED.s, PAIR_MIXED.s)
         rep = sim.run_lifo_duality_check(
