@@ -7,31 +7,32 @@ packets forwarded rather than dropped. Standard errors come from batch means
 (100 batches by default), which also absorbs the buffer-state autocorrelation
 of fixed-rate runs.
 
-Which path computes a run's buffer depends only on its capacity and
-thresholds, never on whether numba is installed:
+A run's buffer is computed in chunks of slots, all in numpy, on one of three
+paths chosen by its capacity, thresholds and mode alone:
 
-- An infinite buffer whose empty-buffer threshold equals the interior one
-  selects the same way in every slot, so its occupancy is a reflected random
-  walk (Lindley's recursion B_n = max(B_{n-1} + x_n, 0)), computed in chunks
-  with cumulative sums and running minima. Overflow curves, adaptive-rate
-  cabr runs with an infinite buffer and rho_c == rho, and fixed-rate cabr
-  runs with an infinite buffer (FIFO or LIFO) and rho_c == rho take it.
-- A finite packet buffer (fixed rate, any capacity, thresholds and drain
-  order) is a blocked scan: each slot maps the packet count 0..L to its next
-  value, the maps are composed blockwise and the counts replayed, all blocks
-  at once in numpy.
-- The other buffers (adaptive finite-capacity buffers, and infinite buffers
-  with rho_c != rho) run the slot loops, which numba compiles when it is
-  installed.
+- The reflected walk. An infinite buffer whose empty-buffer threshold equals
+  the interior one selects the same way in every slot, so its occupancy is
+  Lindley's recursion B_n = max(B_{n-1} + x_n, 0), computed with cumulative
+  sums and running minima. Overflow curves, and adaptive-rate and
+  fixed-rate (FIFO or LIFO) cabr runs with an infinite buffer and
+  rho_c == rho, take it.
+- The packet scan. A finite packet buffer (fixed rate, any capacity,
+  thresholds and drain order) maps the count 0..L to its next value in each
+  slot; the maps are composed blockwise and the counts replayed.
+- The level replay. Every other buffer (adaptive finite-capacity buffers,
+  and adaptive or fixed-rate infinite buffers with rho_c != rho) guesses
+  each block's start level from the reflected walk, replays all blocks at
+  once with the slot rules, and repairs the starts that disagree with the
+  end of the block before (``_replay_levels``).
 
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
 the latest arrival that raised the count to c. Fixed-rate totals equal the
-loop's exactly (every per-slot term is an integer); adaptive float sums agree
-within 1e-9 relative, differing only in the rounding of the running bit
-level, of the capacity logarithms, and of the order in which batch sums are
-added. tests/test_sim.py checks every path against the loops on the same
-streams.
+slot loop's exactly (every per-slot term is an integer); adaptive float sums
+agree within 1e-9 relative, differing only in the rounding of the running
+bit level, of the capacity logarithms, and of the order in which batch sums
+are added. tests/test_sim.py keeps the slot loops as oracles and checks every
+path against them on the same streams.
 """
 
 from __future__ import annotations
@@ -47,23 +48,6 @@ from .analytic import HopPair, ModulationParams, SelectionThresholds
 from .channel import sample_snr
 from .queueing import DelayDecomposition
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-    _HAVE_NUMBA = False
-
 __all__ = [
     "BufferState",
     "SchemeConfig",
@@ -76,7 +60,7 @@ __all__ = [
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
-_CHUNK = 1 << 16  # slots per step of the vectorized walks and scans
+_CHUNK = 1 << 16  # slots per step of the bit-level walks; the other paths take a quarter
 _BLOCK = 32  # slots per block of the finite-buffer scan
 
 
@@ -177,10 +161,10 @@ class DualityReport:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# buffer paths
 
-# per-batch totals of a run, in the order the kernels return them; slot and
-# packet counts are int64, bit and slot sums float64
+# per-batch totals of a run, in the order the slot-loop oracles of the tests
+# return them; slot and packet counts are int64, bit and slot sums float64
 _AdaptiveTotals = namedtuple("_AdaptiveTotals", """
     rate_s rate_r bits_in bits_out under over n_empty n_full n_inter
     sel_empty sel_inter sel2_full b_final
@@ -189,174 +173,6 @@ _FixedTotals = namedtuple("_FixedTotals", """
     arrivals departures errs_s errs_r delay_sum occ_sum under over n_empty n_full n_inter
     sel_empty sel_inter sel2_full count_final
 """)
-
-
-@njit(cache=True)
-def _kernel_adaptive(gs, gr, rho, rho_c, rho_d, cap, start_b, nb):
-    n_slots = gs.shape[0]
-    batch = max(n_slots // nb, 1)
-    rate_s = np.zeros(nb)
-    rate_r = np.zeros(nb)
-    bits_in = np.zeros(nb)
-    bits_out = np.zeros(nb)
-    under = np.zeros(nb, np.int64)
-    over = np.zeros(nb, np.int64)
-    n_empty = np.zeros(nb, np.int64)
-    n_full = np.zeros(nb, np.int64)
-    n_inter = np.zeros(nb, np.int64)
-    sel_empty = np.zeros(nb, np.int64)
-    sel_inter = np.zeros(nb, np.int64)
-    sel2_full = np.zeros(nb, np.int64)
-    B = start_b
-    for n in range(n_slots):
-        b = min(n // batch, nb - 1)
-        if B == 0.0:
-            r = rho_c
-            state = 0
-            n_empty[b] += 1
-        elif B >= cap:
-            r = rho_d
-            state = 2
-            n_full[b] += 1
-        else:
-            r = rho
-            state = 1
-            n_inter[b] += 1
-        if gr[n] <= r * gs[n]:
-            cs = math.log1p(gs[n]) * _INV_LN2
-            rate_s[b] += cs
-            if state == 0:
-                sel_empty[b] += 1
-            elif state == 1:
-                sel_inter[b] += 1
-            room = cap - B
-            if cs >= room:
-                bits_in[b] += room
-                B = cap
-                if cs > room:
-                    over[b] += 1
-            else:
-                bits_in[b] += cs
-                B += cs
-        else:
-            cr = math.log1p(gr[n]) * _INV_LN2
-            rate_r[b] += cr
-            if state == 2:
-                sel2_full[b] += 1
-            if B == 0.0:
-                under[b] += 1
-            elif cr >= B:
-                bits_out[b] += B
-                B = 0.0
-            else:
-                bits_out[b] += cr
-                B -= cr
-        assert 0.0 <= B <= cap
-    return (
-        rate_s,
-        rate_r,
-        bits_in,
-        bits_out,
-        under,
-        over,
-        n_empty,
-        n_full,
-        n_inter,
-        sel_empty,
-        sel_inter,
-        sel2_full,
-        B,
-    )
-
-
-@njit(cache=True)
-def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, start, nb):
-    n_slots = gs.shape[0]
-    batch = max(n_slots // nb, 1)
-    arrivals = np.zeros(nb, np.int64)
-    departures = np.zeros(nb, np.int64)
-    errs_s = np.zeros(nb, np.int64)
-    errs_r = np.zeros(nb, np.int64)
-    delay_sum = np.zeros(nb)
-    occ_sum = np.zeros(nb)
-    under = np.zeros(nb, np.int64)
-    over = np.zeros(nb, np.int64)
-    n_empty = np.zeros(nb, np.int64)
-    n_full = np.zeros(nb, np.int64)
-    n_inter = np.zeros(nb, np.int64)
-    sel_empty = np.zeros(nb, np.int64)
-    sel_inter = np.zeros(nb, np.int64)
-    sel2_full = np.zeros(nb, np.int64)
-    # arrival slot of each queued packet; the start packets arrived at slot 0
-    buf_slot = np.zeros(cap_n, np.int64)
-    head = 0  # fifo read position; lifo uses count as stack pointer
-    count = start
-    for n in range(n_slots):
-        b = min(n // batch, nb - 1)
-        occ_sum[b] += count
-        if count == 0:
-            r = rho_c
-            state = 0
-            n_empty[b] += 1
-        elif count == cap_n:
-            r = rho_d
-            state = 2
-            n_full[b] += 1
-        else:
-            r = rho
-            state = 1
-            n_inter[b] += 1
-        if gr[n] <= r * gs[n]:
-            if state == 0:
-                sel_empty[b] += 1
-            elif state == 1:
-                sel_inter[b] += 1
-            if count == cap_n:
-                over[b] += 1
-            else:
-                pe = 0.5 * phi * math.erfc(math.sqrt(0.5 * eta * gs[n]))
-                if pe > 1.0:
-                    pe = 1.0
-                buf_slot[(head + count) % cap_n] = n
-                count += 1
-                arrivals[b] += 1
-                errs_s[b] += 1 if e_s[n] < pe else 0
-        else:
-            if state == 2:
-                sel2_full[b] += 1
-            if count == 0:
-                under[b] += 1
-            else:
-                if lifo:
-                    read = (head + count - 1) % cap_n
-                else:
-                    read = head
-                    head = (head + 1) % cap_n
-                count -= 1
-                pe = 0.5 * phi * math.erfc(math.sqrt(0.5 * eta * gr[n]))
-                if pe > 1.0:
-                    pe = 1.0
-                departures[b] += 1
-                errs_r[b] += 1 if e_r[n] < pe else 0
-                delay_sum[b] += n - buf_slot[read]
-        assert 0 <= count <= cap_n
-    return (
-        arrivals,
-        departures,
-        errs_s,
-        errs_r,
-        delay_sum,
-        occ_sum,
-        under,
-        over,
-        n_empty,
-        n_full,
-        n_inter,
-        sel_empty,
-        sel_inter,
-        sel2_full,
-        count,
-    )
 
 
 def _reflected_walk(x, start):
@@ -380,7 +196,8 @@ def _walk_chunks(gs, gr, rho, start, packets=False):
     A selected first-hop slot raises the level, a second-hop slot lowers it:
     by one packet each when ``packets`` (the capacity is then None), else by
     the chosen hop's capacity in bits. Packet chunks are a quarter as long,
-    like the scan's, because the fixed-rate totals keep more per slot alive.
+    like the scan's and the replay's, because their totals keep more per
+    slot alive.
     """
     level = start
     step = _CHUNK // 4 if packets else _CHUNK
@@ -399,6 +216,106 @@ def _walk_chunks(gs, gr, rho, start, packets=False):
         before[1:] = after[:-1]
         yield lo, hi, sel, cap, before, after
         level = after[-1]
+
+
+def _replay_blocks(start, up_c, up, up_d, c_s, c_r, cap):
+    """Replay blocks of slots from their start levels, all blocks at once.
+
+    Per-slot arrays are (block, slot of the block). Each slot decides on the
+    level B before it as the slot loop did: an empty buffer (B == 0) selects
+    by ``up_c``, a full one (B >= cap) by ``up_d``, any other by ``up``; a
+    selected slot adds c_s and fills the buffer if c_s >= cap - B, another
+    removes c_r and empties it if c_r >= B. Returns the level before every
+    slot, the level after each block, and whether each block met a boundary.
+    """
+    level = start.copy()
+    before = np.empty(up.shape)
+    for j in range(up.shape[1]):
+        before[:, j] = level
+        sel = np.where(level == 0.0, up_c[:, j], np.where(level >= cap, up_d[:, j], up[:, j]))
+        fill = sel & (c_s[:, j] >= cap - level)
+        level = np.where(sel, level + c_s[:, j], level - c_r[:, j])
+        # B - c_r <= 0 exactly when c_r >= B, so the floor is the emptying test
+        np.maximum(level, 0.0, out=level)
+        np.copyto(level, cap, where=fill)
+    met = ((before == 0.0) | (before >= cap)).any(axis=1) | (level == 0.0) | (level >= cap)
+    return before, level, met
+
+
+def _replay_levels(up_c, up, up_d, c_s, c_r, cap, start):
+    """Level before each slot of a chunk, and after its last, by a blocked replay.
+
+    The chunk is cut into blocks of ``_BLOCK`` slots. Every block's start is
+    first guessed from the one-sided reflected walk at rho, clipped to the
+    capacity, and all blocks are replayed from their guesses at once. Then
+    the guesses are repaired, round by round: where a block's start differs
+    from the end of the block before, the difference is carried through every
+    following block that met no boundary (such a block only shifts its
+    start), up to the first block that did, and only the moved blocks are
+    replayed. The rounds stop when every start is within 2**-45 of its
+    predecessor's end (relative to the level, or to 32 bits near 0) and is
+    empty or full exactly when that end is. A round sets the first wrong
+    start to its predecessor's end, so there are at most as many rounds as
+    blocks; the carry keeps them to a few per chunk in every regime measured.
+    """
+    k = _BLOCK
+    n = up.shape[0]
+    m = -(-n // k)
+    pad = m * k - n
+
+    def blocks(a, fill):
+        # padding slots select the first hop and add nothing: they keep the level
+        if pad:
+            a = np.concatenate((a, np.full(pad, fill, a.dtype)))
+        return a.reshape(m, k)
+
+    per_slot = [blocks(a, True) for a in (up_c, up, up_d)] + [blocks(a, 0.0) for a in (c_s, c_r)]
+    starts = np.empty(m)
+    starts[0] = start
+    guess = _reflected_walk(np.where(up, c_s, -c_r), start)
+    np.minimum(guess[k - 1 : (m - 1) * k : k], cap, out=starts[1:])
+    del guess
+    before, ends, met = _replay_blocks(starts, *per_slot, cap)
+    index = np.arange(m)
+    while True:
+        want = np.concatenate(([start], ends[:-1]))
+        diff = want - starts
+        bad = np.abs(diff) > 2.0**-46 * (np.abs(want) + np.abs(starts) + 64.0)
+        bad |= (want == 0.0) != (starts == 0.0)
+        bad |= (want >= cap) != (starts >= cap)
+        if not bad.any():
+            return before.ravel()[:n], ends[-1]
+        # carry the corrections through each run of blocks that met no boundary
+        d = np.where(bad, diff, 0.0)
+        total = np.cumsum(d)
+        first = np.maximum.accumulate(np.where(np.concatenate(([True], met[:-1])), index, 0))
+        upstream = total - total[first] + d[first] - d  # from bad blocks before, same run
+        moved = np.where(bad, want, starts) + upstream
+        np.clip(moved, 0.0, cap, out=moved)
+        todo = np.flatnonzero(moved != starts)
+        starts = moved
+        out = _replay_blocks(starts[todo], *(a[todo] for a in per_slot), cap)
+        before[todo], ends[todo], met[todo] = out
+
+
+def _replay_chunks(gs, gr, thr, cap, start, packets=False):
+    """``_walk_chunks`` for any capacity and thresholds, by a blocked level replay."""
+    level = start
+    step = _CHUNK // 4
+    for lo in range(0, gs.shape[0], step):
+        hi = min(lo + step, gs.shape[0])
+        g_s, g_r = gs[lo:hi], gr[lo:hi]
+        up_c, up, up_d = (g_r <= r * g_s for r in (thr.rho_c, thr.rho, thr.rho_d))
+        if packets:
+            c_s = c_r = np.ones(hi - lo)
+        else:
+            c_s, c_r = np.log1p(g_s), np.log1p(g_r)
+            c_s *= _INV_LN2
+            c_r *= _INV_LN2
+        before, level = _replay_levels(up_c, up, up_d, c_s, c_r, cap, level)
+        sel = np.where(before == 0.0, up_c, np.where(before >= cap, up_d, up))
+        cap_sel = None if packets else np.where(sel, c_s, c_r)
+        yield lo, hi, sel, cap_sel, before, np.append(before[1:], level)
 
 
 def _batch_adder(lo, hi, n_slots, nb):
@@ -430,44 +347,54 @@ def _batch_lengths(n_slots, nb):
     return lengths
 
 
-def _walk_adaptive(gs, gr, rho, start_b, nb):
-    """``_kernel_adaptive`` for an infinite buffer with rho_c == rho, as a reflected walk."""
-    n_slots = gs.shape[0]
-    rate_s = np.zeros(nb)
-    rate_r = np.zeros(nb)
-    bits_out = np.zeros(nb)
-    under = np.zeros(nb, np.int64)
-    n_empty = np.zeros(nb, np.int64)
-    n_sel = np.zeros(nb, np.int64)
-    sel_empty = np.zeros(nb, np.int64)
+def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
+    """Per-batch totals of an adaptive run from the bit level before every slot.
+
+    ``chunks`` yields (lo, hi, hop-s selected, chosen hop's capacity, level
+    before each slot, level after it) for consecutive slot ranges; cap may be
+    infinite. Given the levels, every per-slot term is elementwise: a
+    selected slot offers its capacity and the buffer takes at most its room,
+    another drains at most the level.
+    """
+    totals = {name: np.zeros(nb) for name in _AdaptiveTotals._fields[:4]}
+    totals.update({name: np.zeros(nb, np.int64) for name in _AdaptiveTotals._fields[4:-1]})
     b_final = float(start_b)
-    for lo, hi, sel, cap, before, after in _walk_chunks(gs, gr, rho, b_final):
+    for lo, hi, sel, c, before, after in chunks:
         add = _batch_adder(lo, hi, n_slots, nb)
         empty = before == 0.0
-        add(rate_s, np.where(sel, cap, 0.0))
-        add(rate_r, np.where(sel, 0.0, cap))
-        add(bits_out, np.where(sel, 0.0, np.minimum(cap, before)))
-        add(under, ~sel & empty)
-        add(n_empty, empty)
-        add(n_sel, sel)
-        add(sel_empty, sel & empty)
+        full = before >= cap
+        inter = ~empty & ~full
+        # one capacity array at a time: the second hop's, then the first hop's
+        part = np.where(sel, 0.0, c)
+        add(totals["rate_r"], part)
+        add(totals["bits_out"], np.minimum(part, before, out=part))
+        np.multiply(c, sel, out=part)
+        add(totals["rate_s"], part)
+        room = cap - before
+        add(totals["bits_in"], np.minimum(part, room, out=part))
+        add(totals["over"], sel & (c > room))
+        add(totals["under"], ~sel & empty)
+        add(totals["n_empty"], empty)
+        add(totals["n_full"], full)
+        add(totals["n_inter"], inter)
+        add(totals["sel_empty"], sel & empty)
+        add(totals["sel_inter"], sel & inter)
+        add(totals["sel2_full"], ~sel & full)
         b_final = float(after[-1])
-    zeros = np.zeros(nb, np.int64)
-    return _AdaptiveTotals(
-        rate_s=rate_s,
-        rate_r=rate_r,
-        bits_in=rate_s.copy(),  # an infinite buffer takes every bit offered
-        bits_out=bits_out,
-        under=under,
-        over=zeros,
-        n_empty=n_empty,
-        n_full=zeros,
-        n_inter=_batch_lengths(n_slots, nb) - n_empty,
-        sel_empty=sel_empty,
-        sel_inter=n_sel - sel_empty,
-        sel2_full=zeros,
-        b_final=b_final,
-    )
+        del part, room, empty, full, inter  # before the next chunk is built
+    return _AdaptiveTotals(**totals, b_final=b_final)
+
+
+def _walk_adaptive(gs, gr, rho, start_b, nb):
+    """Adaptive totals of an infinite buffer with rho_c == rho, as a reflected walk."""
+    chunks = _walk_chunks(gs, gr, rho, float(start_b))
+    return _adaptive_totals(chunks, math.inf, start_b, gs.shape[0], nb)
+
+
+def _replay_adaptive(gs, gr, thr, cap, start_b, nb):
+    """Adaptive totals of any bit buffer, by a blocked level replay."""
+    chunks = _replay_chunks(gs, gr, thr, cap, float(start_b))
+    return _adaptive_totals(chunks, cap, start_b, gs.shape[0], nb)
 
 
 def _slot_maps(cap_n):
@@ -532,11 +459,7 @@ def _scan_counts(up_c, up, up_d, start, cap_n, maps):
 
 
 def _scan_chunks(gs, gr, thr, cap_n, start):
-    """Per chunk of slots: (lo, hi, hop-s selected, count before each slot) of a finite packet buffer.
-
-    The scan and the totals keep about 40 bytes per slot of a chunk alive,
-    so the chunks are a quarter of the walks' to keep peak memory no higher.
-    """
+    """Per chunk of slots: (lo, hi, hop-s selected, count before each slot) of a finite packet buffer."""
     maps = _slot_maps(cap_n)
     count = start
     step = _CHUNK // 4
@@ -584,7 +507,7 @@ def _match_lifo(stack, lo, hi, push_at, pop_at, before):
 
 
 def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
-    """``_kernel_fixed``'s totals from the buffer's count before every slot.
+    """Per-batch totals of a fixed-rate run from the buffer's count before every slot.
 
     ``chunks`` yields (lo, hi, hop-s selected, count before each slot) for
     consecutive slot ranges; cap may be infinite. Given the counts, every
@@ -630,7 +553,7 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
 
 
 def _walk_fixed(streams, rho, mod, lifo, start, nb):
-    """``_kernel_fixed`` for an infinite buffer with rho_c == rho, as a reflected walk."""
+    """Fixed-rate totals of an infinite buffer with rho_c == rho, as a reflected walk."""
     gs, gr, _, _ = streams
     chunks = (
         (lo, hi, sel, before)
@@ -639,8 +562,18 @@ def _walk_fixed(streams, rho, mod, lifo, start, nb):
     return _fixed_totals(chunks, streams, mod, math.inf, lifo, start, nb)
 
 
+def _replay_fixed(streams, thr, cap, mod, lifo, start, nb):
+    """Fixed-rate totals of any packet buffer, by a blocked level replay."""
+    gs, gr, _, _ = streams
+    chunks = (
+        (lo, hi, sel, before.astype(np.int64))
+        for lo, hi, sel, _, before, _ in _replay_chunks(gs, gr, thr, cap, float(start), True)
+    )
+    return _fixed_totals(chunks, streams, mod, cap, lifo, start, nb)
+
+
 def _scan_fixed(streams, thr, cap_n, mod, lifo, start, nb):
-    """``_kernel_fixed`` for a finite buffer of cap_n packets, as a blocked scan."""
+    """Fixed-rate totals of a finite buffer of cap_n packets, as a blocked scan."""
     gs, gr, _, _ = streams
     chunks = _scan_chunks(gs, gr, thr, cap_n, start)
     return _fixed_totals(chunks, streams, mod, cap_n, lifo, start, nb)
@@ -711,16 +644,7 @@ def _run_cabr_adaptive(config, streams) -> SimOutcome:
     if math.isinf(config.buffer.capacity) and thr.rho_c == thr.rho:
         t = _walk_adaptive(gs, gr, thr.rho, config.buffer.occupancy, nb)
     else:
-        t = _AdaptiveTotals(*_kernel_adaptive(
-            gs,
-            gr,
-            thr.rho,
-            thr.rho_c,
-            thr.rho_d,
-            config.buffer.capacity,
-            config.buffer.occupancy,
-            nb,
-        ))
+        t = _replay_adaptive(gs, gr, thr, config.buffer.capacity, config.buffer.occupancy, nb)
     n = config.slots
     batch_sizes = _batch_lengths(n, nb).astype(np.float64)
     lsp, q_se = _selection(t)
@@ -759,19 +683,7 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
     elif thr.rho_c == thr.rho:
         t = _walk_fixed(streams, thr.rho, mod, lifo, start, nb)
     else:
-        # the ring buffer must hold every packet the run can queue
-        t = _FixedTotals(*_kernel_fixed(
-            *streams,
-            thr.rho,
-            thr.rho_c,
-            thr.rho_d,
-            start + config.slots,
-            mod.phi,
-            mod.eta,
-            lifo,
-            start,
-            nb,
-        ))
+        t = _replay_fixed(streams, thr, cap, mod, lifo, start, nb)
     n = config.slots
     batch_sizes = _batch_lengths(n, nb).astype(np.float64)
     dep_total = int(t.departures.sum())
@@ -940,20 +852,21 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
     """Run the configured buffer against its role-reversed mirror.
 
     The mirror swaps the hop roles and the drain order, inverts and swaps the
-    boundary thresholds, starts a finite buffer at the mirrored occupancy
+    boundary thresholds, starts the buffer at the mirrored occupancy
     capacity - occupancy, and reuses the same random draws with the streams
     exchanged, so the two runs see mirrored slot histories. Rate, summed
-    error rate, and mean delay must agree within Monte Carlo noise.
+    error rate, and mean delay must agree within Monte Carlo noise. The
+    mirror of level B is L - B, so the buffer must be finite.
     """
     if config.scheme != "cabr":
         raise ValueError("duality check applies to the adaptive-selection scheme")
+    cap = config.buffer.capacity
+    if math.isinf(cap):
+        raise ValueError("duality check needs a finite buffer: the mirror of level B is L - B")
     from .analytic import reverse
 
     rpair, rthr = reverse(pair, config.thresholds)
     flipped = "lifo" if config.buffer.discipline == "fifo" else "fifo"
-    cap, occupancy = config.buffer.capacity, config.buffer.occupancy
-    if not math.isinf(cap):
-        occupancy = cap - occupancy  # the mirror of level B is L - B
     dual_config = SchemeConfig(
         scheme=config.scheme,
         rate_mode=config.rate_mode,
@@ -964,7 +877,7 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
         buffer=BufferState(
             discipline=flipped,
             capacity=cap,
-            occupancy=occupancy,
+            occupancy=cap - config.buffer.occupancy,
             mode=config.buffer.mode,
         ),
     )
@@ -998,9 +911,7 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
         # rounding of a threshold can go different ways in the two runs, and
         # the levels then disagree until both walks meet a common boundary,
         # which can shift the boundary-event counts by up to one buffer's worth.
-        sigmas["underflow_vs_dual_overflow"] = (
-            float(int(cap)) if not math.isinf(cap) else 1.0
-        )
+        sigmas["underflow_vs_dual_overflow"] = float(int(cap))
     else:
         diffs["avg_rate"] = original.avg_rate - dual.avg_rate
         sigmas["avg_rate"] = math.hypot(

@@ -63,15 +63,20 @@ def quad_semi_infinite(f) -> float:
         x = t / om
         return f(x) / (om * om)
 
-    res = integrate.quad(
-        g,
-        0.0,
-        1.0,
-        epsabs=_ABS_TOL,
-        epsrel=_REL_TOL,
-        limit=_MAX_SUBDIVISIONS,
-        full_output=1,
-    )
+    try:
+        res = integrate.quad(
+            g,
+            0.0,
+            1.0,
+            epsabs=_ABS_TOL,
+            epsrel=_REL_TOL,
+            limit=_MAX_SUBDIVISIONS,
+            full_output=1,
+        )
+    except ZeroDivisionError:
+        # subdivision reached a node that rounds to t = 1: the tail decays too
+        # slowly for the map to resolve
+        raise ConvergenceError("semi-infinite quadrature", math.inf, _ABS_TOL) from None
     value, abserr = res[0], res[1]
     requested = max(_ABS_TOL, _REL_TOL * abs(value))
     # quad reports its own error estimate; a modest safety factor separates

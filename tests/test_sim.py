@@ -209,6 +209,15 @@ class TestDuality:
         )
         assert rep.differences["underflow_vs_dual_overflow"] == 0.0
 
+    @pytest.mark.parametrize("rate_mode", ["fixed", "adaptive"])
+    def test_infinite_buffer_has_no_mirror(self, rate_mode):
+        if rate_mode == "fixed":
+            config = fixed_cfg(SelectionThresholds.uniform(0.7), math.inf, slots=20_000)
+        else:
+            config = adaptive_cfg(0.7, slots=20_000)
+        with pytest.raises(ValueError, match="finite buffer"):
+            sim.run_lifo_duality_check(config, PAIR_MIXED)
+
     def test_symmetric_pair_is_self_dual(self):
         pair = analytic.HopPair(PAIR_MIXED.s, PAIR_MIXED.s)
         rep = sim.run_lifo_duality_check(
@@ -264,6 +273,185 @@ class TestOverflowCurve:
         again = sim.overflow_probability(cfg, PAIR_MIXED, grid)
         assert np.array_equal(probs, again)
         assert probs[0] > probs[-1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# slot-loop oracles: the simulator's original per-slot kernels, one Python
+# iteration per slot
+
+_INV_LN2 = 1.0 / math.log(2.0)
+
+
+def _kernel_adaptive(gs, gr, rho, rho_c, rho_d, cap, start_b, nb):
+    """Slot loop of an adaptive cabr run: per-batch totals in ``sim._AdaptiveTotals`` order."""
+    n_slots = gs.shape[0]
+    batch = max(n_slots // nb, 1)
+    rate_s = np.zeros(nb)
+    rate_r = np.zeros(nb)
+    bits_in = np.zeros(nb)
+    bits_out = np.zeros(nb)
+    under = np.zeros(nb, np.int64)
+    over = np.zeros(nb, np.int64)
+    n_empty = np.zeros(nb, np.int64)
+    n_full = np.zeros(nb, np.int64)
+    n_inter = np.zeros(nb, np.int64)
+    sel_empty = np.zeros(nb, np.int64)
+    sel_inter = np.zeros(nb, np.int64)
+    sel2_full = np.zeros(nb, np.int64)
+    B = start_b
+    for n in range(n_slots):
+        b = min(n // batch, nb - 1)
+        if B == 0.0:
+            r = rho_c
+            state = 0
+            n_empty[b] += 1
+        elif B >= cap:
+            r = rho_d
+            state = 2
+            n_full[b] += 1
+        else:
+            r = rho
+            state = 1
+            n_inter[b] += 1
+        if gr[n] <= r * gs[n]:
+            cs = math.log1p(gs[n]) * _INV_LN2
+            rate_s[b] += cs
+            if state == 0:
+                sel_empty[b] += 1
+            elif state == 1:
+                sel_inter[b] += 1
+            room = cap - B
+            if cs >= room:
+                bits_in[b] += room
+                B = cap
+                if cs > room:
+                    over[b] += 1
+            else:
+                bits_in[b] += cs
+                B += cs
+        else:
+            cr = math.log1p(gr[n]) * _INV_LN2
+            rate_r[b] += cr
+            if state == 2:
+                sel2_full[b] += 1
+            if B == 0.0:
+                under[b] += 1
+            elif cr >= B:
+                bits_out[b] += B
+                B = 0.0
+            else:
+                bits_out[b] += cr
+                B -= cr
+        assert 0.0 <= B <= cap
+    return (
+        rate_s,
+        rate_r,
+        bits_in,
+        bits_out,
+        under,
+        over,
+        n_empty,
+        n_full,
+        n_inter,
+        sel_empty,
+        sel_inter,
+        sel2_full,
+        B,
+    )
+
+
+def _kernel_fixed(gs, gr, e_s, e_r, rho, rho_c, rho_d, cap_n, phi, eta, lifo, start, nb):
+    """Slot loop of a fixed-rate cabr run: per-batch totals in ``sim._FixedTotals`` order.
+
+    ``cap_n`` sizes the ring of queued arrival slots; an infinite buffer
+    passes start + slots, which holds every packet the run can queue.
+    """
+    n_slots = gs.shape[0]
+    batch = max(n_slots // nb, 1)
+    arrivals = np.zeros(nb, np.int64)
+    departures = np.zeros(nb, np.int64)
+    errs_s = np.zeros(nb, np.int64)
+    errs_r = np.zeros(nb, np.int64)
+    delay_sum = np.zeros(nb)
+    occ_sum = np.zeros(nb)
+    under = np.zeros(nb, np.int64)
+    over = np.zeros(nb, np.int64)
+    n_empty = np.zeros(nb, np.int64)
+    n_full = np.zeros(nb, np.int64)
+    n_inter = np.zeros(nb, np.int64)
+    sel_empty = np.zeros(nb, np.int64)
+    sel_inter = np.zeros(nb, np.int64)
+    sel2_full = np.zeros(nb, np.int64)
+    # arrival slot of each queued packet; the start packets arrived at slot 0
+    buf_slot = np.zeros(cap_n, np.int64)
+    head = 0  # fifo read position; lifo uses count as stack pointer
+    count = start
+    for n in range(n_slots):
+        b = min(n // batch, nb - 1)
+        occ_sum[b] += count
+        if count == 0:
+            r = rho_c
+            state = 0
+            n_empty[b] += 1
+        elif count == cap_n:
+            r = rho_d
+            state = 2
+            n_full[b] += 1
+        else:
+            r = rho
+            state = 1
+            n_inter[b] += 1
+        if gr[n] <= r * gs[n]:
+            if state == 0:
+                sel_empty[b] += 1
+            elif state == 1:
+                sel_inter[b] += 1
+            if count == cap_n:
+                over[b] += 1
+            else:
+                pe = 0.5 * phi * math.erfc(math.sqrt(0.5 * eta * gs[n]))
+                if pe > 1.0:
+                    pe = 1.0
+                buf_slot[(head + count) % cap_n] = n
+                count += 1
+                arrivals[b] += 1
+                errs_s[b] += 1 if e_s[n] < pe else 0
+        else:
+            if state == 2:
+                sel2_full[b] += 1
+            if count == 0:
+                under[b] += 1
+            else:
+                if lifo:
+                    read = (head + count - 1) % cap_n
+                else:
+                    read = head
+                    head = (head + 1) % cap_n
+                count -= 1
+                pe = 0.5 * phi * math.erfc(math.sqrt(0.5 * eta * gr[n]))
+                if pe > 1.0:
+                    pe = 1.0
+                departures[b] += 1
+                errs_r[b] += 1 if e_r[n] < pe else 0
+                delay_sum[b] += n - buf_slot[read]
+        assert 0 <= count <= cap_n
+    return (
+        arrivals,
+        departures,
+        errs_s,
+        errs_r,
+        delay_sum,
+        occ_sum,
+        under,
+        over,
+        n_empty,
+        n_full,
+        n_inter,
+        sel_empty,
+        sel_inter,
+        sel2_full,
+        count,
+    )
 
 
 def _occupancy_oracle(gs, gr, rho, start_b, l_grid):
@@ -327,7 +515,7 @@ class TestVectorizedWalks:
         slots, nb = walk_shape
         gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 17, errors=False)
         got = sim._walk_adaptive(gs, gr, rho, start_b, nb)
-        want = sim._kernel_adaptive(gs, gr, rho, rho, rho, math.inf, start_b, nb)
+        want = _kernel_adaptive(gs, gr, rho, rho, rho, math.inf, start_b, nb)
         _assert_totals_match(got, want, skip=("b_final",))
         # the end level carries the rounding of every bit moved
         bits_in = got.bits_in.sum()
@@ -338,7 +526,7 @@ class TestVectorizedWalks:
         slots, nb = walk_shape
         streams = sim._draw_streams(PAIR_MIXED, slots, 23)
         got = sim._walk_fixed(streams, rho, BPSK, lifo, start, nb)
-        want = sim._kernel_fixed(
+        want = _kernel_fixed(
             *streams, rho, rho, rho, start + slots, BPSK.phi, BPSK.eta, lifo, start, nb
         )
         _assert_totals_equal(got, want)
@@ -379,12 +567,12 @@ class TestVectorizedWalks:
         "rate_mode, thresholds, buffer, path",
         [
             ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), "_walk_adaptive"),
-            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), "_kernel_adaptive"),
+            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), "_replay_adaptive"),
             (
                 "adaptive",
                 SelectionThresholds.uniform(0.8),
                 BufferState(capacity=8.0),
-                "_kernel_adaptive",
+                "_replay_adaptive",
             ),
             ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), "_walk_fixed"),
             (
@@ -397,7 +585,7 @@ class TestVectorizedWalks:
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.6),
                 BufferState(mode="packet"),
-                "_kernel_fixed",
+                "_replay_fixed",
             ),
             (
                 "fixed",
@@ -418,7 +606,7 @@ class TestVectorizedWalks:
     ):
         calls = []
         for name in (
-            "_walk_adaptive", "_walk_fixed", "_scan_fixed", "_kernel_adaptive", "_kernel_fixed"
+            "_walk_adaptive", "_walk_fixed", "_scan_fixed", "_replay_adaptive", "_replay_fixed"
         ):
             inner = getattr(sim, name)
             monkeypatch.setattr(
@@ -450,7 +638,7 @@ class TestFiniteScan:
     def test_scan_matches_loop(self, walk_shape, monkeypatch, cap_n, thr, lifo):
         slots, nb = walk_shape
         streams = sim._draw_streams(PAIR_MIXED, slots, 31 + cap_n)
-        want = sim._kernel_fixed(
+        want = _kernel_fixed(
             *streams, thr.rho, thr.rho_c, thr.rho_d, cap_n, BPSK.phi, BPSK.eta, lifo, 0, nb
         )
         # blocks of 8 slots leave counts 8..cap_n-8 to the interior shift
@@ -458,6 +646,7 @@ class TestFiniteScan:
             monkeypatch.setattr(sim, "_BLOCK", block)
             got = sim._scan_fixed(streams, thr, cap_n, BPSK, lifo, 0, nb)
             _assert_totals_equal(got, want)
+            _assert_totals_equal(sim._replay_fixed(streams, thr, cap_n, BPSK, lifo, 0, nb), want)
 
     @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
     def test_start_occupancy(self, lifo):
@@ -469,7 +658,7 @@ class TestFiniteScan:
             )
             runs[occupancy] = sim.run(config, PAIR_MIXED)
             streams = sim._draw_streams(PAIR_MIXED, 2000, config.seed)
-            want = sim._kernel_fixed(
+            want = _kernel_fixed(
                 *streams, th.rho, th.rho_c, th.rho_d, 8, BPSK.phi, BPSK.eta, lifo, occupancy, 20
             )
             _assert_totals_equal(sim._scan_fixed(streams, th, 8, BPSK, lifo, occupancy, 20), want)
@@ -480,15 +669,92 @@ class TestFiniteScan:
             BufferState(capacity=8, occupancy=2.5, mode="packet")
 
 
-@pytest.mark.skipif(not sim._HAVE_NUMBA, reason="numba is not installed")
-def test_jitted_kernels_match_their_python_source():
-    gs, gr, e_s, e_r = sim._draw_streams(PAIR_MIXED, 20_000, 37)
-    thr = SCAN_THRESHOLDS[1]
-    for lifo in (False, True):
-        args = (gs, gr, e_s, e_r, thr.rho, thr.rho_c, thr.rho_d, 8, BPSK.phi, BPSK.eta, lifo, 3, 50)
-        _assert_totals_equal(
-            sim._FixedTotals(*sim._kernel_fixed(*args)), sim._kernel_fixed.py_func(*args)
+RHO_BALANCE = analytic.avg_rate_cabr(PAIR_MIXED)[1]  # adaptive rate, 1.0466
+RHO_BALANCE_FIXED = analytic.rho_opt_fixed(PAIR_MIXED)  # fixed rate, 0.9461
+
+# at the balance point an infinite buffer's walk is null recurrent: its long
+# excursions cross many blocks, and rho_c != rho makes every return to 0
+# diverge from the walk that seeds the replay
+REPLAY_THRESHOLDS = SCAN_THRESHOLDS + [SelectionThresholds(RHO_BALANCE, 2.0, 0.5)]
+REPLAY_IDS = ["uniform", "inward", "outward", "balance"]
+
+
+class TestLevelReplay:
+    """The level replay against the slot loops on the same streams.
+
+    Each case runs at the real block size and at 8 slots, whose blocks meet
+    fewer boundaries and so take more repair rounds.
+    """
+
+    @pytest.mark.parametrize("start", ["empty", "mid", "full"])
+    @pytest.mark.parametrize("thr", REPLAY_THRESHOLDS, ids=REPLAY_IDS)
+    @pytest.mark.parametrize("cap", [0.5, 1.0, 8.0, 64.0, math.inf])
+    def test_bits_match_loop(self, walk_shape, monkeypatch, cap, thr, start):
+        slots, nb = walk_shape
+        # an infinite buffer has no full level: start it high instead
+        start_b = {"empty": 0.0, "mid": min(cap / 2, 5.5), "full": min(cap, 40.0)}[start]
+        gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 41, errors=False)
+        want = _kernel_adaptive(gs, gr, thr.rho, thr.rho_c, thr.rho_d, cap, start_b, nb)
+        for block in (sim._BLOCK, 8):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            got = sim._replay_adaptive(gs, gr, thr, cap, start_b, nb)
+            _assert_totals_match(got, want, skip=("b_final",))
+            bits_in = got.bits_in.sum()
+            assert got.b_final == pytest.approx(want[-1], rel=1e-9, abs=1e-12 * bits_in)
+
+    @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
+    @pytest.mark.parametrize("start", [0, 5])
+    @pytest.mark.parametrize(
+        "thr",
+        SCAN_THRESHOLDS[1:] + [SelectionThresholds(RHO_BALANCE_FIXED, 1.2, 0.3)],
+        ids=REPLAY_IDS[1:],
+    )
+    def test_infinite_packets_match_loop(self, walk_shape, monkeypatch, thr, start, lifo):
+        slots, nb = walk_shape
+        streams = sim._draw_streams(PAIR_MIXED, slots, 43)
+        want = _kernel_fixed(
+            *streams, thr.rho, thr.rho_c, thr.rho_d, start + slots, BPSK.phi, BPSK.eta, lifo,
+            start, nb,
         )
-    args = (gs, gr, thr.rho, thr.rho_c, thr.rho_d, 12.0, 2.5, 50)
-    jitted = sim._AdaptiveTotals(*sim._kernel_adaptive(*args))
-    _assert_totals_equal(jitted, sim._kernel_adaptive.py_func(*args))
+        for block in (sim._BLOCK, 8):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            got = sim._replay_fixed(streams, thr, math.inf, BPSK, lifo, start, nb)
+            _assert_totals_equal(got, want)
+
+    @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
+    @pytest.mark.parametrize("thr", SCAN_THRESHOLDS, ids=REPLAY_IDS[:3])
+    @pytest.mark.parametrize("cap_n", [1, 2, 16, 64])
+    @pytest.mark.parametrize("start", ["mid", "full"])
+    def test_finite_packets_from_start_match_loop(
+        self, walk_shape, monkeypatch, start, cap_n, thr, lifo
+    ):
+        # the scan and the replay both, from the starts test_scan_matches_loop leaves out
+        slots, nb = walk_shape
+        count = cap_n // 2 if start == "mid" else cap_n
+        streams = sim._draw_streams(PAIR_MIXED, slots, 47 + cap_n)
+        want = _kernel_fixed(
+            *streams, thr.rho, thr.rho_c, thr.rho_d, cap_n, BPSK.phi, BPSK.eta, lifo, count, nb
+        )
+        for block in (sim._BLOCK, 8):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            _assert_totals_equal(sim._scan_fixed(streams, thr, cap_n, BPSK, lifo, count, nb), want)
+            got = sim._replay_fixed(streams, thr, cap_n, BPSK, lifo, count, nb)
+            _assert_totals_equal(got, want)
+
+    @pytest.mark.parametrize("packets", [False, True], ids=["bits", "packets"])
+    def test_balance_point_repairs_in_few_rounds(self, monkeypatch, packets):
+        # the slot loop's cost bounds the replay's only while the repair rounds
+        # per chunk stay few; at the balance point they were the most at risk
+        rounds = []
+        replay = sim._replay_blocks
+        monkeypatch.setattr(sim, "_replay_blocks", lambda *a: rounds.append(1) or replay(*a))
+        slots = 1 << 17
+        streams = sim._draw_streams(PAIR_MIXED, slots, 53)
+        if packets:
+            thr = SelectionThresholds(RHO_BALANCE_FIXED, 1.2, 0.3)
+            sim._replay_fixed(streams, thr, math.inf, BPSK, False, 0, 100)
+        else:
+            thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
+            sim._replay_adaptive(*streams[:2], thr, math.inf, 0.0, 100)
+        assert len(rounds) <= 3 * slots // (sim._CHUNK // 4)
+

@@ -312,6 +312,11 @@ class TestConvergenceError:
         assert info.value.achieved > 50.0 * info.value.requested
         assert info.value.requested >= 1e-10
 
+    def test_slow_tail_raises_instead_of_dividing_by_zero(self):
+        # the 1/x tail drives subdivision onto a node that rounds to t = 1
+        with pytest.raises(ConvergenceError):
+            quad_semi_infinite(lambda x: 1.0 / (1.0 + x))
+
     def test_carries_numbers(self):
         err = ConvergenceError("thing", 1e-3, 1e-9)
         assert err.achieved == 1e-3
