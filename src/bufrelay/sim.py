@@ -565,10 +565,8 @@ def _walk_fixed(streams, rho, mod, lifo, start, nb):
 def _replay_fixed(streams, thr, cap, mod, lifo, start, nb):
     """Fixed-rate totals of any packet buffer, by a blocked level replay."""
     gs, gr, _, _ = streams
-    chunks = (
-        (lo, hi, sel, before.astype(np.int64))
-        for lo, hi, sel, _, before, _ in _replay_chunks(gs, gr, thr, cap, float(start), True)
-    )
+    replayed = _replay_chunks(gs, gr, thr, cap, float(start), packets=True)
+    chunks = ((lo, hi, sel, before.astype(np.int64)) for lo, hi, sel, _, before, _ in replayed)
     return _fixed_totals(chunks, streams, mod, cap, lifo, start, nb)
 
 
