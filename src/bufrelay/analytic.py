@@ -84,7 +84,11 @@ _MU_ONE_TOL = 1e-8
 
 
 class BracketError(ValueError):
-    """A threshold search could not bracket its root within log10 rho in [-30, 30]."""
+    """A threshold search could not bracket its root within log10 rho in [-30, 30].
+
+    Every search over that range raises it: rho_opt_fixed, rho_for_qs,
+    avg_rate_cabr and the exact interference-limited SER in queueing.
+    """
 
 
 @dataclass(frozen=True)
@@ -456,6 +460,37 @@ def _regime(pair: HopPair) -> str:
     return "mixed"
 
 
+def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0) -> tuple[float, float]:
+    """Bisect an increasing f on a [lo, hi] bracket in log10 rho; return the
+    final bracket.
+
+    Stops at a midpoint where f is exactly 0.0 (a caller with a tolerance
+    returns 0.0 once converged), returning (mid, mid); once hi - lo < xtol; or
+    after 200 halvings.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid, mid
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < xtol:
+            break
+    return lo, hi
+
+
+def _bisect_log10_rho(f, what: str, xtol: float = 0.0) -> tuple[float, float]:
+    """_bisect_log10 on log10 rho in [-30, 30]; BracketError unless f changes sign."""
+    lo, hi = -30.0, 30.0
+    flo, fhi = f(lo), f(hi)
+    if flo > 0.0 or fhi < 0.0:
+        raise BracketError(f"could not bracket {what} within log10 rho in [-30, 30]")
+    return _bisect_log10(f, lo, hi, xtol)
+
+
 def rho_opt_fixed(pair: HopPair) -> float:
     """Fixed-rate optimal threshold: the rho that makes q_s = 1/2.
 
@@ -469,21 +504,10 @@ def rho_opt_fixed(pair: HopPair) -> float:
         return pair.r.mu / pair.s.mu
 
     def f(log10_rho: float) -> float:
-        return lsp(pair, 10.0**log10_rho)[0] - 0.5
+        d = lsp(pair, 10.0**log10_rho)[0] - 0.5
+        return 0.0 if abs(d) < 1e-10 else d
 
-    lo, hi = -30.0, 30.0
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise BracketError("could not bracket q_s = 1/2 within log10 rho in [-30, 30]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) < 1e-10:
-            return 10.0**mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect_log10_rho(f, "q_s = 1/2")
     return 10.0 ** (0.5 * (lo + hi))
 
 
@@ -495,18 +519,12 @@ def rho_for_qs(pair: HopPair, q_target: float) -> float:
     """
     if not (0.0 < q_target < 1.0):
         raise ValueError("q_target must lie in (0, 1)")
-    lo, hi = -30.0, 30.0
-    if lsp(pair, 10.0**lo)[0] > q_target or lsp(pair, 10.0**hi)[0] < q_target:
-        raise BracketError("q_target not bracketed within log10 rho in [-30, 30]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = lsp(pair, 10.0**mid)[0] - q_target
-        if abs(f) < 1e-12:
-            return 10.0**mid
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
+
+    def f(log10_rho: float) -> float:
+        d = lsp(pair, 10.0**log10_rho)[0] - q_target
+        return 0.0 if abs(d) < 1e-12 else d
+
+    lo, hi = _bisect_log10_rho(f, "q_target")
     return 10.0 ** (0.5 * (lo + hi))
 
 
@@ -534,29 +552,19 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     the end-to-end average rate.
     """
 
-    def gap(log10_rho: float) -> tuple[float, float, float]:
+    last = [0.0, 0.0, 0.0]  # log10 rho, rs and rr of the latest evaluation
+
+    def gap(log10_rho: float) -> float:
         rho = 10.0**log10_rho
         rs = avg_rate_cabr_hop_s(pair, rho)
         rr = avg_rate_cabr_hop_r(pair, rho)
-        return rs - rr, rs, rr
+        last[:] = log10_rho, rs, rr
+        g = rs - rr
+        return 0.0 if abs(g) <= 1e-8 * max(rs, rr) else g
 
-    lo, hi = -30.0, 30.0
-    glo = gap(lo)[0]
-    ghi = gap(hi)[0]
-    if glo > 0.0 or ghi < 0.0:
-        raise BracketError("could not bracket the rate balance point")
-    rs = rr = 0.0
-    mid = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g, rs, rr = gap(mid)
-        if abs(g) <= 1e-8 * max(rs, rr):
-            break
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (rs + rr), 10.0**mid
+    _bisect_log10_rho(gap, "the rate balance point")
+    log10_rho, rs, rr = last
+    return 0.5 * (rs + rr), 10.0**log10_rho
 
 
 def avg_rate_cnbr(pair: HopPair) -> float:
@@ -669,6 +677,16 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
+
+    def side(log10_rho: float) -> float:
+        # meeting the target counts as below it, so only the width rule stops
+        # the bisection
+        try:
+            val = delay_bound_adaptive(pair, 10.0**log10_rho)
+        except ValueError:  # past the balance point
+            return math.inf
+        return -1.0 if val <= t_target else 1.0
+
     _, rho_bal = avg_rate_cabr(pair)
     hi = math.log10(rho_bal) - 1e-3
     lo = hi
@@ -676,11 +694,8 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
         lo -= 0.25
         if lo < -30.0:
             raise ValueError("delay target unreachable within the search range")
-        try:
-            if delay_bound_adaptive(pair, 10.0**lo) <= t_target:
-                break
-        except ValueError:
-            continue
+        if side(lo) < 0.0:
+            break
     else:
         raise ValueError("delay target unreachable")
     # make sure the upper end exceeds the target; walk hi down if it is
@@ -692,17 +707,5 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
         except ValueError:
             pass
         hi -= 0.05
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        try:
-            val = delay_bound_adaptive(pair, 10.0**mid)
-        except ValueError:
-            hi = mid
-            continue
-        if val <= t_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
+    lo, _ = _bisect_log10(side, lo, hi, xtol=1e-10)
     return 10.0**lo

@@ -605,6 +605,22 @@ _SerSweepRow = _record("_SerSweepRow", """
 """)
 
 
+def _ser_threshold_cells(buffer_sizes, exact=None, marginal=None):
+    """(column, value) pairs ser_{hop}_L{L}: the threshold protocol's per-hop
+    error rate at each finite buffer size, or nan without exact rates."""
+    cells = []
+    for L in buffer_sizes:
+        sers = (math.nan, math.nan)
+        if exact is not None:
+            # balanced drift: the empty/full mixing weights reduce to 1/L
+            sers = queueing.ser_threshold(
+                ThresholdProtocolParams(L, 0.5, 1.0, 1.0),
+                exact.p_s, marginal.p_s, exact.p_r, marginal.p_r,
+            )
+        cells += [(f"ser_{hop}_L{L}", ser) for hop, ser in zip("sr", sers)]
+    return cells
+
+
 def _pt_ser_sweep(p):
     pair = build_pair(p["doc"])
     mod = _build_modulation(p["doc"])
@@ -615,19 +631,11 @@ def _pt_ser_sweep(p):
         exact = analytic.ser_exact_cabr(pair, rho, mod)
         asym = analytic.ser_asym_cabr(pair, rho, mod)
         thresholds = SelectionThresholds.uniform(rho)
-        # balanced drift: the empty/full mixing weights reduce to 1/L
-        thresh_cols = [
-            ser
-            for L in p["buffer_sizes"]
-            for ser in queueing.ser_threshold(
-                ThresholdProtocolParams(L, 0.5, 1.0, 1.0),
-                exact.p_s, marginal.p_s, exact.p_r, marginal.p_r,
-            )
-        ]
+        thresh_cells = _ser_threshold_cells(p["buffer_sizes"], exact, marginal)
     else:
         rho, thresholds = math.nan, None
         exact, asym = marginal, analytic.ser_asym_cnbr(pair, mod)
-        thresh_cols = [math.nan] * (2 * len(p["buffer_sizes"]))
+        thresh_cells = _ser_threshold_cells(p["buffer_sizes"])
     config = sim.SchemeConfig(
         scheme=scheme,
         rate_mode="fixed",
@@ -645,7 +653,7 @@ def _pt_ser_sweep(p):
         ser_s_se=out.ci_halfwidths.get("ser_s", math.nan),
         ser_r_se=out.ci_halfwidths.get("ser_r", math.nan),
     )
-    return [list(row) + thresh_cols]
+    return [list(row) + [ser for _, ser in thresh_cells]]
 
 
 _RunRow = _record("_RunRow", """
@@ -920,8 +928,7 @@ def _build_ser_sweep(doc):
                     shared, case=case["name"], gamma_max_db=gdb, doc=point_doc,
                     scheme=scheme, index=len(payloads),
                 ))
-    # per-hop error rates of the threshold protocol at each finite buffer size
-    thresh_fields = [f"ser_{hop}_L{L}" for L in buffer_sizes for hop in ("s", "r")]
+    thresh_fields = [name for name, _ in _ser_threshold_cells(buffer_sizes)]
     return list(_SerSweepRow._fields) + thresh_fields, payloads
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import HopPair, ModulationParams, qs_pip_exact
+from .analytic import HopPair, ModulationParams, _bisect_log10_rho, qs_pip_exact
 
 __all__ = [
     "ThresholdProtocolParams",
@@ -398,19 +398,12 @@ def epsilon_xi_c(epsilon: float, xi: float) -> float:
 def _invert_qs_pip(pair: HopPair, q_target: float) -> float:
     """Threshold rho whose interference-limited first-hop selection
     probability equals q_target, by bisection on the exact closed form."""
-    lo, hi = -30.0, 30.0
-    f_lo = qs_pip_exact(pair, 10.0**lo) - q_target
-    f_hi = qs_pip_exact(pair, 10.0**hi) - q_target
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise ValueError("selection probability target not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if qs_pip_exact(pair, 10.0**mid) < q_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
+
+    def side(log10_rho: float) -> float:
+        # meeting the target counts as above it, so only the width rule stops
+        return -1.0 if qs_pip_exact(pair, 10.0**log10_rho) < q_target else 1.0
+
+    lo, hi = _bisect_log10_rho(side, "the selection probability target", xtol=1e-13)
     return 10.0 ** (0.5 * (lo + hi))
 
 

@@ -147,6 +147,19 @@ class TestThresholdInversions:
             rho = analytic.rho_opt_fixed(pair)
             assert analytic.lsp(pair, rho)[0] == pytest.approx(0.5, abs=1e-10)
 
+    # hop scales 30 decades apart put q_s = 1/2 just past one end of the
+    # searched log10 rho range [-30, 30]
+    @pytest.mark.parametrize(
+        "pair",
+        [make_pair(1e-20, 1e-20, 1e10, 1e20), make_pair(1e10, 1e20, 1e-20, 1e-20)],
+        ids=["past_upper_end", "past_lower_end"],
+    )
+    def test_unbracketed_inversions_raise(self, pair):
+        with pytest.raises(analytic.BracketError):
+            analytic.rho_opt_fixed(pair)
+        with pytest.raises(analytic.BracketError):
+            analytic.rho_for_qs(pair, 0.5)
+
     def test_pure_regime_closed_forms(self):
         assert analytic.rho_opt_fixed(PAIR_PTP) == pytest.approx(
             PAIR_PTP.r.lam / PAIR_PTP.s.lam, rel=1e-6

@@ -173,6 +173,18 @@ class TestAnalyze:
         assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("convergence failure: ")
 
+    def test_unbracketed_pip_inversion_in_ber_tradeoff_exits_convergence(self, tmp_path, capsys):
+        # q_s at rho = 1e-30 already exceeds the target 1/(1 + xi) = 1/3
+        links = {"s": {"lam": "inf", "mu": 1e31}, "r": {"lam": "inf", "mu": 1.0}}
+        doc = {
+            "mode": "tradeoff", "objective": "ber", "xi_grid": [2.0],
+            "designs": [{"name": "eps"}], "pair": {"links": links},
+        }
+        assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("convergence failure: ")
+
     def test_infinite_lam_with_forced_p_is_config_error(self, tmp_path, capsys):
         links = {"s": {"lam": "inf", "mu": 5.0, "p": 0.0}, "r": {"lam": 7.0, "mu": 3.0}}
         doc = {"metrics": ["capacity"], "pair": {"links": links}}

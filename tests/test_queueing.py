@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bufrelay import queueing
 from bufrelay.channel import LinkParams
-from bufrelay.analytic import HopPair, ModulationParams
+from bufrelay.analytic import BracketError, HopPair, ModulationParams
 from bufrelay.queueing import (
     SchemeConstraint,
     ThresholdProtocolParams,
@@ -353,6 +353,13 @@ class TestSerAsymThreshold:
         a = ser_asym_threshold_pip(PIP_UNEVEN, 2.0, 1.0, mod, method="approx")
         e = ser_asym_threshold_pip(PIP_UNEVEN, 2.0, 1.0, mod, method="exact")
         assert a == pytest.approx(e, rel=0.15)
+
+    def test_exact_raises_when_threshold_not_bracketed(self):
+        # q_s at rho = 1e-30 already exceeds the target 1/(1 + xi) = 1/3
+        far = HopPair(LinkParams(math.inf, 1e31, 1.0), LinkParams(math.inf, 1.0, 1.0))
+        mod = ModulationParams(eta=2.0, phi=1.0)
+        with pytest.raises(BracketError):
+            ser_asym_threshold_pip(far, 2.0, 1.0, mod, method="exact")
 
     def test_validation(self):
         mod = ModulationParams(eta=2.0, phi=1.0)
