@@ -47,7 +47,6 @@ __all__ = [
     "ModulationParams",
     "SerTriple",
     "ApproxQs",
-    "lambda_rho",
     "reverse",
     "joint_ccdf_sr",
     "joint_ccdf_rd",
@@ -314,14 +313,6 @@ def product_terms(pair: HopPair) -> list[_Term]:
     return out
 
 
-def lambda_rho(pair: HopPair, rho: float) -> float:
-    """Harmonic scale 1/lam_rho = 1/(rho lam_s) + 1/lam_r."""
-    if not (rho > 0.0):
-        raise ValueError("rho must be positive")
-    inv = _inv(pair.s.lam) / rho + _inv(pair.r.lam)
-    return math.inf if inv == 0.0 else 1.0 / inv
-
-
 def joint_terms_sr(pair: HopPair, rho: float) -> list[_Term]:
     """Terms of Pr{select first hop, gamma_s > x} for the interior threshold rho."""
     if not (rho > 0.0):
@@ -520,9 +511,12 @@ def rho_for_qs(pair: HopPair, q_target: float) -> float:
     if not (0.0 < q_target < 1.0):
         raise ValueError("q_target must lie in (0, 1)")
 
+    # relative to the nearer end of (0, 1), so targets near 0 or 1 keep their digits
+    tol = 1e-12 * min(q_target, 1.0 - q_target)
+
     def f(log10_rho: float) -> float:
         d = lsp(pair, 10.0**log10_rho)[0] - q_target
-        return 0.0 if abs(d) < 1e-12 else d
+        return 0.0 if abs(d) < tol else d
 
     lo, hi = _bisect_log10_rho(f, "q_target")
     return 10.0 ** (0.5 * (lo + hi))

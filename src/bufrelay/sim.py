@@ -8,7 +8,7 @@ packets forwarded rather than dropped. Standard errors come from batch means
 of fixed-rate runs.
 
 A run's buffer is computed in chunks of slots, all in numpy, on one of three
-paths chosen by its capacity, thresholds and mode alone:
+paths; ``_chunks`` alone picks it, by the capacity, thresholds and mode:
 
 - The reflected walk. An infinite buffer whose empty-buffer threshold equals
   the interior one selects the same way in every slot, so its occupancy is
@@ -190,14 +190,13 @@ def _reflected_walk(x, start):
     return level
 
 
-def _walk_chunks(gs, gr, rho, start, packets=False):
-    """Per chunk of slots: (lo, hi, hop-s selected, chosen hop's capacity, level before, after).
+def _walk_chunks(gs, gr, rho, start, packets):
+    """The chunk records of an infinite buffer with rho_c == rho, as a reflected walk.
 
     A selected first-hop slot raises the level, a second-hop slot lowers it:
-    by one packet each when ``packets`` (the capacity is then None), else by
-    the chosen hop's capacity in bits. Packet chunks are a quarter as long,
-    like the scan's and the replay's, because their totals keep more per
-    slot alive.
+    by one packet each when ``packets``, else by the chosen hop's capacity in
+    bits. Packet chunks are a quarter as long, like the scan's and the
+    replay's, because their totals keep more per slot alive.
     """
     level = start
     step = _CHUNK // 4 if packets else _CHUNK
@@ -214,8 +213,8 @@ def _walk_chunks(gs, gr, rho, start, packets=False):
         before = np.empty_like(after)
         before[0] = level
         before[1:] = after[:-1]
-        yield lo, hi, sel, cap, before, after
         level = after[-1]
+        yield lo, hi, sel, cap, before, level
 
 
 def _replay_blocks(start, up_c, up, up_d, c_s, c_r, cap):
@@ -300,9 +299,9 @@ def _replay_levels(up_c, up, up_d, c_s, c_r, cap, start):
         before[todo], ends[todo], met[todo] = out
 
 
-def _replay_chunks(gs, gr, thr, cap, start, packets=False):
-    """``_walk_chunks`` for any capacity and thresholds, by a blocked level replay."""
-    level = start
+def _replay_chunks(gs, gr, thr, cap, start, packets):
+    """The chunk records of any buffer, by a blocked level replay; packet levels as int64."""
+    level = float(start)
     step = _CHUNK // 4
     for lo in range(0, gs.shape[0], step):
         hi = min(lo + step, gs.shape[0])
@@ -316,8 +315,10 @@ def _replay_chunks(gs, gr, thr, cap, start, packets=False):
             c_r *= _INV_LN2
         before, level = _replay_levels(up_c, up, up_d, c_s, c_r, cap, level)
         sel = np.where(before == 0.0, up_c, np.where(before >= cap, up_d, up))
-        cap_sel = None if packets else np.where(sel, c_s, c_r)
-        yield lo, hi, sel, cap_sel, before, np.append(before[1:], level)
+        if packets:
+            yield lo, hi, sel, None, before.astype(np.int64), int(level)
+        else:
+            yield lo, hi, sel, np.where(sel, c_s, c_r), before, level
 
 
 def _batch_adder(lo, hi, n_slots, nb):
@@ -349,11 +350,28 @@ def _batch_lengths(n_slots, nb):
     return lengths
 
 
+def _add_state_counts(add, totals, sel, before, cap):
+    """Add the underflows and the slots and selections per buffer state; return (empty, full)."""
+    empty = before == 0
+    full = before >= cap
+    inter = ~empty & ~full
+    for name, values in (
+        ("under", ~sel & empty),
+        ("n_empty", empty),
+        ("n_full", full),
+        ("n_inter", inter),
+        ("sel_empty", sel & empty),
+        ("sel_inter", sel & inter),
+        ("sel2_full", ~sel & full),
+    ):
+        add(totals[name], values)
+    return empty, full
+
+
 def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
     """Per-batch totals of an adaptive run from the bit level before every slot.
 
-    ``chunks`` yields (lo, hi, hop-s selected, chosen hop's capacity, level
-    before each slot, level after it) for consecutive slot ranges; cap may be
+    ``chunks`` yields the bit-level records of ``_chunks``; cap may be
     infinite. Given the levels, every per-slot term is elementwise: a
     selected slot offers its capacity and the buffer takes at most its room,
     another drains at most the level.
@@ -361,11 +379,9 @@ def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
     totals = {name: np.zeros(nb) for name in _AdaptiveTotals._fields[:4]}
     totals.update({name: np.zeros(nb, np.int64) for name in _AdaptiveTotals._fields[4:-1]})
     b_final = float(start_b)
-    for lo, hi, sel, c, before, after in chunks:
+    for lo, hi, sel, c, before, level in chunks:
         add = _batch_adder(lo, hi, n_slots, nb)
-        empty = before == 0.0
-        full = before >= cap
-        inter = ~empty & ~full
+        _add_state_counts(add, totals, sel, before, cap)
         # one capacity array at a time: the second hop's, then the first hop's
         part = np.where(sel, 0.0, c)
         add(totals["rate_r"], part)
@@ -375,28 +391,9 @@ def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
         room = cap - before
         add(totals["bits_in"], np.minimum(part, room, out=part))
         add(totals["over"], sel & (c > room))
-        add(totals["under"], ~sel & empty)
-        add(totals["n_empty"], empty)
-        add(totals["n_full"], full)
-        add(totals["n_inter"], inter)
-        add(totals["sel_empty"], sel & empty)
-        add(totals["sel_inter"], sel & inter)
-        add(totals["sel2_full"], ~sel & full)
-        b_final = float(after[-1])
-        del part, room, empty, full, inter  # before the next chunk is built
+        b_final = float(level)
+        del part, room  # before the next chunk is built
     return _AdaptiveTotals(**totals, b_final=b_final)
-
-
-def _walk_adaptive(gs, gr, rho, start_b, nb):
-    """Adaptive totals of an infinite buffer with rho_c == rho, as a reflected walk."""
-    chunks = _walk_chunks(gs, gr, rho, float(start_b))
-    return _adaptive_totals(chunks, math.inf, start_b, gs.shape[0], nb)
-
-
-def _replay_adaptive(gs, gr, thr, cap, start_b, nb):
-    """Adaptive totals of any bit buffer, by a blocked level replay."""
-    chunks = _replay_chunks(gs, gr, thr, cap, float(start_b))
-    return _adaptive_totals(chunks, cap, start_b, gs.shape[0], nb)
 
 
 def _slot_maps(cap_n):
@@ -461,7 +458,7 @@ def _scan_counts(up_c, up, up_d, start, cap_n, maps):
 
 
 def _scan_chunks(gs, gr, thr, cap_n, start):
-    """Per chunk of slots: (lo, hi, hop-s selected, count before each slot) of a finite packet buffer."""
+    """The chunk records of a finite buffer of cap_n packets, by a blocked scan."""
     maps = _slot_maps(cap_n)
     count = start
     step = _CHUNK // 4
@@ -470,7 +467,24 @@ def _scan_chunks(gs, gr, thr, cap_n, start):
         g_s, g_r = gs[lo:hi], gr[lo:hi]
         up_c, up, up_d = (g_r <= r * g_s for r in (thr.rho_c, thr.rho, thr.rho_d))
         before, count = _scan_counts(up_c, up, up_d, count, cap_n, maps)
-        yield lo, hi, np.where(before == 0, up_c, np.where(before == cap_n, up_d, up)), before
+        sel = np.where(before == 0, up_c, np.where(before == cap_n, up_d, up))
+        yield lo, hi, sel, None, before, count
+
+
+def _chunks(gs, gr, thr, cap, start, packets):
+    """Chunk records of a run's buffer, on the one path its capacity, thresholds and mode pick.
+
+    Each record is (lo, hi, hop-s selected, chosen hop's capacity, level
+    before each slot, level after slot hi - 1) for consecutive slot ranges;
+    with ``packets`` the capacity is None and the levels are int64 counts.
+    An infinite buffer with rho_c == rho takes the reflected walk, a finite
+    packet buffer the scan, and every other buffer the level replay.
+    """
+    if math.isinf(cap) and thr.rho_c == thr.rho:
+        return _walk_chunks(gs, gr, thr.rho, start, packets)
+    if packets and not math.isinf(cap):
+        return _scan_chunks(gs, gr, thr, int(cap), start)
+    return _replay_chunks(gs, gr, thr, cap, start, packets)
 
 
 def _match_fifo(queue, lo, hi, push_at, pop_at, before):
@@ -511,10 +525,9 @@ def _match_lifo(stack, lo, hi, push_at, pop_at, before):
 def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
     """Per-batch totals of a fixed-rate run from the buffer's count before every slot.
 
-    ``chunks`` yields (lo, hi, hop-s selected, count before each slot) for
-    consecutive slot ranges; cap may be infinite. Given the counts, every
-    per-slot event is elementwise; the start packets count as arrived at
-    slot 0, without a first-hop error.
+    ``chunks`` yields the packet records of ``_chunks``; cap may be
+    infinite. Given the counts, every per-slot event is elementwise; the
+    start packets count as arrived at slot 0, without a first-hop error.
     """
     gs, gr, e_s, e_r = streams
     n_slots = gs.shape[0]
@@ -523,16 +536,14 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
     totals["occ_sum"] = np.zeros(nb)
     match = _match_lifo if lifo else _match_fifo
     held = np.zeros(start, np.int64)
-    for lo, hi, sel, before in chunks:
-        empty = before == 0
-        full = before == cap
-        inter = ~empty & ~full
+    for lo, hi, sel, _, before, count in chunks:
+        add = _batch_adder(lo, hi, n_slots, nb)
+        empty, full = _add_state_counts(add, totals, sel, before, cap)
         arr = sel & ~full
         dep = ~sel & ~empty
         push_at = np.flatnonzero(arr)
         pop_at = np.flatnonzero(dep)
         src, held = match(held, lo, hi, push_at, pop_at, before)
-        add = _batch_adder(lo, hi, n_slots, nb)
         add(totals["delay_sum"], pop_at + lo - src, at=pop_at)
         add(totals["errs_s"], e_s[lo + push_at] < _error_prob(gs[lo + push_at], mod), at=push_at)
         add(totals["errs_r"], e_r[lo + pop_at] < _error_prob(gr[lo + pop_at], mod), at=pop_at)
@@ -540,51 +551,20 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
             ("arrivals", arr),
             ("departures", dep),
             ("occ_sum", before),
-            ("under", ~sel & empty),
             ("over", sel & full),
-            ("n_empty", empty),
-            ("n_full", full),
-            ("n_inter", inter),
-            ("sel_empty", sel & empty),
-            ("sel_inter", sel & inter),
-            ("sel2_full", ~sel & full),
         ):
             add(totals[name], values)
-        assert held.shape[0] == before[-1] + arr[-1] - dep[-1]
+        assert held.shape[0] == count
     return _FixedTotals(**totals, count_final=held.shape[0])
-
-
-def _walk_fixed(streams, rho, mod, lifo, start, nb):
-    """Fixed-rate totals of an infinite buffer with rho_c == rho, as a reflected walk."""
-    gs, gr, _, _ = streams
-    chunks = (
-        (lo, hi, sel, before)
-        for lo, hi, sel, _, before, _ in _walk_chunks(gs, gr, rho, start, packets=True)
-    )
-    return _fixed_totals(chunks, streams, mod, math.inf, lifo, start, nb)
-
-
-def _replay_fixed(streams, thr, cap, mod, lifo, start, nb):
-    """Fixed-rate totals of any packet buffer, by a blocked level replay."""
-    gs, gr, _, _ = streams
-    replayed = _replay_chunks(gs, gr, thr, cap, float(start), packets=True)
-    chunks = ((lo, hi, sel, before.astype(np.int64)) for lo, hi, sel, _, before, _ in replayed)
-    return _fixed_totals(chunks, streams, mod, cap, lifo, start, nb)
-
-
-def _scan_fixed(streams, thr, cap_n, mod, lifo, start, nb):
-    """Fixed-rate totals of a finite buffer of cap_n packets, as a blocked scan."""
-    gs, gr, _, _ = streams
-    chunks = _scan_chunks(gs, gr, thr, cap_n, start)
-    return _fixed_totals(chunks, streams, mod, cap_n, lifo, start, nb)
 
 
 def _walk_occupancy(gs, gr, rho, start_b, l_grid):
     """Slots whose end-of-slot bit level exceeds each L, for an infinite buffer."""
     counts = np.zeros(l_grid.shape[0], np.int64)
-    for lo, hi, _, _, _, after in _walk_chunks(gs, gr, rho, start_b):
-        counts += (hi - lo) - np.searchsorted(np.sort(after), l_grid, side="right")
-    return counts
+    for lo, hi, _, _, before, level in _walk_chunks(gs, gr, rho, start_b, packets=False):
+        counts += (hi - lo) - np.searchsorted(np.sort(before), l_grid, side="right")
+    # the level after each slot is the one before the next, then the last level
+    return counts - (start_b > l_grid) + (level > l_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +619,12 @@ def _nan_delay() -> DelayDecomposition:
 
 def _run_cabr_adaptive(config, streams) -> SimOutcome:
     gs, gr, _, _ = streams
-    thr = config.thresholds
-    nb = min(_N_BATCHES, config.slots)
-    if math.isinf(config.buffer.capacity) and thr.rho_c == thr.rho:
-        t = _walk_adaptive(gs, gr, thr.rho, config.buffer.occupancy, nb)
-    else:
-        t = _replay_adaptive(gs, gr, thr, config.buffer.capacity, config.buffer.occupancy, nb)
+    cap = config.buffer.capacity
+    start_b = float(config.buffer.occupancy)
     n = config.slots
+    nb = min(_N_BATCHES, n)
+    chunks = _chunks(gs, gr, config.thresholds, cap, start_b, packets=False)
+    t = _adaptive_totals(chunks, cap, start_b, n, nb)
     batch_sizes = _batch_lengths(n, nb).astype(np.float64)
     lsp, q_se = _selection(t)
     ci = {
@@ -672,19 +651,15 @@ def _run_cabr_adaptive(config, streams) -> SimOutcome:
 
 
 def _run_cabr_fixed(config, streams) -> SimOutcome:
-    thr = config.thresholds
+    gs, gr, _, _ = streams
     mod = config.modulation
     cap = config.buffer.capacity
     start = int(config.buffer.occupancy)
-    nb = min(_N_BATCHES, config.slots)
-    lifo = config.buffer.discipline == "lifo"
-    if not math.isinf(cap):
-        t = _scan_fixed(streams, thr, int(cap), mod, lifo, start, nb)
-    elif thr.rho_c == thr.rho:
-        t = _walk_fixed(streams, thr.rho, mod, lifo, start, nb)
-    else:
-        t = _replay_fixed(streams, thr, cap, mod, lifo, start, nb)
     n = config.slots
+    nb = min(_N_BATCHES, n)
+    lifo = config.buffer.discipline == "lifo"
+    chunks = _chunks(gs, gr, config.thresholds, cap, start, packets=True)
+    t = _fixed_totals(chunks, streams, mod, cap, lifo, start, nb)
     batch_sizes = _batch_lengths(n, nb).astype(np.float64)
     dep_total = int(t.departures.sum())
     arr_total = int(t.arrivals.sum())
@@ -752,83 +727,55 @@ def _error_prob(g: np.ndarray, mod: ModulationParams) -> np.ndarray:
     return np.minimum(1.0, 0.5 * mod.phi * erfc(np.sqrt(0.5 * mod.eta * g)))
 
 
-def _run_cnbr(config, streams) -> SimOutcome:
+def _run_fixed_schedule(config, streams) -> SimOutcome:
+    """cnbr or cbr: the relay is fed in one set of slots and drained in another."""
     gs, gr, e_s, e_r = streams
     n = config.slots
     half = n // 2
-    # even slots feed the relay, odd slots drain it
-    g_fill = gs[0 : 2 * half : 2]
-    g_drain = gr[1 : 2 * half : 2]
-    if config.rate_mode == "adaptive":
-        w = 0.5 * np.log2(1.0 + np.minimum(g_fill, g_drain))
-        se = float(w.std(ddof=1) / math.sqrt(half)) if half > 1 else math.nan
-        return SimOutcome(
-            avg_rate=float(w.mean()),
-            lsp_empirical=(math.nan, math.nan, math.nan),
-            ser_per_hop=(math.nan, math.nan),
-            delay=_nan_delay(),
-            underflow_count=0,
-            overflow_count=0,
-            slots_run=n,
-            ci_halfwidths={"avg_rate": se},
-        )
-    mod = config.modulation
-    p_s, se_s = _bernoulli_ser(_error_prob(g_fill, mod), e_s[0 : 2 * half : 2])
-    p_r, se_r = _bernoulli_ser(_error_prob(g_drain, mod), e_r[1 : 2 * half : 2])
-    return SimOutcome(
-        avg_rate=0.5 * mod.rate_R,
+    if config.scheme == "cnbr":
+        # even slots feed the relay, odd slots drain it
+        fill, drain = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+    else:
+        # the first half feeds the relay, the second drains it
+        fill, drain = slice(0, half), slice(half, 2 * half)
+    g_fill, g_drain = gs[fill], gr[drain]
+    common = dict(
         lsp_empirical=(math.nan, math.nan, math.nan),
-        ser_per_hop=(p_s, p_r),
         delay=_nan_delay(),
         underflow_count=0,
         overflow_count=0,
         slots_run=n,
-        ci_halfwidths={"ser_s": se_s, "ser_r": se_r},
-        throughput_pps=0.5,
     )
-
-
-def _run_cbr(config, streams) -> SimOutcome:
-    gs, gr, e_s, e_r = streams
-    n = config.slots
-    half = n // 2
-    g_fill = gs[:half]
-    g_drain = gr[half : 2 * half]
-    if config.rate_mode == "adaptive":
+    if config.rate_mode == "fixed":
+        mod = config.modulation
+        p_s, se_s = _bernoulli_ser(_error_prob(g_fill, mod), e_s[fill])
+        p_r, se_r = _bernoulli_ser(_error_prob(g_drain, mod), e_r[drain])
+        return SimOutcome(
+            avg_rate=0.5 * mod.rate_R,
+            ser_per_hop=(p_s, p_r),
+            ci_halfwidths={"ser_s": se_s, "ser_r": se_r},
+            throughput_pps=0.5,
+            **common,
+        )
+    if config.scheme == "cnbr":
+        w = 0.5 * np.log2(1.0 + np.minimum(g_fill, g_drain))
+        rate = float(w.mean())
+        se = float(w.std(ddof=1) / math.sqrt(half)) if half > 1 else math.nan
+        bits = {}
+    else:
         cs = np.log2(1.0 + g_fill)
         cr = np.log2(1.0 + g_drain)
         sum_in, sum_out = float(cs.sum()), float(cr.sum())
         binding = cs if sum_in <= sum_out else cr
-        se = (
-            0.5 * float(binding.std(ddof=1) / math.sqrt(half))
-            if half > 1
-            else math.nan
-        )
-        return SimOutcome(
-            avg_rate=min(sum_in, sum_out) / n,
-            lsp_empirical=(math.nan, math.nan, math.nan),
-            ser_per_hop=(math.nan, math.nan),
-            delay=_nan_delay(),
-            underflow_count=0,
-            overflow_count=0,
-            slots_run=n,
-            ci_halfwidths={"avg_rate": se},
-            bits_in=sum_in,
-            bits_out=min(sum_in, sum_out),
-        )
-    mod = config.modulation
-    p_s, se_s = _bernoulli_ser(_error_prob(g_fill, mod), e_s[:half])
-    p_r, se_r = _bernoulli_ser(_error_prob(g_drain, mod), e_r[half : 2 * half])
+        rate = min(sum_in, sum_out) / n
+        se = 0.5 * float(binding.std(ddof=1) / math.sqrt(half)) if half > 1 else math.nan
+        bits = {"bits_in": sum_in, "bits_out": min(sum_in, sum_out)}
     return SimOutcome(
-        avg_rate=0.5 * mod.rate_R,
-        lsp_empirical=(math.nan, math.nan, math.nan),
-        ser_per_hop=(p_s, p_r),
-        delay=_nan_delay(),
-        underflow_count=0,
-        overflow_count=0,
-        slots_run=n,
-        ci_halfwidths={"ser_s": se_s, "ser_r": se_r},
-        throughput_pps=0.5,
+        avg_rate=rate,
+        ser_per_hop=(math.nan, math.nan),
+        ci_halfwidths={"avg_rate": se},
+        **bits,
+        **common,
     )
 
 
@@ -839,10 +786,8 @@ def run(config: SchemeConfig, pair: HopPair) -> SimOutcome:
 
 
 def _run_with_streams(config: SchemeConfig, streams) -> SimOutcome:
-    if config.scheme == "cnbr":
-        return _run_cnbr(config, streams)
-    if config.scheme == "cbr":
-        return _run_cbr(config, streams)
+    if config.scheme != "cabr":
+        return _run_fixed_schedule(config, streams)
     if config.rate_mode == "adaptive":
         return _run_cabr_adaptive(config, streams)
     return _run_cabr_fixed(config, streams)
@@ -886,13 +831,11 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
     )
     original = _run_with_streams(config, (gs, gr, e_s, e_r))
     dual = _run_with_streams(dual_config, (gr, gs, e_r, e_s))
-    diffs: dict = {}
-    sigmas: dict = {}
+    diffs = {"avg_rate": original.avg_rate - dual.avg_rate}
+    sigmas = {
+        "avg_rate": math.hypot(original.ci_halfwidths["avg_rate"], dual.ci_halfwidths["avg_rate"])
+    }
     if config.rate_mode == "fixed":
-        diffs["avg_rate"] = original.avg_rate - dual.avg_rate
-        sigmas["avg_rate"] = math.hypot(
-            original.ci_halfwidths["avg_rate"], dual.ci_halfwidths["avg_rate"]
-        )
         diffs["sum_ber"] = sum(original.ser_per_hop) - sum(dual.ser_per_hop)
         sigmas["sum_ber"] = math.hypot(
             math.hypot(original.ci_halfwidths["ser_s"], original.ci_halfwidths["ser_r"]),
@@ -912,11 +855,6 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
         # the levels then disagree until both walks meet a common boundary,
         # which can shift the boundary-event counts by up to one buffer's worth.
         sigmas["underflow_vs_dual_overflow"] = float(int(cap))
-    else:
-        diffs["avg_rate"] = original.avg_rate - dual.avg_rate
-        sigmas["avg_rate"] = math.hypot(
-            original.ci_halfwidths["avg_rate"], dual.ci_halfwidths["avg_rate"]
-        )
     return DualityReport(original=original, dual=dual, differences=diffs, sigmas=sigmas)
 
 

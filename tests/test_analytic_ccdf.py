@@ -138,6 +138,10 @@ class TestThresholdInversions:
                 # flattens the objective there (bias ~ (z-1)/6 <= 2e-7)
                 tol = 5e-7 if (pair is PAIR_PIP and q == 0.5) else 1e-10
                 assert analytic.lsp(pair, rho)[0] == pytest.approx(q, abs=tol)
+            # the search stops relative to the target, so tiny targets keep their digits
+            for q in (1e-13, 1e-11):
+                rho = analytic.rho_for_qs(pair, q)
+                assert analytic.lsp(pair, rho)[0] == pytest.approx(q, rel=1e-2, abs=0.0)
 
     def test_rho_opt_fixed_balances_selection(self):
         assert analytic.rho_opt_fixed(PAIR_MIXED) == pytest.approx(

@@ -60,6 +60,24 @@ DOCS = {
     "run-cabr-adaptive": ("simulate", _run(scheme="cabr", rho="balance", rho_c=2.0)),
     "run-cnbr-fixed": ("simulate", _run(scheme="cnbr", rate_mode="fixed", modulation=BPSK)),
     "run-cbr-adaptive": ("simulate", _run(scheme="cbr")),
+    # one document per simulator path and schedule the pins above leave out,
+    # recorded before the paths were chosen in one place
+    "run-cabr-adaptive-walk": ("simulate", _run(scheme="cabr", rho=0.8)),
+    "run-cabr-adaptive-finite": ("simulate", _run(
+        scheme="cabr", rho=0.8, rho_c=1.5, rho_d=0.5, buffer={"capacity": 8.0},
+    )),
+    "run-cabr-fixed-replay": ("simulate", _run(
+        scheme="cabr", rate_mode="fixed", rho=0.6, rho_c=1.2, rho_d=0.3, modulation=BPSK,
+    )),
+    "run-cabr-fixed-replay-lifo": ("simulate", _run(
+        scheme="cabr", rate_mode="fixed", rho=0.6, rho_c=1.2, rho_d=0.3, modulation=BPSK,
+        buffer={"discipline": "lifo", "occupancy": 3},
+    )),
+    "run-cabr-fixed-walk-lifo": ("simulate", _run(
+        scheme="cabr", rate_mode="fixed", rho=0.6, modulation=BPSK, buffer={"discipline": "lifo"},
+    )),
+    "run-cnbr-adaptive": ("simulate", _run(scheme="cnbr")),
+    "run-cbr-fixed": ("simulate", _run(scheme="cbr", rate_mode="fixed", modulation=BPSK)),
     "overflow": ("simulate", {
         "mode": "overflow",
         "geometry_base": {"d_sr": 1.0, "d_rd": 1.0, "alpha": 3.0},
@@ -201,6 +219,131 @@ PINS = {
             0.0193675798984656, 0.9513783360881745, nan, nan, nan, nan, nan, nan, nan, nan, nan,
             nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
             nan, 0, 0, nan,
+        ],
+    ),
+    'run-cabr-adaptive-walk': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 1.16597568601015,
+            0.033393786511447025, 1.150554661136447, 1.1709336111053619, 1.150554661136447,
+            1.3858685123558008, 1.3952416715376235, 0.4716451431779899, 0.4624593470761672,
+            0.4383561643835616, 0.4624593470761672, nan, 0.5375406529238328, nan, nan, nan, nan,
+            nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, 123, 0,
+            13.039904398293952,
+        ],
+    ),
+    'run-cabr-adaptive-finite': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 0.9464028558592598,
+            0.018163658017424866, 1.150554661136447, 1.1937984730588538, 1.150554661136447,
+            1.355161027899745, 1.3952416715376235, 0.4671698113207547, 0.4624593470761672,
+            0.5588235294117647, 0.602625680134208, 0.5767790262172284, 0.6389545731172025, nan, nan,
+            nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, 180, 267,
+            13.039904398293952,
+        ],
+    ),
+    'run-cabr-fixed-replay': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.4435, 0.009630942347717098,
+            0.4404624354497814, nan, nan, nan, nan, 0.41023936170212766, 0.3994361717277644,
+            0.5443548387096774, 0.5533317098379443, nan, 0.736786876097602, 0.016910935738444193,
+            0.004389662904840224, 0.015647613907048052, 0.011273957158962795, 0.0037888929516396385,
+            0.019500757131323612, 0.4435, 0.4404624354497814, 5.430665163472379, 4.971966646361688,
+            0.2547914317925592, 0.2703411676386041, 0.0, 0.0, 5.685456595264938, 5.242307814000292,
+            2.4085, 226, 0, nan,
+        ],
+    ),
+    'run-cabr-fixed-replay-lifo': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.445, 0.009600610249964175,
+            0.4404624354497814, nan, nan, nan, nan, 0.40981432360742703, 0.3994361717277644,
+            0.5467479674796748, 0.5533317098379443, nan, 0.736786876097602, 0.016910935738444193,
+            0.004389662904840224, 0.015647613907048052, 0.011235955056179775, 0.0037888929516396385,
+            0.019500757131323612, 0.445, 0.4404624354497814, 5.4224719101123595, 4.971966646361688,
+            0.250561797752809, 0.2703411676386041, 0.0, 0.0, 5.6730337078651685, 5.242307814000292,
+            2.4145, 223, 0, nan,
+        ],
+    ),
+    'run-cabr-fixed-walk-lifo': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.41, 0.011348474733984247,
+            0.39943617172776436, nan, nan, nan, nan, 0.4117647058823529, 0.3994361717277644,
+            0.40594059405940597, 0.3994361717277644, nan, 0.6005638282722356, 0.01707317073170732,
+            0.004716371417962545, 0.01446582576056377, 0.012195121951219513, 0.004330655597699107,
+            0.019500757131323612, 0.41, 0.39943617172776436, 5.385365853658537, 4.971966646361688,
+            0.43902439024390244, 0.5035289009367679, 0.0, 0.0, 5.82439024390244, 5.475495547298456,
+            2.208, 360, 0, nan,
+        ],
+    ),
+    'run-cnbr-adaptive': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cnbr', 'adaptive', 2000, 16920295385781661272, nan, 0.6397975470469832,
+            0.01354643895964663, 0.6317254939127847, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+            nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+            nan, 0, 0, nan,
+        ],
+    ),
+    'run-cbr-fixed': (
+        [
+            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
+            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
+            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
+            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
+            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
+            'overflow', 'delay_bound',
+        ],
+        [
+            'cbr', 'fixed', 2000, 16920295385781661272, nan, 0.5, nan, 0.5, nan, nan, nan, nan, nan,
+            nan, nan, nan, nan, nan, 0.048, 0.006759881655768835, 0.05410645988406182, 0.077,
+            0.00843036179532053, 0.06477513888317488, 0.5, 0.5, nan, nan, nan, nan, nan, nan, nan,
+            nan, nan, 0, 0, nan,
         ],
     ),
     'overflow': (

@@ -514,7 +514,8 @@ class TestVectorizedWalks:
     def test_adaptive_matches_loop(self, walk_shape, rho, start_b):
         slots, nb = walk_shape
         gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 17, errors=False)
-        got = sim._walk_adaptive(gs, gr, rho, start_b, nb)
+        chunks = sim._walk_chunks(gs, gr, rho, start_b, packets=False)
+        got = sim._adaptive_totals(chunks, math.inf, start_b, slots, nb)
         want = _kernel_adaptive(gs, gr, rho, rho, rho, math.inf, start_b, nb)
         _assert_totals_match(got, want, skip=("b_final",))
         # the end level carries the rounding of every bit moved
@@ -525,7 +526,8 @@ class TestVectorizedWalks:
     def _check_fixed(walk_shape, rho, start, lifo):
         slots, nb = walk_shape
         streams = sim._draw_streams(PAIR_MIXED, slots, 23)
-        got = sim._walk_fixed(streams, rho, BPSK, lifo, start, nb)
+        chunks = sim._walk_chunks(*streams[:2], rho, start, packets=True)
+        got = sim._fixed_totals(chunks, streams, BPSK, math.inf, lifo, start, nb)
         want = _kernel_fixed(
             *streams, rho, rho, rho, start + slots, BPSK.phi, BPSK.eta, lifo, start, nb
         )
@@ -566,38 +568,38 @@ class TestVectorizedWalks:
     @pytest.mark.parametrize(
         "rate_mode, thresholds, buffer, path",
         [
-            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), "_walk_adaptive"),
-            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), "_replay_adaptive"),
+            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), "_walk_chunks"),
+            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), "_replay_chunks"),
             (
                 "adaptive",
                 SelectionThresholds.uniform(0.8),
                 BufferState(capacity=8.0),
-                "_replay_adaptive",
+                "_replay_chunks",
             ),
-            ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), "_walk_fixed"),
+            ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), "_walk_chunks"),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
                 BufferState(discipline="lifo", mode="packet"),
-                "_walk_fixed",
+                "_walk_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.6),
                 BufferState(mode="packet"),
-                "_replay_fixed",
+                "_replay_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
                 BufferState(capacity=8, mode="packet"),
-                "_scan_fixed",
+                "_scan_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.3),
                 BufferState(discipline="lifo", capacity=8, mode="packet"),
-                "_scan_fixed",
+                "_scan_chunks",
             ),
         ],
     )
@@ -605,9 +607,7 @@ class TestVectorizedWalks:
         self, monkeypatch, rate_mode, thresholds, buffer, path
     ):
         calls = []
-        for name in (
-            "_walk_adaptive", "_walk_fixed", "_scan_fixed", "_replay_adaptive", "_replay_fixed"
-        ):
+        for name in ("_walk_chunks", "_scan_chunks", "_replay_chunks"):
             inner = getattr(sim, name)
             monkeypatch.setattr(
                 sim, name, lambda *a, _f=inner, _n=name: calls.append(_n) or _f(*a)
@@ -644,9 +644,12 @@ class TestFiniteScan:
         # blocks of 8 slots leave counts 8..cap_n-8 to the interior shift
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            got = sim._scan_fixed(streams, thr, cap_n, BPSK, lifo, 0, nb)
-            _assert_totals_equal(got, want)
-            _assert_totals_equal(sim._replay_fixed(streams, thr, cap_n, BPSK, lifo, 0, nb), want)
+            for chunks in (
+                sim._scan_chunks(*streams[:2], thr, cap_n, 0),
+                sim._replay_chunks(*streams[:2], thr, cap_n, 0, packets=True),
+            ):
+                got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, 0, nb)
+                _assert_totals_equal(got, want)
 
     @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
     def test_start_occupancy(self, lifo):
@@ -661,7 +664,10 @@ class TestFiniteScan:
             want = _kernel_fixed(
                 *streams, th.rho, th.rho_c, th.rho_d, 8, BPSK.phi, BPSK.eta, lifo, occupancy, 20
             )
-            _assert_totals_equal(sim._scan_fixed(streams, th, 8, BPSK, lifo, occupancy, 20), want)
+            chunks = sim._scan_chunks(*streams[:2], th, 8, occupancy)
+            _assert_totals_equal(
+                sim._fixed_totals(chunks, streams, BPSK, 8, lifo, occupancy, 20), want
+            )
         assert runs[5].mean_occupancy != runs[0].mean_occupancy
 
     def test_packet_occupancy_must_be_whole(self):
@@ -697,7 +703,8 @@ class TestLevelReplay:
         want = _kernel_adaptive(gs, gr, thr.rho, thr.rho_c, thr.rho_d, cap, start_b, nb)
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            got = sim._replay_adaptive(gs, gr, thr, cap, start_b, nb)
+            chunks = sim._replay_chunks(gs, gr, thr, cap, start_b, packets=False)
+            got = sim._adaptive_totals(chunks, cap, start_b, slots, nb)
             _assert_totals_match(got, want, skip=("b_final",))
             bits_in = got.bits_in.sum()
             assert got.b_final == pytest.approx(want[-1], rel=1e-9, abs=1e-12 * bits_in)
@@ -718,7 +725,8 @@ class TestLevelReplay:
         )
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            got = sim._replay_fixed(streams, thr, math.inf, BPSK, lifo, start, nb)
+            chunks = sim._replay_chunks(*streams[:2], thr, math.inf, start, packets=True)
+            got = sim._fixed_totals(chunks, streams, BPSK, math.inf, lifo, start, nb)
             _assert_totals_equal(got, want)
 
     @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
@@ -737,9 +745,12 @@ class TestLevelReplay:
         )
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            _assert_totals_equal(sim._scan_fixed(streams, thr, cap_n, BPSK, lifo, count, nb), want)
-            got = sim._replay_fixed(streams, thr, cap_n, BPSK, lifo, count, nb)
-            _assert_totals_equal(got, want)
+            for chunks in (
+                sim._scan_chunks(*streams[:2], thr, cap_n, count),
+                sim._replay_chunks(*streams[:2], thr, cap_n, count, packets=True),
+            ):
+                got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, count, nb)
+                _assert_totals_equal(got, want)
 
     @pytest.mark.parametrize("packets", [False, True], ids=["bits", "packets"])
     def test_balance_point_repairs_in_few_rounds(self, monkeypatch, packets):
@@ -752,9 +763,11 @@ class TestLevelReplay:
         streams = sim._draw_streams(PAIR_MIXED, slots, 53)
         if packets:
             thr = SelectionThresholds(RHO_BALANCE_FIXED, 1.2, 0.3)
-            sim._replay_fixed(streams, thr, math.inf, BPSK, False, 0, 100)
+            chunks = sim._replay_chunks(*streams[:2], thr, math.inf, 0, packets=True)
+            sim._fixed_totals(chunks, streams, BPSK, math.inf, False, 0, 100)
         else:
             thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
-            sim._replay_adaptive(*streams[:2], thr, math.inf, 0.0, 100)
+            chunks = sim._replay_chunks(*streams[:2], thr, math.inf, 0.0, packets=False)
+            sim._adaptive_totals(chunks, math.inf, 0.0, slots, 100)
         assert len(rounds) <= 3 * slots // (sim._CHUNK // 4)
 
