@@ -23,12 +23,15 @@ refer to the same underlying expression.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .channel import LinkParams
 from .specfun import (
+    _ABS_TOL,
+    _REL_TOL,
     EULER_GAMMA,
     dilog,
     exp_integral_en_scaled,
@@ -80,6 +83,8 @@ BRANCH_TOL = 1e-6
 # Below this |mu - 1| the ratio shapes switch to their mu -> 1 limits
 # (the general forms divide by mu - 1).
 _MU_ONE_TOL = 1e-8
+
+_ROUND = 1e-12  # relative rounding allowed per summed piece in the searches' error bounds
 
 
 class BracketError(ValueError):
@@ -179,38 +184,52 @@ def eval_terms(terms: Iterable[_Term], x: float) -> float:
     return math.fsum(_eval_term(t, x) for t in terms)
 
 
-def _rate_term_nats(t: _Term) -> float:
-    """int_0^inf term(x)/(1+x) dx for one primitive shape."""
+def _times(c: float, q: float) -> tuple[float, float]:
+    """c q for a quadrature result q, and c times the accuracy asked of quad."""
+    return c * q, abs(c) * max(_ABS_TOL, _REL_TOL * abs(q))
+
+
+def _rate_term_nats(t: _Term) -> tuple[float, float]:
+    """int_0^inf term(x)/(1+x) dx for one primitive shape, and a bound on its
+    error beyond rounding the value: _ROUND of pieces that cancel, quadrature."""
     c, mu, a = t.c, t.mu, t.a
     if t.kind == "exp":
         if math.isinf(a):
             raise ValueError("rate diverges: constant term with no decay")
-        return c * integral_I(1, 1.0, a)
+        return c * integral_I(1, 1.0, a), 0.0
     if t.kind == "ratio":
         if abs(mu - 1.0) < _MU_ONE_TOL:
-            return c if math.isinf(a) else c * integral_I(2, 1.0, a)
+            return c if math.isinf(a) else c * integral_I(2, 1.0, a), 0.0
         g = mu / (mu - 1.0)
         if math.isinf(a):
-            return c * g * math.log(mu)
-        return c * g * (integral_I(1, 1.0, a) - integral_I(1, mu, a))
+            return c * g * math.log(mu), 0.0
+        i1, im = integral_I(1, 1.0, a), integral_I(1, mu, a)
+        return c * g * (i1 - im), _ROUND * abs(c * g) * (i1 + im)
     if t.kind == "ratio2":
         if abs(mu - 1.0) < _MU_ONE_TOL:
-            return 0.5 * c if math.isinf(a) else c * integral_I(3, 1.0, a)
+            return 0.5 * c if math.isinf(a) else c * integral_I(3, 1.0, a), 0.0
         g = mu / (mu - 1.0)
         if math.isinf(a):
-            return c * (g * g * math.log(mu) - g)
-        return c * (
-            g * g * (integral_I(1, 1.0, a) - integral_I(1, mu, a))
-            - g * integral_I(2, mu, a)
-        )
+            lg = math.log(mu)
+            return c * (g * g * lg - g), _ROUND * abs(c) * (g * g * abs(lg) + abs(g))
+        i1, im, i2 = integral_I(1, 1.0, a), integral_I(1, mu, a), integral_I(2, mu, a)
+        err = _ROUND * abs(c) * (g * g * (i1 + im) + abs(g) * i2)
+        return c * (g * g * (i1 - im) - g * i2), err
     if t.kind == "e1":
-        return c * integral_J(mu, a)
+        return _times(c, integral_J(mu, a))
     # e1log: meaningful only summed over a zero-sum group
-    return c * dilog(1.0 - mu)
+    return c * dilog(1.0 - mu), 0.0
+
+
+def _sum_with_err(terms: Iterable[_Term], term) -> tuple[float, float]:
+    """math.fsum of term(t)[0] over the terms, and a bound on its error."""
+    parts = [term(t) for t in terms]
+    err = math.fsum(e + _ROUND * abs(v) for v, e in parts)
+    return math.fsum(v for v, _ in parts), err
 
 
 def rate_terms_nats(terms: Iterable[_Term]) -> float:
-    return math.fsum(_rate_term_nats(t) for t in terms)
+    return _sum_with_err(terms, _rate_term_nats)[0]
 
 
 def _ew_term(t: _Term, eta: float) -> float:
@@ -237,26 +256,27 @@ def ew_terms(terms: Iterable[_Term], eta: float) -> float:
     return math.fsum(_ew_term(t, eta) for t in terms)
 
 
-def _w2_term_nats(t: _Term) -> float:
-    """int_0^inf 2 ln(1+x) term(x) / (1+x) dx for one shape."""
+def _w2_term_nats(t: _Term) -> tuple[float, float]:
+    """int_0^inf 2 ln(1+x) term(x) / (1+x) dx for one shape, and its error bound."""
     c, mu, a = t.c, t.mu, t.a
     if t.kind == "exp":
         if math.isinf(a):
             raise ValueError("second moment diverges: constant term with no decay")
-        return 2.0 * c * integral_J(1.0, a)
+        return _times(2.0 * c, integral_J(1.0, a))
     if t.kind == "ratio":
         if math.isinf(a):
             if abs(mu - 1.0) < _MU_ONE_TOL:
-                return 2.0 * c
-            return -2.0 * c * mu * dilog(1.0 - mu) / (mu - 1.0)
+                return 2.0 * c, 0.0
+            return -2.0 * c * mu * dilog(1.0 - mu) / (mu - 1.0), 0.0
         if abs(mu - 1.0) < _MU_ONE_TOL:
 
             def f(x: float) -> float:
                 return 2.0 * math.log1p(x) * math.exp(-x / a) / (1.0 + x) ** 2
 
-            return c * quad_semi_infinite(f)
+            return _times(c, quad_semi_infinite(f))
         g = mu / (mu - 1.0)
-        return 2.0 * c * g * (integral_J(1.0, a) - integral_J(mu, a))
+        cg, j1, jm = 2.0 * c * g, integral_J(1.0, a), integral_J(mu, a)
+        return cg * (j1 - jm), _times(cg, j1)[1] + _times(cg, jm)[1]
     if t.kind == "ratio2":
         inv_a = _inv(a)
 
@@ -269,18 +289,14 @@ def _w2_term_nats(t: _Term) -> float:
                 / (1.0 + x)
             )
 
-        return c * quad_semi_infinite(f2)
+        return _times(c, quad_semi_infinite(f2))
     if t.kind == "e1":
-        return c * integral_M(mu, a)
+        return _times(c, integral_M(mu, a))
 
     def f3(x: float) -> float:
         return 2.0 * math.log1p(x) * (math.log1p(x) - math.log(x + mu)) / (1.0 + x)
 
-    return c * quad_semi_infinite(f3)
-
-
-def w2_terms_nats(terms: Iterable[_Term]) -> float:
-    return math.fsum(_w2_term_nats(t) for t in terms)
+    return _times(c, quad_semi_infinite(f3))
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +467,25 @@ def _regime(pair: HopPair) -> str:
     return "mixed"
 
 
-def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0) -> tuple[float, float]:
+def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0, probe=None) -> tuple[float, float]:
     """Bisect an increasing f on a [lo, hi] bracket in log10 rho; return the
     final bracket.
 
     Stops at a midpoint where f is exactly 0.0 (a caller with a tolerance
     returns 0.0 once converged), returning (mid, mid); once hi - lo < xtol; or
     after 200 halvings.
+
+    With a probe, midpoints on a side that _proved_bracket proved take its
+    sign unevaluated, so the evaluated midpoints and the result stay the plain
+    bisection's; a replay not ending on evaluated points (f == 0.0 when xtol
+    is 0, else both bracket ends) reruns the plain bisection.
     """
+    lo0, hi0, a, b = lo, hi, -math.inf, math.inf
+    if probe is not None and f(0.5 * (lo + hi)) != 0.0:  # the plain first step
+        a, b = _proved_bracket(probe, lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = -1.0 if mid <= a else 1.0 if mid >= b else f(mid)
         if fm == 0.0:
             return mid, mid
         if fm < 0.0:
@@ -470,16 +494,60 @@ def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0) -> tuple[float, fl
             hi = mid
         if hi - lo < xtol:
             break
+    if probe is not None and (xtol == 0.0 or lo <= a or hi >= b):
+        return _bisect_log10(f, lo0, hi0, xtol)
     return lo, hi
 
 
-def _bisect_log10_rho(f, what: str, xtol: float = 0.0) -> tuple[float, float]:
+def _proved_bracket(probe, lo: float, hi: float) -> tuple[float, float]:
+    """(a, b) near the root with every point <= a proved negative and >= b positive.
+
+    probe(x) gives u, v > 0 and a margin above f's evaluation error; with f
+    monotone, |u - v| > margin proves the sign of u - v for x and beyond.
+    Secant steps on r = ln(u/v) from the first midpoint stop within the proof
+    width w; probes 1.5 w each side of the estimate (its noise is under w/2),
+    quadrupled until both sides are proved, give (a, b); an error ends it.
+    """
+    a, b = -math.inf, math.inf
+
+    def look(x: float) -> tuple[float, float]:
+        nonlocal a, b
+        u, v, margin = probe(x)
+        r, m = math.log(u) - math.log(v), math.log1p(margin / min(u, v))
+        a, b = (max(a, x), b) if r < -m else (a, min(b, x)) if r > m else (a, b)
+        return r, m
+
+    try:
+        x, prev = 0.5 * (lo + hi), None
+        for _ in range(16):
+            r, m = look(x)
+            slope = 1.0 if prev is None else (r - prev[1]) / (x - prev[0])
+            if not slope > 0.0:
+                return a, b
+            prev, step = (x, r), -r / slope
+            x = min(max(x + step, lo), hi)
+            if abs(step) <= m / slope:
+                break
+        h = 1.5 * m / slope
+        for _ in range(12):
+            if b - a <= 2.0 * h or h >= hi - lo:
+                break
+            for y in (x - h, x + h):
+                if max(a, lo) < y < min(b, hi):
+                    look(y)
+            h *= 4.0
+    except (ArithmeticError, ValueError, RuntimeError):  # the replay meets them exactly
+        pass
+    return a, b
+
+
+def _bisect_log10_rho(f, what: str, xtol: float = 0.0, probe=None) -> tuple[float, float]:
     """_bisect_log10 on log10 rho in [-30, 30]; BracketError unless f changes sign."""
     lo, hi = -30.0, 30.0
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketError(f"could not bracket {what} within log10 rho in [-30, 30]")
-    return _bisect_log10(f, lo, hi, xtol)
+    return _bisect_log10(f, lo, hi, xtol, probe)
 
 
 def rho_opt_fixed(pair: HopPair) -> float:
@@ -538,25 +606,38 @@ def avg_rate_cabr_hop_r(pair: HopPair, rho: float) -> float:
     return avg_rate_cabr_hop_s(rpair, 1.0 / rho)
 
 
+def _hop_moments(pair: HopPair, rho: float, term, scale: float) -> tuple[float, ...]:
+    """(s, err_s, r, err_r): a moment of both hops' selected rate over scale."""
+    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
+    s, es = _sum_with_err(joint_terms_sr(pair, rho), term)
+    r, er = _sum_with_err(joint_terms_sr(rpair, 1.0 / rho), term)
+    return s / scale, es / scale, r / scale, er / scale
+
+
 def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     """Adaptive-rate throughput and the threshold balancing the two hop rates.
 
     The first-hop rate grows with rho while the second-hop rate shrinks, so
     the balance point is found by bisection on log10 rho; the common value is
-    the end-to-end average rate.
+    the end-to-end average rate. The rates being monotone, a midpoint beyond a
+    pair whose gap exceeds twice the tolerance plus both error bounds has that
+    gap's sign, so it is not evaluated and no digit moves (9 rate pairs in all
+    instead of 33 on a moderate pair).
     """
-
     last = [0.0, 0.0, 0.0]  # log10 rho, rs and rr of the latest evaluation
+    rates = functools.cache(lambda x: _hop_moments(pair, 10.0**x, _rate_term_nats, LN2))
 
     def gap(log10_rho: float) -> float:
-        rho = 10.0**log10_rho
-        rs = avg_rate_cabr_hop_s(pair, rho)
-        rr = avg_rate_cabr_hop_r(pair, rho)
+        rs, _, rr, _ = rates(log10_rho)
         last[:] = log10_rho, rs, rr
         g = rs - rr
         return 0.0 if abs(g) <= 1e-8 * max(rs, rr) else g
 
-    _bisect_log10_rho(gap, "the rate balance point")
+    def probe(log10_rho: float) -> tuple[float, float, float]:
+        rs, es, rr, er = rates(log10_rho)
+        return rs, rr, 2.0 * (1e-8 * max(rs, rr) + es + er)
+
+    _bisect_log10_rho(gap, "the rate balance point", probe=probe)
     log10_rho, rs, rr = last
     return 0.5 * (rs + rr), 10.0**log10_rho
 
@@ -627,12 +708,7 @@ def ser_asym_cnbr(pair: HopPair, mod: ModulationParams) -> SerTriple:
 
 def second_moment_rate_hop_s(pair: HopPair, rho: float) -> float:
     """Second moment of the selected first-hop rate (bits^2 per channel use^2)."""
-    return w2_terms_nats(joint_terms_sr(pair, rho)) / (LN2 * LN2)
-
-
-def second_moment_rate_hop_r(pair: HopPair, rho: float) -> float:
-    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    return second_moment_rate_hop_s(rpair, 1.0 / rho)
+    return _sum_with_err(joint_terms_sr(pair, rho), _w2_term_nats)[0] / (LN2 * LN2)
 
 
 def delay_bound_adaptive(pair: HopPair, rho: float) -> float:
@@ -641,6 +717,14 @@ def delay_bound_adaptive(pair: HopPair, rho: float) -> float:
     Requires the buffer-starving condition xi = (second-hop rate)/(first-hop
     rate) > 1; the bound diverges as the rates balance.
     """
+    return _delay_bound(pair, rho)[0]
+
+
+def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
+    """delay_bound_adaptive and its error bound: with d the moments' relative
+    errors and d_xi = d_1s + d_1r, to first order 2 d_1r ((xi m1s)^2 = m1r^2),
+    2 d_xi + max(d_2s, d_2r) (the numerator) and xi d_xi / (xi - 1); past a
+    relative 0.1 the linearisation is not trusted."""
     # the masked moments are absolutely accurate, so once the first hop is
     # essentially never selected their ratios carry no correct digits (and
     # the bound has long since plateaued anyway)
@@ -648,38 +732,44 @@ def delay_bound_adaptive(pair: HopPair, rho: float) -> float:
         raise ValueError(
             "threshold too one-sided for the conditional-moment delay bound"
         )
-    m1s = avg_rate_cabr_hop_s(pair, rho)
-    m1r = avg_rate_cabr_hop_r(pair, rho)
+    m1s, e1s, m1r, e1r = _hop_moments(pair, rho, _rate_term_nats, LN2)
     xi = m1r / m1s
     if not (xi > 1.0):
         raise ValueError("delay bound requires a starving buffer (xi > 1)")
-    m2s = second_moment_rate_hop_s(pair, rho)
-    m2r = second_moment_rate_hop_r(pair, rho)
-    return (
-        0.5
-        / (xi * m1s) ** 2
-        * (xi * xi * m2s + (2.0 * xi - 1.0) * m2r)
-        / (xi - 1.0)
-    )
+    m2s, e2s, m2r, e2r = _hop_moments(pair, rho, _w2_term_nats, LN2 * LN2)
+    numer = xi * xi * m2s + (2.0 * xi - 1.0) * m2r
+    bound = 0.5 / (xi * m1s) ** 2 * numer / (xi - 1.0)
+    d1s, d1r = e1s / abs(m1s), e1r / abs(m1r)
+    d2 = max(e2s / abs(m2s), e2r / abs(m2r)) if m2s and m2r else math.inf
+    rel = 2.0 * (d1r + d1s + d1r) + d2 + xi * (d1s + d1r) / (xi - 1.0)
+    return bound, bound * (rel + 10.0 * _ROUND) if rel < 0.1 else math.inf
 
 
 def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     """Largest rho (below the rate balance point) whose delay bound meets t_target.
 
     The bound increases toward infinity as rho approaches the balance point,
-    so the inversion scans down from there and bisects.
+    so the inversion scans down from there and bisects. The bound being
+    monotone, a midpoint beyond a bound farther from t_target than twice its
+    error bound is on that bound's side, so it is not evaluated and no digit
+    moves (20 bounds in all instead of 36 on a moderate pair).
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
+    bound = functools.cache(lambda x: _delay_bound(pair, 10.0**x))
 
     def side(log10_rho: float) -> float:
         # meeting the target counts as below it, so only the width rule stops
         # the bisection
         try:
-            val = delay_bound_adaptive(pair, 10.0**log10_rho)
+            val = bound(log10_rho)[0]
         except ValueError:  # past the balance point
             return math.inf
         return -1.0 if val <= t_target else 1.0
+
+    def probe(log10_rho: float) -> tuple[float, float, float]:
+        val, err = bound(log10_rho)
+        return val, t_target, 2.0 * err
 
     _, rho_bal = avg_rate_cabr(pair)
     hi = math.log10(rho_bal) - 1e-3
@@ -696,10 +786,10 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     # numerically past the balance point
     while hi > lo:
         try:
-            if delay_bound_adaptive(pair, 10.0**hi) > t_target:
+            if bound(hi)[0] > t_target:
                 break
         except ValueError:
             pass
         hi -= 0.05
-    lo, _ = _bisect_log10(side, lo, hi, xtol=1e-10)
+    lo, _ = _bisect_log10(side, lo, hi, xtol=1e-10, probe=probe)
     return 10.0**lo
