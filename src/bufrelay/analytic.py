@@ -95,6 +95,10 @@ class BracketError(ValueError):
     """
 
 
+class _OneSidedError(ValueError):
+    """The first hop is selected too rarely (q_s < 1e-7) for the delay bound."""
+
+
 @dataclass(frozen=True)
 class HopPair:
     """First-hop and second-hop link parameters."""
@@ -729,7 +733,7 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     # essentially never selected their ratios carry no correct digits (and
     # the bound has long since plateaued anyway)
     if lsp(pair, rho)[0] < 1e-7:
-        raise ValueError(
+        raise _OneSidedError(
             "threshold too one-sided for the conditional-moment delay bound"
         )
     m1s, e1s, m1r, e1r = _hop_moments(pair, rho, _rate_term_nats, LN2)
@@ -763,6 +767,10 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
         # the bisection
         try:
             val = bound(log10_rho)[0]
+        except _OneSidedError as exc:
+            # only the downward scan meets it, and q_s grows with rho, so every
+            # lower threshold is one-sided too
+            raise ValueError("delay target unreachable within the search range") from exc
         except ValueError:  # past the balance point
             return math.inf
         return -1.0 if val <= t_target else 1.0

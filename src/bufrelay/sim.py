@@ -7,8 +7,8 @@ packets forwarded rather than dropped. Standard errors come from batch means
 (100 batches by default), which also absorbs the buffer-state autocorrelation
 of fixed-rate runs.
 
-A run's buffer is computed in chunks of slots, all in numpy, on one of three
-paths; ``_chunks`` alone picks it, by the capacity, thresholds and mode:
+A run's buffer is computed in chunks of slots, all in numpy, on one of two
+paths; ``_chunks`` alone picks it, by the capacity and thresholds:
 
 - The reflected walk. An infinite buffer whose empty-buffer threshold equals
   the interior one selects the same way in every slot, so its occupancy is
@@ -16,14 +16,12 @@ paths; ``_chunks`` alone picks it, by the capacity, thresholds and mode:
   sums and running minima. Overflow curves, and adaptive-rate and
   fixed-rate (FIFO or LIFO) cabr runs with an infinite buffer and
   rho_c == rho, take it.
-- The packet scan. A finite packet buffer (fixed rate, any capacity,
-  thresholds and drain order) maps the count 0..L to its next value in each
-  slot; the maps are composed blockwise and the counts replayed.
-- The level replay. Every other buffer (adaptive finite-capacity buffers,
-  and adaptive or fixed-rate infinite buffers with rho_c != rho) guesses
-  each block's start level from the reflected walk, replays all blocks at
-  once with the slot rules, and repairs the starts that disagree with the
-  end of the block before (``_replay_levels``).
+- The level replay. Every other buffer (finite bit or packet buffers, and
+  infinite buffers with rho_c != rho) guesses each block's start level from
+  the reflected walk, replays all blocks at once, and repairs the starts
+  that disagree with the end of the block before (``_replay_levels``). A
+  block steps a finite packet buffer's count through a table of per-slot
+  count maps, and any other level by the slot rules.
 
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
@@ -37,6 +35,7 @@ path against them on the same streams.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ __all__ = [
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
 _CHUNK = 1 << 16  # slots per step of the bit-level walks; the other paths take a quarter
-_BLOCK = 32  # slots per block of the finite-buffer scan
+_BLOCK = 32  # slots per block of the level replay
 
 
 @dataclass
@@ -195,8 +194,8 @@ def _walk_chunks(gs, gr, rho, start, packets):
 
     A selected first-hop slot raises the level, a second-hop slot lowers it:
     by one packet each when ``packets``, else by the chosen hop's capacity in
-    bits. Packet chunks are a quarter as long, like the scan's and the
-    replay's, because their totals keep more per slot alive.
+    bits. Packet chunks are a quarter as long, like the replay's, because
+    their totals keep more per slot alive.
     """
     level = start
     step = _CHUNK // 4 if packets else _CHUNK
@@ -241,42 +240,72 @@ def _replay_blocks(start, up_c, up, up_d, c_s, c_r, cap):
     return before, level, met
 
 
-def _replay_levels(up_c, up, up_d, c_s, c_r, cap, start):
+def _slot_maps(cap_n):
+    """The nine per-slot maps of a finite packet buffer's count, as one flat table.
+
+    Entry ``code * (cap_n + 1) + c`` is the count after a slot that starts at
+    count c, where ``code = 4 * (gr <= rho_c*gs) + 2 * (gr <= rho*gs) +
+    (gr <= rho_d*gs)``: an empty buffer selects by the first bit, a full one
+    by the last, any other by the middle one; a selected slot adds a packet
+    unless the buffer is full, another slot removes one unless it is empty.
+    The ninth map, code 8, keeps the count.
+    """
+    count = np.arange(cap_n + 1)
+    code = np.arange(8)[:, None]
+    bit = np.where(count == 0, 2, np.where(count == cap_n, 0, 1))
+    selected = (code >> bit) & 1 == 1
+    step = np.where(selected, np.minimum(count + 1, cap_n), np.maximum(count - 1, 0))
+    return np.concatenate((step.ravel(), count))
+
+
+def _count_blocks(start, off, maps, cap_n):
+    """``_replay_blocks`` for a buffer of cap_n packets: each slot maps the count by
+    the ``_slot_maps`` entry at its offset ``off``."""
+    off = off.T.copy()  # slot-major, so that each step reads and writes contiguously
+    before = np.empty(off.shape, np.intp)
+    count = start.astype(np.intp)
+    for j in range(off.shape[0]):
+        before[j] = count
+        count = maps[off[j] + count]
+    before = before.T
+    met = ((before == 0) | (before == cap_n)).any(axis=1) | (count == 0) | (count == cap_n)
+    return before, count, met
+
+
+def _replay_levels(replay, per_slot, x, cap, start):
     """Level before each slot of a chunk, and after its last, by a blocked replay.
 
-    The chunk is cut into blocks of ``_BLOCK`` slots. Every block's start is
-    first guessed from the one-sided reflected walk at rho, clipped to the
-    capacity, and all blocks are replayed from their guesses at once. Then
-    the guesses are repaired, round by round: where a block's start differs
-    from the end of the block before, the difference is carried through every
-    following block that met no boundary (such a block only shifts its
-    start), up to the first block that did, and only the moved blocks are
-    replayed. The rounds stop when every start is within 2**-45 of its
-    predecessor's end (relative to the level, or to 32 bits near 0) and is
-    empty or full exactly when that end is. A round sets the first wrong
-    start to its predecessor's end, so there are at most as many rounds as
-    blocks. With the carry, measured chunks took 1-2 rounds for infinite
-    buffers, 2 up to 8 bits, 3-4 at 16 bits, and 10-14 where the capacity
-    spans many blocks' drift (64-128 bits), the one-sided seed being poor.
+    The chunk is cut into blocks of ``_BLOCK`` slots: each (array, fill) of
+    ``per_slot`` becomes one row per block, padded with fill, and
+    ``replay(starts, *rows)`` replays the rows' blocks as ``_replay_blocks``
+    does. Every block's start is first guessed from the one-sided reflected
+    walk of the steps x, clipped to the capacity, and all blocks are
+    replayed from their guesses at once. Then the guesses are repaired,
+    round by round: where a block's start differs from the end of the block
+    before, the difference is carried through every following block that met
+    no boundary (such a block only shifts its start), up to the first block
+    that did, and only the moved blocks are replayed. The rounds stop when
+    every start is within 2**-45 of its predecessor's end (relative to the
+    level, or to 32 bits near 0) and is empty or full exactly when that end
+    is. A round sets the first wrong start to its predecessor's end, so there
+    are at most as many rounds as blocks. With the carry, measured chunks
+    took 1-2 rounds for infinite buffers, 2 up to 8 bits or 2 packets, 3-4
+    at 16 bits, 3-7 at 10 packets, and up to 10-23 where the capacity spans
+    many blocks' drift (64-128 bits, 64-256 packets), the one-sided seed
+    being poor.
     """
     k = _BLOCK
-    n = up.shape[0]
+    n = x.shape[0]
     m = -(-n // k)
     pad = m * k - n
-
-    def blocks(a, fill):
-        # padding slots select the first hop and add nothing: they keep the level
-        if pad:
-            a = np.concatenate((a, np.full(pad, fill, a.dtype)))
-        return a.reshape(m, k)
-
-    per_slot = [blocks(a, True) for a in (up_c, up, up_d)] + [blocks(a, 0.0) for a in (c_s, c_r)]
+    rows = [np.append(a, np.full(pad, fill, a.dtype)) if pad else a for a, fill in per_slot]
+    rows = [a.reshape(m, k) for a in rows]
     starts = np.empty(m)
     starts[0] = start
-    guess = _reflected_walk(np.where(up, c_s, -c_r), start)
+    guess = _reflected_walk(x, start)
     np.minimum(guess[k - 1 : (m - 1) * k : k], cap, out=starts[1:])
     del guess
-    before, ends, met = _replay_blocks(starts, *per_slot, cap)
+    before, ends, met = replay(starts, *rows)
     index = np.arange(m)
     while True:
         want = np.concatenate(([start], ends[:-1]))
@@ -295,12 +324,17 @@ def _replay_levels(up_c, up, up_d, c_s, c_r, cap, start):
         np.clip(moved, 0.0, cap, out=moved)
         todo = np.flatnonzero(moved != starts)
         starts = moved
-        out = _replay_blocks(starts[todo], *(a[todo] for a in per_slot), cap)
-        before[todo], ends[todo], met[todo] = out
+        before[todo], ends[todo], met[todo] = replay(starts[todo], *(a[todo] for a in rows))
 
 
 def _replay_chunks(gs, gr, thr, cap, start, packets):
     """The chunk records of any buffer, by a blocked level replay; packet levels as int64."""
+    counts = packets and not math.isinf(cap)
+    if counts:
+        cap = int(cap)  # so that counts compare with it as integers
+        replay = functools.partial(_count_blocks, maps=_slot_maps(cap), cap_n=cap)
+    else:
+        replay = functools.partial(_replay_blocks, cap=cap)
     level = float(start)
     step = _CHUNK // 4
     for lo in range(0, gs.shape[0], step):
@@ -313,12 +347,18 @@ def _replay_chunks(gs, gr, thr, cap, start, packets):
             c_s, c_r = np.log1p(g_s), np.log1p(g_r)
             c_s *= _INV_LN2
             c_r *= _INV_LN2
-        before, level = _replay_levels(up_c, up, up_d, c_s, c_r, cap, level)
-        sel = np.where(before == 0.0, up_c, np.where(before >= cap, up_d, up))
-        if packets:
-            yield lo, hi, sel, None, before.astype(np.int64), int(level)
+        if counts:
+            # padding slots take the ninth map, which keeps the count
+            code = up_c.view(np.uint8) << 2 | up.view(np.uint8) << 1 | up_d.view(np.uint8)
+            per_slot = [(code.astype(np.intp) * (cap + 1), 8 * (cap + 1))]
         else:
-            yield lo, hi, sel, np.where(sel, c_s, c_r), before, level
+            # padding slots select the first hop and add nothing: they keep the level
+            per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (c_r, 0.0)]
+        before, level = _replay_levels(replay, per_slot, np.where(up, c_s, -c_r), cap, level)
+        if packets:
+            before, level = before.astype(np.int64), int(level)
+        sel = np.where(before == 0, up_c, np.where(before >= cap, up_d, up))
+        yield lo, hi, sel, None if packets else np.where(sel, c_s, c_r), before, level
 
 
 def _batch_adder(lo, hi, n_slots, nb):
@@ -396,94 +436,17 @@ def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
     return _AdaptiveTotals(**totals, b_final=b_final)
 
 
-def _slot_maps(cap_n):
-    """The eight per-slot maps of a finite packet buffer's count, as one flat table.
-
-    Entry ``code * (cap_n + 1) + c`` is the count after a slot that starts at
-    count c, where ``code = 4 * (gr <= rho_c*gs) + 2 * (gr <= rho*gs) +
-    (gr <= rho_d*gs)``: an empty buffer selects by the first bit, a full one
-    by the last, any other by the middle one; a selected slot adds a packet
-    unless the buffer is full, another slot removes one unless it is empty.
-    """
-    count = np.arange(cap_n + 1)
-    code = np.arange(8)[:, None]
-    bit = np.where(count == 0, 2, np.where(count == cap_n, 0, 1))
-    selected = (code >> bit) & 1 == 1
-    return np.where(selected, np.minimum(count + 1, cap_n), np.maximum(count - 1, 0)).ravel()
-
-
-def _scan_counts(up_c, up, up_d, start, cap_n, maps):
-    """Count before each slot of a chunk, and after its last, from the slots' threshold tests.
-
-    The chunk is cut into blocks of ``_BLOCK`` slots. First every block's
-    composed map is built for all blocks at once, then the block-start counts
-    are chained block by block, and last every block is replayed from its
-    start, again for all blocks at once. Only counts within ``_BLOCK`` of a
-    boundary need the composed map: from any other count no slot of the
-    block meets a boundary, so the block shifts it by its interior steps.
-    """
-    k = _BLOCK
-    n = up.shape[0]
-    n_blocks = -(-n // k)
-    width = cap_n + 1
-    # offset of each slot's map in ``maps``; padding slots only follow the last
-    off = np.zeros(n_blocks * k, np.intp)
-    off[:n] = up_c.view(np.uint8) << 2 | up.view(np.uint8) << 1 | up_d.view(np.uint8)
-    off *= width
-    off = off.reshape(n_blocks, k)
-    skip = max(width - 2 * k, 0)  # counts k..cap_n-k, tracked by their shift
-    tracked = np.concatenate((np.arange(min(k, width)), np.arange(k + skip, width)))
-    ends = np.broadcast_to(tracked, (n_blocks, tracked.shape[0]))
-    for j in range(k):
-        ends = maps[off[:, j, None] + ends]
-    # interior steps of a block: +1 per slot that passes the rho test, else -1
-    shift = (2 * np.add.reduceat(up, np.arange(0, n, k), dtype=np.intp) - k).tolist()
-    starts = []
-    count = start
-    for b in range(n_blocks):
-        starts.append(count)
-        if count < k:
-            count = int(ends[b, count])
-        elif count >= k + skip:
-            count = int(ends[b, count - skip])
-        else:
-            count += shift[b]
-    before = np.empty((n_blocks, k), np.intp)
-    count = np.array(starts, np.intp)
-    for j in range(k):
-        before[:, j] = count
-        count = maps[off[:, j] + count]
-    before = before.ravel()[:n]
-    return before, int(maps[off.flat[n - 1] + before[-1]])
-
-
-def _scan_chunks(gs, gr, thr, cap_n, start):
-    """The chunk records of a finite buffer of cap_n packets, by a blocked scan."""
-    maps = _slot_maps(cap_n)
-    count = start
-    step = _CHUNK // 4
-    for lo in range(0, gs.shape[0], step):
-        hi = min(lo + step, gs.shape[0])
-        g_s, g_r = gs[lo:hi], gr[lo:hi]
-        up_c, up, up_d = (g_r <= r * g_s for r in (thr.rho_c, thr.rho, thr.rho_d))
-        before, count = _scan_counts(up_c, up, up_d, count, cap_n, maps)
-        sel = np.where(before == 0, up_c, np.where(before == cap_n, up_d, up))
-        yield lo, hi, sel, None, before, count
-
-
 def _chunks(gs, gr, thr, cap, start, packets):
-    """Chunk records of a run's buffer, on the one path its capacity, thresholds and mode pick.
+    """Chunk records of a run's buffer, on the one path its capacity and thresholds pick.
 
     Each record is (lo, hi, hop-s selected, chosen hop's capacity, level
     before each slot, level after slot hi - 1) for consecutive slot ranges;
     with ``packets`` the capacity is None and the levels are int64 counts.
-    An infinite buffer with rho_c == rho takes the reflected walk, a finite
-    packet buffer the scan, and every other buffer the level replay.
+    An infinite buffer with rho_c == rho takes the reflected walk, every
+    other buffer the level replay.
     """
     if math.isinf(cap) and thr.rho_c == thr.rho:
         return _walk_chunks(gs, gr, thr.rho, start, packets)
-    if packets and not math.isinf(cap):
-        return _scan_chunks(gs, gr, thr, int(cap), start)
     return _replay_chunks(gs, gr, thr, cap, start, packets)
 
 

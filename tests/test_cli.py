@@ -167,6 +167,13 @@ class TestAnalyze:
         assert cli.main(["compare", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("convergence failure: ")
 
+    def test_unreachable_delay_target_exits_infeasible(self, tmp_path, capsys):
+        # the bound of this pair plateaus near 2.23 as rho -> 0
+        links = {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}
+        doc = {"mode": "delay-compare", "pair": {"links": links}, "t_target": 2.2}
+        assert cli.main(["compare", write_doc(tmp_path, doc)]) == cli.EXIT_INFEASIBLE
+        assert "delay target unreachable within the search range" in capsys.readouterr().err
+
     def test_unbracketed_balance_point_in_delay_bound_exits_convergence(self, tmp_path, capsys):
         links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
         doc = {"metrics": ["delay_bound"], "rho": "balance", "pair": {"links": links}}

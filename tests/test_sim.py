@@ -593,13 +593,13 @@ class TestVectorizedWalks:
                 "fixed",
                 SelectionThresholds.uniform(0.6),
                 BufferState(capacity=8, mode="packet"),
-                "_scan_chunks",
+                "_replay_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.3),
                 BufferState(discipline="lifo", capacity=8, mode="packet"),
-                "_scan_chunks",
+                "_replay_chunks",
             ),
         ],
     )
@@ -607,7 +607,7 @@ class TestVectorizedWalks:
         self, monkeypatch, rate_mode, thresholds, buffer, path
     ):
         calls = []
-        for name in ("_walk_chunks", "_scan_chunks", "_replay_chunks"):
+        for name in ("_walk_chunks", "_replay_chunks"):
             inner = getattr(sim, name)
             monkeypatch.setattr(
                 sim, name, lambda *a, _f=inner, _n=name: calls.append(_n) or _f(*a)
@@ -630,7 +630,7 @@ SCAN_THRESHOLDS = [
 
 
 class TestFiniteScan:
-    """The finite-buffer scan against the slot loop on the same streams."""
+    """Finite packet buffers, replayed through the count table, against the slot loop."""
 
     @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
     @pytest.mark.parametrize("thr", SCAN_THRESHOLDS, ids=["uniform", "inward", "outward"])
@@ -641,15 +641,12 @@ class TestFiniteScan:
         want = _kernel_fixed(
             *streams, thr.rho, thr.rho_c, thr.rho_d, cap_n, BPSK.phi, BPSK.eta, lifo, 0, nb
         )
-        # blocks of 8 slots leave counts 8..cap_n-8 to the interior shift
+        # blocks of 8 slots meet fewer boundaries and take more repair rounds
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            for chunks in (
-                sim._scan_chunks(*streams[:2], thr, cap_n, 0),
-                sim._replay_chunks(*streams[:2], thr, cap_n, 0, packets=True),
-            ):
-                got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, 0, nb)
-                _assert_totals_equal(got, want)
+            chunks = sim._replay_chunks(*streams[:2], thr, cap_n, 0, packets=True)
+            got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, 0, nb)
+            _assert_totals_equal(got, want)
 
     @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
     def test_start_occupancy(self, lifo):
@@ -664,7 +661,7 @@ class TestFiniteScan:
             want = _kernel_fixed(
                 *streams, th.rho, th.rho_c, th.rho_d, 8, BPSK.phi, BPSK.eta, lifo, occupancy, 20
             )
-            chunks = sim._scan_chunks(*streams[:2], th, 8, occupancy)
+            chunks = sim._replay_chunks(*streams[:2], th, 8, occupancy, packets=True)
             _assert_totals_equal(
                 sim._fixed_totals(chunks, streams, BPSK, 8, lifo, occupancy, 20), want
             )
@@ -736,7 +733,7 @@ class TestLevelReplay:
     def test_finite_packets_from_start_match_loop(
         self, walk_shape, monkeypatch, start, cap_n, thr, lifo
     ):
-        # the scan and the replay both, from the starts test_scan_matches_loop leaves out
+        # from the starts test_scan_matches_loop leaves out
         slots, nb = walk_shape
         count = cap_n // 2 if start == "mid" else cap_n
         streams = sim._draw_streams(PAIR_MIXED, slots, 47 + cap_n)
@@ -745,29 +742,36 @@ class TestLevelReplay:
         )
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            for chunks in (
-                sim._scan_chunks(*streams[:2], thr, cap_n, count),
-                sim._replay_chunks(*streams[:2], thr, cap_n, count, packets=True),
-            ):
-                got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, count, nb)
-                _assert_totals_equal(got, want)
+            chunks = sim._replay_chunks(*streams[:2], thr, cap_n, count, packets=True)
+            got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, count, nb)
+            _assert_totals_equal(got, want)
 
-    @pytest.mark.parametrize("packets", [False, True], ids=["bits", "packets"])
-    def test_balance_point_repairs_in_few_rounds(self, monkeypatch, packets):
+    @pytest.mark.parametrize(
+        "case, cap, per_chunk",
+        [("bits", math.inf, 3), ("packets", math.inf, 3), ("packets", 2, 5), ("packets", 10, 5)],
+        ids=["bits", "packets", "packets-L2", "packets-L10"],
+    )
+    def test_balance_point_repairs_in_few_rounds(self, monkeypatch, case, cap, per_chunk):
         # the slot loop's cost bounds the replay's only while the repair rounds
-        # per chunk stay few; at the balance point they were the most at risk
+        # per chunk stay few; at the balance point they were the most at risk,
+        # and finite packet buffers run at fixed_rate_sim's thresholds
         rounds = []
-        replay = sim._replay_blocks
-        monkeypatch.setattr(sim, "_replay_blocks", lambda *a: rounds.append(1) or replay(*a))
+        levels = sim._replay_levels
+
+        def counted(replay, *args):
+            return levels(lambda *a: rounds.append(1) or replay(*a), *args)
+
+        monkeypatch.setattr(sim, "_replay_levels", counted)
         slots = 1 << 17
         streams = sim._draw_streams(PAIR_MIXED, slots, 53)
-        if packets:
-            thr = SelectionThresholds(RHO_BALANCE_FIXED, 1.2, 0.3)
-            chunks = sim._replay_chunks(*streams[:2], thr, math.inf, 0, packets=True)
-            sim._fixed_totals(chunks, streams, BPSK, math.inf, False, 0, 100)
+        if case == "packets":
+            rho = RHO_BALANCE_FIXED if math.isinf(cap) else 0.6
+            thr = SelectionThresholds(rho, 1.2, 0.3)
+            chunks = sim._replay_chunks(*streams[:2], thr, cap, 0, packets=True)
+            sim._fixed_totals(chunks, streams, BPSK, cap, False, 0, 100)
         else:
             thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
-            chunks = sim._replay_chunks(*streams[:2], thr, math.inf, 0.0, packets=False)
-            sim._adaptive_totals(chunks, math.inf, 0.0, slots, 100)
-        assert len(rounds) <= 3 * slots // (sim._CHUNK // 4)
+            chunks = sim._replay_chunks(*streams[:2], thr, cap, 0.0, packets=False)
+            sim._adaptive_totals(chunks, cap, 0.0, slots, 100)
+        assert len(rounds) <= per_chunk * slots // (sim._CHUNK // 4)
 

@@ -110,11 +110,15 @@ def test_delay_inversion_equals_plain_bisection(pair, t_target):
     )
 
 
-def test_unreachable_delay_target_matches_plain_bisection():
-    # the bound plateaus near 2.23 as rho -> 0, so the scan runs off the range
+@pytest.mark.parametrize("name", list(BALANCE_CASES))
+def test_unreachable_delay_target_matches_plain_bisection(name):
+    # 2.2 is below the bound's plateau for most pairs (near 2.23 for the mixed
+    # one as rho -> 0): the scan stops at the first threshold too one-sided
+    # for the bound, the plain one runs off the range
+    pair = BALANCE_CASES[name]
     for t_target in (2.2, -1.0):
-        assert outcome(analytic.rho_for_delay_bound, PAIR_MIXED, t_target) == outcome(
-            rho_for_delay_bound_plain, PAIR_MIXED, t_target
+        assert outcome(analytic.rho_for_delay_bound, pair, t_target) == outcome(
+            rho_for_delay_bound_plain, pair, t_target
         )
 
 
@@ -149,8 +153,9 @@ def counting(monkeypatch, name):
 
 
 class TestEvaluationBudget:
-    """Bounds at the measured counts + 2; the plain bisections take 33 rate
-    pairs for the balance and 36 delay bounds at t = 5."""
+    """Bounds at the measured counts + 2, or + 1 for the unreachable target;
+    the plain bisections take 33 rate pairs for the balance, 36 delay bounds
+    at t = 5 and 120 at t = 2.2."""
 
     def test_balance_rate_pairs(self, monkeypatch):
         # one rate pair builds the joint terms of both hops
@@ -164,6 +169,14 @@ class TestEvaluationBudget:
         calls = counting(monkeypatch, "_delay_bound")
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
         assert calls[0] <= 22
+
+    def test_unreachable_delay_target(self, monkeypatch):
+        # the downward scan stops at the first threshold too one-sided for the
+        # bound (29 bounds) instead of stepping on to log10 rho = -30
+        calls = counting(monkeypatch, "_delay_bound")
+        with pytest.raises(ValueError, match="^delay target unreachable within the search range$"):
+            analytic.rho_for_delay_bound(PAIR_MIXED, 2.2)
+        assert calls[0] <= 30
 
 
 def lying_error_bound(kind):
