@@ -40,6 +40,7 @@ from .specfun import (
     integral_K,
     integral_L,
     integral_M,
+    memo,
     quad_semi_infinite,
 )
 
@@ -749,6 +750,7 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     return bound, bound * (rel + 10.0 * _ROUND) if rel < 0.1 else math.inf
 
 
+@memo()
 def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     """Largest rho (below the rate balance point) whose delay bound meets t_target.
 
@@ -756,7 +758,9 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     so the inversion scans down from there and bisects. The bound being
     monotone, a midpoint beyond a bound farther from t_target than twice its
     error bound is on that bound's side, so it is not evaluated and no digit
-    moves (20 bounds in all instead of 36 on a moderate pair).
+    moves (20 bounds in all instead of 36 on a moderate pair). The search
+    runs in one specfun memo block: the hop moments at every rho share their
+    J, L and M integrals, which roughly halves its quadratures.
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")

@@ -40,7 +40,7 @@ from . import analytic, queueing, sim
 from .analytic import HopPair, ModulationParams, SelectionThresholds
 from .channel import LinkParams, NodeGeometry, PowerConstraints, derive_link_params
 from .queueing import SchemeConstraint, ThresholdProtocolParams
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, memo
 
 __all__ = [
     "ConfigError",
@@ -767,13 +767,17 @@ def _pt_run(p):
 
 def _eval_task(task):
     name, payload = task
-    return _MODES[name].point(payload)
+    with memo():
+        return _MODES[name].point(payload)
 
 
 def _run_tasks(name, payloads, workers):
+    # one memo block per command in the serial path and per task in a worker;
+    # either way no integral value outlives the command
     tasks = [(name, p) for p in payloads]
     if workers <= 1 or len(tasks) <= 1:
-        results = [_eval_task(t) for t in tasks]
+        with memo():
+            results = [_eval_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_task, tasks))

@@ -10,10 +10,21 @@ The semi-closed integrals (J, L, M and the second-moment shapes in analytic)
 all go through quad_semi_infinite, whose tolerances are fixed: absolute 1e-10,
 relative 1e-9, at most 200 subdivisions. A result whose error estimate exceeds
 50 times the requested tolerance raises ConvergenceError.
+
+Inside a ``with memo():`` block, integral_J, integral_L and integral_M
+compute each distinct argument tuple once and return the stored float on a
+repeat call; outside any block they integrate on every call. A nested block
+shares the outermost block's store, and the store is dropped when that block
+exits, so no value outlives it. A call that raises stores nothing, so a
+ConvergenceError is raised again, after integrating again, on a repeat call.
+The store lives in a context variable, so threads never share one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import math
 
 from scipy import integrate, special
@@ -29,6 +40,7 @@ __all__ = [
     "integral_K",
     "integral_L",
     "integral_M",
+    "memo",
 ]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
@@ -84,6 +96,41 @@ def quad_semi_infinite(f) -> float:
     if abserr > 50.0 * requested or math.isnan(value):
         raise ConvergenceError("semi-infinite quadrature", abserr, requested)
     return value
+
+
+# the open memo block's store of J, L and M values, None outside any block
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_MEMO", default=None)
+
+
+@contextlib.contextmanager
+def memo():
+    """Compute each J, L and M integral once inside the block (see the module docstring)."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(integral):
+    """integral, looked up by its exact arguments while a memo block is open."""
+    name = integral.__name__
+
+    @functools.wraps(integral)
+    def wrapper(*args):
+        store = _MEMO.get()
+        if store is None:
+            return integral(*args)
+        key = (name, *args)
+        value = store.get(key)
+        if value is None:
+            value = store[key] = integral(*args)
+        return value
+
+    return wrapper
 
 
 def exp_integral_en(n: int, x: float) -> float:
@@ -182,6 +229,7 @@ def integral_I(n: int, mu: float, lam: float, x: float = 0.0) -> float:
     )
 
 
+@_memoized
 def integral_J(mu: float, lam: float) -> float:
     """J(mu, lam) = int_0^inf ln(1+x) e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
@@ -209,6 +257,7 @@ def integral_K(mu: float, lam: float, eta: float) -> float:
     )
 
 
+@_memoized
 def integral_L(mu: float, lam: float, eta: float) -> float:
     """L(mu, lam, eta) = int_0^inf sqrt(eta/(2 pi w)) e^(-eta w/2) e^(mu/lam) E_1((w+mu)/lam) dw.
 
@@ -245,6 +294,7 @@ def integral_L(mu: float, lam: float, eta: float) -> float:
     return quad_semi_infinite(f)
 
 
+@_memoized
 def integral_M(mu: float, lam: float) -> float:
     """M(mu, lam) = int_0^inf ln(1+x)^2 e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):

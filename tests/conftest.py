@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from bufrelay import analytic, specfun
 from bufrelay.analytic import HopPair
 from bufrelay.channel import LinkParams
 
@@ -83,3 +84,21 @@ def assert_within_sigma(estimate, se, target, n_sigma, label=""):
         f"{label}: estimate {estimate:.6g} vs target {target:.6g} "
         f"differs by {z:.2f} sigma (se {se:.3g})"
     )
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """A one-element list counting quad_semi_infinite calls, from specfun or analytic.
+
+    analytic imports the quadrature by name, so both module names are wrapped.
+    """
+    calls = [0]
+    quad = specfun.quad_semi_infinite
+
+    def counted(f):
+        calls[0] += 1
+        return quad(f)
+
+    monkeypatch.setattr(specfun, "quad_semi_infinite", counted)
+    monkeypatch.setattr(analytic, "quad_semi_infinite", counted)
+    return calls

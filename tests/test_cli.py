@@ -273,6 +273,24 @@ class TestSimulateDeterminism:
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_closed_form_bytes_stable_across_workers(self, tmp_path):
+        # the pool computes each integral once per point, the serial loop
+        # once per command; the bytes must not tell them apart
+        doc = {
+            "mode": "delay-compare",
+            "pair": PAIR,
+            "t_target": 7.3,
+            "sweep": {"parameter": "pair.links.s.lam", "grid": [4.0, 8.0]},
+        }
+        path = write_doc(tmp_path, doc)
+        outs = []
+        for i, workers in enumerate((1, 1, 2)):
+            out_path = tmp_path / f"run{i}.csv"
+            rc = cli.main(["compare", path, "--out", str(out_path), "--workers", str(workers)])
+            assert rc == 0
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
     def test_seed_and_slots_overrides(self, tmp_path, capsys):
         path = write_doc(tmp_path, self.simulate_doc())
         header, rows = run_csv(

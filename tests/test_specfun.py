@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bufrelay import specfun
 from bufrelay.specfun import (
     ConvergenceError,
     dilog,
@@ -17,6 +18,7 @@ from bufrelay.specfun import (
     integral_K,
     integral_L,
     integral_M,
+    memo,
     quad_semi_infinite,
 )
 
@@ -322,3 +324,77 @@ class TestConvergenceError:
         assert err.achieved == 1e-3
         assert err.requested == 1e-9
         assert "thing" in str(err)
+
+
+class TestMemo:
+    def test_outside_a_block_every_call_integrates(self, quad_calls):
+        assert integral_J(5.0, 2.0) == integral_J(5.0, 2.0)
+        assert quad_calls[0] == 2
+
+    def test_inside_a_block_each_integral_runs_once(self, quad_calls):
+        calls = [
+            (integral_J, (5.0, 2.0)),
+            (integral_L, (10.0, 100.0, 2.0)),
+            (integral_L, (33.75, math.inf, 2.0)),
+            (integral_M, (5.0, 2.0)),
+        ]
+        with memo():
+            first = [f(*args) for f, args in calls]
+            again = [f(*args) for f, args in calls]
+        assert first == again
+        assert quad_calls[0] == len(calls)
+
+    def test_families_do_not_share_keys(self, quad_calls):
+        with memo():
+            assert integral_J(5.0, 2.0) != integral_M(5.0, 2.0)
+        assert quad_calls[0] == 2
+
+    def test_nested_block_shares_the_outer_store(self, quad_calls):
+        with memo():
+            integral_J(5.0, 2.0)
+            with memo():
+                integral_J(5.0, 2.0)
+                integral_M(5.0, 2.0)
+            assert quad_calls[0] == 2
+            # leaving the inner block keeps what it stored
+            integral_M(5.0, 2.0)
+            assert quad_calls[0] == 2
+        # leaving the outer block drops the store
+        integral_J(5.0, 2.0)
+        assert quad_calls[0] == 3
+
+    def test_store_is_dropped_when_the_block_raises(self, quad_calls):
+        with pytest.raises(KeyError):
+            with memo():
+                integral_J(5.0, 2.0)
+                raise KeyError
+        with memo():
+            integral_J(5.0, 2.0)
+        assert quad_calls[0] == 2
+
+    def test_errors_are_not_stored(self, monkeypatch):
+        calls = [0]
+
+        def failing(f):
+            calls[0] += 1
+            raise ConvergenceError("semi-infinite quadrature", 1.0, 1e-10)
+
+        monkeypatch.setattr(specfun, "quad_semi_infinite", failing)
+        with memo():
+            for _ in range(2):
+                with pytest.raises(ConvergenceError):
+                    integral_J(5.0, 2.0)
+        assert calls[0] == 2
+
+    def test_values_equal_inside_and_outside(self):
+        rng = np.random.default_rng(29)
+        points = [tuple((10.0 ** rng.uniform(-3.0, 3.0, size=2)).tolist()) for _ in range(12)]
+        calls = [(f, p) for p in points for f in (integral_J, integral_M)]
+        calls += [(integral_L, (mu, lam, 2.0)) for mu, lam in points]
+        calls += [(integral_L, (mu, math.inf, 2.0)) for mu, _ in points]
+        outside = [f(*args) for f, args in calls]
+        with memo():
+            inside = [f(*args) for f, args in calls]
+            stored = [f(*args) for f, args in calls]
+        assert inside == outside
+        assert stored == outside

@@ -7,13 +7,14 @@ searches must stay within their evaluation budgets, and a lying error bound
 must still give a correct answer through the plain-bisection rerun.
 """
 
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bufrelay import analytic
+from bufrelay import analytic, cli
 
 from conftest import PAIR_MIXED, make_pair, random_pair
 from test_analytic_rates import avg_rate_cabr_hop_s_quad
@@ -177,6 +178,27 @@ class TestEvaluationBudget:
         with pytest.raises(ValueError, match="^delay target unreachable within the search range$"):
             analytic.rho_for_delay_bound(PAIR_MIXED, 2.2)
         assert calls[0] <= 30
+
+
+class TestQuadratureBudget:
+    """Bounds at the measured counts + about 2%: each J, L and M integral is
+    computed once per delay-bound search and once per command (without that,
+    436 quadratures at t = 5 and 7780 for fig7)."""
+
+    def test_delay_bound_search(self, quad_calls):
+        analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
+        assert quad_calls[0] <= 240
+
+    def test_fig7_command(self, quad_calls):
+        counts = []
+        for _ in range(2):
+            quad_calls[0] = 0
+            cli.cmd_compare(copy.deepcopy(cli.PRESETS["fig7"]))
+            counts.append(quad_calls[0])
+        assert counts[0] <= 3600
+        # a second run in the same process integrates as much as the first:
+        # no value outlives its command
+        assert counts[1] == counts[0]
 
 
 def lying_error_bound(kind):
