@@ -23,7 +23,6 @@ refer to the same underlying expression.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -41,11 +40,13 @@ from .specfun import (
     integral_L,
     integral_M,
     memo,
+    memoized,
     quad_semi_infinite,
 )
 
 __all__ = [
     "BracketError",
+    "OneSidedError",
     "HopPair",
     "SelectionThresholds",
     "ModulationParams",
@@ -96,8 +97,9 @@ class BracketError(ValueError):
     """
 
 
-class _OneSidedError(ValueError):
-    """The first hop is selected too rarely (q_s < 1e-7) for the delay bound."""
+class OneSidedError(ValueError):
+    """A threshold selects one hop too rarely for a conditional closed form:
+    q_s or q_r <= 1e-12 for ser_exact_cabr, q_s < 1e-7 for the delay bound."""
 
 
 @dataclass(frozen=True)
@@ -611,6 +613,7 @@ def avg_rate_cabr_hop_r(pair: HopPair, rho: float) -> float:
     return avg_rate_cabr_hop_s(rpair, 1.0 / rho)
 
 
+@memoized
 def _hop_moments(pair: HopPair, rho: float, term, scale: float) -> tuple[float, ...]:
     """(s, err_s, r, err_r): a moment of both hops' selected rate over scale."""
     rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
@@ -619,6 +622,8 @@ def _hop_moments(pair: HopPair, rho: float, term, scale: float) -> tuple[float, 
     return s / scale, es / scale, r / scale, er / scale
 
 
+@memo()
+@memoized
 def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     """Adaptive-rate throughput and the threshold balancing the two hop rates.
 
@@ -627,10 +632,13 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     the end-to-end average rate. The rates being monotone, a midpoint beyond a
     pair whose gap exceeds twice the tolerance plus both error bounds has that
     gap's sign, so it is not evaluated and no digit moves (9 rate pairs in all
-    instead of 33 on a moderate pair).
+    instead of 33 on a moderate pair). The solve runs in one specfun memo
+    block, so the probe and the bisection share each rate pair.
     """
     last = [0.0, 0.0, 0.0]  # log10 rho, rs and rr of the latest evaluation
-    rates = functools.cache(lambda x: _hop_moments(pair, 10.0**x, _rate_term_nats, LN2))
+
+    def rates(log10_rho: float) -> tuple[float, ...]:
+        return _hop_moments(pair, 10.0**log10_rho, _rate_term_nats, LN2)
 
     def gap(log10_rho: float) -> float:
         rs, _, rr, _ = rates(log10_rho)
@@ -669,7 +677,7 @@ def ser_exact_cabr(pair: HopPair, rho: float, mod: ModulationParams) -> SerTripl
     # the numerator q - Ew is cancellation noise and the quotient has no
     # correct digits
     if not (q_s > 1e-12) or not (q_r > 1e-12):
-        raise ValueError(
+        raise OneSidedError(
             "selection is too one-sided to condition on (q_s or q_r <= 1e-12)"
         )
     ew_s = ew_joint_ccdf_sr(pair, rho, mod.eta)
@@ -725,6 +733,7 @@ def delay_bound_adaptive(pair: HopPair, rho: float) -> float:
     return _delay_bound(pair, rho)[0]
 
 
+@memoized
 def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     """delay_bound_adaptive and its error bound: with d the moments' relative
     errors and d_xi = d_1s + d_1r, to first order 2 d_1r ((xi m1s)^2 = m1r^2),
@@ -734,7 +743,7 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     # essentially never selected their ratios carry no correct digits (and
     # the bound has long since plateaued anyway)
     if lsp(pair, rho)[0] < 1e-7:
-        raise _OneSidedError(
+        raise OneSidedError(
             "threshold too one-sided for the conditional-moment delay bound"
         )
     m1s, e1s, m1r, e1r = _hop_moments(pair, rho, _rate_term_nats, LN2)
@@ -764,14 +773,16 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
-    bound = functools.cache(lambda x: _delay_bound(pair, 10.0**x))
+
+    def bound(log10_rho: float) -> tuple[float, float]:
+        return _delay_bound(pair, 10.0**log10_rho)
 
     def side(log10_rho: float) -> float:
         # meeting the target counts as below it, so only the width rule stops
         # the bisection
         try:
             val = bound(log10_rho)[0]
-        except _OneSidedError as exc:
+        except OneSidedError as exc:
             # only the downward scan meets it, and q_s grows with rho, so every
             # lower threshold is one-sided too
             raise ValueError("delay target unreachable within the search range") from exc

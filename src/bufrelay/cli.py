@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import functools
 import json
 import math
 import os
@@ -125,12 +124,14 @@ def _as_nums(doc, key, field=None, **checks):
 def _reraise(prefix=None, error=ConfigError):
     """Turn a ValueError raised by a library constructor or solver into ``error``.
 
-    A failed root bracket is a numerical failure, not a bad or infeasible
-    input, so ``analytic.BracketError`` passes through (exit 3).
+    A failed root bracket or a threshold too one-sided for a closed form is a
+    numerical failure, not a bad or infeasible input, so
+    ``analytic.BracketError`` and ``analytic.OneSidedError`` pass through
+    (exit 3).
     """
     try:
         yield
-    except analytic.BracketError:
+    except (analytic.BracketError, analytic.OneSidedError):
         raise
     except ValueError as exc:
         raise error(f"{prefix}: {exc}" if prefix else str(exc)) from exc
@@ -259,15 +260,15 @@ def build_pair(doc) -> HopPair:
 
 
 class _Point:
-    """One grid point's document and hop pair; its balance point is solved at most once."""
+    """One grid point's document and hop pair."""
 
     def __init__(self, doc):
         self.doc = doc
         self.pair = build_pair(doc)
 
-    @functools.cached_property
+    @property
     def balance(self):
-        """(rate, rho) of the adaptive scheme at its rate balance point."""
+        """(rate, rho) at the rate balance point, solved once per memo block."""
         return analytic.avg_rate_cabr(self.pair)
 
 
@@ -301,9 +302,8 @@ def _build_modulation(doc) -> ModulationParams:
         )
 
 
-def _build_buffer(doc, rate_mode) -> sim.BufferState:
+def _build_buffer(doc) -> sim.BufferState:
     sec = _as_map(doc, "buffer")
-    mode = sec.get("mode", "bit" if rate_mode == "adaptive" else "packet")
     with _reraise("buffer"):
         return sim.BufferState(
             discipline=sec.get("discipline", "fifo"),
@@ -311,7 +311,6 @@ def _build_buffer(doc, rate_mode) -> sim.BufferState:
                 sec.get("capacity", "inf"), "buffer.capacity", positive=True, allow_inf=True
             ),
             occupancy=_as_num(sec.get("occupancy", 0.0), "buffer.occupancy"),
-            mode=mode,
         )
 
 
@@ -386,9 +385,11 @@ def _per_hop(metric, ser, pt, *rho):
 
 
 def _delay_bound(pair, rho):
-    """Adaptive delay bound at threshold ``rho``, or nan where it has no value."""
+    """Adaptive delay bound at threshold ``rho``, or nan past the balance point."""
     try:
         return analytic.delay_bound_adaptive(pair, rho)
+    except analytic.OneSidedError:
+        raise
     except ValueError:
         return math.nan  # no bound on this side of the balance point
 
@@ -412,6 +413,12 @@ _METRICS = {
         )),
         ("rate_cnbr", "rate_cnbr", lambda pt: dict(rate_cnbr=analytic.avg_rate_cnbr(pt.pair))),
         ("rate_cbr", "rate_cbr", lambda pt: dict(rate_cbr=analytic.avg_rate_cbr(pt.pair))),
+        ("ratio_cnbr", "ratio_cnbr", lambda pt: dict(
+            ratio_cnbr=pt.balance[0] / analytic.avg_rate_cnbr(pt.pair)
+        )),
+        ("ratio_cbr", "ratio_cbr", lambda pt: dict(
+            ratio_cbr=pt.balance[0] / analytic.avg_rate_cbr(pt.pair)
+        )),
         ("rho_opt_fixed", "rho_opt_fixed", lambda pt: dict(
             rho_opt_fixed=analytic.rho_opt_fixed(pt.pair)
         )),
@@ -437,6 +444,8 @@ _METRICS = {
 }
 
 _DEFAULT_METRICS = ["rate_cabr", "rate_cnbr", "rate_cbr"]
+# the compare mode's fixed columns; a document's metrics do not apply to it
+_COMPARE = {"metrics": ["rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr"]}
 
 
 def _table_fields(doc, labels):
@@ -540,22 +549,6 @@ def _pt_tradeoff(p):
         ))]
 
 
-_CompareRow = _record(
-    "_CompareRow", "rho_balance rate_cabr rate_cnbr ratio_cnbr rate_cbr ratio_cbr"
-)
-
-
-def _pt_compare(p):
-    pair = build_pair(p["doc"])
-    rate, rho = analytic.avg_rate_cabr(pair)
-    cnbr = analytic.avg_rate_cnbr(pair)
-    cbr = analytic.avg_rate_cbr(pair)
-    return _row(p, _CompareRow(
-        rho_balance=rho, rate_cabr=rate,
-        rate_cnbr=cnbr, ratio_cnbr=rate / cnbr, rate_cbr=cbr, ratio_cbr=rate / cbr,
-    ))
-
-
 _DelayCompareRow = _record("_DelayCompareRow", "rho delay_bound rate_cabr rate_cnbr ratio_cnbr")
 
 
@@ -643,7 +636,6 @@ def _pt_ser_sweep(p):
         seed=_point_seed(p["seed"], p["index"]),
         thresholds=thresholds,
         modulation=mod,
-        buffer=sim.BufferState(mode="packet"),
     )
     out = sim.run(config, pair)
     row = _SerSweepRow(
@@ -733,7 +725,7 @@ def _pt_run(p):
         raise ConfigError("rate_mode: must be 'adaptive' or 'fixed'")
     thresholds = _build_thresholds(pt) if scheme == "cabr" else None
     modulation = _build_modulation(pt.doc) if rate_mode == "fixed" else None
-    buffer = _build_buffer(pt.doc, rate_mode)
+    buffer = _build_buffer(pt.doc)
     seed = _point_seed(p["seed"], p["index"])
     with _reraise():
         config = sim.SchemeConfig(
@@ -947,7 +939,9 @@ _MODES = {
     "table": _Mode("analyze", _grid_builder(_table_fields), _pt_table),
     "chain-table": _Mode("analyze", _grid_builder(_fields_of(_ChainRow)), _pt_chain),
     "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff),
-    "compare": _Mode("compare", _grid_builder(_fields_of(_CompareRow)), _pt_compare),
+    "compare": _Mode(
+        "compare", _grid_builder(lambda _, labels: _table_fields(_COMPARE, labels)), _pt_table
+    ),
     "delay-compare": _Mode(
         "compare", _grid_builder(_fields_of(_DelayCompareRow)), _pt_delay_compare
     ),
@@ -1252,7 +1246,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, analytic.BracketError) as exc:
+    except (ConvergenceError, analytic.BracketError, analytic.OneSidedError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except InfeasibleError as exc:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -65,29 +65,22 @@ _BLOCK = 32  # slots per block of the level replay
 
 @dataclass
 class BufferState:
-    """Relay buffer: drain order, capacity, and granularity.
+    """Relay buffer: drain order, capacity, and starting occupancy.
 
-    mode "bit" stores fractional bits per symbol (adaptive rate); mode
-    "packet" stores whole packets (fixed rate). Capacity may be infinite.
+    The unit follows the run's rate mode: fractional bits per symbol for
+    adaptive rate, whole packets for fixed rate (SchemeConfig checks the
+    counts). Capacity may be infinite.
     """
 
     discipline: str = "fifo"
     capacity: float = math.inf
     occupancy: float = 0.0
-    mode: str = "bit"
 
     def __post_init__(self) -> None:
         if self.discipline not in ("fifo", "lifo"):
             raise ValueError("discipline must be 'fifo' or 'lifo'")
-        if self.mode not in ("bit", "packet"):
-            raise ValueError("mode must be 'bit' or 'packet'")
         if not (self.capacity > 0.0):
             raise ValueError("capacity must be positive")
-        if self.mode == "packet" and not math.isinf(self.capacity):
-            if self.capacity != int(self.capacity):
-                raise ValueError("packet-mode capacity must be a whole count")
-        if self.mode == "packet" and self.occupancy != int(self.occupancy):
-            raise ValueError("packet-mode occupancy must be a whole count")
         if not (0.0 <= self.occupancy <= self.capacity):
             raise ValueError("occupancy must lie in [0, capacity]")
 
@@ -113,14 +106,14 @@ class SchemeConfig:
             raise ValueError("slots must be positive")
         if self.scheme == "cabr" and self.thresholds is None:
             raise ValueError("cabr requires thresholds")
-        if self.rate_mode == "fixed" and self.modulation is None:
-            raise ValueError("fixed rate_mode requires modulation")
-        want_mode = "bit" if self.rate_mode == "adaptive" else "packet"
-        if self.buffer.mode != want_mode:
-            raise ValueError(
-                f"buffer mode '{self.buffer.mode}' inconsistent with "
-                f"rate_mode '{self.rate_mode}'"
-            )
+        if self.rate_mode == "fixed":
+            if self.modulation is None:
+                raise ValueError("fixed rate_mode requires modulation")
+            cap, occ = self.buffer.capacity, self.buffer.occupancy
+            if not math.isinf(cap) and cap != int(cap):
+                raise ValueError("buffer: packet-mode capacity must be a whole count")
+            if occ != int(occ):
+                raise ValueError("buffer: packet-mode occupancy must be a whole count")
 
 
 @dataclass(frozen=True)
@@ -775,20 +768,10 @@ def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport
 
     rpair, rthr = reverse(pair, config.thresholds)
     flipped = "lifo" if config.buffer.discipline == "fifo" else "fifo"
-    dual_config = SchemeConfig(
-        scheme=config.scheme,
-        rate_mode=config.rate_mode,
-        slots=config.slots,
-        seed=config.seed,
-        thresholds=rthr,
-        modulation=config.modulation,
-        buffer=BufferState(
-            discipline=flipped,
-            capacity=cap,
-            occupancy=cap - config.buffer.occupancy,
-            mode=config.buffer.mode,
-        ),
+    dual_buffer = replace(
+        config.buffer, discipline=flipped, occupancy=cap - config.buffer.occupancy
     )
+    dual_config = replace(config, thresholds=rthr, buffer=dual_buffer)
     gs, gr, e_s, e_r = _draw_streams(
         pair, config.slots, config.seed, config.rate_mode == "fixed"
     )

@@ -11,13 +11,19 @@ all go through quad_semi_infinite, whose tolerances are fixed: absolute 1e-10,
 relative 1e-9, at most 200 subdivisions. A result whose error estimate exceeds
 50 times the requested tolerance raises ConvergenceError.
 
-Inside a ``with memo():`` block, integral_J, integral_L and integral_M
-compute each distinct argument tuple once and return the stored float on a
-repeat call; outside any block they integrate on every call. A nested block
-shares the outermost block's store, and the store is dropped when that block
-exits, so no value outlives it. A call that raises stores nothing, so a
-ConvergenceError is raised again, after integrating again, on a repeat call.
-The store lives in a context variable, so threads never share one.
+Inside a ``with memo():`` block, a function decorated with ``memoized``
+(integral_J, integral_L, integral_M here; the balance solve, hop moments and
+delay bound in analytic) computes each distinct argument tuple once and
+returns the stored value on a repeat call; outside any block it computes on
+every call. The store keys on the function's module and qualified name and on
+the exact positional arguments. A nested block shares the outermost block's
+store, and the store is dropped when that block exits, so no value outlives
+it. A call that raises stores nothing, so a ConvergenceError is raised again,
+after integrating again, on a repeat call. The store lives in a context
+variable, so threads never share one.
+
+exp_integral_en is e^(-x) times exp_integral_en_scaled, which holds the
+argument checks and the switch to the continued fraction past x = 600.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "integral_L",
     "integral_M",
     "memo",
+    "memoized",
 ]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
@@ -98,13 +105,13 @@ def quad_semi_infinite(f) -> float:
     return value
 
 
-# the open memo block's store of J, L and M values, None outside any block
+# the open memo block's store, None outside any block
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_MEMO", default=None)
 
 
 @contextlib.contextmanager
 def memo():
-    """Compute each J, L and M integral once inside the block (see the module docstring)."""
+    """Compute each memoized call once inside the block (see the module docstring)."""
     if _MEMO.get() is not None:
         yield
         return
@@ -115,19 +122,19 @@ def memo():
         _MEMO.reset(token)
 
 
-def _memoized(integral):
-    """integral, looked up by its exact arguments while a memo block is open."""
-    name = integral.__name__
+def memoized(func):
+    """func, looked up by its exact arguments while a memo block is open."""
+    name = (func.__module__, func.__qualname__)
 
-    @functools.wraps(integral)
+    @functools.wraps(func)
     def wrapper(*args):
         store = _MEMO.get()
         if store is None:
-            return integral(*args)
+            return func(*args)
         key = (name, *args)
         value = store.get(key)
         if value is None:
-            value = store[key] = integral(*args)
+            value = store[key] = func(*args)
         return value
 
     return wrapper
@@ -135,19 +142,7 @@ def _memoized(integral):
 
 def exp_integral_en(n: int, x: float) -> float:
     """Generalized exponential integral E_n(x) = int_1^inf t^(-n) e^(-x t) dt."""
-    if n < 0 or n != int(n):
-        raise ValueError("order n must be a non-negative integer")
-    n = int(n)
-    if n <= 1:
-        if x <= 0.0:
-            raise ValueError("E_n(x) with n <= 1 requires x > 0")
-    elif x < 0.0:
-        raise ValueError("E_n(x) requires x >= 0")
-    if x == 0.0:
-        return 1.0 / (n - 1.0)
-    if x > 600.0:
-        return math.exp(-x) * _en_continued_fraction(n, x)
-    return float(special.expn(n, x))
+    return math.exp(-x) * exp_integral_en_scaled(n, x)
 
 
 def exp_integral_en_scaled(n: int, x: float) -> float:
@@ -162,9 +157,9 @@ def exp_integral_en_scaled(n: int, x: float) -> float:
     n = int(n)
     if n <= 1:
         if x <= 0.0:
-            raise ValueError("scaled E_n with n <= 1 requires x > 0")
+            raise ValueError("E_n(x) with n <= 1 requires x > 0")
     elif x < 0.0:
-        raise ValueError("scaled E_n requires x >= 0")
+        raise ValueError("E_n(x) requires x >= 0")
     if x == 0.0:
         return 1.0 / (n - 1.0)
     if n == 0:
@@ -229,7 +224,7 @@ def integral_I(n: int, mu: float, lam: float, x: float = 0.0) -> float:
     )
 
 
-@_memoized
+@memoized
 def integral_J(mu: float, lam: float) -> float:
     """J(mu, lam) = int_0^inf ln(1+x) e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
@@ -257,7 +252,7 @@ def integral_K(mu: float, lam: float, eta: float) -> float:
     )
 
 
-@_memoized
+@memoized
 def integral_L(mu: float, lam: float, eta: float) -> float:
     """L(mu, lam, eta) = int_0^inf sqrt(eta/(2 pi w)) e^(-eta w/2) e^(mu/lam) E_1((w+mu)/lam) dw.
 
@@ -294,7 +289,7 @@ def integral_L(mu: float, lam: float, eta: float) -> float:
     return quad_semi_infinite(f)
 
 
-@_memoized
+@memoized
 def integral_M(mu: float, lam: float) -> float:
     """M(mu, lam) = int_0^inf ln(1+x)^2 e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):

@@ -320,7 +320,7 @@ def test_criterion_3_average_rates():
 def test_criterion_4_symbol_error_rates():
     t0 = time.time()
     slots = 10_000_000
-    buf = sim.BufferState(capacity=16.0, occupancy=0.0, mode="packet")
+    buf = sim.BufferState(capacity=16.0, occupancy=0.0)
 
     # exact conditional error rates vs Bernoulli simulation, adaptive selection
     cabr_cases = [
@@ -350,7 +350,7 @@ def test_criterion_4_symbol_error_rates():
         exact = analytic.ser_exact_cnbr(pair, BPSK)
         cfg = sim.SchemeConfig(
             "cnbr", "fixed", slots, 4500 + k, modulation=BPSK,
-            buffer=sim.BufferState(mode="packet"),
+            buffer=sim.BufferState(),
         )
         out = sim.run(cfg, pair)
         assert_within_sigma(
@@ -397,7 +397,7 @@ def test_criterion_4_symbol_error_rates():
     out = sim.run(
         sim.SchemeConfig(
             "cnbr", "fixed", 40_000_000, 46, modulation=BPSK,
-            buffer=sim.BufferState(mode="packet"),
+            buffer=sim.BufferState(),
         ),
         pip156,
     )
@@ -483,7 +483,7 @@ def test_criterion_5_occupancy_chain():
         q_c = analytic.lsp(PAIR_MIXED, thr.rho_c)[0]
         q_d = 1.0 - analytic.lsp(PAIR_MIXED, thr.rho_d)[0]
         p = ThresholdProtocolParams(L, q_s, q_c, q_d)
-        buf = sim.BufferState(capacity=float(L), occupancy=0.0, mode="packet")
+        buf = sim.BufferState(capacity=float(L), occupancy=0.0)
         cfg = sim.SchemeConfig(
             "cabr", "fixed", slots, 5500 + k, thresholds=thr, modulation=BPSK, buffer=buf
         )
@@ -612,7 +612,7 @@ def test_criterion_7_role_reversal():
         (pip_pair, SelectionThresholds(0.5, 1.0, 0.25), 12, 9),
     ]
     for k, (pair, thr, L, seed) in enumerate(cases):
-        buf = sim.BufferState(capacity=float(L), occupancy=0.0, mode="packet")
+        buf = sim.BufferState(capacity=float(L), occupancy=0.0)
         cfg = sim.SchemeConfig(
             "cabr", "fixed", 2_000_000, seed, thresholds=thr, modulation=BPSK, buffer=buf
         )

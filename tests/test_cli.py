@@ -10,6 +10,10 @@ from bufrelay import cli
 from bufrelay.specfun import ConvergenceError
 
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
+# the same scales with the interference cap forced off (p = 0)
+PAIR_P0 = {"links": {
+    "s": {"lam": 4.0, "mu": 10.0, "p": 0.0}, "r": {"lam": 7.0, "mu": 3.0, "p": 0.0},
+}}
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -215,6 +219,61 @@ class TestAnalyze:
         path = write_doc(tmp_path, table_doc(metrics=[["capacity"]]))
         assert cli.main(["analyze", path]) == cli.EXIT_CONFIG
         assert "unknown metric" in capsys.readouterr().err
+
+
+def exit_cleanly(argv, capsys):
+    """main's exit code and stderr lines, checked to be a documented exit with
+    at most one stderr line; an exception escaping main is the traceback the
+    CLI must never print."""
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    err = out.err.splitlines()
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONVERGENCE, cli.EXIT_INFEASIBLE)
+    assert len(err) <= 1 and not any("Traceback" in line for line in err)
+    return rc, out.out, err
+
+
+class TestOneSidedThresholds:
+    """Thresholds 14 decades from the balance point select one hop almost
+    always; no metric may fail there with a traceback."""
+
+    @pytest.mark.parametrize("rho", [1e-14, 1e14])
+    @pytest.mark.parametrize("pair", [PAIR, PAIR_P0], ids=["mixed", "p0"])
+    @pytest.mark.parametrize("metric", sorted(cli._METRICS))
+    def test_every_metric_exits_cleanly(self, tmp_path, capsys, metric, pair, rho):
+        doc = {"metrics": [metric], "rho": rho, "pair": pair, "modulation": {"eta": 2.0}}
+        exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+
+    @pytest.mark.parametrize("rho", [1e-14, 1e14])
+    def test_conditional_ser_exits_convergence(self, tmp_path, capsys, rho):
+        doc = {"metrics": ["ser_cabr"], "rho": rho, "pair": PAIR}
+        rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_CONVERGENCE
+        assert err[0].startswith("convergence failure: selection is too one-sided")
+
+    def test_fixed_rate_run_reference_exits_convergence(self, tmp_path, capsys):
+        # the simulation runs; the exact SER reference at rho_c cannot be conditioned
+        doc = {
+            "mode": "run", "scheme": "cabr", "rate_mode": "fixed", "rho": 0.6, "rho_c": 1e14,
+            "modulation": {"eta": 2.0}, "buffer": {"capacity": 4}, "slots": 2000, "pair": PAIR,
+        }
+        rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_CONVERGENCE
+        assert err[0].startswith("convergence failure: selection is too one-sided")
+
+    def test_delay_bound_on_the_starving_side_exits_convergence(self, tmp_path, capsys):
+        # q_s = 1.4e-9 sits below the bound's 1e-7 floor, yet short of the balance point
+        doc = {"metrics": ["delay_bound"], "rho": 1e-9, "pair": PAIR}
+        rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_CONVERGENCE
+        assert err[0].startswith("convergence failure: threshold too one-sided")
+
+    def test_delay_bound_past_the_balance_point_is_nan(self, tmp_path, capsys):
+        # the balance point of PAIR is rho = 1.0466
+        doc = {"metrics": ["delay_bound"], "rho": 2.0, "pair": PAIR}
+        rc, out, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+        assert (rc, err) == (cli.EXIT_OK, [])
+        assert out.splitlines() == ["delay_bound", "nan"]
 
 
 class TestOutputs:

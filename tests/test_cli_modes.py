@@ -419,14 +419,15 @@ def test_every_row_of_closed_form_preset(name):
 
 
 def test_balance_point_solved_once_per_table_point(monkeypatch):
+    # counted at the bisection, since repeat calls of avg_rate_cabr are memo hits
     calls = []
-    solve = cli.analytic.avg_rate_cabr
+    bisect = cli.analytic._bisect_log10_rho
 
-    def counted(pair, *args, **kwargs):
-        calls.append(pair)
-        return solve(pair, *args, **kwargs)
+    def counted(f, what, *args, **kwargs):
+        calls.append(what)
+        return bisect(f, what, *args, **kwargs)
 
-    monkeypatch.setattr(cli.analytic, "avg_rate_cabr", counted)
+    monkeypatch.setattr(cli.analytic, "_bisect_log10_rho", counted)
     doc = {
         "metrics": ["rate_cabr", "lsp", "ser_cabr", "delay_bound"],
         "rho": "balance",
@@ -436,4 +437,4 @@ def test_balance_point_solved_once_per_table_point(monkeypatch):
     }
     _, rows = cli.cmd_analyze(doc)
     assert len(rows) == 3
-    assert len(calls) == 3
+    assert calls == ["the rate balance point"] * 3

@@ -25,9 +25,7 @@ def fixed_cfg(th, capacity, slots=300_000, seed=5, discipline="fifo", occupancy=
     return SchemeConfig(
         "cabr", "fixed", slots, seed,
         thresholds=th, modulation=BPSK,
-        buffer=BufferState(
-            discipline=discipline, capacity=capacity, occupancy=occupancy, mode="packet"
-        ),
+        buffer=BufferState(discipline=discipline, capacity=capacity, occupancy=occupancy),
     )
 
 
@@ -48,15 +46,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SchemeConfig(
                 "cnbr", "fixed", 100, 1,
-                buffer=BufferState(capacity=4, mode="packet"),
+                buffer=BufferState(capacity=4),
             )
 
-    def test_buffer_mode_must_match(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(
-                "cnbr", "adaptive", 100, 1,
-                buffer=BufferState(capacity=4, mode="packet"),
-            )
+    def test_packet_buffer_must_hold_whole_counts(self):
+        th = SelectionThresholds.uniform(0.6)
+        for capacity, occupancy in ((2.5, 0), (8, 2.5)):
+            with pytest.raises(ValueError, match="whole count"):
+                fixed_cfg(th, capacity, occupancy=occupancy)
+            # fractional bits are fine
+            adaptive_cfg(0.6, buffer=BufferState(capacity=capacity, occupancy=occupancy))
+        fixed_cfg(th, math.inf, occupancy=3)
 
     def test_buffer_state(self):
         with pytest.raises(ValueError):
@@ -64,10 +64,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             BufferState(capacity=0.0)
         with pytest.raises(ValueError):
-            BufferState(capacity=2.5, mode="packet")
-        with pytest.raises(ValueError):
             BufferState(capacity=2.0, occupancy=3.0)
-        BufferState(capacity=2.5, mode="bit")  # fractional bits are fine
+        BufferState(capacity=2.5, occupancy=0.5)  # the unit is the run's
 
 
 class TestDeterminism:
@@ -576,29 +574,29 @@ class TestVectorizedWalks:
                 BufferState(capacity=8.0),
                 "_replay_chunks",
             ),
-            ("fixed", SelectionThresholds.uniform(0.6), BufferState(mode="packet"), "_walk_chunks"),
+            ("fixed", SelectionThresholds.uniform(0.6), BufferState(), "_walk_chunks"),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
-                BufferState(discipline="lifo", mode="packet"),
+                BufferState(discipline="lifo"),
                 "_walk_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.6),
-                BufferState(mode="packet"),
+                BufferState(),
                 "_replay_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
-                BufferState(capacity=8, mode="packet"),
+                BufferState(capacity=8),
                 "_replay_chunks",
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.3),
-                BufferState(discipline="lifo", capacity=8, mode="packet"),
+                BufferState(discipline="lifo", capacity=8),
                 "_replay_chunks",
             ),
         ],
@@ -666,10 +664,6 @@ class TestFiniteScan:
                 sim._fixed_totals(chunks, streams, BPSK, 8, lifo, occupancy, 20), want
             )
         assert runs[5].mean_occupancy != runs[0].mean_occupancy
-
-    def test_packet_occupancy_must_be_whole(self):
-        with pytest.raises(ValueError):
-            BufferState(capacity=8, occupancy=2.5, mode="packet")
 
 
 RHO_BALANCE = analytic.avg_rate_cabr(PAIR_MIXED)[1]  # adaptive rate, 1.0466

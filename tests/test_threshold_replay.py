@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from bufrelay import analytic, cli
+from bufrelay import analytic, cli, specfun
 
 from conftest import PAIR_MIXED, make_pair, random_pair
 from test_analytic_rates import avg_rate_cabr_hop_s_quad
@@ -142,14 +142,17 @@ def test_moments_with_error_bounds_match_the_public_values():
 
 
 def counting(monkeypatch, name):
+    """Count the calls of an analytic function; of a memoized one, the calls
+    that compute, not the memo hits."""
     calls = [0]
     fn = getattr(analytic, name)
+    inner = getattr(fn, "__wrapped__", fn)
 
     def counted(*args):
         calls[0] += 1
-        return fn(*args)
+        return inner(*args)
 
-    monkeypatch.setattr(analytic, name, counted)
+    monkeypatch.setattr(analytic, name, counted if inner is fn else specfun.memoized(counted))
     return calls
 
 
