@@ -763,25 +763,25 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
 def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     """Largest rho (below the rate balance point) whose delay bound meets t_target.
 
-    The bound increases toward infinity as rho approaches the balance point,
-    so the inversion scans down from there and bisects. The bound being
-    monotone, a midpoint beyond a bound farther from t_target than twice its
-    error bound is on that bound's side, so it is not evaluated and no digit
-    moves (20 bounds in all instead of 36 on a moderate pair). The search
-    runs in one specfun memo block: the hop moments at every rho share their
-    J, L and M integrals, which roughly halves its quadratures.
+    The bound increases toward infinity as rho approaches the balance point.
+    The search range ends 1e-3 decades below it, which is the answer if its
+    bound meets t_target; else 0.25-decade steps down bracket the target
+    (an end numerically past the balance point counts as above it) and the
+    bracket is bisected. The bound being monotone, a midpoint beyond a bound
+    farther from t_target than twice its error bound is on that bound's side,
+    so it is not evaluated and no digit moves (20 bounds in all instead of 36
+    on a moderate pair). The search runs in one specfun memo block: the hop
+    moments at every rho share their J, L and M integrals, which roughly
+    halves its quadratures.
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
-
-    def bound(log10_rho: float) -> tuple[float, float]:
-        return _delay_bound(pair, 10.0**log10_rho)
 
     def side(log10_rho: float) -> float:
         # meeting the target counts as below it, so only the width rule stops
         # the bisection
         try:
-            val = bound(log10_rho)[0]
+            val = _delay_bound(pair, 10.0**log10_rho)[0]
         except OneSidedError as exc:
             # only the downward scan meets it, and q_s grows with rho, so every
             # lower threshold is one-sided too
@@ -791,28 +791,16 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
         return -1.0 if val <= t_target else 1.0
 
     def probe(log10_rho: float) -> tuple[float, float, float]:
-        val, err = bound(log10_rho)
+        val, err = _delay_bound(pair, 10.0**log10_rho)
         return val, t_target, 2.0 * err
 
     _, rho_bal = avg_rate_cabr(pair)
-    hi = math.log10(rho_bal) - 1e-3
-    lo = hi
-    for _ in range(200):
+    hi = lo = math.log10(rho_bal) - 1e-3
+    while side(lo) > 0.0:
         lo -= 0.25
         if lo < -30.0:
             raise ValueError("delay target unreachable within the search range")
-        if side(lo) < 0.0:
-            break
-    else:
-        raise ValueError("delay target unreachable")
-    # make sure the upper end exceeds the target; walk hi down if it is
-    # numerically past the balance point
-    while hi > lo:
-        try:
-            if bound(hi)[0] > t_target:
-                break
-        except ValueError:
-            pass
-        hi -= 0.05
+    if lo == hi:  # the end of the searched range meets the target
+        return 10.0**hi
     lo, _ = _bisect_log10(side, lo, hi, xtol=1e-10, probe=probe)
     return 10.0**lo

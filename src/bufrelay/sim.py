@@ -139,7 +139,6 @@ class SimOutcome:
     bits_in: float = math.nan
     bits_out: float = math.nan
     final_occupancy: float = math.nan
-    per_packet_delay: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -619,7 +618,6 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
     batch_sizes = _batch_lengths(n, nb).astype(np.float64)
     dep_total = int(t.departures.sum())
     arr_total = int(t.arrivals.sum())
-    per_packet = _safe_div(float(t.delay_sum.sum()), dep_total)
     if lifo and not math.isinf(cap):
         # newest-first drain: the framework's queueing delay tracks the
         # buffer vacancies, (L - mean occupancy) / arrival rate, because the
@@ -628,7 +626,7 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
         t_q = _safe_div(cap * n - float(t.occ_sum.sum()), arr_total)
         tq_b = _ratio_batches(cap * batch_sizes - t.occ_sum, t.arrivals)
     else:
-        t_q = per_packet
+        t_q = _safe_div(float(t.delay_sum.sum()), dep_total)
         tq_b = _ratio_batches(t.delay_sum, t.departures)
     t_u = _safe_div(float(t.under.sum()), dep_total)
     t_o = _safe_div(float(t.over.sum()), dep_total)
@@ -645,7 +643,6 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
         "t_u": _batch_se(tu_b),
         "t_o": _batch_se(to_b),
         "t_total": _batch_se(tq_b + tu_b + to_b),
-        "per_packet_delay": _batch_se(_ratio_batches(t.delay_sum, t.departures)),
         **q_se,
         "mean_occupancy": _batch_se(t.occ_sum / batch_sizes),
     }
@@ -664,7 +661,6 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
         throughput_pps=dep_total / n,
         mean_occupancy=float(t.occ_sum.sum()) / n,
         final_occupancy=float(t.count_final),
-        per_packet_delay=per_packet,
     )
 
 

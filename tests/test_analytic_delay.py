@@ -89,6 +89,23 @@ class TestDelayTargetInversion:
         ]
         assert rhos[0] > rhos[1] > rhos[2]
 
+    def test_target_met_at_the_end_of_the_range(self):
+        # the bound 1e-3 decades below the balance point, the end of the
+        # searched range, is 1388.76: a looser target returns that end
+        _, rho_bal = analytic.avg_rate_cabr(PAIR_MIXED)
+        rho = analytic.rho_for_delay_bound(PAIR_MIXED, 1e4)
+        assert rho == 10.0 ** (math.log10(rho_bal) - 1e-3)
+        assert rho == pytest.approx(1.0441890632, rel=1e-9)
+        bound = analytic.delay_bound_adaptive(PAIR_MIXED, rho)
+        assert bound == pytest.approx(1388.7619, rel=1e-6)
+        assert bound <= 1e4
+
+    def test_target_just_under_the_end_bisects_inside_the_range(self):
+        rho = analytic.rho_for_delay_bound(PAIR_MIXED, 1388.0)
+        assert rho == pytest.approx(1.0441877422, rel=1e-9)
+        assert rho < analytic.rho_for_delay_bound(PAIR_MIXED, 1e4)
+        assert analytic.delay_bound_adaptive(PAIR_MIXED, rho) == pytest.approx(1388.0, rel=1e-6)
+
     def test_unreachable_target_raises(self):
         # the bound plateaus near 2.23 for this pair as rho -> 0
         for t_target in (2.2, 1.5):

@@ -178,6 +178,16 @@ class TestAnalyze:
         assert cli.main(["compare", write_doc(tmp_path, doc)]) == cli.EXIT_INFEASIBLE
         assert "delay target unreachable within the search range" in capsys.readouterr().err
 
+    def test_delay_target_met_at_the_end_of_the_range(self, tmp_path, capsys):
+        # the bound 1e-3 decades below this pair's balance point is 1388.76,
+        # so a looser target gets that end of the range, not a bisected rho
+        doc = {"mode": "delay-compare", "pair": PAIR, "t_target": 1e4}
+        header, rows = run_csv(["compare", write_doc(tmp_path, doc)], capsys)
+        row = {k: float(v) for k, v in zip(header, rows[0])}
+        assert row["rho"] == pytest.approx(1.0441890632, rel=1e-9)
+        assert row["delay_bound"] == pytest.approx(1388.7619, rel=1e-6)
+        assert row["rate_cabr"] == pytest.approx(1.2746, rel=1e-4)
+
     def test_unbracketed_balance_point_in_delay_bound_exits_convergence(self, tmp_path, capsys):
         links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
         doc = {"metrics": ["delay_bound"], "rho": "balance", "pair": {"links": links}}
@@ -274,6 +284,83 @@ class TestOneSidedThresholds:
         rc, out, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
         assert (rc, err) == (cli.EXIT_OK, [])
         assert out.splitlines() == ["delay_bound", "nan"]
+
+
+def run_stdout(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestDocumentForms:
+    """Documented document keys, each against an equivalent form."""
+
+    def test_chain_drift_form_equals_probability_form(self, tmp_path, capsys):
+        # q = 1 / (1 + xi): 0.4, 0.8 and 0.5 are exact for xi 1.5, 0.25 and 1
+        outs = [
+            run_stdout(["analyze", write_doc(tmp_path, {
+                "mode": "chain-table",
+                "chain": {"buffer_size_L": 4, **chain},
+                "series": {"parameter": "chain.buffer_size_L", "values": [4, 8, "inf"]},
+            })], capsys)
+            for chain in (
+                {"xi": 1.5, "xi_c": 0.25, "xi_d": 1.0},
+                {"q_s": 0.4, "q_c": 0.8, "q_d": 0.5},
+            )
+        ]
+        assert outs[0] == outs[1]
+
+    def test_fixed_opt_threshold_balances_the_selection(self, tmp_path, capsys):
+        doc = {"metrics": ["lsp"], "rho": "fixed-opt", "pair": PAIR}
+        header, rows = run_csv(["analyze", write_doc(tmp_path, doc)], capsys)
+        row = {k: float(v) for k, v in zip(header, rows[0])}
+        assert abs(row["q_s"] - 0.5) <= 1e-9
+        assert abs(row["q_r"] - 0.5) <= 1e-9
+
+    def test_fading_scales_equal_the_derived_links(self, tmp_path, capsys):
+        # gamma_max 1000, gamma_p 10 and unit interference distances give
+        # lam = 1000 omega_h and mu = 10 omega_h
+        derived = {
+            "geometry": {"d_sp": 1.0, "d_rp": 1.0},
+            "power": {"gamma_max_db": 30.0, "gamma_p_db": 10.0},
+        }
+        links = {"s": {"lam": 500.0, "mu": 5.0}, "r": {"lam": 250.0, "mu": 2.5}}
+        metrics = ["capacity", "rate_cabr", "rate_cnbr", "lsp"]
+        outs = [
+            run_stdout(["analyze", write_doc(tmp_path, {
+                "metrics": metrics, "rho": 0.8, "pair": pair,
+            })], capsys)
+            for pair in (
+                {**derived, "omega_h_s": 0.5, "omega_h_r": 0.25},
+                {"links": links},
+                derived,
+            )
+        ]
+        assert outs[0] == outs[1] != outs[2]
+
+    def test_ser_sweep_scheme_subset(self, tmp_path, capsys):
+        doc = {
+            "mode": "ser-sweep",
+            "cases": [{"name": "symmetric", "omega_h_r": 0.5787, "mu_s": 156.25, "mu_r": 156.25}],
+            "gamma_max_db_grid": [20.0, 30.0],
+            "modulation": {"eta": 2.0, "phi": 1.0, "rate_R": 1.0},
+            "threshold_buffer_sizes": [2],
+            "slots": 2000,
+            "seed": 9,
+        }
+        header, both = run_csv(["simulate", write_doc(tmp_path, doc)], capsys)
+        _, cnbr = run_csv(["simulate", write_doc(tmp_path, {**doc, "schemes": ["cnbr"]})], capsys)
+        assert [row[header.index("scheme")] for row in cnbr] == ["cnbr", "cnbr"]
+        # the analytic columns equal the default document's cnbr rows; the
+        # simulated ones do not, since each point's seed follows its index
+        analytic_cols = [
+            i for i, col in enumerate(header) if not col.endswith(("_sim", "_se"))
+        ]
+        want = [row for row in both if row[header.index("scheme")] == "cnbr"]
+        assert [[r[i] for i in analytic_cols] for r in cnbr] == [
+            [r[i] for i in analytic_cols] for r in want
+        ]
+        sim_col = header.index("ser_s_sim")
+        assert [r[sim_col] for r in cnbr] != [r[sim_col] for r in want]
 
 
 class TestOutputs:

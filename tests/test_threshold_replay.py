@@ -52,23 +52,13 @@ def rho_for_delay_bound_plain(pair, t_target):
         return -1.0 if val <= t_target else 1.0
 
     _, rho_bal = avg_rate_cabr_plain(pair)
-    hi = math.log10(rho_bal) - 1e-3
-    lo = hi
-    for _ in range(200):
+    hi = lo = math.log10(rho_bal) - 1e-3
+    while side(lo) > 0.0:
         lo -= 0.25
         if lo < -30.0:
             raise ValueError("delay target unreachable within the search range")
-        if side(lo) < 0.0:
-            break
-    else:
-        raise ValueError("delay target unreachable")
-    while hi > lo:
-        try:
-            if analytic.delay_bound_adaptive(pair, 10.0**hi) > t_target:
-                break
-        except ValueError:
-            pass
-        hi -= 0.05
+    if lo == hi:
+        return 10.0**hi
     lo, _ = analytic._bisect_log10(side, lo, hi, xtol=1e-10)
     return 10.0**lo
 
@@ -104,7 +94,7 @@ def test_balance_equals_plain_bisection(name):
 
 
 @pytest.mark.parametrize("pair", [PAIR_MIXED, PAIR_SLOW], ids=["mixed", "slow"])
-@pytest.mark.parametrize("t_target", [3.0, 5.0, 7.3, 12.0])
+@pytest.mark.parametrize("t_target", [3.0, 5.0, 7.3, 12.0, 1e4])
 def test_delay_inversion_equals_plain_bisection(pair, t_target):
     assert outcome(analytic.rho_for_delay_bound, pair, t_target) == outcome(
         rho_for_delay_bound_plain, pair, t_target
