@@ -47,6 +47,7 @@ from .specfun import (
 __all__ = [
     "BracketError",
     "OneSidedError",
+    "PastBalanceError",
     "HopPair",
     "SelectionThresholds",
     "ModulationParams",
@@ -100,6 +101,10 @@ class BracketError(ValueError):
 class OneSidedError(ValueError):
     """A threshold selects one hop too rarely for a conditional closed form:
     q_s or q_r <= 1e-12 for ser_exact_cabr, q_s < 1e-7 for the delay bound."""
+
+
+class PastBalanceError(ValueError):
+    """A threshold at or past the rate balance point (xi <= 1) has no delay bound."""
 
 
 @dataclass(frozen=True)
@@ -548,13 +553,15 @@ def _proved_bracket(probe, lo: float, hi: float) -> tuple[float, float]:
     return a, b
 
 
-def _bisect_log10_rho(f, what: str, xtol: float = 0.0, probe=None) -> tuple[float, float]:
-    """_bisect_log10 on log10 rho in [-30, 30]; BracketError unless f changes sign."""
+def _bisect_log10_rho(f, what: str, xtol: float = 0.0, probe=None) -> float:
+    """_bisect_log10 on log10 rho in [-30, 30], returning rho at the final
+    bracket's midpoint; BracketError unless f changes sign."""
     lo, hi = -30.0, 30.0
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketError(f"could not bracket {what} within log10 rho in [-30, 30]")
-    return _bisect_log10(f, lo, hi, xtol, probe)
+    lo, hi = _bisect_log10(f, lo, hi, xtol, probe)
+    return 10.0 ** (0.5 * (lo + hi))
 
 
 def rho_opt_fixed(pair: HopPair) -> float:
@@ -573,8 +580,7 @@ def rho_opt_fixed(pair: HopPair) -> float:
         d = lsp(pair, 10.0**log10_rho)[0] - 0.5
         return 0.0 if abs(d) < 1e-10 else d
 
-    lo, hi = _bisect_log10_rho(f, "q_s = 1/2")
-    return 10.0 ** (0.5 * (lo + hi))
+    return _bisect_log10_rho(f, "q_s = 1/2")
 
 
 def rho_for_qs(pair: HopPair, q_target: float) -> float:
@@ -593,8 +599,7 @@ def rho_for_qs(pair: HopPair, q_target: float) -> float:
         d = lsp(pair, 10.0**log10_rho)[0] - q_target
         return 0.0 if abs(d) < tol else d
 
-    lo, hi = _bisect_log10_rho(f, "q_target")
-    return 10.0 ** (0.5 * (lo + hi))
+    return _bisect_log10_rho(f, "q_target")
 
 
 def avg_capacity_hop(link: LinkParams) -> float:
@@ -728,7 +733,7 @@ def delay_bound_adaptive(pair: HopPair, rho: float) -> float:
     """Mean-delay upper bound for the adaptive scheme run below the balance point.
 
     Requires the buffer-starving condition xi = (second-hop rate)/(first-hop
-    rate) > 1; the bound diverges as the rates balance.
+    rate) > 1, else PastBalanceError; the bound diverges as the rates balance.
     """
     return _delay_bound(pair, rho)[0]
 
@@ -749,7 +754,7 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     m1s, e1s, m1r, e1r = _hop_moments(pair, rho, _rate_term_nats, LN2)
     xi = m1r / m1s
     if not (xi > 1.0):
-        raise ValueError("delay bound requires a starving buffer (xi > 1)")
+        raise PastBalanceError("delay bound requires a starving buffer (xi > 1)")
     m2s, e2s, m2r, e2r = _hop_moments(pair, rho, _w2_term_nats, LN2 * LN2)
     numer = xi * xi * m2s + (2.0 * xi - 1.0) * m2r
     bound = 0.5 / (xi * m1s) ** 2 * numer / (xi - 1.0)
@@ -786,7 +791,7 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
             # only the downward scan meets it, and q_s grows with rho, so every
             # lower threshold is one-sided too
             raise ValueError("delay target unreachable within the search range") from exc
-        except ValueError:  # past the balance point
+        except PastBalanceError:
             return math.inf
         return -1.0 if val <= t_target else 1.0
 

@@ -388,10 +388,8 @@ def _delay_bound(pair, rho):
     """Adaptive delay bound at threshold ``rho``, or nan past the balance point."""
     try:
         return analytic.delay_bound_adaptive(pair, rho)
-    except analytic.OneSidedError:
-        raise
-    except ValueError:
-        return math.nan  # no bound on this side of the balance point
+    except analytic.PastBalanceError:
+        return math.nan
 
 
 # metric name -> (row record, evaluator returning the record's cells by name)

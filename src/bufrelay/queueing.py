@@ -403,8 +403,7 @@ def _invert_qs_pip(pair: HopPair, q_target: float) -> float:
         # meeting the target counts as above it, so only the width rule stops
         return -1.0 if qs_pip_exact(pair, 10.0**log10_rho) < q_target else 1.0
 
-    lo, hi = _bisect_log10_rho(side, "the selection probability target", xtol=1e-13)
-    return 10.0 ** (0.5 * (lo + hi))
+    return _bisect_log10_rho(side, "the selection probability target", xtol=1e-13)
 
 
 def ser_asym_threshold_pip(

@@ -7,21 +7,20 @@ packets forwarded rather than dropped. Standard errors come from batch means
 (100 batches by default), which also absorbs the buffer-state autocorrelation
 of fixed-rate runs.
 
-A run's buffer is computed in chunks of slots, all in numpy, on one of two
-paths; ``_chunks`` alone picks it, by the capacity and thresholds:
-
-- The reflected walk. An infinite buffer whose empty-buffer threshold equals
-  the interior one selects the same way in every slot, so its occupancy is
-  Lindley's recursion B_n = max(B_{n-1} + x_n, 0), computed with cumulative
-  sums and running minima. Overflow curves, and adaptive-rate and
-  fixed-rate (FIFO or LIFO) cabr runs with an infinite buffer and
-  rho_c == rho, take it.
-- The level replay. Every other buffer (finite bit or packet buffers, and
-  infinite buffers with rho_c != rho) guesses each block's start level from
-  the reflected walk, replays all blocks at once, and repairs the starts
-  that disagree with the end of the block before (``_replay_levels``). A
-  block steps a finite packet buffer's count through a table of per-slot
-  count maps, and any other level by the slot rules.
+A run's buffer is computed in chunks of slots, all in numpy, by ``_chunks``.
+Each chunk's one-sided reflected walk is always computed: Lindley's
+recursion B_n = max(B_{n-1} + x_n, 0), with cumulative sums and running
+minima, where a first-hop slot raises the level and a second-hop slot
+lowers it. An infinite buffer whose empty-buffer threshold equals the
+interior one selects the same way in every slot, so the walk is its level:
+overflow curves, and adaptive-rate and fixed-rate (FIFO or LIFO) cabr runs
+with an infinite buffer and rho_c == rho. Every other buffer (finite bit or
+packet buffers, and infinite buffers with rho_c != rho) has boundaries, and
+the level replay repairs the walk there (``_replay_levels``): it guesses
+each block's start from the walk, replays all blocks at once, and repairs
+the starts that disagree with the end of the block before. A block steps a
+finite packet buffer's count through a table of per-slot count maps, and
+any other level by the slot rules.
 
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
@@ -59,7 +58,7 @@ __all__ = [
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
-_CHUNK = 1 << 16  # slots per step of the bit-level walks; the other paths take a quarter
+_CHUNK = 1 << 16  # slots per chunk of the exact bit walk; every other buffer takes a quarter
 _BLOCK = 32  # slots per block of the level replay
 
 
@@ -181,33 +180,6 @@ def _reflected_walk(x, start):
     return level
 
 
-def _walk_chunks(gs, gr, rho, start, packets):
-    """The chunk records of an infinite buffer with rho_c == rho, as a reflected walk.
-
-    A selected first-hop slot raises the level, a second-hop slot lowers it:
-    by one packet each when ``packets``, else by the chosen hop's capacity in
-    bits. Packet chunks are a quarter as long, like the replay's, because
-    their totals keep more per slot alive.
-    """
-    level = start
-    step = _CHUNK // 4 if packets else _CHUNK
-    for lo in range(0, gs.shape[0], step):
-        hi = min(lo + step, gs.shape[0])
-        sel = gr[lo:hi] <= rho * gs[lo:hi]
-        if packets:
-            cap = None
-            after = _reflected_walk(np.where(sel, 1, -1), level)
-        else:
-            cap = np.log1p(np.where(sel, gs[lo:hi], gr[lo:hi]))
-            cap *= _INV_LN2
-            after = _reflected_walk(np.where(sel, cap, -cap), level)
-        before = np.empty_like(after)
-        before[0] = level
-        before[1:] = after[:-1]
-        level = after[-1]
-        yield lo, hi, sel, cap, before, level
-
-
 def _replay_blocks(start, up_c, up, up_d, c_s, c_r, cap):
     """Replay blocks of slots from their start levels, all blocks at once.
 
@@ -264,39 +236,37 @@ def _count_blocks(start, off, maps, cap_n):
     return before, count, met
 
 
-def _replay_levels(replay, per_slot, x, cap, start):
+def _replay_levels(replay, per_slot, walk, cap, start):
     """Level before each slot of a chunk, and after its last, by a blocked replay.
 
     The chunk is cut into blocks of ``_BLOCK`` slots: each (array, fill) of
     ``per_slot`` becomes one row per block, padded with fill, and
     ``replay(starts, *rows)`` replays the rows' blocks as ``_replay_blocks``
-    does. Every block's start is first guessed from the one-sided reflected
-    walk of the steps x, clipped to the capacity, and all blocks are
-    replayed from their guesses at once. Then the guesses are repaired,
-    round by round: where a block's start differs from the end of the block
-    before, the difference is carried through every following block that met
-    no boundary (such a block only shifts its start), up to the first block
-    that did, and only the moved blocks are replayed. The rounds stop when
-    every start is within 2**-45 of its predecessor's end (relative to the
-    level, or to 32 bits near 0) and is empty or full exactly when that end
-    is. A round sets the first wrong start to its predecessor's end, so there
-    are at most as many rounds as blocks. With the carry, measured chunks
-    took 1-2 rounds for infinite buffers, 2 up to 8 bits or 2 packets, 3-4
-    at 16 bits, 3-7 at 10 packets, and up to 10-23 where the capacity spans
-    many blocks' drift (64-128 bits, 64-256 packets), the one-sided seed
-    being poor.
+    does. It repairs the chunk's one-sided reflected walk, the levels after
+    each slot in ``walk``: every block's start is first guessed from it,
+    clipped to the capacity, and all blocks are replayed from their guesses
+    at once. Then the guesses are repaired, round by round: where a block's
+    start differs from the end of the block before, the difference is
+    carried through every following block that met no boundary (such a
+    block only shifts its start), up to the first block that did, and only
+    the moved blocks are replayed. The rounds stop when every start is
+    within 2**-45 of its predecessor's end (relative to the level, or to 32
+    bits near 0) and is empty or full exactly when that end is. A round sets
+    the first wrong start to its predecessor's end, so there are at most as
+    many rounds as blocks. With the carry, measured chunks took 1-2 rounds
+    for infinite buffers, 2 up to 8 bits or 2 packets, 3-4 at 16 bits, 3-7
+    at 10 packets, and up to 10-23 where the capacity spans many blocks'
+    drift (64-128 bits, 64-256 packets), the one-sided seed being poor.
     """
     k = _BLOCK
-    n = x.shape[0]
+    n = walk.shape[0]
     m = -(-n // k)
     pad = m * k - n
     rows = [np.append(a, np.full(pad, fill, a.dtype)) if pad else a for a, fill in per_slot]
     rows = [a.reshape(m, k) for a in rows]
     starts = np.empty(m)
     starts[0] = start
-    guess = _reflected_walk(x, start)
-    np.minimum(guess[k - 1 : (m - 1) * k : k], cap, out=starts[1:])
-    del guess
+    np.minimum(walk[k - 1 : (m - 1) * k : k], cap, out=starts[1:])
     before, ends, met = replay(starts, *rows)
     index = np.arange(m)
     while True:
@@ -317,40 +287,6 @@ def _replay_levels(replay, per_slot, x, cap, start):
         todo = np.flatnonzero(moved != starts)
         starts = moved
         before[todo], ends[todo], met[todo] = replay(starts[todo], *(a[todo] for a in rows))
-
-
-def _replay_chunks(gs, gr, thr, cap, start, packets):
-    """The chunk records of any buffer, by a blocked level replay; packet levels as int64."""
-    counts = packets and not math.isinf(cap)
-    if counts:
-        cap = int(cap)  # so that counts compare with it as integers
-        replay = functools.partial(_count_blocks, maps=_slot_maps(cap), cap_n=cap)
-    else:
-        replay = functools.partial(_replay_blocks, cap=cap)
-    level = float(start)
-    step = _CHUNK // 4
-    for lo in range(0, gs.shape[0], step):
-        hi = min(lo + step, gs.shape[0])
-        g_s, g_r = gs[lo:hi], gr[lo:hi]
-        up_c, up, up_d = (g_r <= r * g_s for r in (thr.rho_c, thr.rho, thr.rho_d))
-        if packets:
-            c_s = c_r = np.ones(hi - lo)
-        else:
-            c_s, c_r = np.log1p(g_s), np.log1p(g_r)
-            c_s *= _INV_LN2
-            c_r *= _INV_LN2
-        if counts:
-            # padding slots take the ninth map, which keeps the count
-            code = up_c.view(np.uint8) << 2 | up.view(np.uint8) << 1 | up_d.view(np.uint8)
-            per_slot = [(code.astype(np.intp) * (cap + 1), 8 * (cap + 1))]
-        else:
-            # padding slots select the first hop and add nothing: they keep the level
-            per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (c_r, 0.0)]
-        before, level = _replay_levels(replay, per_slot, np.where(up, c_s, -c_r), cap, level)
-        if packets:
-            before, level = before.astype(np.int64), int(level)
-        sel = np.where(before == 0, up_c, np.where(before >= cap, up_d, up))
-        yield lo, hi, sel, None if packets else np.where(sel, c_s, c_r), before, level
 
 
 def _batch_adder(lo, hi, n_slots, nb):
@@ -429,17 +365,61 @@ def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
 
 
 def _chunks(gs, gr, thr, cap, start, packets):
-    """Chunk records of a run's buffer, on the one path its capacity and thresholds pick.
+    """Chunk records of a run's buffer: the reflected walk, repaired where it has boundaries.
 
     Each record is (lo, hi, hop-s selected, chosen hop's capacity, level
     before each slot, level after slot hi - 1) for consecutive slot ranges;
     with ``packets`` the capacity is None and the levels are int64 counts.
-    An infinite buffer with rho_c == rho takes the reflected walk, every
-    other buffer the level replay.
+    The walk steps by one packet each when ``packets``, else by the chosen
+    hop's capacity in bits. An infinite buffer with rho_c == rho takes it as
+    its levels; every other buffer passes it to ``_replay_levels``, which
+    repairs it. Chunks are a quarter of ``_CHUNK`` long except on the exact
+    bit walk, because their totals keep more per slot alive.
     """
-    if math.isinf(cap) and thr.rho_c == thr.rho:
-        return _walk_chunks(gs, gr, thr.rho, start, packets)
-    return _replay_chunks(gs, gr, thr, cap, start, packets)
+    walk = math.isinf(cap) and thr.rho_c == thr.rho
+    counts = packets and not math.isinf(cap)
+    if counts:
+        cap = int(cap)  # so that counts compare with it as integers
+        replay = functools.partial(_count_blocks, maps=_slot_maps(cap), cap_n=cap)
+    else:
+        replay = functools.partial(_replay_blocks, cap=cap)
+    level = start
+    step = _CHUNK if walk and not packets else _CHUNK // 4
+    ones = np.ones(step)  # a packet slot adds or removes one packet
+    for lo in range(0, gs.shape[0], step):
+        hi = min(lo + step, gs.shape[0])
+        g_s, g_r = gs[lo:hi], gr[lo:hi]
+        up = g_r <= thr.rho * g_s
+        up_c, up_d = (up if r == thr.rho else g_r <= r * g_s for r in (thr.rho_c, thr.rho_d))
+        if packets:
+            c_s = c_r = ones[: hi - lo]
+            after = _reflected_walk(np.where(up, 1, -1), level)
+        else:
+            c_s, c_r = np.log1p(g_s), np.log1p(g_r)
+            c_s *= _INV_LN2
+            c_r *= _INV_LN2
+            after = _reflected_walk(np.where(up, c_s, -c_r), level)
+        if walk:
+            before = np.empty_like(after)
+            before[0] = level
+            before[1:] = after[:-1]
+            level = after[-1]
+        else:
+            if counts:
+                # padding slots take the ninth map, which keeps the count
+                code = up_c.view(np.uint8) << 2 | up.view(np.uint8) << 1 | up_d.view(np.uint8)
+                per_slot = [(code.astype(np.intp) * (cap + 1), 8 * (cap + 1))]
+            else:
+                # padding slots select the first hop and add nothing: they keep the level
+                per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (c_r, 0.0)]
+            before, level = _replay_levels(replay, per_slot, after, cap, level)
+            if packets:
+                before, level = before.astype(np.int64), int(level)
+        if up_c is up is up_d:
+            sel = up
+        else:
+            sel = np.where(before == 0, up_c, np.where(before >= cap, up_d, up))
+        yield lo, hi, sel, None if packets else np.where(sel, c_s, c_r), before, level
 
 
 def _match_fifo(queue, lo, hi, push_at, pop_at, before):
@@ -516,7 +496,8 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
 def _walk_occupancy(gs, gr, rho, start_b, l_grid):
     """Slots whose end-of-slot bit level exceeds each L, for an infinite buffer."""
     counts = np.zeros(l_grid.shape[0], np.int64)
-    for lo, hi, _, _, before, level in _walk_chunks(gs, gr, rho, start_b, packets=False):
+    thr = SelectionThresholds.uniform(rho)
+    for lo, hi, _, _, before, level in _chunks(gs, gr, thr, math.inf, start_b, packets=False):
         counts += (hi - lo) - np.searchsorted(np.sort(before), l_grid, side="right")
     # the level after each slot is the one before the next, then the last level
     return counts - (start_b > l_grid) + (level > l_grid)

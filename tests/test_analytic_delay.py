@@ -70,6 +70,11 @@ class TestDelayBound:
         with pytest.raises(ValueError):
             analytic.delay_bound_adaptive(PAIR_MIXED, rho_bal * 1.01)
 
+    def test_past_balance_raises_its_own_type(self):
+        # the balance point of this pair is 1.0466
+        with pytest.raises(analytic.PastBalanceError, match=r"starving buffer \(xi > 1\)"):
+            analytic.delay_bound_adaptive(PAIR_MIXED, 2.0)
+
     def test_rejects_vanishing_selection(self):
         with pytest.raises(ValueError):
             analytic.delay_bound_adaptive(PAIR_MIXED, 1e-9)

@@ -146,6 +146,34 @@ class TestAnalyze:
         assert cli.main(["analyze", path]) == cli.EXIT_INFEASIBLE
         assert "t_max below one slot" in capsys.readouterr().err
 
+    @staticmethod
+    def constrained_tradeoff(tmp_path, design):
+        doc = {
+            "mode": "tradeoff",
+            "designs": [design],
+            "xi_grid": [1.2, 2.0, 5.0],
+            "constraint": {"t_max": 6.0, "tau_min": 0.3},
+        }
+        return write_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("design, kept", [
+        ({"name": "mdmt", "x_star": 0.5}, [2.0]),
+        ({"name": "ct", "tau_star": 0.4}, [2.0, 5.0]),
+    ], ids=["mdmt", "ct"])
+    def test_constraint_filters_the_xi_grid(self, tmp_path, capsys, design, kept):
+        path = self.constrained_tradeoff(tmp_path, design)
+        header, rows = run_csv(["analyze", path], capsys)
+        assert [float(row[header.index("xi")]) for row in rows] == kept
+
+    @pytest.mark.parametrize("design, message", [
+        ({"name": "ct", "tau_star": 0.25}, "ct tau*=0.25: below the throughput floor"),
+        ({"name": "mdmt", "x_star": 4.0}, "mdmt x*=4.0: t_max below the minimum delay"),
+    ], ids=["ct", "mdmt"])
+    def test_constraint_rejects_a_design(self, tmp_path, capsys, design, message):
+        path = self.constrained_tradeoff(tmp_path, design)
+        assert cli.main(["analyze", path]) == cli.EXIT_INFEASIBLE
+        assert message in capsys.readouterr().err
+
     def test_exit_convergence(self, tmp_path, capsys, monkeypatch):
         def blow_up(link):
             raise ConvergenceError("hop capacity", achieved=1e-3, requested=1e-9)

@@ -512,7 +512,8 @@ class TestVectorizedWalks:
     def test_adaptive_matches_loop(self, walk_shape, rho, start_b):
         slots, nb = walk_shape
         gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 17, errors=False)
-        chunks = sim._walk_chunks(gs, gr, rho, start_b, packets=False)
+        thr = SelectionThresholds.uniform(rho)
+        chunks = sim._chunks(gs, gr, thr, math.inf, start_b, packets=False)
         got = sim._adaptive_totals(chunks, math.inf, start_b, slots, nb)
         want = _kernel_adaptive(gs, gr, rho, rho, rho, math.inf, start_b, nb)
         _assert_totals_match(got, want, skip=("b_final",))
@@ -524,7 +525,8 @@ class TestVectorizedWalks:
     def _check_fixed(walk_shape, rho, start, lifo):
         slots, nb = walk_shape
         streams = sim._draw_streams(PAIR_MIXED, slots, 23)
-        chunks = sim._walk_chunks(*streams[:2], rho, start, packets=True)
+        thr = SelectionThresholds.uniform(rho)
+        chunks = sim._chunks(*streams[:2], thr, math.inf, start, packets=True)
         got = sim._fixed_totals(chunks, streams, BPSK, math.inf, lifo, start, nb)
         want = _kernel_fixed(
             *streams, rho, rho, rho, start + slots, BPSK.phi, BPSK.eta, lifo, start, nb
@@ -564,58 +566,55 @@ class TestVectorizedWalks:
         assert without[2] is None and without[3] is None
 
     @pytest.mark.parametrize(
-        "rate_mode, thresholds, buffer, path",
+        "rate_mode, thresholds, buffer, replayed",
         [
-            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), "_walk_chunks"),
-            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), "_replay_chunks"),
+            ("adaptive", SelectionThresholds.uniform(0.8), BufferState(), False),
+            ("adaptive", SelectionThresholds(0.8, 2.0, 0.8), BufferState(), True),
             (
                 "adaptive",
                 SelectionThresholds.uniform(0.8),
                 BufferState(capacity=8.0),
-                "_replay_chunks",
+                True,
             ),
-            ("fixed", SelectionThresholds.uniform(0.6), BufferState(), "_walk_chunks"),
+            ("fixed", SelectionThresholds.uniform(0.6), BufferState(), False),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
                 BufferState(discipline="lifo"),
-                "_walk_chunks",
+                False,
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.6),
                 BufferState(),
-                "_replay_chunks",
+                True,
             ),
             (
                 "fixed",
                 SelectionThresholds.uniform(0.6),
                 BufferState(capacity=8),
-                "_replay_chunks",
+                True,
             ),
             (
                 "fixed",
                 SelectionThresholds(0.6, 1.2, 0.3),
                 BufferState(discipline="lifo", capacity=8),
-                "_replay_chunks",
+                True,
             ),
         ],
     )
     def test_path_follows_buffer_and_thresholds(
-        self, monkeypatch, rate_mode, thresholds, buffer, path
+        self, monkeypatch, rate_mode, thresholds, buffer, replayed
     ):
         calls = []
-        for name in ("_walk_chunks", "_replay_chunks"):
-            inner = getattr(sim, name)
-            monkeypatch.setattr(
-                sim, name, lambda *a, _f=inner, _n=name: calls.append(_n) or _f(*a)
-            )
+        levels = sim._replay_levels
+        monkeypatch.setattr(sim, "_replay_levels", lambda *a: calls.append(1) or levels(*a))
         config = SchemeConfig(
             "cabr", rate_mode, 2000, 1,
             thresholds=thresholds, modulation=BPSK, buffer=buffer,
         )
         sim.run(config, PAIR_MIXED)
-        assert calls == [path]
+        assert bool(calls) == replayed
 
 
 # uniform, rho_c > rho > rho_d (the boundaries push toward the interior), and
@@ -642,7 +641,7 @@ class TestFiniteScan:
         # blocks of 8 slots meet fewer boundaries and take more repair rounds
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            chunks = sim._replay_chunks(*streams[:2], thr, cap_n, 0, packets=True)
+            chunks = sim._chunks(*streams[:2], thr, cap_n, 0, packets=True)
             got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, 0, nb)
             _assert_totals_equal(got, want)
 
@@ -659,7 +658,7 @@ class TestFiniteScan:
             want = _kernel_fixed(
                 *streams, th.rho, th.rho_c, th.rho_d, 8, BPSK.phi, BPSK.eta, lifo, occupancy, 20
             )
-            chunks = sim._replay_chunks(*streams[:2], th, 8, occupancy, packets=True)
+            chunks = sim._chunks(*streams[:2], th, 8, occupancy, packets=True)
             _assert_totals_equal(
                 sim._fixed_totals(chunks, streams, BPSK, 8, lifo, occupancy, 20), want
             )
@@ -694,7 +693,7 @@ class TestLevelReplay:
         want = _kernel_adaptive(gs, gr, thr.rho, thr.rho_c, thr.rho_d, cap, start_b, nb)
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            chunks = sim._replay_chunks(gs, gr, thr, cap, start_b, packets=False)
+            chunks = sim._chunks(gs, gr, thr, cap, start_b, packets=False)
             got = sim._adaptive_totals(chunks, cap, start_b, slots, nb)
             _assert_totals_match(got, want, skip=("b_final",))
             bits_in = got.bits_in.sum()
@@ -716,7 +715,7 @@ class TestLevelReplay:
         )
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            chunks = sim._replay_chunks(*streams[:2], thr, math.inf, start, packets=True)
+            chunks = sim._chunks(*streams[:2], thr, math.inf, start, packets=True)
             got = sim._fixed_totals(chunks, streams, BPSK, math.inf, lifo, start, nb)
             _assert_totals_equal(got, want)
 
@@ -736,7 +735,7 @@ class TestLevelReplay:
         )
         for block in (sim._BLOCK, 8):
             monkeypatch.setattr(sim, "_BLOCK", block)
-            chunks = sim._replay_chunks(*streams[:2], thr, cap_n, count, packets=True)
+            chunks = sim._chunks(*streams[:2], thr, cap_n, count, packets=True)
             got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, count, nb)
             _assert_totals_equal(got, want)
 
@@ -761,11 +760,11 @@ class TestLevelReplay:
         if case == "packets":
             rho = RHO_BALANCE_FIXED if math.isinf(cap) else 0.6
             thr = SelectionThresholds(rho, 1.2, 0.3)
-            chunks = sim._replay_chunks(*streams[:2], thr, cap, 0, packets=True)
+            chunks = sim._chunks(*streams[:2], thr, cap, 0, packets=True)
             sim._fixed_totals(chunks, streams, BPSK, cap, False, 0, 100)
         else:
             thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
-            chunks = sim._replay_chunks(*streams[:2], thr, cap, 0.0, packets=False)
+            chunks = sim._chunks(*streams[:2], thr, cap, 0.0, packets=False)
             sim._adaptive_totals(chunks, cap, 0.0, slots, 100)
         assert len(rounds) <= per_chunk * slots // (sim._CHUNK // 4)
 

@@ -47,7 +47,7 @@ def rho_for_delay_bound_plain(pair, t_target):
     def side(log10_rho):
         try:
             val = analytic.delay_bound_adaptive(pair, 10.0**log10_rho)
-        except ValueError:
+        except (analytic.OneSidedError, analytic.PastBalanceError):
             return math.inf
         return -1.0 if val <= t_target else 1.0
 
