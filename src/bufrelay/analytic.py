@@ -271,6 +271,7 @@ def ew_terms(terms: Iterable[_Term], eta: float) -> float:
 def _w2_term_nats(t: _Term) -> tuple[float, float]:
     """int_0^inf 2 ln(1+x) term(x) / (1+x) dx for one shape, and its error bound."""
     c, mu, a = t.c, t.mu, t.a
+    exp, log, log1p = math.exp, math.log, math.log1p
     if t.kind == "exp":
         if math.isinf(a):
             raise ValueError("second moment diverges: constant term with no decay")
@@ -282,8 +283,10 @@ def _w2_term_nats(t: _Term) -> tuple[float, float]:
             return -2.0 * c * mu * dilog(1.0 - mu) / (mu - 1.0), 0.0
         if abs(mu - 1.0) < _MU_ONE_TOL:
 
-            def f(x: float) -> float:
-                return 2.0 * math.log1p(x) * math.exp(-x / a) / (1.0 + x) ** 2
+            def f(t: float) -> float:
+                om = 1.0 - t
+                x = t / om
+                return 2.0 * log1p(x) * exp(-x / a) / (1.0 + x) ** 2 / (om * om)
 
             return _times(c, quad_semi_infinite(f))
         g = mu / (mu - 1.0)
@@ -292,21 +295,19 @@ def _w2_term_nats(t: _Term) -> tuple[float, float]:
     if t.kind == "ratio2":
         inv_a = _inv(a)
 
-        def f2(x: float) -> float:
-            return (
-                2.0
-                * math.log1p(x)
-                * (mu / (x + mu)) ** 2
-                * math.exp(-x * inv_a)
-                / (1.0 + x)
-            )
+        def f2(t: float) -> float:
+            om = 1.0 - t
+            x = t / om
+            return 2.0 * log1p(x) * (mu / (x + mu)) ** 2 * exp(-x * inv_a) / (1.0 + x) / (om * om)
 
         return _times(c, quad_semi_infinite(f2))
     if t.kind == "e1":
         return _times(c, integral_M(mu, a))
 
-    def f3(x: float) -> float:
-        return 2.0 * math.log1p(x) * (math.log1p(x) - math.log(x + mu)) / (1.0 + x)
+    def f3(t: float) -> float:
+        om = 1.0 - t
+        x = t / om
+        return 2.0 * log1p(x) * (log1p(x) - log(x + mu)) / (1.0 + x) / (om * om)
 
     return _times(c, quad_semi_infinite(f3))
 

@@ -523,15 +523,22 @@ _DelayTradeoffRow = _record("_DelayTradeoffRow", _TRADEOFF + " t_q t_u t_o t_tot
 _BerTradeoffRow = _record("_BerTradeoffRow", _TRADEOFF + " ser_s_approx ser_s_exact")
 
 
+def _design_chain(design, xi):
+    """The design's knob, boundary drift xi_c and infinite-buffer chain at drift xi."""
+    knob = _design_knob(design)
+    spec = _DESIGNS[design["name"]]
+    with _reraise(f"{design['name']} {spec.knob}={knob} at xi={xi}"):
+        xi_c = spec.xi_c(knob, xi)
+    return knob, xi_c, ThresholdProtocolParams.from_xis(math.inf, xi, xi_c, 1.0)
+
+
 def _pt_tradeoff(p):
     if p["design"] is None:  # feasibility-boundary row: tau (1 + t) = 1
         tau = p["tau"]
         return [list(_DelayTradeoffRow(design="bound", tau=tau, t_total=1.0 / tau - 1.0))]
     design = p["design"]
     xi = p["xi"]
-    knob = _design_knob(design)
-    xi_c = _DESIGNS[design["name"]].xi_c(knob, xi)
-    chain = ThresholdProtocolParams.from_xis(math.inf, xi, xi_c, 1.0)
+    knob, xi_c, chain = _design_chain(design, xi)
     common = dict(
         design=design["name"], knob=knob, xi=xi, xi_c=xi_c, tau=queueing.throughput(chain)
     )
@@ -846,6 +853,17 @@ def _build_tradeoff(doc):
                 with _reraise(f"ct tau*={design['tau_star']}", InfeasibleError):
                     xi_min = queueing.ct_xi_min(design["tau_star"], constraint.t_max)
                 grid_d = [x for x in xi_grid if x >= xi_min]
+            else:  # eps: the drifts whose chain meets both bounds
+                chains = [(x, _design_chain(design, x)[2]) for x in xi_grid]
+                grid_d = [
+                    x for x, chain in chains
+                    if queueing.delays(chain).t_total <= constraint.t_max
+                    and queueing.throughput(chain) >= constraint.tau_min
+                ]
+                if not grid_d:
+                    raise InfeasibleError(
+                        f"eps epsilon={_design_knob(design)}: no xi meets t_max and tau_min"
+                    )
         for xi in grid_d:
             payloads.append(
                 {"design": design, "xi": xi, "objective": objective, "doc": doc}

@@ -9,7 +9,8 @@ the distinguished infinite scale).
 The semi-closed integrals (J, L, M and the second-moment shapes in analytic)
 all go through quad_semi_infinite, whose tolerances are fixed: absolute 1e-10,
 relative 1e-9, at most 200 subdivisions. A result whose error estimate exceeds
-50 times the requested tolerance raises ConvergenceError.
+50 times the requested tolerance raises ConvergenceError. Each caller writes
+its integrand in t = x/(1+x), Jacobian included (see quad_semi_infinite).
 
 Inside a ``with memo():`` block, a function decorated with ``memoized``
 (integral_J, integral_L, integral_M here; the balance solve, hop moments and
@@ -70,18 +71,15 @@ class ConvergenceError(RuntimeError):
         self.requested = requested
 
 
-def quad_semi_infinite(f) -> float:
-    """Integrate f over [0, inf) by mapping x = t/(1-t) onto [0, 1).
+def quad_semi_infinite(g) -> float:
+    """Integrate f over [0, inf) given as g(t) = f(x) dx/dt, t = x/(1+x) in [0, 1).
 
-    The compactified form lets one adaptive scheme cover every tail weight we
-    meet (exponential, gaussian, algebraic) without ad hoc truncation.
+    g computes ``om = 1.0 - t; x = t / om; return f(x) / (om * om)`` inline, so
+    a node costs one Python call. The compactified form covers every tail weight
+    we meet (exponential, gaussian, algebraic) without ad hoc truncation. A node
+    that rounds to t = 1 divides by zero in g and becomes ConvergenceError. The
+    name outlives the x-space contract: profiling hooks count g's calls by it.
     """
-
-    def g(t: float) -> float:
-        om = 1.0 - t
-        x = t / om
-        return f(x) / (om * om)
-
     try:
         res = integrate.quad(
             g,
@@ -229,11 +227,14 @@ def integral_J(mu: float, lam: float) -> float:
     """J(mu, lam) = int_0^inf ln(1+x) e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
         raise ValueError("mu and lam must be positive and finite")
+    exp, log1p = math.exp, math.log1p
 
-    def f(x: float) -> float:
-        return math.log1p(x) * math.exp(-x / lam) / (x + mu)
+    def g(t: float) -> float:
+        om = 1.0 - t
+        x = t / om
+        return log1p(x) * exp(-x / lam) / (x + mu) / (om * om)
 
-    return quad_semi_infinite(f)
+    return quad_semi_infinite(g)
 
 
 def integral_K(mu: float, lam: float, eta: float) -> float:
@@ -256,7 +257,7 @@ def integral_K(mu: float, lam: float, eta: float) -> float:
 def integral_L(mu: float, lam: float, eta: float) -> float:
     """L(mu, lam, eta) = int_0^inf sqrt(eta/(2 pi w)) e^(-eta w/2) e^(mu/lam) E_1((w+mu)/lam) dw.
 
-    The w = t*t substitution removes the integrable endpoint singularity.
+    The w = s*s substitution removes the integrable endpoint singularity.
 
     Infinite decay scale: the integral grows like ln(lam), so this routine
     returns the renormalized limit of L(mu, lam) - ln(lam), i.e. the gaussian
@@ -269,24 +270,25 @@ def integral_L(mu: float, lam: float, eta: float) -> float:
     if not (lam > 0.0):
         raise ValueError("lam must be positive (or infinite)")
     coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
+    exp, log, en_scaled = math.exp, math.log, exp_integral_en_scaled
 
     if math.isinf(lam):
 
-        def f_reg(t: float) -> float:
-            w = t * t
-            return coef * math.exp(-0.5 * eta * w) * (-EULER_GAMMA - math.log(w + mu))
+        def g_reg(t: float) -> float:
+            om = 1.0 - t
+            s = t / om
+            w = s * s
+            return coef * exp(-0.5 * eta * w) * (-EULER_GAMMA - log(w + mu)) / (om * om)
 
-        return quad_semi_infinite(f_reg)
+        return quad_semi_infinite(g_reg)
 
-    def f(t: float) -> float:
-        w = t * t
-        return (
-            coef
-            * math.exp(-0.5 * eta * w - w / lam)
-            * exp_integral_en_scaled(1, (w + mu) / lam)
-        )
+    def g(t: float) -> float:
+        om = 1.0 - t
+        s = t / om
+        w = s * s
+        return coef * exp(-0.5 * eta * w - w / lam) * en_scaled(1, (w + mu) / lam) / (om * om)
 
-    return quad_semi_infinite(f)
+    return quad_semi_infinite(g)
 
 
 @memoized
@@ -294,9 +296,12 @@ def integral_M(mu: float, lam: float) -> float:
     """M(mu, lam) = int_0^inf ln(1+x)^2 e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
         raise ValueError("mu and lam must be positive and finite")
+    exp, log1p = math.exp, math.log1p
 
-    def f(x: float) -> float:
-        lg = math.log1p(x)
-        return lg * lg * math.exp(-x / lam) / (x + mu)
+    def g(t: float) -> float:
+        om = 1.0 - t
+        x = t / om
+        lg = log1p(x)
+        return lg * lg * exp(-x / lam) / (x + mu) / (om * om)
 
-    return quad_semi_infinite(f)
+    return quad_semi_infinite(g)

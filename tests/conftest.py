@@ -50,6 +50,22 @@ def random_pair(rng: np.random.Generator, pip=False) -> HopPair:
     return make_pair(lam[0], mu[0], lam[1], mu[1])
 
 
+def semi_infinite(f):
+    """f(x) on [0, inf) as the integrand in t = x/(1+x) that quad_semi_infinite takes.
+
+    The map, Jacobian and operation order are those every integrand in the
+    package writes inline, so an integral built from this helper equals the
+    package's own bit for bit.
+    """
+
+    def g(t):
+        om = 1.0 - t
+        x = t / om
+        return f(x) / (om * om)
+
+    return g
+
+
 def sample_link_snr(link: LinkParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """Independent draw of the capped SNR: min(power cap, interference cap).
 

@@ -8,7 +8,7 @@ import pytest
 from bufrelay import analytic
 from bufrelay.specfun import quad_semi_infinite
 
-from conftest import PAIR_MIXED, assert_within_sigma, random_pair, sample_pair_snr
+from conftest import PAIR_MIXED, assert_within_sigma, random_pair, sample_pair_snr, semi_infinite
 
 LN2 = math.log(2.0)
 
@@ -20,7 +20,7 @@ def second_moment_rate_hop_s_quad(pair, rho):
     def f(x):
         return 2.0 * math.log1p(x) * analytic.eval_terms(terms, x) / (1.0 + x)
 
-    return quad_semi_infinite(f) / (LN2 * LN2)
+    return quad_semi_infinite(semi_infinite(f)) / (LN2 * LN2)
 
 
 class TestSecondMoments:

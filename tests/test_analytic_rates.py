@@ -20,6 +20,7 @@ from conftest import (
     make_pair,
     random_pair,
     sample_pair_snr,
+    semi_infinite,
 )
 
 LN2 = math.log(2.0)
@@ -28,13 +29,14 @@ LN2 = math.log(2.0)
 def avg_rate_cabr_hop_s_quad(pair, rho):
     """Oracle: the first-hop adaptive rate by direct quadrature of the joint CCDF."""
     terms = analytic.joint_terms_sr(pair, rho)
-    return quad_semi_infinite(lambda x: analytic.eval_terms(terms, x) / (1.0 + x)) / LN2
+    nats = quad_semi_infinite(semi_infinite(lambda x: analytic.eval_terms(terms, x) / (1.0 + x)))
+    return nats / LN2
 
 
 def avg_rate_cnbr_quad(pair):
     """Oracle: the fixed-alternation rate by direct quadrature of the product CCDF."""
     terms = analytic.product_terms(pair)
-    nats = quad_semi_infinite(lambda x: analytic.eval_terms(terms, x) / (1.0 + x))
+    nats = quad_semi_infinite(semi_infinite(lambda x: analytic.eval_terms(terms, x) / (1.0 + x)))
     return nats / (2.0 * LN2)
 
 # balance point of the default workhorse pair, frozen from the solver itself
@@ -50,14 +52,16 @@ class TestHopCapacity:
             link = random_pair(rng).s
             closed = analytic.avg_capacity_hop(link)
             direct = quad_semi_infinite(
-                lambda x: link_ccdf(link, x) / (1.0 + x)
+                semi_infinite(lambda x: link_ccdf(link, x) / (1.0 + x))
             ) / LN2
             assert closed == pytest.approx(direct, rel=1e-9)
 
     def test_interference_only_capacity(self):
         link = PAIR_PIP.s
         closed = analytic.avg_capacity_hop(link)
-        direct = quad_semi_infinite(lambda x: link.mu / (link.mu + x) / (1.0 + x)) / LN2
+        direct = quad_semi_infinite(
+            semi_infinite(lambda x: link.mu / (link.mu + x) / (1.0 + x))
+        ) / LN2
         assert closed == pytest.approx(direct, rel=1e-9)
 
 

@@ -19,6 +19,7 @@ from conftest import (
     make_pair,
     random_pair,
     sample_pair_snr,
+    semi_infinite,
 )
 
 BPSK = ModulationParams(eta=2.0, phi=1.0, rate_R=1.0)
@@ -49,7 +50,7 @@ def ew_joint_ccdf_sr_quad(pair, rho, eta):
         w = t * t
         return coef * math.exp(-0.5 * eta * w) * analytic.eval_terms(terms, w)
 
-    return quad_semi_infinite(f)
+    return quad_semi_infinite(semi_infinite(f))
 
 
 def ser_exact_cabr_quad(pair, rho, mod):

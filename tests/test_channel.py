@@ -18,7 +18,7 @@ from bufrelay.channel import (
 )
 from bufrelay.specfun import quad_semi_infinite
 
-from conftest import assert_within_sigma
+from conftest import assert_within_sigma, semi_infinite
 
 
 class TestNodeGeometry:
@@ -114,7 +114,7 @@ class TestMarginals:
 
     def test_pdf_normalizes(self):
         link = LinkParams.from_lambda_mu(2.0, 5.0)
-        total = quad_semi_infinite(lambda s: link_pdf(link, s))
+        total = quad_semi_infinite(semi_infinite(lambda s: link_pdf(link, s)))
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_vector_evaluation(self):

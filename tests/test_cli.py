@@ -159,7 +159,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("design, kept", [
         ({"name": "mdmt", "x_star": 0.5}, [2.0]),
         ({"name": "ct", "tau_star": 0.4}, [2.0, 5.0]),
-    ], ids=["mdmt", "ct"])
+        # xi 1.2 gives t_total 11.09 > t_max
+        ({"name": "eps", "epsilon": 0.0}, [2.0, 5.0]),
+    ], ids=["mdmt", "ct", "eps"])
     def test_constraint_filters_the_xi_grid(self, tmp_path, capsys, design, kept):
         path = self.constrained_tradeoff(tmp_path, design)
         header, rows = run_csv(["analyze", path], capsys)
@@ -168,11 +170,24 @@ class TestAnalyze:
     @pytest.mark.parametrize("design, message", [
         ({"name": "ct", "tau_star": 0.25}, "ct tau*=0.25: below the throughput floor"),
         ({"name": "mdmt", "x_star": 4.0}, "mdmt x*=4.0: t_max below the minimum delay"),
-    ], ids=["ct", "mdmt"])
+        # t_total 11.24 at xi 1.2, tau 0.29 at xi 2, t_total 17.5 at xi 5
+        ({"name": "eps", "epsilon": 1.15}, "eps epsilon=1.15: no xi meets t_max and tau_min"),
+    ], ids=["ct", "mdmt", "eps"])
     def test_constraint_rejects_a_design(self, tmp_path, capsys, design, message):
         path = self.constrained_tradeoff(tmp_path, design)
         assert cli.main(["analyze", path]) == cli.EXIT_INFEASIBLE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constraint", [None, {"t_max": 6.0, "tau_min": 0.3}],
+                             ids=["free", "constrained"])
+    def test_design_knob_out_of_range_is_config_error(self, tmp_path, capsys, constraint):
+        # 1 + 1/xi - epsilon <= 0 at xi 2 and 5
+        doc = {"mode": "tradeoff", "designs": [{"name": "eps", "epsilon": 1.5}],
+               "xi_grid": [1.2, 2.0, 5.0]}
+        if constraint:
+            doc["constraint"] = constraint
+        assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONFIG
+        assert "eps epsilon=1.5 at xi=2.0: epsilon too large" in capsys.readouterr().err
 
     def test_exit_convergence(self, tmp_path, capsys, monkeypatch):
         def blow_up(link):

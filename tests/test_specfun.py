@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from bufrelay import specfun
+from bufrelay import analytic, specfun
 from bufrelay.specfun import (
     ConvergenceError,
+    EULER_GAMMA,
     dilog,
     exp_integral_en,
     exp_integral_en_scaled,
@@ -23,6 +25,7 @@ from bufrelay.specfun import (
     quad_semi_infinite,
 )
 
+from conftest import semi_infinite
 from test_analytic_ser import known_defect
 
 # values frozen from a 50-digit independent evaluation
@@ -54,7 +57,7 @@ def integral_I_quad(n, mu, lam, x=0.0):
         s = x + t
         return mu ** (n - 1) * math.exp(-s / lam) / (s + mu) ** n
 
-    return quad_semi_infinite(f)
+    return quad_semi_infinite(semi_infinite(f))
 
 
 def integral_K_quad(mu, lam, eta):
@@ -66,7 +69,7 @@ def integral_K_quad(mu, lam, eta):
         w = t * t
         return coef * mu * math.exp(-(0.5 * eta + inv_lam) * w) / (w + mu)
 
-    return quad_semi_infinite(f)
+    return quad_semi_infinite(semi_infinite(f))
 
 
 class TestExpIntegral:
@@ -119,6 +122,12 @@ class TestExpIntegral:
             exp_integral_en(-1, 1.0)
         with pytest.raises(ValueError):
             exp_integral_en_scaled(1, -2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scaled_equals_the_ufunc_product(self, n):
+        xs = 10.0 ** np.random.default_rng(40 + n).uniform(-8.0, math.log10(600.0), 2000)
+        for x in xs.tolist():
+            assert exp_integral_en_scaled(n, x) == math.exp(x) * float(special.expn(n, x))
 
     @given(st.floats(min_value=0.01, max_value=500.0))
     @settings(max_examples=60, deadline=None)
@@ -365,20 +374,114 @@ class TestConvergenceError:
     def test_missed_tolerance_raises(self):
         # an oscillating tail the compactified quadrature cannot resolve
         with pytest.raises(ConvergenceError) as info:
-            quad_semi_infinite(lambda x: math.cos(x) / (1.0 + x))
+            quad_semi_infinite(semi_infinite(lambda x: math.cos(x) / (1.0 + x)))
         assert info.value.achieved > 50.0 * info.value.requested
         assert info.value.requested >= 1e-10
 
     def test_slow_tail_raises_instead_of_dividing_by_zero(self):
         # the 1/x tail drives subdivision onto a node that rounds to t = 1
         with pytest.raises(ConvergenceError):
-            quad_semi_infinite(lambda x: 1.0 / (1.0 + x))
+            quad_semi_infinite(semi_infinite(lambda x: 1.0 / (1.0 + x)))
 
     def test_carries_numbers(self):
         err = ConvergenceError("thing", 1e-3, 1e-9)
         assert err.achieved == 1e-3
         assert err.requested == 1e-9
         assert "thing" in str(err)
+
+
+# (mu, lam) for the bit-identity checks below, log-uniform over [1e-3, 1e3]^2
+IDENTITY_POINTS = (10.0 ** np.random.default_rng(15).uniform(-3.0, 3.0, (200, 2))).tolist()
+
+
+def assert_same_outcome(compute, oracle, label):
+    """compute() == oracle() exactly, or both raise an exception of one type."""
+    __tracebackhide__ = True
+    try:
+        expected = oracle()
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            compute()
+        assert type(info.value) is type(exc), label
+        return
+    assert compute() == expected, label
+
+
+def w2_shape(kind, mu, a):
+    return analytic._w2_term_nats(analytic._Term(kind, 1.0, mu, a))[0]
+
+
+class TestIntegrandsInTheMappedVariable:
+    """Each integrand written in t gives the value of its x-space form under semi_infinite."""
+
+    def test_J_and_M(self):
+        for mu, lam in IDENTITY_POINTS:
+
+            def j(x):
+                return math.log1p(x) * math.exp(-x / lam) / (x + mu)
+
+            def m(x):
+                lg = math.log1p(x)
+                return lg * lg * math.exp(-x / lam) / (x + mu)
+
+            for family, f in ((integral_J, j), (integral_M, m)):
+                assert_same_outcome(
+                    lambda: family(mu, lam),
+                    lambda: quad_semi_infinite(semi_infinite(f)),
+                    f"{family.__name__}({mu!r}, {lam!r})",
+                )
+
+    def test_L(self):
+        eta = 2.0
+        coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
+        for mu, lam in IDENTITY_POINTS:
+
+            def finite(s):
+                w = s * s
+                return (
+                    coef
+                    * math.exp(-0.5 * eta * w - w / lam)
+                    * exp_integral_en_scaled(1, (w + mu) / lam)
+                )
+
+            def regularized(s):
+                w = s * s
+                return coef * math.exp(-0.5 * eta * w) * (-EULER_GAMMA - math.log(w + mu))
+
+            assert_same_outcome(
+                lambda: integral_L(mu, lam, eta),
+                lambda: quad_semi_infinite(semi_infinite(finite)),
+                f"integral_L({mu!r}, {lam!r}, {eta!r})",
+            )
+            assert_same_outcome(
+                lambda: integral_L(mu, math.inf, eta),
+                lambda: quad_semi_infinite(semi_infinite(regularized)),
+                f"integral_L({mu!r}, inf, {eta!r})",
+            )
+
+    def test_second_moment_shapes(self):
+        for mu, lam in IDENTITY_POINTS:
+            inv_lam = 1.0 / lam
+
+            def ratio(x):
+                return 2.0 * math.log1p(x) * math.exp(-x / lam) / (1.0 + x) ** 2
+
+            def ratio2(x):
+                return (
+                    2.0 * math.log1p(x) * (mu / (x + mu)) ** 2 * math.exp(-x * inv_lam) / (1.0 + x)
+                )
+
+            def e1log(x):
+                return 2.0 * math.log1p(x) * (math.log1p(x) - math.log(x + mu)) / (1.0 + x)
+
+            # the ratio shape integrates numerically only at mu = 1
+            shapes = (("ratio", 1.0, ratio), ("ratio2", mu, ratio2), ("e1log", mu, e1log))
+            for kind, mu_k, f in shapes:
+                assert_same_outcome(
+                    lambda: w2_shape(kind, mu_k, lam),
+                    lambda: quad_semi_infinite(semi_infinite(f)),
+                    f"{kind}({mu_k!r}, {lam!r})",
+                )
 
 
 class TestMemo:
