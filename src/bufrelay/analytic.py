@@ -29,9 +29,8 @@ from typing import Iterable, NamedTuple
 
 from .channel import LinkParams
 from .specfun import (
-    _ABS_TOL,
-    _REL_TOL,
     EULER_GAMMA,
+    QuadValue,
     dilog,
     exp_integral_en_scaled,
     integral_I,
@@ -196,14 +195,14 @@ def eval_terms(terms: Iterable[_Term], x: float) -> float:
     return math.fsum(_eval_term(t, x) for t in terms)
 
 
-def _times(c: float, q: float) -> tuple[float, float]:
-    """c q for a quadrature result q, and c times the accuracy asked of quad."""
-    return c * q, abs(c) * max(_ABS_TOL, _REL_TOL * abs(q))
+def _times(c: float, q: QuadValue) -> tuple[float, float]:
+    """c q for a quadrature result q, and c times the error quad reported for q."""
+    return c * q, abs(c) * q.err
 
 
 def _rate_term_nats(t: _Term) -> tuple[float, float]:
     """int_0^inf term(x)/(1+x) dx for one primitive shape, and a bound on its
-    error beyond rounding the value: _ROUND of pieces that cancel, quadrature."""
+    error beyond rounding: _ROUND of pieces that cancel, quad's reported error."""
     c, mu, a = t.c, t.mu, t.a
     if t.kind == "exp":
         if math.isinf(a):
@@ -636,10 +635,10 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     The first-hop rate grows with rho while the second-hop rate shrinks, so
     the balance point is found by bisection on log10 rho; the common value is
     the end-to-end average rate. The rates being monotone, a midpoint beyond a
-    pair whose gap exceeds twice the tolerance plus both error bounds has that
-    gap's sign, so it is not evaluated and no digit moves (9 rate pairs in all
-    instead of 33 on a moderate pair). The solve runs in one specfun memo
-    block, so the probe and the bisection share each rate pair.
+    pair whose gap exceeds twice the tolerance plus both error bounds (quad's
+    reported errors) has that gap's sign, so it is not evaluated and no digit
+    moves (9 rate pairs instead of 33 on a moderate pair). The solve runs in
+    one specfun memo block, so the probe and the bisection share each pair.
     """
     last = [0.0, 0.0, 0.0]  # log10 rho, rs and rr of the latest evaluation
 
@@ -775,7 +774,7 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     (an end numerically past the balance point counts as above it) and the
     bracket is bisected. The bound being monotone, a midpoint beyond a bound
     farther from t_target than twice its error bound is on that bound's side,
-    so it is not evaluated and no digit moves (20 bounds in all instead of 36
+    so it is not evaluated and no digit moves (17 bounds in all instead of 36
     on a moderate pair). The search runs in one specfun memo block: the hop
     moments at every rho share their J, L and M integrals, which roughly
     halves its quadratures.

@@ -34,6 +34,17 @@ __all__ = [
 ]
 
 
+def _pow(base: float, exponent: float, what: str) -> float:
+    """base ** exponent; ValueError naming what if that overflows or underflows to 0."""
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} is {value:g}, outside the positive floats")
+    return value
+
+
 @dataclass(frozen=True)
 class NodeGeometry:
     """Node distances (source-relay, relay-destination, source-primary, relay-primary)."""
@@ -56,6 +67,10 @@ class PowerConstraints:
 
     gamma_max_db: float
     gamma_p_db: float
+
+    def __post_init__(self) -> None:
+        for name in ("gamma_max_db", "gamma_p_db"):
+            _pow(10.0, getattr(self, name) / 10.0, f"10^({name}/10)")
 
     @property
     def gamma_max(self) -> float:
@@ -122,13 +137,13 @@ def derive_link_params(
     keeping the interference geometry).
     """
     if omega_h_s is None:
-        omega_h_s = geom.d_sr ** (-geom.alpha)
+        omega_h_s = _pow(geom.d_sr, -geom.alpha, "d_sr^(-alpha)")
     if omega_h_r is None:
-        omega_h_r = geom.d_rd ** (-geom.alpha)
+        omega_h_r = _pow(geom.d_rd, -geom.alpha, "d_rd^(-alpha)")
     if not (omega_h_s > 0.0) or not (omega_h_r > 0.0):
         raise ValueError("fading overrides must be positive")
-    omega_g_s = geom.d_sp ** (-geom.alpha)
-    omega_g_r = geom.d_rp ** (-geom.alpha)
+    omega_g_s = _pow(geom.d_sp, -geom.alpha, "d_sp^(-alpha)")
+    omega_g_r = _pow(geom.d_rp, -geom.alpha, "d_rp^(-alpha)")
     hop_s = LinkParams.from_lambda_mu(
         lam=pc.gamma_max * omega_h_s, mu=pc.gamma_p * omega_h_s / omega_g_s
     )

@@ -911,10 +911,10 @@ def _build_ser_sweep(doc):
     if not isinstance(schemes, list) or any(s not in ("cabr", "cnbr") for s in schemes):
         raise ConfigError("schemes: list drawn from cabr, cnbr")
     gammas = _as_nums(doc, "gamma_max_db_grid")
-    buffer_sizes = [
-        _as_int(v, "threshold_buffer_sizes[]", minimum=1)
-        for v in doc.get("threshold_buffer_sizes", [])
-    ]
+    buffer_sizes = doc.get("threshold_buffer_sizes", [])
+    if not isinstance(buffer_sizes, list):
+        raise ConfigError("threshold_buffer_sizes: list of integers")
+    buffer_sizes = [_as_int(v, "threshold_buffer_sizes[]", minimum=1) for v in buffer_sizes]
     shared = {"buffer_sizes": buffer_sizes, "seed": _doc_seed(doc), "slots": _doc_slots(doc)}
     payloads = []
     for case in cases:

@@ -11,6 +11,8 @@ all go through quad_semi_infinite, whose tolerances are fixed: absolute 1e-10,
 relative 1e-9, at most 200 subdivisions. A result whose error estimate exceeds
 50 times the requested tolerance raises ConvergenceError. Each caller writes
 its integrand in t = x/(1+x), Jacobian included (see quad_semi_infinite).
+Their values are QuadValue floats that carry quad's reported error estimate
+in ``err``; the bracket proofs of analytic's root searches rest on it.
 
 Inside a ``with memo():`` block, a function decorated with ``memoized``
 (integral_J, integral_L, integral_M here; the balance solve, hop moments and
@@ -39,6 +41,7 @@ from scipy import integrate, special
 __all__ = [
     "ConvergenceError",
     "EULER_GAMMA",
+    "QuadValue",
     "exp_integral_en",
     "exp_integral_en_scaled",
     "dilog",
@@ -71,7 +74,18 @@ class ConvergenceError(RuntimeError):
         self.requested = requested
 
 
-def quad_semi_infinite(g) -> float:
+class QuadValue(float):
+    """A quadrature result; ``err`` is the absolute error estimate quad reported."""
+
+    __slots__ = ("err",)
+
+    def __new__(cls, value: float, err: float):
+        self = super().__new__(cls, value)
+        self.err = err
+        return self
+
+
+def quad_semi_infinite(g) -> QuadValue:
     """Integrate f over [0, inf) given as g(t) = f(x) dx/dt, t = x/(1+x) in [0, 1).
 
     g computes ``om = 1.0 - t; x = t / om; return f(x) / (om * om)`` inline, so
@@ -79,6 +93,8 @@ def quad_semi_infinite(g) -> float:
     we meet (exponential, gaussian, algebraic) without ad hoc truncation. A node
     that rounds to t = 1 divides by zero in g and becomes ConvergenceError. The
     name outlives the x-space contract: profiling hooks count g's calls by it.
+    The value carries quad's reported abserr, which may exceed the requested
+    tolerance up to the 50-fold limit; analytic's search proofs bound with it.
     """
     try:
         res = integrate.quad(
@@ -100,7 +116,7 @@ def quad_semi_infinite(g) -> float:
     # "roundoff-limited but fine" from genuinely unconverged results.
     if abserr > 50.0 * requested or math.isnan(value):
         raise ConvergenceError("semi-infinite quadrature", abserr, requested)
-    return value
+    return QuadValue(value, abserr)
 
 
 # the open memo block's store, None outside any block
@@ -223,7 +239,7 @@ def integral_I(n: int, mu: float, lam: float, x: float = 0.0) -> float:
 
 
 @memoized
-def integral_J(mu: float, lam: float) -> float:
+def integral_J(mu: float, lam: float) -> QuadValue:
     """J(mu, lam) = int_0^inf ln(1+x) e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
         raise ValueError("mu and lam must be positive and finite")
@@ -254,7 +270,7 @@ def integral_K(mu: float, lam: float, eta: float) -> float:
 
 
 @memoized
-def integral_L(mu: float, lam: float, eta: float) -> float:
+def integral_L(mu: float, lam: float, eta: float) -> QuadValue:
     """L(mu, lam, eta) = int_0^inf sqrt(eta/(2 pi w)) e^(-eta w/2) e^(mu/lam) E_1((w+mu)/lam) dw.
 
     The w = s*s substitution removes the integrable endpoint singularity.
@@ -292,7 +308,7 @@ def integral_L(mu: float, lam: float, eta: float) -> float:
 
 
 @memoized
-def integral_M(mu: float, lam: float) -> float:
+def integral_M(mu: float, lam: float) -> QuadValue:
     """M(mu, lam) = int_0^inf ln(1+x)^2 e^(-x/lam) / (x+mu) dx."""
     if not (mu > 0.0) or not (lam > 0.0) or math.isinf(lam):
         raise ValueError("mu and lam must be positive and finite")

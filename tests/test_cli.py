@@ -1,5 +1,6 @@
 """Experiment-runner plumbing: documents, outputs, exit codes, worker pool."""
 
+import copy
 import csv
 import json
 import math
@@ -329,6 +330,30 @@ class TestOneSidedThresholds:
         assert out.splitlines() == ["delay_bound", "nan"]
 
 
+# fig3's pair with one field where d^(-alpha) or 10^(dB/10) leaves the floats
+OUT_OF_RANGE_PAIRS = [
+    ("geometry", "d_sp", 1e-300, "d_sp^(-alpha) is inf"),
+    ("geometry", "d_sr", 1e-300, "d_sr^(-alpha) is inf"),
+    ("geometry", "d_rp", 1e300, "d_rp^(-alpha) is 0"),
+    ("geometry", "alpha", 1e300, "d_sp^(-alpha) is 0"),
+    ("power", "gamma_max_db", 1e300, "10^(gamma_max_db/10) is inf"),
+    ("power", "gamma_max_db", -1e300, "10^(gamma_max_db/10) is 0"),
+    ("power", "gamma_p_db", 1e300, "10^(gamma_p_db/10) is inf"),
+]
+
+
+@pytest.mark.parametrize("section, field, value, message", OUT_OF_RANGE_PAIRS)
+def test_out_of_range_geometry_or_power_is_config_error(
+    tmp_path, capsys, section, field, value, message
+):
+    doc = copy.deepcopy(cli.PRESETS["fig3"])
+    del doc["series"], doc["sweep"]
+    doc["pair"][section][field] = value
+    rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert err == [f"config error: pair: {message}, outside the positive floats"]
+
+
 def run_stdout(argv, capsys):
     assert cli.main(argv) == 0
     return capsys.readouterr().out
@@ -404,6 +429,18 @@ class TestDocumentForms:
         ]
         sim_col = header.index("ser_s_sim")
         assert [r[sim_col] for r in cnbr] != [r[sim_col] for r in want]
+
+    @pytest.mark.parametrize("sizes", [3, 3.5])
+    def test_ser_sweep_buffer_sizes_must_be_a_list(self, tmp_path, capsys, sizes):
+        doc = {
+            "mode": "ser-sweep",
+            "cases": [{"name": "symmetric", "mu_s": 156.25, "mu_r": 156.25}],
+            "gamma_max_db_grid": [20.0],
+            "threshold_buffer_sizes": sizes,
+        }
+        rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert err == ["config error: threshold_buffer_sizes: list of integers"]
 
 
 class TestOutputs:

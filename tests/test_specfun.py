@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from bufrelay import analytic, specfun
 from bufrelay.specfun import (
@@ -407,6 +407,19 @@ def assert_same_outcome(compute, oracle, label):
     assert compute() == expected, label
 
 
+def jm_integrands(mu, lam):
+    """The x-space integrands of J(mu, lam) and M(mu, lam)."""
+
+    def j(x):
+        return math.log1p(x) * math.exp(-x / lam) / (x + mu)
+
+    def m(x):
+        lg = math.log1p(x)
+        return lg * lg * math.exp(-x / lam) / (x + mu)
+
+    return j, m
+
+
 def w2_shape(kind, mu, a):
     return analytic._w2_term_nats(analytic._Term(kind, 1.0, mu, a))[0]
 
@@ -416,15 +429,7 @@ class TestIntegrandsInTheMappedVariable:
 
     def test_J_and_M(self):
         for mu, lam in IDENTITY_POINTS:
-
-            def j(x):
-                return math.log1p(x) * math.exp(-x / lam) / (x + mu)
-
-            def m(x):
-                lg = math.log1p(x)
-                return lg * lg * math.exp(-x / lam) / (x + mu)
-
-            for family, f in ((integral_J, j), (integral_M, m)):
+            for family, f in zip((integral_J, integral_M), jm_integrands(mu, lam)):
                 assert_same_outcome(
                     lambda: family(mu, lam),
                     lambda: quad_semi_infinite(semi_infinite(f)),
@@ -482,6 +487,28 @@ class TestIntegrandsInTheMappedVariable:
                     lambda: quad_semi_infinite(semi_infinite(f)),
                     f"{kind}({mu_k!r}, {lam!r})",
                 )
+
+
+# (mu, lam) for the reported-error checks, log-uniform over [1e-2, 1e3]^2
+ERROR_POINTS = (10.0 ** np.random.default_rng(16).uniform(-2.0, 3.0, (50, 2))).tolist()
+
+
+class TestReportedError:
+    """J and M carry the absolute error quad reports for their integrand, which
+    the bracket proofs of the root searches rest on; quad_semi_infinite accepts
+    it up to 50 times the requested tolerance."""
+
+    def test_J_and_M(self):
+        for mu, lam in ERROR_POINTS:
+            for family, f in zip((integral_J, integral_M), jm_integrands(mu, lam)):
+                value = family(mu, lam)
+                quad = integrate.quad(
+                    semi_infinite(f), 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=200,
+                    full_output=1,
+                )
+                label = f"{family.__name__}({mu!r}, {lam!r})"
+                assert (value, value.err) == quad[:2], label
+                assert value.err <= 50.0 * max(1e-10, 1e-9 * value), label
 
 
 class TestMemo:

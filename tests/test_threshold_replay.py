@@ -131,6 +131,13 @@ def test_moments_with_error_bounds_match_the_public_values():
         assert abs(rs - quad) <= es + (1e-10 + 1e-9 * abs(quad)) / LN2
 
 
+def test_rate_term_error_is_the_reported_quadrature_error():
+    j = specfun.integral_J(3.0, 4.0)
+    for c in (0.7, -2.5):
+        term = analytic._Term("e1", c, 3.0, 4.0)
+        assert analytic._rate_term_nats(term) == (c * j, abs(c) * j.err)
+
+
 def counting(monkeypatch, name):
     """Count the calls of an analytic function; of a memoized one, the calls
     that compute, not the memo hits."""
@@ -147,9 +154,9 @@ def counting(monkeypatch, name):
 
 
 class TestEvaluationBudget:
-    """Bounds at the measured counts + 2, or + 1 for the unreachable target;
-    the plain bisections take 33 rate pairs for the balance, 36 delay bounds
-    at t = 5 and 120 at t = 2.2."""
+    """Bounds at the measured counts + 2 (9 rate pairs for the balance, 17
+    delay bounds at t = 5), or + 1 for the unreachable target; the plain
+    bisections take 33 rate pairs, 36 delay bounds at t = 5 and 120 at t = 2.2."""
 
     def test_balance_rate_pairs(self, monkeypatch):
         # one rate pair builds the joint terms of both hops
@@ -162,7 +169,7 @@ class TestEvaluationBudget:
         # counting the latter counts every delay-bound evaluation
         calls = counting(monkeypatch, "_delay_bound")
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
-        assert calls[0] <= 22
+        assert calls[0] <= 19
 
     def test_unreachable_delay_target(self, monkeypatch):
         # the downward scan stops at the first threshold too one-sided for the
@@ -174,13 +181,13 @@ class TestEvaluationBudget:
 
 
 class TestQuadratureBudget:
-    """Bounds at the measured counts + about 2%: each J, L and M integral is
-    computed once per delay-bound search and once per command (without that,
-    436 quadratures at t = 5 and 7780 for fig7)."""
+    """Bounds at the measured counts + about 2% (206 quadratures at t = 5 and
+    2842 for fig7): each J, L and M integral is computed once per delay-bound
+    search and once per command (without that, 376 and 5492)."""
 
     def test_delay_bound_search(self, quad_calls):
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
-        assert quad_calls[0] <= 240
+        assert quad_calls[0] <= 210
 
     def test_fig7_command(self, quad_calls):
         counts = []
@@ -188,7 +195,7 @@ class TestQuadratureBudget:
             quad_calls[0] = 0
             cli.cmd_compare(copy.deepcopy(cli.PRESETS["fig7"]))
             counts.append(quad_calls[0])
-        assert counts[0] <= 3600
+        assert counts[0] <= 2900
         # a second run in the same process integrates as much as the first:
         # no value outlives its command
         assert counts[1] == counts[0]
