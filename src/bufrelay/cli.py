@@ -37,7 +37,7 @@ import numpy as np
 
 from . import analytic, queueing, sim
 from .analytic import HopPair, ModulationParams, SelectionThresholds
-from .channel import LinkParams, NodeGeometry, PowerConstraints, derive_link_params
+from .channel import LinkParams, NodeGeometry, PowerConstraints, _pow, derive_link_params
 from .queueing import SchemeConstraint, ThresholdProtocolParams
 from .specfun import ConvergenceError, memo
 
@@ -70,54 +70,125 @@ class InfeasibleError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# document helpers
+# document fields
+#
+# Each mode lists the fields it reads in one table (after the row records).
+# One validator reads fields against their entries and returns normalized
+# values, which builders and point evaluators use without checking again.
+
+_REQ = object()  # default of a required field: an absent key reads as null
+_OPT = object()  # default of an optional field, left out when its key is absent
 
 
-def _as_map(doc, key, required=False):
-    sec = doc.get(key)
-    if sec is None:
-        if required:
-            raise ConfigError(f"{key}: section required")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{key}: must be a mapping")
-    return sec
+class _F(NamedTuple):
+    """One document field; messages print ``label``, else a map's key, else the path.
+
+    A map with ``forms`` also reads the fields of one of them: the form that field
+    ``by`` names, else the first whose key is present, else form "".
+    """
+
+    key: str
+    type: str = "num"  # num int str choice any list map, or rho: > 0, "balance", "fixed-opt"
+    range: object = None  # num "> 0"; int minimum; list minimum length (1) or a _LIST_CHECKS key
+    default: object = _REQ  # _REQ, _OPT, None (left out if absent or null) or an absent key's value
+    inf: bool = False  # a num accepts the string "inf"
+    label: str = ""
+    what: str = ""  # message of a str, choice or list check, a non-mapping item, or a form miss
+    choices: tuple = ()
+    fields: tuple = ()  # a map's fields (none: its contents pass unchecked), or a list's item
+    forms: Optional[dict] = None  # form key -> extra fields
+    by: str = ""  # a key every item mapping must hold, and the form it picks
+    make: Optional[Callable] = None  # builds a map's value; its ValueError names the map's path
 
 
-def _as_num(value, field, positive=False, allow_inf=False):
-    if isinstance(value, str) and value == "inf" and allow_inf:
+def _increasing(v):
+    return all(b > a for a, b in zip(v, v[1:]))
+
+
+# whole-list range checks: name -> (predicate on the normalized items, message)
+_LIST_CHECKS = {
+    "monotone": (lambda v: _increasing(v) or _increasing(v[::-1]), "must be strictly monotone"),
+    "increasing": (_increasing, "must be strictly increasing"),
+    "> 1": (lambda v: all(x > 1.0 for x in v), "every drift ratio must exceed 1"),
+}
+
+
+def _check(f, value, label, path=""):
+    """``value`` of field ``f`` normalized, or a ConfigError naming ``label``."""
+    def fail(message):
+        raise ConfigError(f"{label}: {message}")
+
+    if f.type == "map":
+        if value is None and f.key:
+            if f.default is _REQ or f.default is _OPT:
+                fail("section required")
+            value = {}
+        if not isinstance(value, dict) or (f.by and f.by not in value):
+            fail("must be a mapping" if f.key else f.what)  # list items say what they need
+        if not (f.fields or f.forms):
+            return value
+        out = _section(value, f.fields, f"{path}.")
+        if f.forms:
+            form = value[f.by] if f.by else next((k for k in f.forms if k in value), "")
+            if form not in f.forms:
+                fail(f.what)
+            out.update(_section(value, f.forms[form], f"{path}."))
+        if f.make is None:
+            return out
+        with _reraise(path):
+            return f.make(**out)
+    if f.type == "list":
+        if not isinstance(value, list) or len(value) < (f.range if isinstance(f.range, int) else 1):
+            fail(f.what or "non-empty list required")
+        item = f.fields[0]
+        out = [
+            _check(item, v, item.label or f"{path}[{i}]", f"{path}[]") for i, v in enumerate(value)
+        ]
+        if isinstance(f.range, str) and not _LIST_CHECKS[f.range][0](out):
+            fail(_LIST_CHECKS[f.range][1])
+        return out
+    if f.type in ("str", "choice"):
+        if not isinstance(value, str) or not (value in f.choices if f.choices else value):
+            fail(f.what.format(v=value))
+        return value
+    if f.type == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            fail("must be an integer")
+        if f.range is not None and value < f.range:
+            fail(f"must be at least {f.range}")
+        return value
+    if f.type == "any" or (f.type == "rho" and value in ("balance", "fixed-opt")):
+        return value
+    if f.type == "rho" and (value is None or isinstance(value, str)):
+        fail("required here (number, 'balance' or 'fixed-opt')" if value is None
+             else "must be a positive number, 'balance' or 'fixed-opt'")
+    if f.inf and value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: must be a number")
-    v = float(value)
+        fail("must be a number")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the largest float
+        v = math.inf if value > 0 else -math.inf
     if math.isnan(v):
-        raise ConfigError(f"{field}: must not be NaN")
-    if math.isinf(v) and not allow_inf:
-        raise ConfigError(f"{field}: must be finite")
-    if positive and not (v > 0.0):
-        raise ConfigError(f"{field}: must be positive")
+        fail("must not be NaN")
+    if math.isinf(v) and not f.inf:
+        fail("must be finite")
+    if (f.range == "> 0" or f.type == "rho") and not (v > 0.0):
+        fail("must be positive")
     return v
 
 
-def _as_int(value, field, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field}: must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{field}: must be at least {minimum}")
-    return value
-
-
-def _as_list(doc, key, what="non-empty list", field=None):
-    raw = doc.get(key)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{field or key}: {what} required")
-    return raw
-
-
-def _as_nums(doc, key, field=None, **checks):
-    field = field or key
-    raw = _as_list(doc, key, field=field)
-    return [_as_num(v, f"{field}[{i}]", **checks) for i, v in enumerate(raw)]
+def _section(sec, fields, prefix=""):
+    """Normalized values of ``fields`` in mapping ``sec``, absent optional ones left out."""
+    out = {}
+    for f in fields:
+        value = sec.get(f.key, f.default)
+        if value is not _OPT and (value is not None or f.default is not None):
+            path = prefix + f.key
+            label = f.label or (f.key if f.type == "map" else path)
+            out[f.key] = _check(f, None if value is _REQ else value, label, path)
+    return out
 
 
 @contextlib.contextmanager
@@ -157,57 +228,24 @@ def _set_by_path(doc, path, value, what):
     node[parts[-1]] = value
 
 
-class _Axis(NamedTuple):
-    path: str
-    values: list
-    label: str
-    scale_by: Optional[str]
-
-
-def _axis(doc, key, values_key, monotone=False):
-    sec = doc.get(key)
-    if sec is None:
-        return None
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{key}: must be a mapping")
-    path = sec.get("parameter")
-    if not isinstance(path, str) or not path:
-        raise ConfigError(f"{key}.parameter: non-empty string required")
-    values = _as_nums(sec, values_key, field=f"{key}.{values_key}", allow_inf=True)
-    if monotone and len(values) > 1:
-        diffs = [b - a for a, b in zip(values, values[1:])]
-        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ConfigError(f"{key}.{values_key}: must be strictly monotone")
-    label = sec.get("label", path.rsplit(".", 1)[-1])
-    if not isinstance(label, str) or not label:
-        raise ConfigError(f"{key}.label: must be a non-empty string")
-    scale_by = sec.get("scale_by")
-    if scale_by is not None and (not isinstance(scale_by, str) or not scale_by):
-        raise ConfigError(f"{key}.scale_by: must be a parameter path")
-    return _Axis(path, values, label, scale_by)
-
-
 def _expand_points(doc):
     """Cross the optional series and sweep axes into labelled point documents."""
-    series = _axis(doc, "series", "values")
-    sweep = _axis(doc, "sweep", "grid", monotone=True)
-    labels = [axis.label for axis in (series, sweep) if axis]
+    series, sweep = _read(doc, "series sweep")
+    labels = [ax.get("label", ax["parameter"].rsplit(".", 1)[-1]) for ax in (series, sweep) if ax]
     points = []
-    for sv in series.values if series else [None]:
+    for sv in series["values"] if series else [None]:
         base = copy.deepcopy(doc)
         if series:
-            _set_by_path(base, series.path, sv, "series.parameter")
-        for xv in sweep.values if sweep else [None]:
+            _set_by_path(base, series["parameter"], sv, "series.parameter")
+        for xv in sweep["grid"] if sweep else [None]:
             pt = copy.deepcopy(base)
             lab = [sv] if series else []
             if sweep:
                 actual = xv
-                if sweep.scale_by:
-                    actual = xv * _as_num(
-                        _get_by_path(pt, sweep.scale_by, "sweep.scale_by"),
-                        "sweep.scale_by target",
-                    )
-                _set_by_path(pt, sweep.path, actual, "sweep.parameter")
+                if "scale_by" in sweep:
+                    target = _get_by_path(pt, sweep["scale_by"], "sweep.scale_by")
+                    actual = xv * _check(_F(""), target, "sweep.scale_by target")
+                _set_by_path(pt, sweep["parameter"], actual, "sweep.parameter")
                 lab.append(xv)
             points.append((lab, pt))
     return labels, points
@@ -217,46 +255,12 @@ def _expand_points(doc):
 # domain-object builders
 
 
-def _build_link(sec, field):
-    lam = _as_num(sec.get("lam"), f"{field}.lam", positive=True, allow_inf=True)
-    mu = _as_num(sec.get("mu"), f"{field}.mu", positive=True)
-    with _reraise(field):
-        if "p" in sec:
-            return LinkParams(lam=lam, mu=mu, p=_as_num(sec["p"], f"{field}.p"))
-        return LinkParams.from_lambda_mu(lam, mu)
-
-
-def build_pair(doc) -> HopPair:
-    sec = _as_map(doc, "pair", required=True)
-    if "links" in sec:
-        links = _as_map(sec, "links", required=True)
-        return HopPair(
-            s=_build_link(_as_map(links, "s", required=True), "pair.links.s"),
-            r=_build_link(_as_map(links, "r", required=True), "pair.links.r"),
-        )
-    geom_sec = _as_map(sec, "geometry", required=True)
-    power_sec = _as_map(sec, "power", required=True)
-    with _reraise("pair"):
-        geom = NodeGeometry(
-            d_sr=_as_num(geom_sec.get("d_sr", 1.0), "pair.geometry.d_sr"),
-            d_rd=_as_num(geom_sec.get("d_rd", 1.0), "pair.geometry.d_rd"),
-            d_sp=_as_num(geom_sec.get("d_sp"), "pair.geometry.d_sp"),
-            d_rp=_as_num(geom_sec.get("d_rp"), "pair.geometry.d_rp"),
-            alpha=_as_num(geom_sec.get("alpha", 3.0), "pair.geometry.alpha"),
-        )
-        power = PowerConstraints(
-            gamma_max_db=_as_num(power_sec.get("gamma_max_db"), "pair.power.gamma_max_db"),
-            gamma_p_db=_as_num(power_sec.get("gamma_p_db"), "pair.power.gamma_p_db"),
-        )
-        ohs = sec.get("omega_h_s")
-        ohr = sec.get("omega_h_r")
-        hop_s, hop_r = derive_link_params(
-            geom,
-            power,
-            None if ohs is None else _as_num(ohs, "pair.omega_h_s", positive=True),
-            None if ohr is None else _as_num(ohr, "pair.omega_h_r", positive=True),
-        )
-    return HopPair(s=hop_s, r=hop_r)
+def _derive_pair(links=None, geometry=None, power=None, omega_h_s=None, omega_h_r=None):
+    """The pair section's links, or the links its geometry and power give."""
+    if links is not None:
+        return links
+    geom, power = NodeGeometry(**geometry), PowerConstraints(**power)
+    return HopPair(*derive_link_params(geom, power, omega_h_s, omega_h_r))
 
 
 class _Point:
@@ -264,7 +268,7 @@ class _Point:
 
     def __init__(self, doc):
         self.doc = doc
-        self.pair = build_pair(doc)
+        (self.pair,) = _read(doc, "pair")
 
     @property
     def balance(self):
@@ -272,79 +276,19 @@ class _Point:
         return analytic.avg_rate_cabr(self.pair)
 
 
-def _resolve_rho(pt, key="rho"):
-    spec = pt.doc.get(key)
-    if spec is None:
-        raise ConfigError(f"{key}: required here (number, 'balance' or 'fixed-opt')")
-    if isinstance(spec, str):
-        if spec == "balance":
-            return pt.balance[1]
-        if spec == "fixed-opt":
-            return analytic.rho_opt_fixed(pt.pair)
-        raise ConfigError(f"{key}: must be a positive number, 'balance' or 'fixed-opt'")
-    return _as_num(spec, key, positive=True)
-
-
-def _build_thresholds(pt) -> SelectionThresholds:
-    rho = _resolve_rho(pt)
-    rho_c = _resolve_rho(pt, "rho_c") if "rho_c" in pt.doc else rho
-    rho_d = _resolve_rho(pt, "rho_d") if "rho_d" in pt.doc else rho
-    return SelectionThresholds(rho=rho, rho_c=rho_c, rho_d=rho_d)
-
-
-def _build_modulation(doc) -> ModulationParams:
-    sec = _as_map(doc, "modulation")
-    with _reraise("modulation"):
-        return ModulationParams(
-            eta=_as_num(sec.get("eta", 2.0), "modulation.eta", positive=True),
-            phi=_as_num(sec.get("phi", 1.0), "modulation.phi", positive=True),
-            rate_R=_as_num(sec.get("rate_R", 1.0), "modulation.rate_R", positive=True),
-        )
-
-
-def _build_buffer(doc) -> sim.BufferState:
-    sec = _as_map(doc, "buffer")
-    with _reraise("buffer"):
-        return sim.BufferState(
-            discipline=sec.get("discipline", "fifo"),
-            capacity=_as_num(
-                sec.get("capacity", "inf"), "buffer.capacity", positive=True, allow_inf=True
-            ),
-            occupancy=_as_num(sec.get("occupancy", 0.0), "buffer.occupancy"),
-        )
-
-
-def _build_chain(sec) -> ThresholdProtocolParams:
-    L = _as_num(sec.get("buffer_size_L"), "chain.buffer_size_L", positive=True, allow_inf=True)
-    with _reraise("chain"):
-        if "q_s" in sec:
-            return ThresholdProtocolParams(
-                buffer_size_L=L,
-                q_s=_as_num(sec["q_s"], "chain.q_s"),
-                q_c=_as_num(sec.get("q_c", 1.0), "chain.q_c"),
-                q_d=_as_num(sec.get("q_d", 1.0), "chain.q_d"),
-            )
-        if "xi" in sec:
-            return ThresholdProtocolParams.from_xis(
-                buffer_size_L=L,
-                xi=_as_num(sec["xi"], "chain.xi", positive=True),
-                xi_c=_as_num(sec.get("xi_c", 0.0), "chain.xi_c"),
-                xi_d=_as_num(sec.get("xi_d", 0.0), "chain.xi_d"),
-            )
-    raise ConfigError("chain: needs q_s (with q_c, q_d) or xi (with xi_c, xi_d)")
+def _resolve_rho(pt, key="rho", default=None):
+    """Threshold ``key`` of the point; ``default`` where the document leaves it out."""
+    (spec,) = _read(pt.doc, key)
+    if spec == "balance":
+        return pt.balance[1]
+    if spec == "fixed-opt":
+        return analytic.rho_opt_fixed(pt.pair)
+    return default if spec is None else spec
 
 
 def _point_seed(base: int, index: int) -> int:
     """Stable per-point seed; independent of worker count and dispatch order."""
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
-
-
-def _doc_seed(doc) -> int:
-    return _as_int(doc.get("seed", 1), "seed", minimum=0)
-
-
-def _doc_slots(doc, default=200_000) -> int:
-    return _as_int(doc.get("slots", default), "slots", minimum=1)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +324,7 @@ def _noncognitive_pair(pair: HopPair) -> HopPair:
 
 def _per_hop(metric, ser, pt, *rho):
     """Cells {metric}_s and {metric}_r of a per-hop symbol error rate."""
-    t = ser(pt.pair, *rho, _build_modulation(pt.doc))
+    t = ser(pt.pair, *rho, _read(pt.doc, "modulation")[0])
     return {f"{metric}_s": t.p_s, f"{metric}_r": t.p_r}
 
 
@@ -441,19 +385,14 @@ _METRICS = {
     ]
 }
 
-_DEFAULT_METRICS = ["rate_cabr", "rate_cnbr", "rate_cbr"]
 # the compare mode's fixed columns; a document's metrics do not apply to it
 _COMPARE = {"metrics": ["rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr"]}
 
 
 def _table_fields(doc, labels):
-    metrics = _as_list(doc, "metrics") if "metrics" in doc else list(_DEFAULT_METRICS)
+    (metrics,) = _read(doc, "metrics")
     fields = []
     for m in metrics:
-        if not isinstance(m, str) or m not in _METRICS:
-            raise ConfigError(
-                f"metrics: unknown metric '{m}' (choices: {', '.join(sorted(_METRICS))})"
-            )
         for col in _METRICS[m][0]._fields:
             if col in labels or col in fields:
                 raise ConfigError(f"metrics: column '{col}' requested twice")
@@ -476,13 +415,14 @@ _ChainRow = _record("_ChainRow", """
 
 
 def _pt_chain(p):
-    chain = _build_chain(_as_map(p["doc"], "chain", required=True))
+    (chain,) = _read(p["doc"], "chain")
     L = chain.buffer_size_L
     if math.isinf(L):
         pi_0, pi_L = queueing._pi0_infinite(chain), 0.0
         occ = lifo_tq = math.nan
     else:
-        pi = queueing.steady_state(chain)
+        with _reraise("chain"):  # a buffer too large for one array
+            pi = queueing.steady_state(chain)
         pi_0, pi_L = float(pi[0]), float(pi[-1])
         occ = queueing.mean_occupancy(chain)
         lifo_tq = queueing.lifo_equivalent_queue_delay(chain)
@@ -494,28 +434,12 @@ def _pt_chain(p):
     ))
 
 
-class _Design(NamedTuple):
-    knob: str  # document key of the design's free parameter
-    default: Optional[float]
-    positive: bool
-    xi_c: Callable  # (knob value, xi) -> boundary drift xi_c
-
-
+# design name -> (its free parameter, (knob value, xi) -> boundary drift xi_c)
 _DESIGNS = {
-    "mdmt": _Design("x_star", None, True, lambda x_star, xi: x_star * xi),
-    "ct": _Design("tau_star", None, True, lambda tau_star, xi: queueing.ct_xi_c(tau_star, xi)),
-    "eps": _Design("epsilon", 0.0, False, lambda eps, xi: queueing.epsilon_xi_c(eps, xi)),
+    "mdmt": (_F("x_star", range="> 0"), lambda x_star, xi: x_star * xi),
+    "ct": (_F("tau_star", range="> 0"), lambda tau_star, xi: queueing.ct_xi_c(tau_star, xi)),
+    "eps": (_F("epsilon", default=0.0), lambda eps, xi: queueing.epsilon_xi_c(eps, xi)),
 }
-
-
-def _design_knob(design):
-    name = design["name"]
-    if not isinstance(name, str) or name not in _DESIGNS:
-        raise ConfigError("designs[].name: must be one of mdmt, ct, eps")
-    spec = _DESIGNS[name]
-    return _as_num(
-        design.get(spec.knob, spec.default), f"designs[].{spec.knob}", positive=spec.positive
-    )
 
 
 _TRADEOFF = "design knob xi xi_c tau"
@@ -525,10 +449,10 @@ _BerTradeoffRow = _record("_BerTradeoffRow", _TRADEOFF + " ser_s_approx ser_s_ex
 
 def _design_chain(design, xi):
     """The design's knob, boundary drift xi_c and infinite-buffer chain at drift xi."""
-    knob = _design_knob(design)
-    spec = _DESIGNS[design["name"]]
-    with _reraise(f"{design['name']} {spec.knob}={knob} at xi={xi}"):
-        xi_c = spec.xi_c(knob, xi)
+    field, xi_c_of = _DESIGNS[design["name"]]
+    knob = design[field.key]
+    with _reraise(f"{design['name']} {field.key}={knob} at xi={xi}"):
+        xi_c = xi_c_of(knob, xi)
     return knob, xi_c, ThresholdProtocolParams.from_xis(math.inf, xi, xi_c, 1.0)
 
 
@@ -544,8 +468,8 @@ def _pt_tradeoff(p):
     )
     if p["objective"] == "delay":
         return [list(_DelayTradeoffRow(**common, **asdict(queueing.delays(chain))))]
-    pair = build_pair(p["doc"])
-    mod = _build_modulation(p["doc"])
+    pair = _read(p["doc"], "pair")[0]
+    mod = _read(p["doc"], "modulation")[0]
     with _reraise("pair"):
         return [list(_BerTradeoffRow(
             **common,
@@ -564,8 +488,8 @@ def _rho_for_delay_bound(pair, t_target):
 
 def _pt_delay_compare(p):
     doc = p["doc"]
-    pair = build_pair(doc)
-    rho = _rho_for_delay_bound(pair, _as_num(doc.get("t_target"), "t_target", positive=True))
+    pair = _read(doc, "pair")[0]
+    rho = _rho_for_delay_bound(pair, _read(doc, "t_target")[0])
     bound = analytic.delay_bound_adaptive(pair, rho)
     rate = analytic.avg_rate_cabr_hop_s(pair, rho)  # arrival-limited throughput
     cnbr = analytic.avg_rate_cnbr(pair)
@@ -578,7 +502,7 @@ _OverflowRow = _record("_OverflowRow", "t_target d_sp d_rp rho L overflow_prob")
 
 
 def _pt_overflow(p):
-    pair = build_pair(p["doc"])
+    pair = _read(p["doc"], "pair")[0]
     rho = _rho_for_delay_bound(pair, p["t_target"])
     config = sim.SchemeConfig(
         scheme="cabr",
@@ -611,17 +535,18 @@ def _ser_threshold_cells(buffer_sizes, exact=None, marginal=None):
         sers = (math.nan, math.nan)
         if exact is not None:
             # balanced drift: the empty/full mixing weights reduce to 1/L
-            sers = queueing.ser_threshold(
-                ThresholdProtocolParams(L, 0.5, 1.0, 1.0),
-                exact.p_s, marginal.p_s, exact.p_r, marginal.p_r,
-            )
+            with _reraise("modulation"):  # an error rate past 1
+                sers = queueing.ser_threshold(
+                    ThresholdProtocolParams(L, 0.5, 1.0, 1.0),
+                    exact.p_s, marginal.p_s, exact.p_r, marginal.p_r,
+                )
         cells += [(f"ser_{hop}_L{L}", ser) for hop, ser in zip("sr", sers)]
     return cells
 
 
 def _pt_ser_sweep(p):
-    pair = build_pair(p["doc"])
-    mod = _build_modulation(p["doc"])
+    pair = _read(p["doc"], "pair")[0]
+    mod = p["modulation"]
     scheme = p["scheme"]
     marginal = analytic.ser_exact_cnbr(pair, mod)
     if scheme == "cabr":
@@ -722,15 +647,15 @@ _RUN_REFS = {
 
 def _pt_run(p):
     pt = _Point(p["doc"])
-    scheme = pt.doc.get("scheme")
-    if scheme not in ("cabr", "cnbr", "cbr"):
-        raise ConfigError("scheme: must be one of cabr, cnbr, cbr")
-    rate_mode = pt.doc.get("rate_mode", "adaptive")
-    if rate_mode not in ("adaptive", "fixed"):
-        raise ConfigError("rate_mode: must be 'adaptive' or 'fixed'")
-    thresholds = _build_thresholds(pt) if scheme == "cabr" else None
-    modulation = _build_modulation(pt.doc) if rate_mode == "fixed" else None
-    buffer = _build_buffer(pt.doc)
+    scheme, rate_mode = _read(pt.doc, "scheme rate_mode")
+    thresholds = None
+    if scheme == "cabr":
+        rho = _resolve_rho(pt)
+        thresholds = SelectionThresholds(
+            rho, _resolve_rho(pt, "rho_c", rho), _resolve_rho(pt, "rho_d", rho)
+        )
+    modulation = _read(pt.doc, "modulation")[0] if rate_mode == "fixed" else None
+    (buffer,) = _read(pt.doc, "buffer")
     seed = _point_seed(p["seed"], p["index"])
     with _reraise():
         config = sim.SchemeConfig(
@@ -782,6 +707,112 @@ def _run_tasks(name, payloads, workers):
 
 
 # ---------------------------------------------------------------------------
+# field tables: top-level key -> entry
+
+
+def _axis(key, values, check=None):
+    return _F(key, "map", default=None, fields=(
+        _F("parameter", "str", what="non-empty string required"),
+        _F(values, "list", check, fields=(_F("", inf=True),)),
+        _F("label", "str", default=_OPT, what="must be a non-empty string"),
+        _F("scale_by", "str", default=None, what="must be a parameter path"),
+    ))
+
+
+def _choice(key, choices, what, **kw):
+    return _F(key, "choice", choices=choices, what=what, **kw)
+
+
+# one hop's link, keyed by the hop: its own p, or p = exp(-mu/lam)
+_LINK = _F("", "map", fields=(
+    _F("lam", range="> 0", inf=True), _F("mu", range="> 0"), _F("p", default=_OPT),
+), make=lambda **v: LinkParams(**v) if "p" in v else LinkParams.from_lambda_mu(**v))
+
+# every top-level field, the grid modes' first
+_FIELDS = {f.key: f for f in (
+    _axis("series", "values"),
+    _axis("sweep", "grid", "monotone"),
+    _F("pair", "map", make=_derive_pair, forms={
+        "links": (_F("links", "map", make=HopPair,
+                     fields=(_LINK._replace(key="s"), _LINK._replace(key="r"))),),
+        "": (
+            _F("geometry", "map", fields=tuple(_F(k, default=d) for k, d in [
+                ("d_sr", 1.0), ("d_rd", 1.0), ("d_sp", _REQ), ("d_rp", _REQ), ("alpha", 3.0)])),
+            _F("power", "map", fields=(_F("gamma_max_db"), _F("gamma_p_db"))),
+            _F("omega_h_s", range="> 0", default=None),
+            _F("omega_h_r", range="> 0", default=None),
+        ),
+    }),
+    _F("metrics", "list", default=["rate_cabr", "rate_cnbr", "rate_cbr"], fields=(_choice(
+        "", tuple(sorted(_METRICS)), label="metrics",
+        what=f"unknown metric '{{v}}' (choices: {', '.join(sorted(_METRICS))})"),)),
+    _F("rho", "rho"),
+    _F("rho_c", "rho", default=_OPT),
+    _F("rho_d", "rho", default=_OPT),
+    _F("modulation", "map", default={}, fields=tuple(
+        _F(k, range="> 0", default=d) for k, d in [("eta", 2.0), ("phi", 1.0), ("rate_R", 1.0)]
+    ), make=ModulationParams),
+    _F("chain", "map", fields=(_F("buffer_size_L", range="> 0", inf=True),), forms={
+        "q_s": (_F("q_s"), _F("q_c", default=1.0), _F("q_d", default=1.0)),
+        "xi": (_F("xi", range="> 0"), _F("xi_c", default=0.0), _F("xi_d", default=0.0)),
+    }, what="needs q_s (with q_c, q_d) or xi (with xi_c, xi_d)", make=lambda **v: (
+        ThresholdProtocolParams(**v) if "q_s" in v else ThresholdProtocolParams.from_xis(**v)
+    )),
+    _F("t_target", range="> 0"),
+    _choice("scheme", ("cabr", "cnbr", "cbr"), "must be one of cabr, cnbr, cbr"),
+    _choice("rate_mode", ("adaptive", "fixed"), "must be 'adaptive' or 'fixed'",
+            default="adaptive"),
+    _F("buffer", "map", default={}, fields=(
+        _F("capacity", range="> 0", default="inf", inf=True),
+        _F("occupancy", default=0.0),
+        _F("discipline", "any", default="fifo"),  # sim.BufferState checks it
+    ), make=sim.BufferState),
+    _F("seed", "int", 0, default=1),
+    _F("slots", "int", 1, default=200_000),
+    # tradeoff
+    _choice("objective", ("delay", "ber"), "must be 'delay' or 'ber'", default="delay"),
+    _F("xi_grid", "list", "> 1", fields=(_F(""),)),
+    _F("designs", "list", fields=(_F(
+        "", "map", by="name", what="mapping with a 'name' required",
+        fields=(_choice("name", tuple(_DESIGNS), "must be one of mdmt, ct, eps"),),
+        forms={name: (knob,) for name, (knob, _) in _DESIGNS.items()}),)),
+    _F("constraint", "map", default=_OPT, fields=(_F("t_max"), _F("tau_min")),
+       make=SchemeConstraint),
+    _F("bound_tau_grid", "list", 0, default=[], what="list of numbers",
+       fields=(_F("", range="> 0", label="bound_tau_grid[]"),)),
+    # overflow, whose own table gives slots the default 500000
+    _F("l_grid", "list", "increasing", fields=(_F("", range="> 0"),)),
+    _F("t_targets", "list", fields=(_F("", range="> 0", label="t_targets[]"),)),
+    _F("geometries", "list", what="non-empty list of {d_sp, d_rp} required", fields=(_F(
+        "", "map", label="geometries[]", what="must be mappings",
+        fields=(_F("d_sp", range="> 0"), _F("d_rp", range="> 0"))),)),
+    # passed to the points, which read them as a pair's geometry and power
+    _F("geometry_base", "map", default={}),
+    _F("power", "map"),
+    # ser-sweep
+    _F("cases", "list", fields=(_F(
+        "", "map", label="cases[]", by="name", what="mapping with a 'name' required", fields=(
+            _F("name", "any"),
+            _F("omega_h_s", range="> 0", default=1.0),
+            _F("omega_h_r", range="> 0", default=1.0),
+            _F("mu_s", range="> 0"),
+            _F("mu_r", range="> 0"),
+        )),)),
+    _F("schemes", "list", 0, default=["cabr", "cnbr"], what="list drawn from cabr, cnbr",
+       fields=(_choice("", ("cabr", "cnbr"), "list drawn from cabr, cnbr", label="schemes"),)),
+    _F("gamma_max_db_grid", "list", fields=(_F(""),)),
+    _F("threshold_buffer_sizes", "list", 0, default=[], what="list of integers",
+       fields=(_F("", "int", 1, label="threshold_buffer_sizes[]"),)),
+)}
+
+
+def _read(doc, keys, table=_FIELDS):
+    """Normalized values of the space-separated top-level ``keys``; None where absent."""
+    out = _section(doc, [table[k] for k in keys.split()])
+    return [out.get(k) for k in keys.split()]
+
+
+# ---------------------------------------------------------------------------
 # mode builders: document -> (columns, payloads)
 
 
@@ -808,49 +839,32 @@ def _fields_of(record):
 
 
 def _run_fields(doc, labels):
-    return _RunRow._fields, {"seed": _doc_seed(doc), "slots": _doc_slots(doc)}
+    seed, slots = _read(doc, "seed slots")
+    return _RunRow._fields, {"seed": seed, "slots": slots}
 
 
 def _build_tradeoff(doc):
-    objective = doc.get("objective", "delay")
-    if objective not in ("delay", "ber"):
-        raise ConfigError("objective: must be 'delay' or 'ber'")
-    xi_grid = _as_nums(doc, "xi_grid")
-    if any(not (x > 1.0) for x in xi_grid):
-        raise ConfigError("xi_grid: every drift ratio must exceed 1")
-    designs = _as_list(doc, "designs")
-    for i, d in enumerate(designs):
-        if not isinstance(d, dict) or "name" not in d:
-            raise ConfigError(f"designs[{i}]: mapping with a 'name' required")
-        _design_knob(d)  # validates name and knob
-
-    constraint = None
-    if "constraint" in doc:
-        sec = _as_map(doc, "constraint", required=True)
-        with _reraise("constraint"):
-            constraint = SchemeConstraint(
-                t_max=_as_num(sec.get("t_max"), "constraint.t_max"),
-                tau_min=_as_num(sec.get("tau_min"), "constraint.tau_min"),
-            )
+    objective, xi_grid, designs, constraint = _read(doc, "objective xi_grid designs constraint")
+    if constraint is not None:
         feas = queueing.feasibility(constraint)
         if not feas.feasible:
             raise InfeasibleError(feas.violated)
 
     payloads = []
-    for design in designs:
+    # messages quote mdmt and ct knobs as the document wrote them
+    for design, written in zip(designs, doc["designs"]):
         grid_d = xi_grid
         if constraint is not None:
             if design["name"] == "mdmt":
                 rng = queueing.mdmt_xi_range(design["x_star"], constraint)
                 if not rng.feasible:
-                    raise InfeasibleError(f"mdmt x*={design['x_star']}: {rng.violated}")
+                    raise InfeasibleError(f"mdmt x*={written['x_star']}: {rng.violated}")
                 grid_d = [x for x in xi_grid if rng.xi_lo <= x <= rng.xi_hi]
             elif design["name"] == "ct":
+                tau_star = written["tau_star"]
                 if design["tau_star"] < constraint.tau_min:
-                    raise InfeasibleError(
-                        f"ct tau*={design['tau_star']}: below the throughput floor"
-                    )
-                with _reraise(f"ct tau*={design['tau_star']}", InfeasibleError):
+                    raise InfeasibleError(f"ct tau*={tau_star}: below the throughput floor")
+                with _reraise(f"ct tau*={tau_star}", InfeasibleError):
                     xi_min = queueing.ct_xi_min(design["tau_star"], constraint.t_max)
                 grid_d = [x for x in xi_grid if x >= xi_min]
             else:  # eps: the drifts whose chain meets both bounds
@@ -862,82 +876,54 @@ def _build_tradeoff(doc):
                 ]
                 if not grid_d:
                     raise InfeasibleError(
-                        f"eps epsilon={_design_knob(design)}: no xi meets t_max and tau_min"
+                        f"eps epsilon={design['epsilon']}: no xi meets t_max and tau_min"
                     )
         for xi in grid_d:
             payloads.append(
                 {"design": design, "xi": xi, "objective": objective, "doc": doc}
             )
     if objective == "delay":
-        for tau in doc.get("bound_tau_grid", []):
-            tau = _as_num(tau, "bound_tau_grid[]", positive=True)
-            payloads.append({"design": None, "tau": tau})
+        (taus,) = _read(doc, "bound_tau_grid")
+        payloads += [{"design": None, "tau": tau} for tau in taus]
         return list(_DelayTradeoffRow._fields), payloads
     return list(_BerTradeoffRow._fields), payloads
 
 
 def _build_overflow(doc):
-    l_grid = _as_nums(doc, "l_grid", positive=True)
-    if any(b <= a for a, b in zip(l_grid, l_grid[1:])):
-        raise ConfigError("l_grid: must be strictly increasing")
-    targets = _as_list(doc, "t_targets")
-    geometries = _as_list(doc, "geometries", "non-empty list of {d_sp, d_rp}")
-    shared = {"l_grid": l_grid, "seed": _doc_seed(doc), "slots": _doc_slots(doc, default=500_000)}
-    base_geom = _as_map(doc, "geometry_base")
-    power = _as_map(doc, "power", required=True)
+    l_grid, t_targets, geometries, base, power, seed, slots = _read(
+        doc, "l_grid t_targets geometries geometry_base power seed slots", _MODES["overflow"].fields
+    )
+    shared = {"l_grid": l_grid, "seed": seed, "slots": slots}
     payloads = []
-    for t_target in targets:
-        t = _as_num(t_target, "t_targets[]", positive=True)
+    for t_target in t_targets:
         for g in geometries:
-            if not isinstance(g, dict):
-                raise ConfigError("geometries[]: must be mappings")
-            d_sp = _as_num(g.get("d_sp"), "geometries[].d_sp", positive=True)
-            d_rp = _as_num(g.get("d_rp"), "geometries[].d_rp", positive=True)
-            point_doc = {
-                "pair": {
-                    "geometry": {**base_geom, "d_sp": d_sp, "d_rp": d_rp},
-                    "power": power,
-                }
-            }
+            point_doc = {"pair": {"geometry": {**base, **g}, "power": power}}
             payloads.append(
-                dict(shared, doc=point_doc, t_target=t, d_sp=d_sp, d_rp=d_rp, index=len(payloads))
+                dict(shared, **g, doc=point_doc, t_target=t_target, index=len(payloads))
             )
     return list(_OverflowRow._fields), payloads
 
 
 def _build_ser_sweep(doc):
-    cases = _as_list(doc, "cases")
-    schemes = doc.get("schemes", ["cabr", "cnbr"])
-    if not isinstance(schemes, list) or any(s not in ("cabr", "cnbr") for s in schemes):
-        raise ConfigError("schemes: list drawn from cabr, cnbr")
-    gammas = _as_nums(doc, "gamma_max_db_grid")
-    buffer_sizes = doc.get("threshold_buffer_sizes", [])
-    if not isinstance(buffer_sizes, list):
-        raise ConfigError("threshold_buffer_sizes: list of integers")
-    buffer_sizes = [_as_int(v, "threshold_buffer_sizes[]", minimum=1) for v in buffer_sizes]
-    shared = {"buffer_sizes": buffer_sizes, "seed": _doc_seed(doc), "slots": _doc_slots(doc)}
+    cases, schemes, grid, buffer_sizes, seed, slots = _read(
+        doc, "cases schemes gamma_max_db_grid threshold_buffer_sizes seed slots"
+    )
+    gammas = []
+    for i, gdb in enumerate(grid):
+        with _reraise(f"gamma_max_db_grid[{i}]"):
+            gammas.append((gdb, _pow(10.0, gdb / 10.0, "10^(gamma_max_db/10)")))
+    (mod,) = _read(doc, "modulation")
+    shared = {"buffer_sizes": buffer_sizes, "seed": seed, "slots": slots, "modulation": mod}
     payloads = []
     for case in cases:
-        if not isinstance(case, dict) or "name" not in case:
-            raise ConfigError("cases[]: mapping with a 'name' required")
-        ohs = _as_num(case.get("omega_h_s", 1.0), "cases[].omega_h_s", positive=True)
-        ohr = _as_num(case.get("omega_h_r", 1.0), "cases[].omega_h_r", positive=True)
-        mu_s = _as_num(case.get("mu_s"), "cases[].mu_s", positive=True)
-        mu_r = _as_num(case.get("mu_r"), "cases[].mu_r", positive=True)
-        for gdb in gammas:
-            gamma_max = 10.0 ** (gdb / 10.0)
-            point_doc = {
-                "pair": {
-                    "links": {
-                        "s": {"lam": gamma_max * ohs, "mu": mu_s},
-                        "r": {"lam": gamma_max * ohr, "mu": mu_r},
-                    }
-                },
-                "modulation": _as_map(doc, "modulation"),
+        for gdb, gamma_max in gammas:
+            links = {
+                hop: {"lam": gamma_max * case[f"omega_h_{hop}"], "mu": case[f"mu_{hop}"]}
+                for hop in "sr"
             }
             for scheme in schemes:
                 payloads.append(dict(
-                    shared, case=case["name"], gamma_max_db=gdb, doc=point_doc,
+                    shared, case=case["name"], gamma_max_db=gdb, doc={"pair": {"links": links}},
                     scheme=scheme, index=len(payloads),
                 ))
     thresh_fields = [name for name, _ in _ser_threshold_cells(buffer_sizes)]
@@ -948,22 +934,32 @@ class _Mode(NamedTuple):
     kind: str  # the command that runs the mode
     build: Callable  # document -> (columns, payloads)
     point: Callable  # payload -> the point's rows
+    fields: dict  # the mode's field table: top-level key -> entry
+
+
+def _fields(keys, *own):
+    return {f.key: f for f in [*(_FIELDS[k] for k in keys.split()), *own]}
 
 
 # the first mode of each kind is its default
 _MODES = {
-    "table": _Mode("analyze", _grid_builder(_table_fields), _pt_table),
-    "chain-table": _Mode("analyze", _grid_builder(_fields_of(_ChainRow)), _pt_chain),
-    "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff),
-    "compare": _Mode(
-        "compare", _grid_builder(lambda _, labels: _table_fields(_COMPARE, labels)), _pt_table
-    ),
-    "delay-compare": _Mode(
-        "compare", _grid_builder(_fields_of(_DelayCompareRow)), _pt_delay_compare
-    ),
-    "run": _Mode("simulate", _grid_builder(_run_fields), _pt_run),
-    "overflow": _Mode("simulate", _build_overflow, _pt_overflow),
-    "ser-sweep": _Mode("simulate", _build_ser_sweep, _pt_ser_sweep),
+    "table": _Mode("analyze", _grid_builder(_table_fields), _pt_table,
+                   _fields("series sweep metrics pair rho modulation")),
+    "chain-table": _Mode("analyze", _grid_builder(_fields_of(_ChainRow)), _pt_chain,
+                         _fields("series sweep chain")),
+    "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff, _fields(
+        "objective xi_grid designs constraint bound_tau_grid pair modulation")),
+    "compare": _Mode("compare", _grid_builder(lambda _, labels: _table_fields(_COMPARE, labels)),
+                     _pt_table, _fields("series sweep pair")),
+    "delay-compare": _Mode("compare", _grid_builder(_fields_of(_DelayCompareRow)),
+                           _pt_delay_compare, _fields("series sweep pair t_target")),
+    "run": _Mode("simulate", _grid_builder(_run_fields), _pt_run, _fields(
+        "series sweep seed slots pair scheme rate_mode rho rho_c rho_d modulation buffer")),
+    "overflow": _Mode("simulate", _build_overflow, _pt_overflow, _fields(
+        "l_grid t_targets geometries geometry_base power seed",
+        _F("slots", "int", 1, default=500_000))),
+    "ser-sweep": _Mode("simulate", _build_ser_sweep, _pt_ser_sweep, _fields(
+        "cases schemes gamma_max_db_grid threshold_buffer_sizes modulation seed slots")),
 }
 
 
@@ -1182,10 +1178,10 @@ def _load_document(args):
         doc.update(user)
     if not doc:
         raise ConfigError("a config file or --preset is required")
-    if args.slots is not None:
-        doc["slots"] = _as_int(args.slots, "--slots", minimum=1)
-    if args.seed is not None:
-        doc["seed"] = _as_int(args.seed, "--seed", minimum=0)
+    for flag in ("slots", "seed"):
+        value = getattr(args, flag)
+        if value is not None:
+            doc[flag] = _check(_FIELDS[flag], value, f"--{flag}")
     return doc
 
 

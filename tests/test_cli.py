@@ -354,6 +354,46 @@ def test_out_of_range_geometry_or_power_is_config_error(
     assert err == [f"config error: pair: {message}, outside the positive floats"]
 
 
+@pytest.mark.parametrize("gamma_max_db, message", [
+    (1e300, "10^(gamma_max_db/10) is inf"),
+    (-1e300, "10^(gamma_max_db/10) is 0"),
+])
+def test_out_of_range_ser_sweep_snr_is_config_error(tmp_path, capsys, gamma_max_db, message):
+    doc = copy.deepcopy(cli.PRESETS["fig9"])
+    doc["gamma_max_db_grid"] = [gamma_max_db]
+    rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert err == [f"config error: gamma_max_db_grid[0]: {message}, outside the positive floats"]
+
+
+def test_ser_sweep_error_rate_past_one_is_config_error(tmp_path, capsys):
+    doc = copy.deepcopy(cli.PRESETS["fig9"])
+    doc.update(gamma_max_db_grid=[20.0], modulation={"phi": 1e300}, slots=2000)
+    rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert err == ["config error: modulation: p_s must lie in [0, 1]"]
+
+
+def test_chain_buffer_past_any_array_is_config_error(tmp_path, capsys):
+    doc = {"chain": {"buffer_size_L": 1e300, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
+    rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: chain: ")
+
+
+@pytest.mark.parametrize("field, message", [("lam", None), ("mu", "must be finite")])
+def test_integer_past_the_floats(tmp_path, capsys, field, message):
+    # 10**400 is a JSON integer no float holds: an infinite lam, a bad mu
+    links = copy.deepcopy(PAIR["links"])
+    links["s"][field] = 10**400
+    doc = {"metrics": ["capacity"], "pair": {"links": links}}
+    rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+    if message is None:
+        assert (rc, err) == (cli.EXIT_OK, [])
+    else:
+        assert err == [f"config error: pair.links.s.{field}: {message}"]
+
+
 def run_stdout(argv, capsys):
     assert cli.main(argv) == 0
     return capsys.readouterr().out
@@ -441,6 +481,21 @@ class TestDocumentForms:
         rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
         assert rc == cli.EXIT_CONFIG
         assert err == ["config error: threshold_buffer_sizes: list of integers"]
+
+    @pytest.mark.parametrize("taus", [0.3, {"a": 0.3}])
+    def test_tradeoff_bound_tau_grid_must_be_a_list(self, tmp_path, capsys, taus):
+        doc = {
+            "mode": "tradeoff",
+            "xi_grid": [2.0],
+            "designs": [{"name": "ct", "tau_star": 0.4}],
+            "bound_tau_grid": taus,
+        }
+        rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert err == ["config error: bound_tau_grid: list of numbers"]
+        rc, out, _ = exit_cleanly(["analyze", write_doc(tmp_path, {**doc, "bound_tau_grid": []})],
+                                  capsys)
+        assert rc == cli.EXIT_OK and len(out.splitlines()) == 2
 
 
 class TestOutputs:
