@@ -192,8 +192,8 @@ def _section(sec, fields, prefix=""):
 
 
 @contextlib.contextmanager
-def _reraise(prefix=None, error=ConfigError):
-    """Turn a ValueError raised by a library constructor or solver into ``error``.
+def _reraise(prefix=None, error=ConfigError, catch=ValueError):
+    """Turn a ValueError (or another ``catch`` type) raised by a library call into ``error``.
 
     A failed root bracket or a threshold too one-sided for a closed form is a
     numerical failure, not a bad or infeasible input, so
@@ -204,7 +204,7 @@ def _reraise(prefix=None, error=ConfigError):
         yield
     except (analytic.BracketError, analytic.OneSidedError):
         raise
-    except ValueError as exc:
+    except catch as exc:
         raise error(f"{prefix}: {exc}" if prefix else str(exc)) from exc
 
 
@@ -421,11 +421,12 @@ def _pt_chain(p):
         pi_0, pi_L = queueing._pi0_infinite(chain), 0.0
         occ = lifo_tq = math.nan
     else:
-        with _reraise("chain"):  # a buffer too large for one array
+        # a buffer too large for one array, or for the memory
+        with _reraise("chain", catch=(ValueError, MemoryError)):
             pi = queueing.steady_state(chain)
+            occ = queueing.mean_occupancy(chain)
+            lifo_tq = queueing.lifo_equivalent_queue_delay(chain)
         pi_0, pi_L = float(pi[0]), float(pi[-1])
-        occ = queueing.mean_occupancy(chain)
-        lifo_tq = queueing.lifo_equivalent_queue_delay(chain)
     return _row(p, _ChainRow(
         L=L, q_s=chain.q_s, q_c=chain.q_c, q_d=chain.q_d,
         xi=chain.xi, xi_c=chain.xi_c, xi_d=chain.xi_d,
@@ -915,12 +916,17 @@ def _build_ser_sweep(doc):
     (mod,) = _read(doc, "modulation")
     shared = {"buffer_sizes": buffer_sizes, "seed": seed, "slots": slots, "modulation": mod}
     payloads = []
-    for case in cases:
+    for i, case in enumerate(cases):
         for gdb, gamma_max in gammas:
-            links = {
-                hop: {"lam": gamma_max * case[f"omega_h_{hop}"], "mu": case[f"mu_{hop}"]}
-                for hop in "sr"
-            }
+            links = {}
+            for hop in "sr":
+                lam = gamma_max * case[f"omega_h_{hop}"]
+                if lam == 0.0:
+                    raise ConfigError(
+                        f"cases[{i}].omega_h_{hop}: its product with 10^(gamma_max_db/10) "
+                        f"underflows to 0 at gamma_max_db {gdb}"
+                    )
+                links[hop] = {"lam": lam, "mu": case[f"mu_{hop}"]}
             for scheme in schemes:
                 payloads.append(dict(
                     shared, case=case["name"], gamma_max_db=gdb, doc={"pair": {"links": links}},
@@ -1171,8 +1177,12 @@ def _load_document(args):
                 user = json.load(f)
         except FileNotFoundError as exc:
             raise ConfigError(f"{args.config}: file not found") from exc
+        except OSError as exc:  # a directory, no permission
+            raise ConfigError(f"{args.config}: {exc.strerror or exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # bytes that are not UTF-8
+            raise ConfigError(f"{args.config}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"{args.config}: top level must be a mapping")
         doc.update(user)

@@ -173,8 +173,7 @@ def steady_state(p: ThresholdProtocolParams) -> np.ndarray:
     logs = np.empty(L + 1)
     logs[0] = 0.0
     boundary = math.log(p.q_c) - math.log(p.q_r)
-    for i in range(1, L):
-        logs[i] = boundary + (1 - i) * log_xi
+    logs[1:L] = boundary + (1 - np.arange(1, L)) * log_xi
     logs[L] = math.log(p.q_c) - math.log(p.q_d) + (1 - L) * log_xi
     m = logs.max()
     w = np.exp(logs - m)

@@ -17,10 +17,14 @@ overflow curves, and adaptive-rate and fixed-rate (FIFO or LIFO) cabr runs
 with an infinite buffer and rho_c == rho. Every other buffer (finite bit or
 packet buffers, and infinite buffers with rho_c != rho) has boundaries, and
 the level replay repairs the walk there (``_replay_levels``): it guesses
-each block's start from the walk, replays all blocks at once, and repairs
+each block's start from the walk, replays all blocks at once, one numpy
+step per slot over a contiguous row of every block's slot, and repairs
 the starts that disagree with the end of the block before. A block steps a
 finite packet buffer's count through a table of per-slot count maps, and
-any other level by the slot rules.
+any other level by the slot rules. A bit buffer, walked or replayed, is
+computed in chunks of ``_CHUNK`` slots and a packet buffer in quarter
+chunks; the totals read quarter-chunk records, except on the exact bit walk,
+whose records are whole chunks.
 
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
@@ -58,7 +62,7 @@ __all__ = [
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
-_CHUNK = 1 << 16  # slots per chunk of the exact bit walk; every other buffer takes a quarter
+_CHUNK = 1 << 16  # slots per chunk of a bit buffer; a packet buffer takes a quarter
 _BLOCK = 32  # slots per block of the level replay
 
 
@@ -180,27 +184,28 @@ def _reflected_walk(x, start):
     return level
 
 
-def _replay_blocks(start, up_c, up, up_d, c_s, c_r, cap):
+def _replay_blocks(start, up_c, up, up_d, c_s, neg_c_r, cap):
     """Replay blocks of slots from their start levels, all blocks at once.
 
-    Per-slot arrays are (block, slot of the block). Each slot decides on the
-    level B before it as the slot loop did: an empty buffer (B == 0) selects
-    by ``up_c``, a full one (B >= cap) by ``up_d``, any other by ``up``; a
-    selected slot adds c_s and fills the buffer if c_s >= cap - B, another
-    removes c_r and empties it if c_r >= B. Returns the level before every
-    slot, the level after each block, and whether each block met a boundary.
+    Per-slot arrays are (slot of the block, block), one contiguous row per
+    slot. Each slot decides on the level B before it as the slot loop did: an
+    empty buffer (B == 0) selects by ``up_c``, a full one (B >= cap) by
+    ``up_d``, any other by ``up``; a selected slot adds c_s and fills the
+    buffer if c_s >= cap - B, another adds neg_c_r = -c_r (the same float as
+    B - c_r) and empties it if c_r >= B. Returns the level before every slot,
+    the level after each block, and whether each block met a boundary.
     """
     level = start.copy()
     before = np.empty(up.shape)
-    for j in range(up.shape[1]):
-        before[:, j] = level
-        sel = np.where(level == 0.0, up_c[:, j], np.where(level >= cap, up_d[:, j], up[:, j]))
-        fill = sel & (c_s[:, j] >= cap - level)
-        level = np.where(sel, level + c_s[:, j], level - c_r[:, j])
+    for j in range(up.shape[0]):
+        before[j] = level
+        sel = np.where(level == 0.0, up_c[j], np.where(level >= cap, up_d[j], up[j]))
+        fill = sel & (c_s[j] >= cap - level)
+        level = level + np.where(sel, c_s[j], neg_c_r[j])
         # B - c_r <= 0 exactly when c_r >= B, so the floor is the emptying test
         np.maximum(level, 0.0, out=level)
         np.copyto(level, cap, where=fill)
-    met = ((before == 0.0) | (before >= cap)).any(axis=1) | (level == 0.0) | (level >= cap)
+    met = ((before == 0.0) | (before >= cap)).any(axis=0) | (level == 0.0) | (level >= cap)
     return before, level, met
 
 
@@ -225,14 +230,12 @@ def _slot_maps(cap_n):
 def _count_blocks(start, off, maps, cap_n):
     """``_replay_blocks`` for a buffer of cap_n packets: each slot maps the count by
     the ``_slot_maps`` entry at its offset ``off``."""
-    off = off.T.copy()  # slot-major, so that each step reads and writes contiguously
     before = np.empty(off.shape, np.intp)
     count = start.astype(np.intp)
     for j in range(off.shape[0]):
         before[j] = count
         count = maps[off[j] + count]
-    before = before.T
-    met = ((before == 0) | (before == cap_n)).any(axis=1) | (count == 0) | (count == cap_n)
+    met = ((before == 0) | (before == cap_n)).any(axis=0) | (count == 0) | (count == cap_n)
     return before, count, met
 
 
@@ -240,30 +243,38 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     """Level before each slot of a chunk, and after its last, by a blocked replay.
 
     The chunk is cut into blocks of ``_BLOCK`` slots: each (array, fill) of
-    ``per_slot`` becomes one row per block, padded with fill, and
-    ``replay(starts, *rows)`` replays the rows' blocks as ``_replay_blocks``
-    does. It repairs the chunk's one-sided reflected walk, the levels after
-    each slot in ``walk``: every block's start is first guessed from it,
-    clipped to the capacity, and all blocks are replayed from their guesses
-    at once. Then the guesses are repaired, round by round: where a block's
-    start differs from the end of the block before, the difference is
-    carried through every following block that met no boundary (such a
-    block only shifts its start), up to the first block that did, and only
-    the moved blocks are replayed. The rounds stop when every start is
-    within 2**-45 of its predecessor's end (relative to the level, or to 32
-    bits near 0) and is empty or full exactly when that end is. A round sets
-    the first wrong start to its predecessor's end, so there are at most as
-    many rounds as blocks. With the carry, measured chunks took 1-2 rounds
-    for infinite buffers, 2 up to 8 bits or 2 packets, 3-4 at 16 bits, 3-7
-    at 10 packets, and up to 10-23 where the capacity spans many blocks'
-    drift (64-128 bits, 64-256 packets), the one-sided seed being poor.
+    ``per_slot`` is padded with fill and laid out slot-major, as a (slot of
+    the block, block) array whose row j holds slot j of every block, and
+    ``replay(starts, *rows)`` replays the blocks as ``_replay_blocks`` does.
+    It repairs the chunk's one-sided reflected walk, the levels after each
+    slot in ``walk``: every block's start is first guessed from it, clipped
+    to the capacity, and all blocks are replayed from their guesses at once.
+    Then the guesses are repaired, round by round: where a block's start
+    differs from the end of the block before, the difference is carried
+    through every following block that met no boundary (such a block only
+    shifts its start), up to the first block that did, and only the moved
+    blocks are replayed. The rounds stop when every start is within 2**-45
+    of its predecessor's end (relative to the level, or to 32 bits near 0)
+    and is empty or full exactly when that end is. A round sets the first
+    wrong start to its predecessor's end, so there are at most as many
+    rounds as blocks. A bit start kept within that tolerance can leave a
+    level a few ulps from the slot loop's, at places that depend on the
+    chunk and block lengths; counts are exact.
+
+    With the carry, and counting the first replay, measured chunks (2**16
+    slots for bits, 2**14 for packets) took on average 1.1-1.4 rounds for
+    infinite buffers at the balance point (at most 3) and 3.8-4 at other
+    thresholds (at most 6), 2-2.6 up to 8 bits (at most 3) and 2 at 2
+    packets, 4.5 at 16 bits and 3.8 at 10 packets (at most 6), and 5-18
+    where the capacity spans many blocks' drift (64-128 bits, at most 23),
+    the one-sided seed being poor.
     """
     k = _BLOCK
     n = walk.shape[0]
     m = -(-n // k)
     pad = m * k - n
     rows = [np.append(a, np.full(pad, fill, a.dtype)) if pad else a for a, fill in per_slot]
-    rows = [a.reshape(m, k) for a in rows]
+    rows = [np.ascontiguousarray(a.reshape(m, k).T) for a in rows]
     starts = np.empty(m)
     starts[0] = start
     np.minimum(walk[k - 1 : (m - 1) * k : k], cap, out=starts[1:])
@@ -276,7 +287,7 @@ def _replay_levels(replay, per_slot, walk, cap, start):
         bad |= (want == 0.0) != (starts == 0.0)
         bad |= (want >= cap) != (starts >= cap)
         if not bad.any():
-            return before.ravel()[:n], ends[-1]
+            return before.T.ravel()[:n], ends[-1]
         # carry the corrections through each run of blocks that met no boundary
         d = np.where(bad, diff, 0.0)
         total = np.cumsum(d)
@@ -286,7 +297,7 @@ def _replay_levels(replay, per_slot, walk, cap, start):
         np.clip(moved, 0.0, cap, out=moved)
         todo = np.flatnonzero(moved != starts)
         starts = moved
-        before[todo], ends[todo], met[todo] = replay(starts[todo], *(a[todo] for a in rows))
+        before[:, todo], ends[todo], met[todo] = replay(starts[todo], *(a[:, todo] for a in rows))
 
 
 def _batch_adder(lo, hi, n_slots, nb):
@@ -373,8 +384,10 @@ def _chunks(gs, gr, thr, cap, start, packets):
     The walk steps by one packet each when ``packets``, else by the chosen
     hop's capacity in bits. An infinite buffer with rho_c == rho takes it as
     its levels; every other buffer passes it to ``_replay_levels``, which
-    repairs it. Chunks are a quarter of ``_CHUNK`` long except on the exact
-    bit walk, because their totals keep more per slot alive.
+    repairs it. A bit chunk, walked or replayed, is ``_CHUNK`` slots long,
+    so that each replay step covers many blocks; a packet chunk is a
+    quarter of that. The records are a quarter of ``_CHUNK`` long except on
+    the exact bit walk, because their totals keep more per slot alive.
     """
     walk = math.isinf(cap) and thr.rho_c == thr.rho
     counts = packets and not math.isinf(cap)
@@ -384,7 +397,8 @@ def _chunks(gs, gr, thr, cap, start, packets):
     else:
         replay = functools.partial(_replay_blocks, cap=cap)
     level = start
-    step = _CHUNK if walk and not packets else _CHUNK // 4
+    step = _CHUNK // 4 if packets else _CHUNK
+    record = _CHUNK if walk and not packets else _CHUNK // 4
     ones = np.ones(step)  # a packet slot adds or removes one packet
     for lo in range(0, gs.shape[0], step):
         hi = min(lo + step, gs.shape[0])
@@ -411,7 +425,7 @@ def _chunks(gs, gr, thr, cap, start, packets):
                 per_slot = [(code.astype(np.intp) * (cap + 1), 8 * (cap + 1))]
             else:
                 # padding slots select the first hop and add nothing: they keep the level
-                per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (c_r, 0.0)]
+                per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (-c_r, 0.0)]
             before, level = _replay_levels(replay, per_slot, after, cap, level)
             if packets:
                 before, level = before.astype(np.int64), int(level)
@@ -419,7 +433,11 @@ def _chunks(gs, gr, thr, cap, start, packets):
             sel = up
         else:
             sel = np.where(before == 0, up_c, np.where(before >= cap, up_d, up))
-        yield lo, hi, sel, None if packets else np.where(sel, c_s, c_r), before, level
+        c = None if packets else np.where(sel, c_s, c_r)
+        for a in range(0, hi - lo, record):
+            b = min(a + record, hi - lo)
+            end = level if b == hi - lo else before[b]
+            yield lo + a, lo + b, sel[a:b], None if packets else c[a:b], before[a:b], end
 
 
 def _match_fifo(queue, lo, hi, push_at, pop_at, before):
@@ -498,7 +516,7 @@ def _walk_occupancy(gs, gr, rho, start_b, l_grid):
     counts = np.zeros(l_grid.shape[0], np.int64)
     thr = SelectionThresholds.uniform(rho)
     for lo, hi, _, _, before, level in _chunks(gs, gr, thr, math.inf, start_b, packets=False):
-        counts += (hi - lo) - np.searchsorted(np.sort(before), l_grid, side="right")
+        counts += [np.count_nonzero(before > limit) for limit in l_grid]
     # the level after each slot is the one before the next, then the last level
     return counts - (start_b > l_grid) + (level > l_grid)
 

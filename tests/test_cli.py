@@ -50,6 +50,18 @@ class TestDocumentErrors:
         assert cli.main(["analyze", "/nonexistent/x.json"]) == cli.EXIT_CONFIG
         assert "file not found" in capsys.readouterr().err
 
+    def test_directory_is_config_error(self, tmp_path, capsys):
+        rc, _, err = exit_cleanly(["analyze", str(tmp_path)], capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert err == [f"config error: {tmp_path}: Is a directory"]
+
+    def test_bytes_not_utf8_are_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"pair": "\xff"}')
+        rc, _, err = exit_cleanly(["analyze", str(path)], capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: 'utf-8' codec")
+
     def test_invalid_json_names_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"pair": }')
@@ -372,6 +384,31 @@ def test_ser_sweep_error_rate_past_one_is_config_error(tmp_path, capsys):
     rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
     assert rc == cli.EXIT_CONFIG
     assert err == ["config error: modulation: p_s must lie in [0, 1]"]
+
+
+@pytest.mark.parametrize("hop", ["s", "r"])
+def test_ser_sweep_underflowing_cap_names_the_case(tmp_path, capsys, hop):
+    # 10^(-307) * 1e-20 is 0 in floats: the cap comes from cases[].omega_h_*
+    doc = copy.deepcopy(cli.PRESETS["fig9"])
+    doc["cases"][1][f"omega_h_{hop}"] = 1e-20
+    doc.update(gamma_max_db_grid=[20.0, -3070.0], slots=2000)
+    rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith(f"config error: cases[1].omega_h_{hop}: ")
+    assert "underflows to 0 at gamma_max_db -3070.0" in err[0]
+
+
+def test_chain_buffer_past_the_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # a buffer the memory cannot hold raises MemoryError from the allocation;
+    # the test raises it without allocating
+    def no_memory(chain):
+        raise MemoryError("Unable to allocate 80.0 GiB for an array")
+
+    monkeypatch.setattr(cli.queueing, "steady_state", no_memory)
+    doc = {"chain": {"buffer_size_L": 10_000_000_000, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
+    rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert err == ["config error: chain: Unable to allocate 80.0 GiB for an array"]
 
 
 def test_chain_buffer_past_any_array_is_config_error(tmp_path, capsys):

@@ -120,6 +120,23 @@ class TestSteadyState:
         assert np.argmax(pi) == 0  # strongly draining: mass sits at empty
         assert pi[0] > 0.6 and pi[-1] < 1e-300
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 10, 257, 1000])
+    def test_log_weights_equal_the_python_loop(self, L):
+        # the interior log weights are one array expression; the loop they
+        # replaced computed each one as a Python float, with the same IEEE
+        # operations, so the distributions are equal bit for bit
+        rng = np.random.default_rng(L)
+        for _ in range(5):
+            p = ThresholdProtocolParams(L, *rng.uniform(0.05, 0.95, 3))
+            log_xi = math.log(p.q_r) - math.log(p.q_s)
+            logs = np.empty(L + 1)
+            logs[0] = 0.0
+            for i in range(1, L):
+                logs[i] = math.log(p.q_c) - math.log(p.q_r) + (1 - i) * log_xi
+            logs[L] = math.log(p.q_c) - math.log(p.q_d) + (1 - L) * log_xi
+            w = np.exp(logs - logs.max())
+            assert np.array_equal(steady_state(p), w / w.sum())
+
     def test_flow_balance_and_throughput(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

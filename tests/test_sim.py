@@ -739,19 +739,60 @@ class TestLevelReplay:
             got = sim._fixed_totals(chunks, streams, BPSK, cap_n, lifo, count, nb)
             _assert_totals_equal(got, want)
 
+    def test_finite_bits_replay_in_full_chunks(self, monkeypatch):
+        """adaptive_sim's finite buffer (8 bits, thresholds (RHO_BALANCE, 2.0,
+        0.5)) over five full chunks and a partial one, against the slot loop.
+
+        The replay steps a bit buffer in whole ``_CHUNK`` chunks and hands
+        the totals quarter-chunk records.
+        """
+        chunk = 2048
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        slots, nb, cap = 5 * chunk + 333, 100, 8.0
+        thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
+        gs, gr, _, _ = sim._draw_streams(PAIR_MIXED, slots, 59, errors=False)
+        lengths = []
+        levels = sim._replay_levels
+        monkeypatch.setattr(
+            sim, "_replay_levels", lambda *a: lengths.append(a[2].shape[0]) or levels(*a)
+        )
+        records = list(sim._chunks(gs, gr, thr, cap, 0.0, packets=False))
+        assert lengths == [chunk] * 5 + [333]
+        assert [(lo, hi) for lo, hi, *_ in records] == [
+            (lo, min(lo + chunk // 4, slots)) for lo in range(0, slots, chunk // 4)
+        ]
+        got = sim._adaptive_totals(iter(records), cap, 0.0, slots, nb)
+        want = _kernel_adaptive(gs, gr, thr.rho, thr.rho_c, thr.rho_d, cap, 0.0, nb)
+        _assert_totals_match(got, want, skip=("b_final",))
+        assert got.b_final == pytest.approx(want[-1], rel=1e-9, abs=1e-12 * got.bits_in.sum())
+
     @pytest.mark.parametrize(
         "case, cap, per_chunk",
-        [("bits", math.inf, 3), ("packets", math.inf, 3), ("packets", 2, 5), ("packets", 10, 5)],
-        ids=["bits", "packets", "packets-L2", "packets-L10"],
+        [
+            ("bits", math.inf, 3),
+            ("bits", 8.0, 3),
+            ("packets", math.inf, 3),
+            ("packets", 2, 5),
+            ("packets", 10, 5),
+        ],
+        ids=["bits", "bits-L8", "packets", "packets-L2", "packets-L10"],
     )
     def test_balance_point_repairs_in_few_rounds(self, monkeypatch, case, cap, per_chunk):
-        # the slot loop's cost bounds the replay's only while the repair rounds
-        # per chunk stay few; at the balance point they were the most at risk,
-        # and finite packet buffers run at fixed_rate_sim's thresholds
-        rounds = []
+        """The slot loop's cost bounds the replay's only while the repair
+        rounds per chunk stay few.
+
+        At the balance point they were the most at risk. Finite packet
+        buffers run at fixed_rate_sim's thresholds, and the 8-bit buffer is
+        adaptive_sim's finite run: over seeds 53-55 at 2**19 slots, its full
+        chunks took at most 3 rounds each, the bound here. Each path counts
+        its own chunks: a bit chunk is ``_CHUNK`` slots, a packet chunk a
+        quarter of that.
+        """
+        chunks, rounds = [], []
         levels = sim._replay_levels
 
         def counted(replay, *args):
+            chunks.append(1)
             return levels(lambda *a: rounds.append(1) or replay(*a), *args)
 
         monkeypatch.setattr(sim, "_replay_levels", counted)
@@ -760,11 +801,12 @@ class TestLevelReplay:
         if case == "packets":
             rho = RHO_BALANCE_FIXED if math.isinf(cap) else 0.6
             thr = SelectionThresholds(rho, 1.2, 0.3)
-            chunks = sim._chunks(*streams[:2], thr, cap, 0, packets=True)
-            sim._fixed_totals(chunks, streams, BPSK, cap, False, 0, 100)
+            chunks_run = sim._chunks(*streams[:2], thr, cap, 0, packets=True)
+            sim._fixed_totals(chunks_run, streams, BPSK, cap, False, 0, 100)
         else:
             thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
-            chunks = sim._chunks(*streams[:2], thr, cap, 0.0, packets=False)
-            sim._adaptive_totals(chunks, cap, 0.0, slots, 100)
-        assert len(rounds) <= per_chunk * slots // (sim._CHUNK // 4)
-
+            chunks_run = sim._chunks(*streams[:2], thr, cap, 0.0, packets=False)
+            sim._adaptive_totals(chunks_run, cap, 0.0, slots, 100)
+        chunk = sim._CHUNK // 4 if case == "packets" else sim._CHUNK
+        assert len(chunks) == slots // chunk
+        assert len(rounds) <= per_chunk * len(chunks)
