@@ -51,15 +51,11 @@ __all__ = [
     "SelectionThresholds",
     "ModulationParams",
     "SerTriple",
-    "ApproxQs",
     "reverse",
     "joint_ccdf_sr",
-    "joint_ccdf_rd",
     "lsp",
     "qs_pip_exact",
-    "approx_qs_pip",
     "rho_opt_fixed",
-    "rho_for_qs",
     "avg_capacity_hop",
     "avg_rate_cabr_hop_s",
     "avg_rate_cabr_hop_r",
@@ -71,7 +67,6 @@ __all__ = [
     "ser_exact_cnbr",
     "ser_asym_cabr",
     "ser_asym_cnbr",
-    "second_moment_rate_hop_s",
     "delay_bound_adaptive",
     "rho_for_delay_bound",
 ]
@@ -92,8 +87,8 @@ _ROUND = 1e-12  # relative rounding allowed per summed piece in the searches' er
 class BracketError(ValueError):
     """A threshold search could not bracket its root within log10 rho in [-30, 30].
 
-    Every search over that range raises it: rho_opt_fixed, rho_for_qs,
-    avg_rate_cabr and the exact interference-limited SER in queueing.
+    Every search over that range raises it: rho_opt_fixed, avg_rate_cabr
+    and the exact interference-limited SER in queueing.
     """
 
 
@@ -149,11 +144,6 @@ class SerTriple(NamedTuple):
     p_s: float
     p_r: float
     p_bound: float
-
-
-class ApproxQs(NamedTuple):
-    value: float
-    starving_side: bool
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +425,6 @@ def joint_ccdf_sr(pair: HopPair, rho: float, x: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def joint_ccdf_rd(pair: HopPair, rho: float, x: float) -> float:
-    """Pr{gamma_r > rho gamma_s, gamma_r > x}: second hop selected and strong."""
-    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    return joint_ccdf_sr(rpair, 1.0 / rho, x)
-
-
 def lsp(pair: HopPair, rho: float) -> tuple[float, float]:
     """Link-selection probabilities (q_s, q_r) for the interior threshold."""
     q_s = joint_ccdf_sr(pair, rho, 0.0)
@@ -454,16 +438,6 @@ def qs_pip_exact(pair: HopPair, rho: float) -> float:
         return 0.5 + (z - 1.0) / 6.0
     om = 1.0 - z
     return -z / om - z * math.log(z) / (om * om)
-
-
-def approx_qs_pip(pair: HopPair, rho: float) -> ApproxQs:
-    """Geometric-series approximation q_s ~ z/(1+z), z = rho mu_s / mu_r.
-
-    Intended for the starving side z < 1 (flagged otherwise); it is exact at
-    z = 1 and degrades as z -> 0.
-    """
-    z = rho * pair.s.mu / pair.r.mu
-    return ApproxQs(value=z / (1.0 + z), starving_side=z < 1.0)
 
 
 def _regime(pair: HopPair) -> str:
@@ -581,25 +555,6 @@ def rho_opt_fixed(pair: HopPair) -> float:
         return 0.0 if abs(d) < 1e-10 else d
 
     return _bisect_log10_rho(f, "q_s = 1/2")
-
-
-def rho_for_qs(pair: HopPair, q_target: float) -> float:
-    """Threshold whose first-hop selection probability equals q_target.
-
-    The selection probability is monotone increasing in rho, so a log-domain
-    bisection converges unconditionally.
-    """
-    if not (0.0 < q_target < 1.0):
-        raise ValueError("q_target must lie in (0, 1)")
-
-    # relative to the nearer end of (0, 1), so targets near 0 or 1 keep their digits
-    tol = 1e-12 * min(q_target, 1.0 - q_target)
-
-    def f(log10_rho: float) -> float:
-        d = lsp(pair, 10.0**log10_rho)[0] - q_target
-        return 0.0 if abs(d) < tol else d
-
-    return _bisect_log10_rho(f, "q_target")
 
 
 def avg_capacity_hop(link: LinkParams) -> float:
@@ -722,11 +677,6 @@ def ser_asym_cnbr(pair: HopPair, mod: ModulationParams) -> SerTriple:
     p_s = base * _interference_factor(pair.s)
     p_r = base * _interference_factor(pair.r)
     return SerTriple(p_s, p_r, p_s + p_r)
-
-
-def second_moment_rate_hop_s(pair: HopPair, rho: float) -> float:
-    """Second moment of the selected first-hop rate (bits^2 per channel use^2)."""
-    return _sum_with_err(joint_terms_sr(pair, rho), _w2_term_nats)[0] / (LN2 * LN2)
 
 
 def delay_bound_adaptive(pair: HopPair, rho: float) -> float:

@@ -80,12 +80,6 @@ class PowerConstraints:
     def gamma_p(self) -> float:
         return 10.0 ** (self.gamma_p_db / 10.0)
 
-    @classmethod
-    def from_linear(cls, gamma_max: float, gamma_p: float) -> "PowerConstraints":
-        if not (gamma_max > 0.0) or not (gamma_p > 0.0):
-            raise ValueError("linear SNR constraints must be positive")
-        return cls(10.0 * math.log10(gamma_max), 10.0 * math.log10(gamma_p))
-
 
 @dataclass(frozen=True)
 class LinkParams:

@@ -9,10 +9,10 @@ overlaid by a document) interpreted by one of four commands:
   compare    tabulate scheme rate ratios (adaptive vs fixed schedules)
 
 Results are written to stdout or a file as CSV (RFC-4180 quoting, full
-round-trip float precision) or JSON. Sweep points are dispatched to a worker
-pool (--workers or BUFRELAY_WORKERS); rows always come out in grid order and
-per-point seeds are derived from (seed, point index), so output bytes do not
-depend on the worker count.
+round-trip float precision) or JSON. Sweep points are dispatched to a pool
+of --workers processes, never more than there are points; rows always come
+out in grid order and per-point seeds are derived from (seed, point index),
+so output bytes do not depend on the worker count.
 
 Exit codes: 0 success, 2 bad configuration, 3 numerical non-convergence,
 4 infeasible design constraints.
@@ -26,7 +26,6 @@ import copy
 import csv
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -702,7 +701,7 @@ def _run_tasks(name, payloads, workers):
         with memo():
             results = [_eval_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_eval_task, tasks))
     return [row for point_rows in results for row in point_rows]
 
@@ -1196,19 +1195,11 @@ def _load_document(args):
 
 
 def _resolve_workers(args):
-    if args.workers is not None:
-        value = args.workers
-    else:
-        raw = os.environ.get("BUFRELAY_WORKERS")
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"BUFRELAY_WORKERS: not an integer: {raw!r}") from exc
-    if value < 1:
+    if args.workers is None:
+        return 1
+    if args.workers < 1:
         raise ConfigError("worker count must be at least 1")
-    return value
+    return args.workers
 
 
 def _effective_kind(command, doc):

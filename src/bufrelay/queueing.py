@@ -28,8 +28,6 @@ __all__ = [
     "SchemeConstraint",
     "Feasibility",
     "XiRange",
-    "MinDelay",
-    "reversed_chain",
     "steady_state",
     "mean_occupancy",
     "flow_rates",
@@ -37,8 +35,6 @@ __all__ = [
     "delays",
     "lifo_equivalent_queue_delay",
     "ser_threshold",
-    "mdmt_delay",
-    "mdmt_min_delay",
     "mdmt_xi_range",
     "ct_xi_c",
     "ct_xi_min",
@@ -141,18 +137,6 @@ class XiRange(NamedTuple):
     xi_lo: float
     xi_hi: float
     violated: Optional[str]
-
-
-class MinDelay(NamedTuple):
-    t_min: float
-    xi_star: float
-
-
-def reversed_chain(p: ThresholdProtocolParams) -> ThresholdProtocolParams:
-    """Time-reversed role swap: growth and drain exchange places."""
-    return ThresholdProtocolParams(
-        buffer_size_L=p.buffer_size_L, q_s=p.q_r, q_c=p.q_d, q_d=p.q_c
-    )
 
 
 def _require_finite_L(p: ThresholdProtocolParams, what: str) -> int:
@@ -303,25 +287,6 @@ def ser_threshold(
 
 # ---------------------------------------------------------------------------
 # infinite-buffer design schemes
-
-
-def mdmt_delay(x_star: float, xi: float) -> float:
-    """Total delay of the drift-proportional design xi_c = xi * x_star."""
-    if not (x_star > 0.0):
-        raise ValueError("x_star must be positive")
-    if not (xi > 1.0):
-        raise ValueError("xi must exceed 1")
-    return 1.0 + 2.0 / (xi - 1.0) + x_star * (xi - 1.0)
-
-
-def mdmt_min_delay(x_star: float) -> MinDelay:
-    """Unconstrained minimum of the drift-proportional delay curve."""
-    if not (x_star > 0.0):
-        raise ValueError("x_star must be positive")
-    return MinDelay(
-        t_min=1.0 + 2.0 * math.sqrt(2.0 * x_star),
-        xi_star=1.0 + math.sqrt(2.0 / x_star),
-    )
 
 
 def feasibility(c: SchemeConstraint) -> Feasibility:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,9 +54,7 @@ __all__ = [
     "BufferState",
     "SchemeConfig",
     "SimOutcome",
-    "DualityReport",
     "run",
-    "run_lifo_duality_check",
     "overflow_probability",
 ]
 
@@ -142,16 +140,6 @@ class SimOutcome:
     bits_in: float = math.nan
     bits_out: float = math.nan
     final_occupancy: float = math.nan
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Matched-seed mirror comparison of a run against its role-reversed twin."""
-
-    original: SimOutcome
-    dual: SimOutcome
-    differences: dict
-    sigmas: dict
 
 
 # ---------------------------------------------------------------------------
@@ -744,69 +732,14 @@ def _run_with_streams(config: SchemeConfig, streams) -> SimOutcome:
     return _run_cabr_fixed(config, streams)
 
 
-def run_lifo_duality_check(config: SchemeConfig, pair: HopPair) -> DualityReport:
-    """Run the configured buffer against its role-reversed mirror.
-
-    The mirror swaps the hop roles and the drain order, inverts and swaps the
-    boundary thresholds, starts the buffer at the mirrored occupancy
-    capacity - occupancy, and reuses the same random draws with the streams
-    exchanged, so the two runs see mirrored slot histories. Rate, summed
-    error rate, and mean delay must agree within Monte Carlo noise. The
-    mirror of level B is L - B, so the buffer must be finite.
-    """
-    if config.scheme != "cabr":
-        raise ValueError("duality check applies to the adaptive-selection scheme")
-    cap = config.buffer.capacity
-    if math.isinf(cap):
-        raise ValueError("duality check needs a finite buffer: the mirror of level B is L - B")
-    from .analytic import reverse
-
-    rpair, rthr = reverse(pair, config.thresholds)
-    flipped = "lifo" if config.buffer.discipline == "fifo" else "fifo"
-    dual_buffer = replace(
-        config.buffer, discipline=flipped, occupancy=cap - config.buffer.occupancy
-    )
-    dual_config = replace(config, thresholds=rthr, buffer=dual_buffer)
-    gs, gr, e_s, e_r = _draw_streams(
-        pair, config.slots, config.seed, config.rate_mode == "fixed"
-    )
-    original = _run_with_streams(config, (gs, gr, e_s, e_r))
-    dual = _run_with_streams(dual_config, (gr, gs, e_r, e_s))
-    diffs = {"avg_rate": original.avg_rate - dual.avg_rate}
-    sigmas = {
-        "avg_rate": math.hypot(original.ci_halfwidths["avg_rate"], dual.ci_halfwidths["avg_rate"])
-    }
-    if config.rate_mode == "fixed":
-        diffs["sum_ber"] = sum(original.ser_per_hop) - sum(dual.ser_per_hop)
-        sigmas["sum_ber"] = math.hypot(
-            math.hypot(original.ci_halfwidths["ser_s"], original.ci_halfwidths["ser_r"]),
-            math.hypot(dual.ci_halfwidths["ser_s"], dual.ci_halfwidths["ser_r"]),
-        )
-        diffs["delay"] = original.delay.t_total - dual.delay.t_total
-        sigmas["delay"] = math.hypot(
-            original.ci_halfwidths["t_total"], dual.ci_halfwidths["t_total"]
-        )
-        diffs["underflow_vs_dual_overflow"] = float(
-            original.underflow_count - dual.overflow_count
-        )
-        # The mirror starts at L - B and sees the same draws, so its history is
-        # B' = L - B slot by slot. The mirrored threshold tests compare against
-        # rounded reciprocals, though: a slot whose SNR ratio sits within
-        # rounding of a threshold can go different ways in the two runs, and
-        # the levels then disagree until both walks meet a common boundary,
-        # which can shift the boundary-event counts by up to one buffer's worth.
-        sigmas["underflow_vs_dual_overflow"] = float(int(cap))
-    return DualityReport(original=original, dual=dual, differences=diffs, sigmas=sigmas)
-
-
 def overflow_probability(
     config: SchemeConfig, pair: HopPair, l_grid: np.ndarray
 ) -> np.ndarray:
     """Pr{occupancy > L} for each L, from an unbounded-buffer occupancy trace.
 
-    The trace starts at the buffer's occupancy. The threshold is expected to sit below the rate balance point so the
-    trace is positive recurrent; the caller picks it (typically from the
-    delay-bound inversion).
+    The trace starts at the buffer's occupancy. The threshold is expected to
+    sit below the rate balance point so the trace is positive recurrent; the
+    caller picks it (typically from the delay-bound inversion).
     """
     if config.scheme != "cabr" or config.rate_mode != "adaptive":
         raise ValueError("overflow curve requires an adaptive-rate cabr config")

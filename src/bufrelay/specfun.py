@@ -24,9 +24,6 @@ store, and the store is dropped when that block exits, so no value outlives
 it. A call that raises stores nothing, so a ConvergenceError is raised again,
 after integrating again, on a repeat call. The store lives in a context
 variable, so threads never share one.
-
-exp_integral_en is e^(-x) times exp_integral_en_scaled, which holds the
-argument checks and the switch to the continued fraction past x = 600.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "ConvergenceError",
     "EULER_GAMMA",
     "QuadValue",
-    "exp_integral_en",
     "exp_integral_en_scaled",
     "dilog",
     "integral_I",
@@ -152,11 +148,6 @@ def memoized(func):
         return value
 
     return wrapper
-
-
-def exp_integral_en(n: int, x: float) -> float:
-    """Generalized exponential integral E_n(x) = int_1^inf t^(-n) e^(-x t) dt."""
-    return math.exp(-x) * exp_integral_en_scaled(n, x)
 
 
 def exp_integral_en_scaled(n: int, x: float) -> float:

@@ -1,4 +1,5 @@
-"""Shared helpers: parameter-set factories and an independent sampling oracle.
+"""Shared helpers: parameter-set factories, an independent sampling oracle,
+and the closed forms and checks that more than one test module calls.
 
 The sampler here re-derives the capped-ratio SNR construction from the
 marginal law directly (min of the power cap and the interference cap, each
@@ -9,12 +10,14 @@ sampling code.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from bufrelay import analytic, specfun
-from bufrelay.analytic import HopPair
+from bufrelay import analytic, sim, specfun
+from bufrelay.analytic import HopPair, SelectionThresholds
 from bufrelay.channel import LinkParams
 
 
@@ -118,3 +121,107 @@ def quad_calls(monkeypatch):
     monkeypatch.setattr(specfun, "quad_semi_infinite", counted)
     monkeypatch.setattr(analytic, "quad_semi_infinite", counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# closed forms and checks that only tests call
+
+
+def joint_ccdf_rd(pair: HopPair, rho: float, x: float) -> float:
+    """Pr{gamma_r > rho gamma_s, gamma_r > x}: second hop selected and strong."""
+    rpair, _ = analytic.reverse(pair, SelectionThresholds.uniform(rho))
+    return analytic.joint_ccdf_sr(rpair, 1.0 / rho, x)
+
+
+def second_moment_rate_hop_s(pair: HopPair, rho: float) -> float:
+    """Second moment of the selected first-hop rate (bits^2 per channel use^2)."""
+    return analytic._sum_with_err(
+        analytic.joint_terms_sr(pair, rho), analytic._w2_term_nats
+    )[0] / (analytic.LN2 * analytic.LN2)
+
+
+class MinDelay(NamedTuple):
+    t_min: float
+    xi_star: float
+
+
+def mdmt_delay(x_star: float, xi: float) -> float:
+    """Total delay of the drift-proportional design xi_c = xi * x_star."""
+    if not (x_star > 0.0):
+        raise ValueError("x_star must be positive")
+    if not (xi > 1.0):
+        raise ValueError("xi must exceed 1")
+    return 1.0 + 2.0 / (xi - 1.0) + x_star * (xi - 1.0)
+
+
+def mdmt_min_delay(x_star: float) -> MinDelay:
+    """Unconstrained minimum of the drift-proportional delay curve."""
+    if not (x_star > 0.0):
+        raise ValueError("x_star must be positive")
+    return MinDelay(
+        t_min=1.0 + 2.0 * math.sqrt(2.0 * x_star),
+        xi_star=1.0 + math.sqrt(2.0 / x_star),
+    )
+
+
+@dataclass(frozen=True)
+class DualityReport:
+    """Matched-seed mirror comparison of a run against its role-reversed twin."""
+
+    original: sim.SimOutcome
+    dual: sim.SimOutcome
+    differences: dict
+    sigmas: dict
+
+
+def run_lifo_duality_check(config: sim.SchemeConfig, pair: HopPair) -> DualityReport:
+    """Run the configured buffer against its role-reversed mirror.
+
+    The mirror swaps the hop roles and the drain order, inverts and swaps the
+    boundary thresholds, starts the buffer at the mirrored occupancy
+    capacity - occupancy, and reuses the same random draws with the streams
+    exchanged, so the two runs see mirrored slot histories. Rate, summed
+    error rate, and mean delay must agree within Monte Carlo noise. The
+    mirror of level B is L - B, so the buffer must be finite.
+    """
+    if config.scheme != "cabr":
+        raise ValueError("duality check applies to the adaptive-selection scheme")
+    cap = config.buffer.capacity
+    if math.isinf(cap):
+        raise ValueError("duality check needs a finite buffer: the mirror of level B is L - B")
+    _, rthr = analytic.reverse(pair, config.thresholds)
+    flipped = "lifo" if config.buffer.discipline == "fifo" else "fifo"
+    dual_buffer = replace(
+        config.buffer, discipline=flipped, occupancy=cap - config.buffer.occupancy
+    )
+    dual_config = replace(config, thresholds=rthr, buffer=dual_buffer)
+    gs, gr, e_s, e_r = sim._draw_streams(
+        pair, config.slots, config.seed, config.rate_mode == "fixed"
+    )
+    original = sim._run_with_streams(config, (gs, gr, e_s, e_r))
+    dual = sim._run_with_streams(dual_config, (gr, gs, e_r, e_s))
+    diffs = {"avg_rate": original.avg_rate - dual.avg_rate}
+    sigmas = {
+        "avg_rate": math.hypot(original.ci_halfwidths["avg_rate"], dual.ci_halfwidths["avg_rate"])
+    }
+    if config.rate_mode == "fixed":
+        diffs["sum_ber"] = sum(original.ser_per_hop) - sum(dual.ser_per_hop)
+        sigmas["sum_ber"] = math.hypot(
+            math.hypot(original.ci_halfwidths["ser_s"], original.ci_halfwidths["ser_r"]),
+            math.hypot(dual.ci_halfwidths["ser_s"], dual.ci_halfwidths["ser_r"]),
+        )
+        diffs["delay"] = original.delay.t_total - dual.delay.t_total
+        sigmas["delay"] = math.hypot(
+            original.ci_halfwidths["t_total"], dual.ci_halfwidths["t_total"]
+        )
+        diffs["underflow_vs_dual_overflow"] = float(
+            original.underflow_count - dual.overflow_count
+        )
+        # The mirror starts at L - B and sees the same draws, so its history is
+        # B' = L - B slot by slot. The mirrored threshold tests compare against
+        # rounded reciprocals, though: a slot whose SNR ratio sits within
+        # rounding of a threshold can go different ways in the two runs, and
+        # the levels then disagree until both walks meet a common boundary,
+        # which can shift the boundary-event counts by up to one buffer's worth.
+        sigmas["underflow_vs_dual_overflow"] = float(int(cap))
+    return DualityReport(original=original, dual=dual, differences=diffs, sigmas=sigmas)

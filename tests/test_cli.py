@@ -98,11 +98,6 @@ class TestDocumentErrors:
         assert cli.main(["analyze", path]) == cli.EXIT_CONFIG
         assert "monotone" in capsys.readouterr().err
 
-    def test_bad_worker_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BUFRELAY_WORKERS", "many")
-        path = write_doc(tmp_path, table_doc())
-        assert cli.main(["analyze", path]) == cli.EXIT_CONFIG
-
     def test_nonpositive_workers(self, tmp_path):
         path = write_doc(tmp_path, table_doc())
         assert cli.main(["analyze", path, "--workers", "0"]) == cli.EXIT_CONFIG
@@ -608,6 +603,32 @@ class TestSimulateDeterminism:
             assert rc == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_pool_is_capped_at_the_point_count(self, tmp_path, capsys, monkeypatch):
+        # a process pool forks all its workers on the first submit, so the
+        # worker count must not reach it above the point count; the fake
+        # records the size it is asked for and maps serially, starting no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        path = write_doc(tmp_path, table_doc())
+        _, serial = run_csv(["analyze", path], capsys)
+        _, pooled = run_csv(["analyze", path, "--workers", "1000000"], capsys)
+        assert sizes == [3]
+        assert pooled == serial
 
     def test_seed_and_slots_overrides(self, tmp_path, capsys):
         path = write_doc(tmp_path, self.simulate_doc())

@@ -176,8 +176,7 @@ EXAMPLES = -(-2000 // len(CASES))
 
 
 @pytest.mark.parametrize("mode, path", CASES)
-def test_documents_exit_cleanly(mode, path, monkeypatch):
-    monkeypatch.delenv("BUFRELAY_WORKERS", raising=False)
+def test_documents_exit_cleanly(mode, path):
     doc_kind = {"kind": cli._MODES[mode].kind, "mode": mode}
     with tempfile.TemporaryDirectory() as tmpdir:
 

@@ -20,18 +20,24 @@ from bufrelay.queueing import (
     feasibility,
     flow_rates,
     lifo_equivalent_queue_delay,
-    mdmt_delay,
-    mdmt_min_delay,
     mdmt_xi_range,
     mean_occupancy,
-    reversed_chain,
     ser_asym_threshold_pip,
     ser_threshold,
     steady_state,
     throughput,
 )
 
+from conftest import mdmt_delay, mdmt_min_delay
+
 PIP_UNEVEN = HopPair(LinkParams(math.inf, 33.75, 1.0), LinkParams(math.inf, 80.0, 1.0))
+
+
+def reversed_chain(p: ThresholdProtocolParams) -> ThresholdProtocolParams:
+    """Time-reversed role swap: growth and drain exchange places."""
+    return ThresholdProtocolParams(
+        buffer_size_L=p.buffer_size_L, q_s=p.q_r, q_c=p.q_d, q_d=p.q_c
+    )
 
 
 def random_chain(rng, l_max=64):

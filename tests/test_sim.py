@@ -9,7 +9,7 @@ from bufrelay import analytic, queueing, sim
 from bufrelay.analytic import ModulationParams, SelectionThresholds
 from bufrelay.sim import BufferState, SchemeConfig
 
-from conftest import PAIR_MIXED, assert_within_sigma
+from conftest import PAIR_MIXED, assert_within_sigma, run_lifo_duality_check
 
 BPSK = ModulationParams(eta=2.0, phi=1.0)
 
@@ -191,7 +191,7 @@ class TestFixedRuns:
 class TestDuality:
     def test_fixed_fifo_vs_reversed_lifo(self):
         th = SelectionThresholds(rho=0.7, rho_c=1.1, rho_d=0.4)
-        rep = sim.run_lifo_duality_check(
+        rep = run_lifo_duality_check(
             fixed_cfg(th, 6, slots=150_000), PAIR_MIXED
         )
         for key, diff in rep.differences.items():
@@ -202,7 +202,7 @@ class TestDuality:
         # the mirror of level B is L - B, so from a mirrored start every
         # original underflow slot is a dual overflow slot
         th = SelectionThresholds(rho=0.7, rho_c=1.1, rho_d=0.4)
-        rep = sim.run_lifo_duality_check(
+        rep = run_lifo_duality_check(
             fixed_cfg(th, 6, slots=20_000, occupancy=occupancy), PAIR_MIXED
         )
         assert rep.differences["underflow_vs_dual_overflow"] == 0.0
@@ -214,11 +214,11 @@ class TestDuality:
         else:
             config = adaptive_cfg(0.7, slots=20_000)
         with pytest.raises(ValueError, match="finite buffer"):
-            sim.run_lifo_duality_check(config, PAIR_MIXED)
+            run_lifo_duality_check(config, PAIR_MIXED)
 
     def test_symmetric_pair_is_self_dual(self):
         pair = analytic.HopPair(PAIR_MIXED.s, PAIR_MIXED.s)
-        rep = sim.run_lifo_duality_check(
+        rep = run_lifo_duality_check(
             fixed_cfg(SelectionThresholds.uniform(1.0), 5, slots=120_000), pair
         )
         for key, diff in rep.differences.items():

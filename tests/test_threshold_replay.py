@@ -16,7 +16,7 @@ import pytest
 
 from bufrelay import analytic, cli, specfun
 
-from conftest import PAIR_MIXED, make_pair, random_pair
+from conftest import PAIR_MIXED, make_pair, random_pair, second_moment_rate_hop_s
 from test_analytic_rates import avg_rate_cabr_hop_s_quad
 
 LN2 = math.log(2.0)
@@ -124,7 +124,7 @@ def test_moments_with_error_bounds_match_the_public_values():
             analytic.avg_rate_cabr_hop_r(pair, rho),
         )
         m2s = analytic._hop_moments(pair, rho, analytic._w2_term_nats, LN2 * LN2)[0]
-        assert m2s == analytic.second_moment_rate_hop_s(pair, rho)
+        assert m2s == second_moment_rate_hop_s(pair, rho)
         # the bound the proofs rest on covers the distance to direct
         # quadrature of the joint CCDF, within that quadrature's own tolerance
         quad = avg_rate_cabr_hop_s_quad(pair, rho)
