@@ -63,6 +63,8 @@ __all__ = [
     "avg_rate_cnbr",
     "avg_rate_cbr",
     "ew_joint_ccdf_sr",
+    "ser_cabr_hop_s",
+    "ser_cabr_hop_r",
     "ser_exact_cabr",
     "ser_exact_cnbr",
     "ser_asym_cabr",
@@ -94,7 +96,7 @@ class BracketError(ValueError):
 
 class OneSidedError(ValueError):
     """A threshold selects one hop too rarely for a conditional closed form:
-    q_s or q_r <= 1e-12 for ser_exact_cabr, q_s < 1e-7 for the delay bound."""
+    q_s or q_r <= 1e-12 for the conditional SERs, q_s < 1e-7 for the delay bound."""
 
 
 class PastBalanceError(ValueError):
@@ -630,21 +632,38 @@ def ew_joint_ccdf_sr(pair: HopPair, rho: float, eta: float) -> float:
     return ew_terms(joint_terms_sr(pair, rho), eta)
 
 
-def ser_exact_cabr(pair: HopPair, rho: float, mod: ModulationParams) -> SerTriple:
-    """Per-hop symbol error rates conditioned on selection, and their sum bound."""
-    q_s, q_r = lsp(pair, rho)
+def _conditioned_ser(pair: HopPair, rho: float, mod: ModulationParams, q: float) -> float:
+    """First-hop symbol error rate of pair at rho, conditioned on that hop's
+    selection probability q."""
     # conditioning divides two absolutely-accurate closed forms; below ~1e-12
     # the numerator q - Ew is cancellation noise and the quotient has no
     # correct digits
-    if not (q_s > 1e-12) or not (q_r > 1e-12):
+    if not (q > 1e-12):
         raise OneSidedError(
             "selection is too one-sided to condition on (q_s or q_r <= 1e-12)"
         )
-    ew_s = ew_joint_ccdf_sr(pair, rho, mod.eta)
-    p_s = 0.5 * mod.phi * (q_s - ew_s) / q_s
+    return 0.5 * mod.phi * (q - ew_joint_ccdf_sr(pair, rho, mod.eta)) / q
+
+
+def ser_cabr_hop_s(pair: HopPair, rho: float, mod: ModulationParams) -> float:
+    """Symbol error rate of the first hop conditioned on its selection."""
+    return _conditioned_ser(pair, rho, mod, lsp(pair, rho)[0])
+
+
+def ser_cabr_hop_r(pair: HopPair, rho: float, mod: ModulationParams) -> float:
+    """Symbol error rate of the second hop conditioned on its selection.
+
+    It conditions on q_r = 1 - q_s of the forward pair and integrates over
+    the reversed pair at 1/rho.
+    """
     rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    ew_r = ew_joint_ccdf_sr(rpair, 1.0 / rho, mod.eta)
-    p_r = 0.5 * mod.phi * (q_r - ew_r) / q_r
+    return _conditioned_ser(rpair, 1.0 / rho, mod, lsp(pair, rho)[1])
+
+
+def ser_exact_cabr(pair: HopPair, rho: float, mod: ModulationParams) -> SerTriple:
+    """Per-hop symbol error rates conditioned on selection, and their sum bound."""
+    p_s = ser_cabr_hop_s(pair, rho, mod)
+    p_r = ser_cabr_hop_r(pair, rho, mod)
     return SerTriple(p_s, p_r, p_s + p_r)
 
 

@@ -612,8 +612,8 @@ def _refs_cabr_adaptive(pair, thr, mod, buffer):
 def _refs_cabr_fixed(pair, thr, mod, buffer):
     refs = _selection_refs(pair, thr)
     exact = analytic.ser_exact_cabr(pair, thr.rho, mod)
-    p_c = analytic.ser_exact_cabr(pair, thr.rho_c, mod).p_s
-    p_d = analytic.ser_exact_cabr(pair, thr.rho_d, mod).p_r
+    p_c = analytic.ser_cabr_hop_s(pair, thr.rho_c, mod)
+    p_d = analytic.ser_cabr_hop_r(pair, thr.rho_d, mod)
     try:
         chain = ThresholdProtocolParams(
             buffer.capacity, refs["q_s_ref"], refs["q_c_ref"], refs["q_d_ref"]

@@ -26,6 +26,13 @@ computed in chunks of ``_CHUNK`` slots and a packet buffer in quarter
 chunks; the totals read quarter-chunk records, except on the exact bit walk,
 whose records are whole chunks.
 
+A fixed-rate packet is in error when its uniform draw falls below
+min(1, phi/2 erfc(sqrt(eta g / 2))) at its slot's SNR g. Since erfc(z) <=
+exp(-z^2) for z >= 0, ``_decode_errors`` first compares every draw with the
+bound phi/2 (1 + 1e-9) exp(max(-eta g / 2, -700)), and runs the exact erfc
+test only on the few draws below it; the slack covers rounding, so every
+decision is the exact test's.
+
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
 the latest arrival that raised the count to c. Fixed-rate totals equal the
@@ -45,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import erfc
 
 from .analytic import HopPair, ModulationParams, SelectionThresholds
 from .channel import sample_snr
@@ -486,8 +494,8 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
         pop_at = np.flatnonzero(dep)
         src, held = match(held, lo, hi, push_at, pop_at, before)
         add(totals["delay_sum"], pop_at + lo - src, at=pop_at)
-        add(totals["errs_s"], e_s[lo + push_at] < _error_prob(gs[lo + push_at], mod), at=push_at)
-        add(totals["errs_r"], e_r[lo + pop_at] < _error_prob(gr[lo + pop_at], mod), at=pop_at)
+        add(totals["errs_s"], _decode_errors(gs[lo + push_at], e_s[lo + push_at], mod), at=push_at)
+        add(totals["errs_r"], _decode_errors(gr[lo + pop_at], e_r[lo + pop_at], mod), at=pop_at)
         for name, values in (
             ("arrivals", arr),
             ("departures", dep),
@@ -651,8 +659,7 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
     )
 
 
-def _bernoulli_ser(p_err: np.ndarray, draws: np.ndarray) -> tuple:
-    hits = draws < p_err
+def _bernoulli_ser(hits: np.ndarray) -> tuple:
     n = hits.size
     if n == 0:
         return math.nan, math.nan
@@ -661,9 +668,24 @@ def _bernoulli_ser(p_err: np.ndarray, draws: np.ndarray) -> tuple:
 
 
 def _error_prob(g: np.ndarray, mod: ModulationParams) -> np.ndarray:
-    from scipy.special import erfc
-
     return np.minimum(1.0, 0.5 * mod.phi * erfc(np.sqrt(0.5 * mod.eta * g)))
+
+
+def _decode_errors(g: np.ndarray, draws: np.ndarray, mod: ModulationParams) -> np.ndarray:
+    """draws < _error_prob(g, mod) elementwise; erfc runs only below a bound.
+
+    erfc(z) <= exp(-z*z) for z >= 0, so a draw at or above the bound cannot
+    be an error. The 1e-9 slack covers rounding, and the -700 floor keeps exp
+    off subnormal results, which it computes slower than erfc itself.
+    """
+    bound = (-0.5 * mod.eta) * g
+    np.maximum(bound, -700.0, out=bound)
+    np.exp(bound, out=bound)
+    bound *= 0.5 * mod.phi * (1.0 + 1e-9)
+    hits = draws < bound
+    below = np.flatnonzero(hits)
+    hits[below] = draws[below] < _error_prob(g[below], mod)
+    return hits
 
 
 def _run_fixed_schedule(config, streams) -> SimOutcome:
@@ -687,8 +709,8 @@ def _run_fixed_schedule(config, streams) -> SimOutcome:
     )
     if config.rate_mode == "fixed":
         mod = config.modulation
-        p_s, se_s = _bernoulli_ser(_error_prob(g_fill, mod), e_s[fill])
-        p_r, se_r = _bernoulli_ser(_error_prob(g_drain, mod), e_r[drain])
+        p_s, se_s = _bernoulli_ser(_decode_errors(g_fill, e_s[fill], mod))
+        p_r, se_r = _bernoulli_ser(_decode_errors(g_drain, e_r[drain], mod))
         return SimOutcome(
             avg_rate=0.5 * mod.rate_R,
             ser_per_hop=(p_s, p_r),

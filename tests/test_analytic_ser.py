@@ -99,6 +99,15 @@ class TestExactCabr:
         with pytest.raises(ValueError):
             analytic.ser_exact_cabr(PAIR_MIXED, 1e-14, BPSK)
 
+    def test_each_hop_needs_only_its_own_selection(self):
+        # q_r(1e14) and q_s(1e-14) are below the 1e-12 floor, the other hop's are not
+        assert 0.0 < analytic.ser_cabr_hop_s(PAIR_MIXED, 1e14, BPSK) < 0.5
+        assert 0.0 < analytic.ser_cabr_hop_r(PAIR_MIXED, 1e-14, BPSK) < 0.5
+        with pytest.raises(analytic.OneSidedError):
+            analytic.ser_cabr_hop_r(PAIR_MIXED, 1e14, BPSK)
+        with pytest.raises(analytic.OneSidedError):
+            analytic.ser_cabr_hop_s(PAIR_MIXED, 1e-14, BPSK)
+
     def test_mirror_consistency(self):
         rho = 0.8
         rpair, rthr = analytic.reverse(

@@ -2,14 +2,17 @@
 
 import copy
 import csv
+import importlib.util
 import json
 import math
+import pathlib
 
 import pytest
 
 from bufrelay import cli
 from bufrelay.specfun import ConvergenceError
 
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
 # the same scales with the interference cap forced off (p = 0)
 PAIR_P0 = {"links": {
@@ -312,15 +315,57 @@ class TestOneSidedThresholds:
         assert rc == cli.EXIT_CONVERGENCE
         assert err[0].startswith("convergence failure: selection is too one-sided")
 
-    def test_fixed_rate_run_reference_exits_convergence(self, tmp_path, capsys):
-        # the simulation runs; the exact SER reference at rho_c cannot be conditioned
-        doc = {
-            "mode": "run", "scheme": "cabr", "rate_mode": "fixed", "rho": 0.6, "rho_c": 1e14,
+    @staticmethod
+    def fixed_rate_run(**thresholds):
+        return {
+            "mode": "run", "scheme": "cabr", "rate_mode": "fixed", "rho": 0.6, **thresholds,
             "modulation": {"eta": 2.0}, "buffer": {"capacity": 4}, "slots": 2000, "pair": PAIR,
         }
+
+    @pytest.mark.parametrize(
+        "thresholds", [{"rho_c": 1e-14}, {"rho_d": 1e14}], ids=["rho_c", "rho_d"]
+    )
+    def test_fixed_rate_run_reference_exits_convergence(self, tmp_path, capsys, thresholds):
+        # the simulation runs; the SER reference of the hop each boundary
+        # threshold selects (hop s at rho_c, hop r at rho_d) cannot be conditioned
+        doc = self.fixed_rate_run(**thresholds)
         rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
         assert rc == cli.EXIT_CONVERGENCE
         assert err[0].startswith("convergence failure: selection is too one-sided")
+
+    @pytest.mark.parametrize(
+        "thresholds", [{"rho_c": 1e14}, {"rho_d": 1e-14}], ids=["rho_c", "rho_d"]
+    )
+    def test_fixed_rate_run_reference_ignores_the_unused_hop(self, tmp_path, capsys, thresholds):
+        # q_r(1e14) = 1.1e-14 and q_s(1e-14) are one-sided, but rho_c only
+        # conditions hop s and rho_d only hop r
+        doc = self.fixed_rate_run(**thresholds)
+        rc, out, _ = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_OK
+        (row,) = csv.DictReader(out.splitlines())
+        assert all(math.isfinite(float(row[c])) for c in ("ser_s_ref", "ser_r_ref", "tau_ref"))
+
+    def test_fixed_rate_run_references_equal_the_stored_ones(self):
+        # the benchmark's threshold-protocol runs: every analytic cell is the
+        # value perfbench/reference.json stores, bit for bit
+        def load(name):
+            spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+
+        workloads, checks = load("workloads"), load("checks")
+        stored = json.loads((BENCH / "reference.json").read_text())["fixed_rate_sim"]
+        runs = [r for r in workloads.build("fixed_rate_sim", 0) if r.name.startswith("run_fixed_")]
+        assert len(runs) == 2
+        for req in runs:
+            columns, rows = cli.cmd_simulate(copy.deepcopy(req.doc), workers=1)
+            assert list(columns) == stored[req.name]["columns"]
+            for row, want in zip(rows, stored[req.name]["rows"], strict=True):
+                for column, got, value in zip(columns, row, want):
+                    if column not in checks.SIM_COLUMNS:
+                        got = got.item() if hasattr(got, "item") else got
+                        assert repr(got) == repr(value), (req.name, column)
 
     def test_delay_bound_on_the_starving_side_exits_convergence(self, tmp_path, capsys):
         # q_s = 1.4e-9 sits below the bound's 1e-7 floor, yet short of the balance point

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bufrelay import analytic, queueing, sim
 from bufrelay.analytic import ModulationParams, SelectionThresholds
@@ -186,6 +188,42 @@ class TestFixedRuns:
             4.5,
             "tau at balance",
         )
+
+
+@st.composite
+def decode_cases(draw):
+    """(g, draws, mod) with SNRs and draws at the edges of the bounded test."""
+    eta = draw(st.floats(0.1, 10.0))
+    phi = draw(st.floats(0.0, 2.0, exclude_min=True))
+    floor = 1400.0 / eta  # -eta g / 2 reaches the -700 floor here
+    edges = [0.0, 5e-324, 2.2e-308, 1e-300, 1e-30, floor, np.nextafter(floor, 0.0),
+             np.nextafter(floor, math.inf), 2.0 * floor, 1e300, math.inf]
+    g = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(edges), st.floats(0.0, 50.0), st.floats(0.0, math.inf)),
+        min_size=1, max_size=40,
+    )))
+    mod = ModulationParams(eta=eta, phi=phi)
+    with np.errstate(over="ignore"):  # eta g / 2 overflows to inf for g near the float max
+        p = sim._error_prob(g, mod)
+    kinds = draw(st.lists(st.integers(0, 4), min_size=g.size, max_size=g.size))
+    uniform = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                     min_size=g.size, max_size=g.size)))
+    draws = np.choose(np.array(kinds), [
+        np.zeros_like(p), p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), uniform,
+    ])
+    return g, draws, mod
+
+
+class TestDecodeErrors:
+    @given(decode_cases())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_bounded_test_equals_the_direct_one(self, case):
+        # a draw at or above the exp bound skips erfc; it must never be an
+        # error of the direct test, so the two agree on every draw
+        g, draws, mod = case
+        with np.errstate(over="ignore"):
+            want = draws < sim._error_prob(g, mod)
+            assert np.array_equal(sim._decode_errors(g, draws, mod), want)
 
 
 class TestDuality:

@@ -140,6 +140,33 @@ class TestExpIntegral:
         assert 1.0 / (x + 1.0) < val < 1.0 / x
 
 
+class TestCythonSpecial:
+    """specfun calls expn, spence and erfcx through scipy.special.cython_special
+    for their lower call cost; they must be the ufuncs' C code bit for bit, so
+    a scipy release that splits the two fails here first."""
+
+    @staticmethod
+    def assert_bitwise(scalar, ufunc, xs):
+        got = np.array([scalar(x) for x in xs.tolist()])
+        assert np.array_equal(got.view(np.int64), ufunc(xs).view(np.int64))
+
+    def test_expn(self):
+        xs = 10.0 ** np.random.default_rng(61).uniform(-12.0, math.log10(600.0), 30_000)
+        self.assert_bitwise(
+            functools.partial(specfun.expn, 1), functools.partial(special.expn, 1), xs
+        )
+
+    def test_spence(self):
+        rng = np.random.default_rng(62)
+        xs = np.concatenate((rng.uniform(0.0, 2.0, 5000), 10.0 ** rng.uniform(-12.0, 6.0, 5000)))
+        self.assert_bitwise(specfun.spence, special.spence, xs)
+
+    def test_erfcx(self):
+        rng = np.random.default_rng(63)
+        xs = np.concatenate((rng.uniform(0.0, 10.0, 5000), 10.0 ** rng.uniform(-12.0, 6.0, 5000)))
+        self.assert_bitwise(specfun.erfcx, special.erfcx, xs)
+
+
 class TestDilog:
     def test_frozen_values(self):
         assert dilog(1.0) == pytest.approx(DILOG_1, rel=1e-14)
@@ -299,6 +326,25 @@ class TestIntegralL:
             integral_L(0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             integral_L(1.0, -1.0, 2.0)
+
+    # the last two start past specfun's x = 600 switch or cross it
+    @pytest.mark.parametrize(
+        "mu, lam, eta",
+        [(1.0, 1.0, 2.0), (10.0, 100.0, 2.0), (0.3, 7.0, 0.5), (700.0, 1.0, 2.0), (10.0, 0.1, 1.0)],
+    )
+    def test_unchecked_integrand_equals_the_checked_one(self, mu, lam, eta):
+        coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
+
+        def g(t):
+            om = 1.0 - t
+            s = t / om
+            w = s * s
+            en = exp_integral_en_scaled(1, (w + mu) / lam)
+            return coef * math.exp(-0.5 * eta * w - w / lam) * en / (om * om)
+
+        want = quad_semi_infinite(g)
+        got = integral_L(mu, lam, eta)
+        assert (got.hex(), got.err.hex()) == (want.hex(), want.err.hex())
 
 
 class TestIntegralM:
