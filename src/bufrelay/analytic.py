@@ -460,8 +460,9 @@ def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0, probe=None) -> tup
     final bracket.
 
     Stops at a midpoint where f is exactly 0.0 (a caller with a tolerance
-    returns 0.0 once converged), returning (mid, mid); once hi - lo < xtol; or
-    after 200 halvings.
+    returns 0.0 once converged), returning (mid, mid); once hi - lo < xtol;
+    at a midpoint equal to lo or hi, which every later halving would
+    evaluate again and leave the bracket as it is; or after 200 halvings.
 
     With a probe, midpoints on a side that _proved_bracket proved take its
     sign unevaluated, so the evaluated midpoints and the result stay the plain
@@ -476,11 +477,12 @@ def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0, probe=None) -> tup
         fm = -1.0 if mid <= a else 1.0 if mid >= b else f(mid)
         if fm == 0.0:
             return mid, mid
+        split = lo < mid < hi
         if fm < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < xtol:
+        if not split or hi - lo < xtol:
             break
     if probe is not None and (xtol == 0.0 or lo <= a or hi >= b):
         return _bisect_log10(f, lo0, hi0, xtol)

@@ -21,10 +21,10 @@ each block's start from the walk, replays all blocks at once, one numpy
 step per slot over a contiguous row of every block's slot, and repairs
 the starts that disagree with the end of the block before. A block steps a
 finite packet buffer's count through a table of per-slot count maps, and
-any other level by the slot rules. A bit buffer, walked or replayed, is
-computed in chunks of ``_CHUNK`` slots and a packet buffer in quarter
-chunks; the totals read quarter-chunk records, except on the exact bit walk,
-whose records are whole chunks.
+any other level by the slot rules. Bit and finite packet buffers are
+computed in chunks of ``_CHUNK`` slots, and infinite packet buffers in
+quarter chunks; the totals read quarter-chunk records, except on the exact
+bit walk, whose records are whole chunks.
 
 A fixed-rate packet is in error when its uniform draw falls below
 min(1, phi/2 erfc(sqrt(eta g / 2))) at its slot's SNR g. Since erfc(z) <=
@@ -68,7 +68,7 @@ __all__ = [
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
-_CHUNK = 1 << 16  # slots per chunk of a bit buffer; a packet buffer takes a quarter
+_CHUNK = 1 << 16  # slots per chunk of bit and finite packet buffers; infinite ones take a quarter
 _BLOCK = 32  # slots per block of the level replay
 
 
@@ -258,10 +258,10 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     chunk and block lengths; counts are exact.
 
     With the carry, and counting the first replay, measured chunks (2**16
-    slots for bits, 2**14 for packets) took on average 1.1-1.4 rounds for
-    infinite buffers at the balance point (at most 3) and 3.8-4 at other
+    slots, 2**14 for infinite packet buffers) took on average 1.1-1.4 rounds
+    for infinite buffers at the balance point (at most 3) and 3.8-4 at other
     thresholds (at most 6), 2-2.6 up to 8 bits (at most 3) and 2 at 2
-    packets, 4.5 at 16 bits and 3.8 at 10 packets (at most 6), and 5-18
+    packets, 4.5 at 16 bits and 4.3-4.6 at 10 packets (at most 6), and 5-18
     where the capacity spans many blocks' drift (64-128 bits, at most 23),
     the one-sided seed being poor.
     """
@@ -380,10 +380,12 @@ def _chunks(gs, gr, thr, cap, start, packets):
     The walk steps by one packet each when ``packets``, else by the chosen
     hop's capacity in bits. An infinite buffer with rho_c == rho takes it as
     its levels; every other buffer passes it to ``_replay_levels``, which
-    repairs it. A bit chunk, walked or replayed, is ``_CHUNK`` slots long,
-    so that each replay step covers many blocks; a packet chunk is a
-    quarter of that. The records are a quarter of ``_CHUNK`` long except on
-    the exact bit walk, because their totals keep more per slot alive.
+    repairs it. Bit and finite packet buffers use chunks of ``_CHUNK``
+    slots, so that each replay step covers many blocks, and infinite packet
+    buffers a quarter of that, over which their balance-point replay takes
+    fewer repair rounds per chunk. The records are a quarter of ``_CHUNK``
+    long except on the exact bit walk, because their totals keep more per
+    slot alive.
     """
     walk = math.isinf(cap) and thr.rho_c == thr.rho
     counts = packets and not math.isinf(cap)
@@ -393,7 +395,7 @@ def _chunks(gs, gr, thr, cap, start, packets):
     else:
         replay = functools.partial(_replay_blocks, cap=cap)
     level = start
-    step = _CHUNK // 4 if packets else _CHUNK
+    step = _CHUNK // 4 if packets and not counts else _CHUNK
     record = _CHUNK if walk and not packets else _CHUNK // 4
     ones = np.ones(step)  # a packet slot adds or removes one packet
     for lo in range(0, gs.shape[0], step):
@@ -451,24 +453,32 @@ def _match_fifo(queue, lo, hi, push_at, pop_at, before):
 def _match_lifo(stack, lo, hi, push_at, pop_at, before):
     """LIFO delivery: a departure at count c carries the latest arrival that raised the count to c.
 
-    Same arguments as ``_match_fifo``, with ``stack`` bottom first. Arrivals
-    are keyed by (count reached, slot) and departures by (count left, slot),
-    so each match is one ``searchsorted``; slots enter the key as offsets
-    from lo plus one, and the packets carried in as slot 0.
+    Same arguments as ``_match_fifo``, with ``stack`` bottom first. The
+    crossings of the boundary between counts c - 1 and c alternate, up then
+    down, if the packet held at level c when the chunk starts counts as an
+    arrival there: so the k-th departure from level c carries the k-th
+    arrival to level c, and a level occupied after slot hi - 1 holds its last
+    arrival. The levels at or below the chunk's lowest count are never
+    crossed and keep their packets; above it, arrivals and departures are
+    stably sorted by level (a radix sort while the levels fit 16 bits) and
+    paired by rank.
     """
-    span = hi - lo + 2
-    keys = np.concatenate((
-        np.arange(1, stack.shape[0] + 1) * span,
-        (before[push_at] + 1) * span + push_at + 1,
-    ))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    slots = np.concatenate((stack, push_at + lo))[order]
-    taken = np.searchsorted(keys, before[pop_at] * span + pop_at + 1) - 1
-    assert np.array_equal(keys[taken] // span, before[pop_at])
     n_left = stack.shape[0] + push_at.shape[0] - pop_at.shape[0]
-    left = np.searchsorted(keys, np.arange(1, n_left + 1) * span + span - 1) - 1
-    return slots[taken], slots[left]
+    floor = min(int(before.min()), n_left)
+    # levels counted from the floor: the packet held at stack[floor + i] is at level i + 1
+    held = np.arange(1, stack.shape[0] - floor + 1)
+    reached = np.concatenate((held, before[push_at] - floor + 1))
+    left_at = before[pop_at] - floor
+    # a path of hi - lo unit steps spans at most hi - lo levels above its floor
+    dtype = np.uint16 if hi - lo < 1 << 16 else np.int64
+    by_level = np.argsort(reached.astype(dtype), kind="stable")
+    slots = np.concatenate((stack[floor:], push_at + lo))[by_level]
+    # the last arrival to each level still occupied stays; the others pair
+    # with the departures from their level, in the same order
+    last = np.cumsum(np.bincount(reached))[1 : n_left - floor + 1] - 1
+    src = np.empty(pop_at.shape[0], np.int64)
+    src[np.argsort(left_at.astype(dtype), kind="stable")] = np.delete(slots, last)
+    return src, np.concatenate((stack[:floor], slots[last]))
 
 
 def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):

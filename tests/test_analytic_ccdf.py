@@ -58,6 +58,24 @@ def rho_for_qs(pair: HopPair, q_target: float) -> float:
     return analytic._bisect_log10_rho(f, "q_target")
 
 
+def bisect_log10_halvings(f, lo, hi, xtol=0.0):
+    """Oracle: analytic._bisect_log10 without a probe, as it ran before it
+    stopped at brackets it can no longer split: 200 halvings, unless f is
+    exactly 0.0 at a midpoint or the bracket gets narrower than xtol."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid, mid
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < xtol:
+            break
+    return lo, hi
+
+
 def mc_joint(pair, rho, x, n, seed):
     rng = np.random.default_rng(seed)
     gs, gr = sample_pair_snr(pair, rng, n)
@@ -186,6 +204,23 @@ class TestThresholdInversions:
         for pair in (PAIR_MIXED, PAIR_PTP, PAIR_PIP):
             rho = analytic.rho_opt_fixed(pair)
             assert analytic.lsp(pair, rho)[0] == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("root", [0.3, -1.7, 2.5, math.log10(0.9460887270122132)])
+    def test_bisection_stops_at_an_unsplittable_bracket(self, root):
+        # the sign changes between root and the double below it, so the
+        # bracket closes on those two long before 200 halvings
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < root else 1.0
+
+        want = bisect_log10_halvings(step, -30.0, 30.0)
+        assert len(calls) == 200
+        calls.clear()
+        got = analytic._bisect_log10(step, -30.0, 30.0)
+        assert got == want == (np.nextafter(root, -math.inf), root)
+        assert len(calls) <= 70
 
     # hop scales 30 decades apart put q_s = 1/2 just past one end of the
     # searched log10 rho range [-30, 30]

@@ -703,6 +703,70 @@ class TestFiniteScan:
         assert runs[5].mean_occupancy != runs[0].mean_occupancy
 
 
+def _count_path(rng, slots, cap, start, p_up):
+    """Random count path of a buffer of cap packets: (count before each slot,
+    arrival offsets, departure offsets). A slot raises the count with
+    probability p_up unless the buffer is full, else lowers it unless empty."""
+    before = np.empty(slots, np.int64)
+    push_at, pop_at = [], []
+    count = start
+    for t, up in enumerate(rng.random(slots) < p_up):
+        before[t] = count
+        if up and count < cap:
+            push_at.append(t)
+            count += 1
+        elif not up and count > 0:
+            pop_at.append(t)
+            count -= 1
+    return before, np.array(push_at, np.int64), np.array(pop_at, np.int64)
+
+
+def _lifo_oracle(stack, lo, before, push_at, pop_at):
+    """Push/pop stack of arrival slots, slot by slot: the arrival slot of
+    every departure and the stack after the last slot, bottom first."""
+    held = stack.tolist()
+    pushes, pops = set(push_at.tolist()), set(pop_at.tolist())
+    src = []
+    for t in range(before.shape[0]):
+        if t in pushes:
+            held.append(lo + t)
+        elif t in pops:
+            src.append(held.pop())
+    return src, held
+
+
+class TestLifoMatch:
+    """``_match_lifo`` against a push/pop stack on random count paths."""
+
+    @staticmethod
+    def _check(rng, slots, cap, start, p_up):
+        lo = 5000
+        stack = np.sort(rng.choice(lo, start, replace=False)).astype(np.int64)
+        before, push_at, pop_at = _count_path(rng, slots, cap, start, p_up)
+        src, left = sim._match_lifo(stack, lo, lo + slots, push_at, pop_at, before)
+        want_src, want_left = _lifo_oracle(stack, lo, before, push_at, pop_at)
+        assert src.tolist() == want_src
+        assert left.tolist() == want_left
+        return before
+
+    @pytest.mark.parametrize("p_up", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("fill", [0.0, 0.5, 1.0], ids=["empty", "mid", "full"])
+    @pytest.mark.parametrize("cap", [1, 2, 10, 64, math.inf])
+    def test_matches_stack(self, cap, fill, p_up):
+        rng = np.random.default_rng([cap if cap < math.inf else 0, int(10 * fill), int(10 * p_up)])
+        # an infinite buffer carries 40 packets in place of a full one
+        start = int(fill * (40 if math.isinf(cap) else cap))
+        for slots in (1, 7, 3000):
+            self._check(rng, slots, cap, start, p_up)
+
+    def test_levels_past_16_bits(self):
+        """A transient path climbs more than 2**16 levels above its lowest
+        count, so the levels are sorted at their full width."""
+        rng = np.random.default_rng(67)
+        before = self._check(rng, 80000, math.inf, 20, 0.95)
+        assert before.max() - before.min() > 1 << 16
+
+
 RHO_BALANCE = analytic.avg_rate_cabr(PAIR_MIXED)[1]  # adaptive rate, 1.0466
 RHO_BALANCE_FIXED = analytic.rho_opt_fixed(PAIR_MIXED)  # fixed rate, 0.9461
 
@@ -804,6 +868,35 @@ class TestLevelReplay:
         _assert_totals_match(got, want, skip=("b_final",))
         assert got.b_final == pytest.approx(want[-1], rel=1e-9, abs=1e-12 * got.bits_in.sum())
 
+    @pytest.mark.parametrize("lifo", [False, True], ids=["fifo", "lifo"])
+    def test_finite_packets_replay_in_full_chunks(self, monkeypatch, lifo):
+        """fixed_rate_sim's finite buffer (10 packets, thresholds (0.6, 1.2,
+        0.3)) over five full chunks and a partial one, against the slot loop.
+
+        The replay steps a finite packet buffer in whole ``_CHUNK`` chunks,
+        as it does a bit buffer, and hands the totals quarter-chunk records.
+        """
+        chunk = 2048
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        slots, nb, cap_n = 5 * chunk + 333, 100, 10
+        thr = SelectionThresholds(0.6, 1.2, 0.3)
+        streams = sim._draw_streams(PAIR_MIXED, slots, 61)
+        lengths = []
+        levels = sim._replay_levels
+        monkeypatch.setattr(
+            sim, "_replay_levels", lambda *a: lengths.append(a[2].shape[0]) or levels(*a)
+        )
+        records = list(sim._chunks(*streams[:2], thr, cap_n, 0, packets=True))
+        assert lengths == [chunk] * 5 + [333]
+        assert [(lo, hi) for lo, hi, *_ in records] == [
+            (lo, min(lo + chunk // 4, slots)) for lo in range(0, slots, chunk // 4)
+        ]
+        got = sim._fixed_totals(iter(records), streams, BPSK, cap_n, lifo, 0, nb)
+        want = _kernel_fixed(
+            *streams, thr.rho, thr.rho_c, thr.rho_d, cap_n, BPSK.phi, BPSK.eta, lifo, 0, nb
+        )
+        _assert_totals_equal(got, want)
+
     @pytest.mark.parametrize(
         "case, cap, per_chunk",
         [
@@ -823,8 +916,8 @@ class TestLevelReplay:
         buffers run at fixed_rate_sim's thresholds, and the 8-bit buffer is
         adaptive_sim's finite run: over seeds 53-55 at 2**19 slots, its full
         chunks took at most 3 rounds each, the bound here. Each path counts
-        its own chunks: a bit chunk is ``_CHUNK`` slots, a packet chunk a
-        quarter of that.
+        its own chunks: a bit or finite packet chunk is ``_CHUNK`` slots, an
+        infinite packet chunk a quarter of that.
         """
         chunks, rounds = [], []
         levels = sim._replay_levels
@@ -845,6 +938,6 @@ class TestLevelReplay:
             thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
             chunks_run = sim._chunks(*streams[:2], thr, cap, 0.0, packets=False)
             sim._adaptive_totals(chunks_run, cap, 0.0, slots, 100)
-        chunk = sim._CHUNK // 4 if case == "packets" else sim._CHUNK
+        chunk = sim._CHUNK // 4 if case == "packets" and math.isinf(cap) else sim._CHUNK
         assert len(chunks) == slots // chunk
         assert len(rounds) <= per_chunk * len(chunks)
