@@ -1,11 +1,14 @@
 """Slot-level Monte Carlo engine for the three relaying policies.
 
 Adaptive-rate runs move fractional bits (capacity-achieving transmission,
-buffer measured in bits per symbol); fixed-rate runs move whole packets whose
-decode errors follow the per-symbol gaussian tail error model, with errored
-packets forwarded rather than dropped. Standard errors come from batch means
-(100 batches by default), which also absorbs the buffer-state autocorrelation
-of fixed-rate runs.
+buffer measured in bits per symbol); fixed-rate runs move whole packets, with
+errored packets forwarded rather than dropped. A packet's decode error does
+not change the buffer, so a run counts it by its expected value: the
+per-symbol gaussian tail error probability min(1, phi/2 erfc(sqrt(eta g / 2)))
+at the packet's SNR g, which has the same mean as an error indicator and no
+larger variance. Standard errors come from batch means (100 batches by
+default), which also absorbs the buffer-state autocorrelation of fixed-rate
+runs.
 
 A run's buffer is computed in chunks of slots, all in numpy, by ``_chunks``.
 Each chunk's one-sided reflected walk is always computed: Lindley's
@@ -26,21 +29,15 @@ computed in chunks of ``_CHUNK`` slots, and infinite packet buffers in
 quarter chunks; the totals read quarter-chunk records, except on the exact
 bit walk, whose records are whole chunks.
 
-A fixed-rate packet is in error when its uniform draw falls below
-min(1, phi/2 erfc(sqrt(eta g / 2))) at its slot's SNR g. Since erfc(z) <=
-exp(-z^2) for z >= 0, ``_decode_errors`` first compares every draw with the
-bound phi/2 (1 + 1e-9) exp(max(-eta g / 2, -700)), and runs the exact erfc
-test only on the few draws below it; the slack covers rounding, so every
-decision is the exact test's.
-
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
 the latest arrival that raised the count to c. Fixed-rate totals equal the
-slot loop's exactly (every per-slot term is an integer); adaptive float sums
-agree within 1e-9 relative, differing only in the rounding of the running
-bit level, of the capacity logarithms, and of the order in which batch sums
-are added. tests/test_sim.py keeps the slot loops as oracles and checks every
-path against them on the same streams.
+slot loop's exactly, delay and occupancy sums included (every per-slot term is
+an integer), except the error sums, float sums that differ only in the order
+of addition. Adaptive float sums agree within 1e-9 relative, differing only
+in the rounding of the running bit level, of the capacity logarithms, and of
+the order in which batch sums are added. tests/test_sim.py keeps the slot
+loops as oracles and checks every path against them on the same streams.
 """
 
 from __future__ import annotations
@@ -154,7 +151,7 @@ class SimOutcome:
 # buffer paths
 
 # per-batch totals of a run, in the order the slot-loop oracles of the tests
-# return them; slot and packet counts are int64, bit and slot sums float64
+# return them; slot and packet counts are int64, bit, slot and error sums float64
 _AdaptiveTotals = namedtuple("_AdaptiveTotals", """
     rate_s rate_r bits_in bits_out under over n_empty n_full n_inter
     sel_empty sel_inter sel2_full b_final
@@ -300,20 +297,19 @@ def _batch_adder(lo, hi, n_slots, nb):
     """Function adding per-slot values of slots lo..hi-1 into per-batch totals.
 
     Batches are the loops' contiguous slot ranges, the last one taking the
-    remainder, so each batch's share of the chunk is one segment sum.
+    remainder, so each batch's share of the chunk is one segment sum of its
+    own slots' values: a small float total carries no rounding of larger ones.
     """
     size = max(n_slots // nb, 1)
     ids = np.arange(min(lo // size, nb - 1), min((hi - 1) // size, nb - 1) + 1)
     starts = np.maximum(ids * size - lo, 0)
 
     def add(total, values, at=None):
-        """Add per-slot ``values``, or with ``at`` the values of the events at those sorted offsets."""
-        if at is None:
-            total[ids] += np.add.reduceat(values, starts, dtype=total.dtype)
-            return
-        bounds = np.searchsorted(at, np.append(starts, hi - lo))
-        partial = np.concatenate(([0], np.cumsum(values, dtype=total.dtype)))
-        total[ids] += partial[bounds[1:]] - partial[bounds[:-1]]
+        """Add per-slot ``values``, or with ``at`` the values of the events at those offsets."""
+        if at is not None:
+            events, values = values, np.zeros(hi - lo, total.dtype)
+            values[at] = events
+        total[ids] += np.add.reduceat(values, starts, dtype=total.dtype)
 
     return add
 
@@ -486,13 +482,14 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
 
     ``chunks`` yields the packet records of ``_chunks``; cap may be
     infinite. Given the counts, every per-slot event is elementwise; the
-    start packets count as arrived at slot 0, without a first-hop error.
+    start packets count as arrived at slot 0, without a first-hop error. The
+    error totals add each arrival's and each departure's error probability.
     """
-    gs, gr, e_s, e_r = streams
+    gs, gr = streams
     n_slots = gs.shape[0]
     totals = {name: np.zeros(nb, np.int64) for name in _FixedTotals._fields[:-1]}
-    totals["delay_sum"] = np.zeros(nb)
-    totals["occ_sum"] = np.zeros(nb)
+    for name in ("errs_s", "errs_r", "delay_sum", "occ_sum"):
+        totals[name] = np.zeros(nb)
     match = _match_lifo if lifo else _match_fifo
     held = np.zeros(start, np.int64)
     for lo, hi, sel, _, before, count in chunks:
@@ -504,8 +501,8 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
         pop_at = np.flatnonzero(dep)
         src, held = match(held, lo, hi, push_at, pop_at, before)
         add(totals["delay_sum"], pop_at + lo - src, at=pop_at)
-        add(totals["errs_s"], _decode_errors(gs[lo + push_at], e_s[lo + push_at], mod), at=push_at)
-        add(totals["errs_r"], _decode_errors(gr[lo + pop_at], e_r[lo + pop_at], mod), at=pop_at)
+        add(totals["errs_s"], _error_prob(gs[lo + push_at], mod), at=push_at)
+        add(totals["errs_r"], _error_prob(gr[lo + pop_at], mod), at=pop_at)
         for name, values in (
             ("arrivals", arr),
             ("departures", dep),
@@ -518,11 +515,15 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
 
 
 def _walk_occupancy(gs, gr, rho, start_b, l_grid):
-    """Slots whose end-of-slot bit level exceeds each L, for an infinite buffer."""
+    """Slots whose end-of-slot bit level exceeds each L, for an infinite buffer.
+
+    Each record's levels are sorted once, so one search of the grid into
+    them counts the levels above every L, whatever the grid's size or order.
+    """
     counts = np.zeros(l_grid.shape[0], np.int64)
     thr = SelectionThresholds.uniform(rho)
     for lo, hi, _, _, before, level in _chunks(gs, gr, thr, math.inf, start_b, packets=False):
-        counts += [np.count_nonzero(before > limit) for limit in l_grid]
+        counts += hi - lo - np.searchsorted(np.sort(before), l_grid, side="right")
     # the level after each slot is the one before the next, then the last level
     return counts - (start_b > l_grid) + (level > l_grid)
 
@@ -561,16 +562,12 @@ def _selection(t) -> tuple:
 # per-scheme runners
 
 
-def _draw_streams(pair: HopPair, slots: int, seed: int, errors: bool = True):
-    """SNR streams of both hops, then (if ``errors``) the decode-error uniforms."""
+def _draw_streams(pair: HopPair, slots: int, seed: int):
+    """SNR streams of both hops, (gs, gr)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gs = sample_snr(pair.s, rng, size=slots)
     gr = sample_snr(pair.r, rng, size=slots)
-    if not errors:
-        return gs, gr, None, None
-    e_s = rng.random(slots)
-    e_r = rng.random(slots)
-    return gs, gr, e_s, e_r
+    return gs, gr
 
 
 def _nan_delay() -> DelayDecomposition:
@@ -578,7 +575,7 @@ def _nan_delay() -> DelayDecomposition:
 
 
 def _run_cabr_adaptive(config, streams) -> SimOutcome:
-    gs, gr, _, _ = streams
+    gs, gr = streams
     cap = config.buffer.capacity
     start_b = float(config.buffer.occupancy)
     n = config.slots
@@ -611,7 +608,7 @@ def _run_cabr_adaptive(config, streams) -> SimOutcome:
 
 
 def _run_cabr_fixed(config, streams) -> SimOutcome:
-    gs, gr, _, _ = streams
+    gs, gr = streams
     mod = config.modulation
     cap = config.buffer.capacity
     start = int(config.buffer.occupancy)
@@ -669,38 +666,13 @@ def _run_cabr_fixed(config, streams) -> SimOutcome:
     )
 
 
-def _bernoulli_ser(hits: np.ndarray) -> tuple:
-    n = hits.size
-    if n == 0:
-        return math.nan, math.nan
-    p = float(hits.mean())
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def _error_prob(g: np.ndarray, mod: ModulationParams) -> np.ndarray:
     return np.minimum(1.0, 0.5 * mod.phi * erfc(np.sqrt(0.5 * mod.eta * g)))
 
 
-def _decode_errors(g: np.ndarray, draws: np.ndarray, mod: ModulationParams) -> np.ndarray:
-    """draws < _error_prob(g, mod) elementwise; erfc runs only below a bound.
-
-    erfc(z) <= exp(-z*z) for z >= 0, so a draw at or above the bound cannot
-    be an error. The 1e-9 slack covers rounding, and the -700 floor keeps exp
-    off subnormal results, which it computes slower than erfc itself.
-    """
-    bound = (-0.5 * mod.eta) * g
-    np.maximum(bound, -700.0, out=bound)
-    np.exp(bound, out=bound)
-    bound *= 0.5 * mod.phi * (1.0 + 1e-9)
-    hits = draws < bound
-    below = np.flatnonzero(hits)
-    hits[below] = draws[below] < _error_prob(g[below], mod)
-    return hits
-
-
 def _run_fixed_schedule(config, streams) -> SimOutcome:
     """cnbr or cbr: the relay is fed in one set of slots and drained in another."""
-    gs, gr, e_s, e_r = streams
+    gs, gr = streams
     n = config.slots
     half = n // 2
     if config.scheme == "cnbr":
@@ -719,19 +691,18 @@ def _run_fixed_schedule(config, streams) -> SimOutcome:
     )
     if config.rate_mode == "fixed":
         mod = config.modulation
-        p_s, se_s = _bernoulli_ser(_decode_errors(g_fill, e_s[fill], mod))
-        p_r, se_r = _bernoulli_ser(_decode_errors(g_drain, e_r[drain], mod))
+        p_s, p_r = _error_prob(g_fill, mod), _error_prob(g_drain, mod)
         return SimOutcome(
             avg_rate=0.5 * mod.rate_R,
-            ser_per_hop=(p_s, p_r),
-            ci_halfwidths={"ser_s": se_s, "ser_r": se_r},
+            ser_per_hop=(_safe_div(float(p_s.sum()), half), _safe_div(float(p_r.sum()), half)),
+            ci_halfwidths={"ser_s": _batch_se(p_s), "ser_r": _batch_se(p_r)},
             throughput_pps=0.5,
             **common,
         )
     if config.scheme == "cnbr":
         w = 0.5 * np.log2(1.0 + np.minimum(g_fill, g_drain))
         rate = float(w.mean())
-        se = float(w.std(ddof=1) / math.sqrt(half)) if half > 1 else math.nan
+        se = _batch_se(w)
         bits = {}
     else:
         cs = np.log2(1.0 + g_fill)
@@ -739,7 +710,7 @@ def _run_fixed_schedule(config, streams) -> SimOutcome:
         sum_in, sum_out = float(cs.sum()), float(cr.sum())
         binding = cs if sum_in <= sum_out else cr
         rate = min(sum_in, sum_out) / n
-        se = 0.5 * float(binding.std(ddof=1) / math.sqrt(half)) if half > 1 else math.nan
+        se = 0.5 * _batch_se(binding)
         bits = {"bits_in": sum_in, "bits_out": min(sum_in, sum_out)}
     return SimOutcome(
         avg_rate=rate,
@@ -752,8 +723,7 @@ def _run_fixed_schedule(config, streams) -> SimOutcome:
 
 def run(config: SchemeConfig, pair: HopPair) -> SimOutcome:
     """Execute one seeded run; identical (config, seed) gives identical output."""
-    streams = _draw_streams(pair, config.slots, config.seed, config.rate_mode == "fixed")
-    return _run_with_streams(config, streams)
+    return _run_with_streams(config, _draw_streams(pair, config.slots, config.seed))
 
 
 def _run_with_streams(config: SchemeConfig, streams) -> SimOutcome:
@@ -783,6 +753,6 @@ def overflow_probability(
     grid = np.asarray(l_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("l_grid must be a non-empty 1-d array")
-    gs, gr, _, _ = _draw_streams(pair, config.slots, config.seed, errors=False)
+    gs, gr = _draw_streams(pair, config.slots, config.seed)
     counts = _walk_occupancy(gs, gr, thr.rho, float(config.buffer.occupancy), grid)
     return counts / config.slots

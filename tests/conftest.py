@@ -195,11 +195,9 @@ def run_lifo_duality_check(config: sim.SchemeConfig, pair: HopPair) -> DualityRe
         config.buffer, discipline=flipped, occupancy=cap - config.buffer.occupancy
     )
     dual_config = replace(config, thresholds=rthr, buffer=dual_buffer)
-    gs, gr, e_s, e_r = sim._draw_streams(
-        pair, config.slots, config.seed, config.rate_mode == "fixed"
-    )
-    original = sim._run_with_streams(config, (gs, gr, e_s, e_r))
-    dual = sim._run_with_streams(dual_config, (gr, gs, e_r, e_s))
+    gs, gr = sim._draw_streams(pair, config.slots, config.seed)
+    original = sim._run_with_streams(config, (gs, gr))
+    dual = sim._run_with_streams(dual_config, (gr, gs))
     diffs = {"avg_rate": original.avg_rate - dual.avg_rate}
     sigmas = {
         "avg_rate": math.hypot(original.ci_halfwidths["avg_rate"], dual.ci_halfwidths["avg_rate"])

@@ -326,7 +326,7 @@ def test_criterion_4_symbol_error_rates():
     slots = 10_000_000
     buf = sim.BufferState(capacity=16.0, occupancy=0.0)
 
-    # exact conditional error rates vs Bernoulli simulation, adaptive selection
+    # exact conditional error rates vs simulation, adaptive selection
     cabr_cases = [
         (PAIR_MIXED, 0.8),
         (PAIR_MIXED, analytic.rho_opt_fixed(PAIR_MIXED)),
@@ -349,7 +349,7 @@ def test_criterion_4_symbol_error_rates():
             f"selection case {k}: second-hop error rate",
         )
 
-    # exact marginal error rates vs Bernoulli simulation, alternating schedule
+    # exact marginal error rates vs simulation, alternating schedule
     for k, pair in enumerate([PAIR_MIXED, PAIR_PIP]):
         exact = analytic.ser_exact_cnbr(pair, BPSK)
         cfg = sim.SchemeConfig(

@@ -3,9 +3,11 @@
 Each mode's header and first row are pinned to values recorded before the
 CLI modes were rebuilt around row records: strings and integers exactly,
 floats to a relative 1e-12 (nan pins nan). Simulated documents run 2000 slots
-with fixed seeds, so their rows are deterministic too. Every row of the
-closed-form presets is pinned the same way in ``preset_rows.json``, recorded
-before the quadrature tolerances became fixed constants.
+with fixed seeds, so their rows are deterministic too; their error-rate
+cells were re-captured when runs began adding each packet's error probability
+in place of drawing its decode error. Every row of the closed-form presets is
+pinned the same way in ``preset_rows.json``, recorded before the quadrature
+tolerances became fixed constants.
 """
 
 import copy
@@ -164,8 +166,8 @@ PINS = {
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.416, 0.007243248336530128,
             0.4201898656183503, nan, nan, nan, nan, 0.40694789081885857, 0.3994361717277644,
             0.5431309904153354, 0.5533317098379443, 0.696969696969697, 0.736786876097602,
-            0.019230769230769232, 0.004941655971537432, 0.015935132017638708,
-            0.014423076923076924, 0.0040989337439883275, 0.0203590191861829, 0.416,
+            0.014521471894449165, 0.0011591910333427725, 0.015935132017638708,
+            0.020742766101493927, 0.001873520848940513, 0.0203590191861829, 0.416,
             0.4201898656183503, 3.3341346153846154, 3.2006961873522703, 0.34375,
             0.3361126698875951, 0.06009615384615385, 0.04376386170938309, 3.737980769230769,
             3.5805727189492487, 1.387, 286, 50, nan,
@@ -200,9 +202,9 @@ PINS = {
         ],
         [
             'cnbr', 'fixed', 2000, 16920295385781661272, nan, 0.5, nan, 0.5, nan, nan, nan, nan,
-            nan, nan, nan, nan, nan, nan, 0.053, 0.00708456067798138, 0.05410645988406182,
-            0.073, 0.008226238508577295, 0.06477513888317488, 0.5, 0.5, nan, nan, nan, nan, nan,
-            nan, nan, nan, nan, 0, 0, nan,
+            nan, nan, nan, nan, nan, nan, 0.05053907035545715, 0.002680146150588896,
+            0.05410645988406182, 0.067258054739276, 0.003244242836625501, 0.06477513888317488, 0.5,
+            0.5, nan, nan, nan, nan, nan, nan, nan, nan, nan, 0, 0, nan,
         ],
     ),
     'run-cbr-adaptive': (
@@ -269,11 +271,11 @@ PINS = {
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.4435, 0.009630942347717098,
             0.4404624354497814, nan, nan, nan, nan, 0.41023936170212766, 0.3994361717277644,
-            0.5443548387096774, 0.5533317098379443, nan, 0.736786876097602, 0.016910935738444193,
-            0.004389662904840224, 0.015647613907048052, 0.011273957158962795, 0.0037888929516396385,
-            0.019500757131323612, 0.4435, 0.4404624354497814, 5.430665163472379, 4.971966646361688,
-            0.2547914317925592, 0.2703411676386041, 0.0, 0.0, 5.685456595264938, 5.242307814000292,
-            2.4085, 226, 0, nan,
+            0.5443548387096774, 0.5533317098379443, nan, 0.736786876097602, 0.013646887044185315,
+            0.0011078323431369357, 0.015647613907048052, 0.019800396011834375,
+            0.0017658700422445981, 0.019500757131323612, 0.4435, 0.4404624354497814,
+            5.430665163472379, 4.971966646361688, 0.2547914317925592, 0.2703411676386041, 0.0, 0.0,
+            5.685456595264938, 5.242307814000292, 2.4085, 226, 0, nan,
         ],
     ),
     'run-cabr-fixed-replay-lifo': (
@@ -288,8 +290,8 @@ PINS = {
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.445, 0.009600610249964175,
             0.4404624354497814, nan, nan, nan, nan, 0.40981432360742703, 0.3994361717277644,
-            0.5467479674796748, 0.5533317098379443, nan, 0.736786876097602, 0.016910935738444193,
-            0.004389662904840224, 0.015647613907048052, 0.011235955056179775, 0.0037888929516396385,
+            0.5467479674796748, 0.5533317098379443, nan, 0.736786876097602, 0.013646887044185315,
+            0.0011078323431369357, 0.015647613907048052, 0.01974395084247667, 0.0017673764359765383,
             0.019500757131323612, 0.445, 0.4404624354497814, 5.4224719101123595, 4.971966646361688,
             0.250561797752809, 0.2703411676386041, 0.0, 0.0, 5.6730337078651685, 5.242307814000292,
             2.4145, 223, 0, nan,
@@ -307,8 +309,8 @@ PINS = {
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.41, 0.011348474733984247,
             0.39943617172776436, nan, nan, nan, nan, 0.4117647058823529, 0.3994361717277644,
-            0.40594059405940597, 0.3994361717277644, nan, 0.6005638282722356, 0.01707317073170732,
-            0.004716371417962545, 0.01446582576056377, 0.012195121951219513, 0.004330655597699107,
+            0.40594059405940597, 0.3994361717277644, nan, 0.6005638282722356, 0.012928343665110116,
+            0.0010824237867450507, 0.01446582576056377, 0.019863666845986828, 0.001825855811870772,
             0.019500757131323612, 0.41, 0.39943617172776436, 5.385365853658537, 4.971966646361688,
             0.43902439024390244, 0.5035289009367679, 0.0, 0.0, 5.82439024390244, 5.475495547298456,
             2.208, 360, 0, nan,
@@ -341,9 +343,9 @@ PINS = {
         ],
         [
             'cbr', 'fixed', 2000, 16920295385781661272, nan, 0.5, nan, 0.5, nan, nan, nan, nan, nan,
-            nan, nan, nan, nan, nan, 0.048, 0.006759881655768835, 0.05410645988406182, 0.077,
-            0.00843036179532053, 0.06477513888317488, 0.5, 0.5, nan, nan, nan, nan, nan, nan, nan,
-            nan, nan, 0, 0, nan,
+            nan, nan, nan, nan, nan, 0.05314312007957015, 0.00280660192772712, 0.05410645988406182,
+            0.07133141843413751, 0.0033004545601523867, 0.06477513888317488, 0.5, 0.5, nan, nan,
+            nan, nan, nan, nan, nan, nan, nan, 0, 0, nan,
         ],
     ),
     'overflow': (
@@ -362,9 +364,9 @@ PINS = {
         ],
         [
             'symmetric', 20.0, 'cabr', 0.6203439382183222, 4.534019142497342e-05,
-            0.00011592839945701643, 4.672601226855062e-05, 0.00012142095184593806, 0.0,
-            0.0010256410256410256, 0.0, 0.0012499999999999998, 0.001427031470299591,
-            0.002242293729020381,
+            0.00011592839945701643, 4.672601226855062e-05, 0.00012142095184593806,
+            3.697580708836468e-05, 0.00013513422751104757, 3.39743095246122e-05,
+            0.00014230937737856676, 0.001427031470299591, 0.002242293729020381,
         ],
     ),
 }
