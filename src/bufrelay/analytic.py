@@ -96,7 +96,7 @@ class BracketError(ValueError):
 
 class OneSidedError(ValueError):
     """A threshold selects one hop too rarely for a conditional closed form:
-    q_s or q_r <= 1e-12 for the conditional SERs, q_s < 1e-7 for the delay bound."""
+    q_s or q_r < 1e-7 for the conditional SERs, q_s < 1e-7 for the delay bound."""
 
 
 class PastBalanceError(ValueError):
@@ -637,12 +637,13 @@ def ew_joint_ccdf_sr(pair: HopPair, rho: float, eta: float) -> float:
 def _conditioned_ser(pair: HopPair, rho: float, mod: ModulationParams, q: float) -> float:
     """First-hop symbol error rate of pair at rho, conditioned on that hop's
     selection probability q."""
-    # conditioning divides two absolutely-accurate closed forms; below ~1e-12
-    # the numerator q - Ew is cancellation noise and the quotient has no
-    # correct digits
-    if not (q > 1e-12):
+    # conditioning divides two absolutely-accurate closed forms: the numerator
+    # q - Ew carries about 1e-10 absolute error, so the quotient is off by
+    # about 1e-10 / (2 p q) relative, and below q = 1e-7 it has no correct
+    # digits (185.44 at q_s = 1.4e-9 on the acceptance pair)
+    if not (q >= 1e-7):
         raise OneSidedError(
-            "selection is too one-sided to condition on (q_s or q_r <= 1e-12)"
+            "selection is too one-sided to condition on (q_s or q_r < 1e-7)"
         )
     return 0.5 * mod.phi * (q - ew_joint_ccdf_sr(pair, rho, mod.eta)) / q
 

@@ -20,14 +20,16 @@ overflow curves, and adaptive-rate and fixed-rate (FIFO or LIFO) cabr runs
 with an infinite buffer and rho_c == rho. Every other buffer (finite bit or
 packet buffers, and infinite buffers with rho_c != rho) has boundaries, and
 the level replay repairs the walk there (``_replay_levels``): it guesses
-each block's start from the walk, replays all blocks at once, one numpy
-step per slot over a contiguous row of every block's slot, and repairs
-the starts that disagree with the end of the block before. A block steps a
-finite packet buffer's count through a table of per-slot count maps, and
-any other level by the slot rules. Bit and finite packet buffers are
-computed in chunks of ``_CHUNK`` slots, and infinite packet buffers in
-quarter chunks; the totals read quarter-chunk records, except on the exact
-bit walk, whose records are whole chunks.
+each block's start, from the walk for an infinite buffer and for a finite
+one by replaying the half block before it from the clipped walk, replays
+all blocks at once, one numpy step per slot over a contiguous row of every
+block's slot, and repairs the starts that disagree with the end of the
+block before (0.06-8% of the blocks at 8 bits and at 2 and 10 packets). A
+block steps a finite packet buffer's count through a table of per-slot
+count maps, and any other level by the slot rules. Bit and finite packet
+buffers are computed in chunks of ``_CHUNK`` slots, and infinite packet
+buffers in quarter chunks; the totals read quarter-chunk records, except on
+the exact bit walk, whose records are whole chunks.
 
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
@@ -240,27 +242,38 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     the block, block) array whose row j holds slot j of every block, and
     ``replay(starts, *rows)`` replays the blocks as ``_replay_blocks`` does.
     It repairs the chunk's one-sided reflected walk, the levels after each
-    slot in ``walk``: every block's start is first guessed from it, clipped
-    to the capacity, and all blocks are replayed from their guesses at once.
-    Then the guesses are repaired, round by round: where a block's start
-    differs from the end of the block before, the difference is carried
-    through every following block that met no boundary (such a block only
-    shifts its start), up to the first block that did, and only the moved
-    blocks are replayed. The rounds stop when every start is within 2**-45
-    of its predecessor's end (relative to the level, or to 32 bits near 0)
-    and is empty or full exactly when that end is. A round sets the first
-    wrong start to its predecessor's end, so there are at most as many
-    rounds as blocks. A bit start kept within that tolerance can leave a
-    level a few ulps from the slot loop's, at places that depend on the
-    chunk and block lengths; counts are exact.
+    slot in ``walk``. An infinite buffer guesses every block's start from
+    it. A finite one replays the last ``_BLOCK // 2`` slots of every block
+    but the last from the walk's level just before them, clipped to the
+    capacity, and guesses the next block's start as where that replay ends:
+    two replays that are empty, or full, before the same slot agree from
+    there on (the coupling of Propp and Wilson, 1996), so a short replay
+    that meets a boundary usually lands on the exact start. All blocks are
+    then replayed from their guesses at once, and the guesses are repaired,
+    round by round: where a block's start differs from the end of the block
+    before, the difference is carried through every following block that
+    met no boundary (such a block only shifts its start), up to the first
+    block that did, and only the moved blocks are replayed. The rounds stop
+    when every start is within 2**-45 of its predecessor's end (relative to
+    the level, or to 32 bits near 0) and is empty or full exactly when that
+    end is. A round sets the first wrong start to its predecessor's end, so
+    there are at most as many rounds as blocks. A bit start kept within
+    that tolerance can leave a level a few ulps from the slot loop's, at
+    places that depend on the chunk and block lengths; counts are exact.
 
-    With the carry, and counting the first replay, measured chunks (2**16
-    slots, 2**14 for infinite packet buffers) took on average 1.1-1.4 rounds
-    for infinite buffers at the balance point (at most 3) and 3.8-4 at other
-    thresholds (at most 6), 2-2.6 up to 8 bits (at most 3) and 2 at 2
-    packets, 4.5 at 16 bits and 4.3-4.6 at 10 packets (at most 6), and 5-18
-    where the capacity spans many blocks' drift (64-128 bits, at most 23),
-    the one-sided seed being poor.
+    With the carry, and counting the first replay of all blocks but not the
+    seed's, measured chunks (2**16 slots, 2**14 for infinite packet buffers)
+    took on average 1.1-1.4 rounds for infinite buffers at the balance point
+    (at most 3) and 3.8-4 at other thresholds (at most 6). Over seeds 53-55
+    at 2**18 slots, finite buffers took 1 round at 1 bit, 2 at 8 bits and
+    1.3-1.8 at 2 packets, and 3.3-4.5 at 10 and 64 packets. Where the
+    capacity spans many blocks' drift they took 10-12 at 64 bits, and at
+    256 bits 7-15 with thresholds (1.0, 0.5, 2.0) and 24-30 with (1.0466,
+    2.0, 0.5) (seeds 7, 11 and 53), about 1 fewer than from the clipped
+    walk. The repairs replayed 3% of the blocks a second time at 8 bits and
+    thresholds (1.0466, 2.0, 0.5), 0.06% at 2 packets and 7-8% at 10 at
+    (0.6, 1.2, 0.3), against 83%, 39% and 24% when the clipped walk itself
+    was the guess; at 64 bits they still replay every block more than once.
     """
     k = _BLOCK
     n = walk.shape[0]
@@ -270,7 +283,14 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     rows = [np.ascontiguousarray(a.reshape(m, k).T) for a in rows]
     starts = np.empty(m)
     starts[0] = start
-    np.minimum(walk[k - 1 : (m - 1) * k : k], cap, out=starts[1:])
+    if math.isinf(cap):
+        starts[1:] = walk[k - 1 : (m - 1) * k : k]
+    else:
+        # replay the last w slots of every block but the last from the walk
+        # clipped to the capacity: a boundary met there fixes the next start
+        w = k // 2
+        tail = np.minimum(walk[k - w - 1 : (m - 1) * k : k], cap)
+        starts[1:] = replay(tail, *(a[k - w :, : m - 1] for a in rows))[1]
     before, ends, met = replay(starts, *rows)
     index = np.arange(m)
     while True:
@@ -280,6 +300,7 @@ def _replay_levels(replay, per_slot, walk, cap, start):
         bad |= (want == 0.0) != (starts == 0.0)
         bad |= (want >= cap) != (starts >= cap)
         if not bad.any():
+            del rows  # before the levels are copied back to slot order
             return before.T.ravel()[:n], ends[-1]
         # carry the corrections through each run of blocks that met no boundary
         d = np.where(bad, diff, 0.0)
@@ -421,6 +442,7 @@ def _chunks(gs, gr, thr, cap, start, packets):
                 # padding slots select the first hop and add nothing: they keep the level
                 per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (-c_r, 0.0)]
             before, level = _replay_levels(replay, per_slot, after, cap, level)
+            del after, per_slot  # before the totals and the next chunk's walk
             if packets:
                 before, level = before.astype(np.int64), int(level)
         if up_c is up is up_d:

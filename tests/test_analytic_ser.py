@@ -1,12 +1,13 @@
 """Fixed-rate symbol error probabilities: closed forms, asymptotes, floors."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from bufrelay import analytic
+from bufrelay import analytic, cli
 from bufrelay.analytic import HopPair, ModulationParams
 from bufrelay.channel import LinkParams
 from bufrelay.specfun import quad_semi_infinite
@@ -100,7 +101,7 @@ class TestExactCabr:
             analytic.ser_exact_cabr(PAIR_MIXED, 1e-14, BPSK)
 
     def test_each_hop_needs_only_its_own_selection(self):
-        # q_r(1e14) and q_s(1e-14) are below the 1e-12 floor, the other hop's are not
+        # q_r(1e14) and q_s(1e-14) are below the 1e-7 floor, the other hop's are not
         assert 0.0 < analytic.ser_cabr_hop_s(PAIR_MIXED, 1e14, BPSK) < 0.5
         assert 0.0 < analytic.ser_cabr_hop_r(PAIR_MIXED, 1e-14, BPSK) < 0.5
         with pytest.raises(analytic.OneSidedError):
@@ -158,7 +159,6 @@ class TestKnownAccuracyDefects:
     @pytest.mark.parametrize("rho", [
         1e-5,
         pytest.param(1e-6, marks=known_defect("4.2e-3")),
-        pytest.param(1e-9, marks=known_defect("2.2e4 (185.44 against 0.0083664)")),
     ])
     def test_one_sided_ser_matches_quadrature(self, rho):
         # q_s - Ew carries about 1e-10 absolute error, so p_s about
@@ -166,6 +166,18 @@ class TestKnownAccuracyDefects:
         closed = analytic.ser_exact_cabr(PAIR_MIXED, rho, BPSK)
         quad = ser_exact_cabr_quad(PAIR_MIXED, rho, BPSK)
         assert closed.p_s == pytest.approx(quad.p_s, rel=1e-8)
+
+    def test_ser_below_the_selection_floor_raises(self, tmp_path, capsys):
+        # q_s = 1.4e-9 at rho 1e-9, below the 1e-7 floor: the quotient read
+        # 185.44 against the quadrature's 0.0083664 before the floor rose
+        assert analytic.lsp(PAIR_MIXED, 1e-9)[0] < 1e-7
+        with pytest.raises(analytic.OneSidedError):
+            analytic.ser_exact_cabr(PAIR_MIXED, 1e-9, BPSK)
+        links = {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"metrics": ["ser_cabr"], "rho": 1e-9, "pair": {"links": links}}))
+        assert cli.main(["analyze", str(doc)]) == cli.EXIT_CONVERGENCE
+        assert "selection is too one-sided" in capsys.readouterr().err
 
 
 class TestExactCnbr:

@@ -906,6 +906,22 @@ class TestLevelReplay:
         )
         _assert_totals_equal(got, want)
 
+    @staticmethod
+    def _run_at_balance(case, cap, slots, seed):
+        """Totals of a run at the benchmark's replayed thresholds: a bit
+        buffer at (RHO_BALANCE, 2.0, 0.5), a finite packet buffer at (0.6,
+        1.2, 0.3) and an infinite one at (RHO_BALANCE_FIXED, 1.2, 0.3)."""
+        streams = sim._draw_streams(PAIR_MIXED, slots, seed)
+        if case == "packets":
+            rho = RHO_BALANCE_FIXED if math.isinf(cap) else 0.6
+            thr = SelectionThresholds(rho, 1.2, 0.3)
+            chunks = sim._chunks(*streams, thr, cap, 0, packets=True)
+            sim._fixed_totals(chunks, streams, BPSK, cap, False, 0, 100)
+        else:
+            thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
+            chunks = sim._chunks(*streams, thr, cap, 0.0, packets=False)
+            sim._adaptive_totals(chunks, cap, 0.0, slots, 100)
+
     @pytest.mark.parametrize(
         "case, cap, per_chunk",
         [
@@ -924,9 +940,10 @@ class TestLevelReplay:
         At the balance point they were the most at risk. Finite packet
         buffers run at fixed_rate_sim's thresholds, and the 8-bit buffer is
         adaptive_sim's finite run: over seeds 53-55 at 2**19 slots, its full
-        chunks took at most 3 rounds each, the bound here. Each path counts
-        its own chunks: a bit or finite packet chunk is ``_CHUNK`` slots, an
-        infinite packet chunk a quarter of that.
+        chunks took at most 3 rounds each, the bound here. A finite buffer's
+        rounds include the half-block replay that seeds its blocks. Each path
+        counts its own chunks: a bit or finite packet chunk is ``_CHUNK``
+        slots, an infinite packet chunk a quarter of that.
         """
         chunks, rounds = [], []
         levels = sim._replay_levels
@@ -937,16 +954,48 @@ class TestLevelReplay:
 
         monkeypatch.setattr(sim, "_replay_levels", counted)
         slots = 1 << 17
-        streams = sim._draw_streams(PAIR_MIXED, slots, 53)
-        if case == "packets":
-            rho = RHO_BALANCE_FIXED if math.isinf(cap) else 0.6
-            thr = SelectionThresholds(rho, 1.2, 0.3)
-            chunks_run = sim._chunks(*streams, thr, cap, 0, packets=True)
-            sim._fixed_totals(chunks_run, streams, BPSK, cap, False, 0, 100)
-        else:
-            thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
-            chunks_run = sim._chunks(*streams, thr, cap, 0.0, packets=False)
-            sim._adaptive_totals(chunks_run, cap, 0.0, slots, 100)
+        self._run_at_balance(case, cap, slots, 53)
         chunk = sim._CHUNK // 4 if case == "packets" and math.isinf(cap) else sim._CHUNK
         assert len(chunks) == slots // chunk
         assert len(rounds) <= per_chunk * len(chunks)
+
+    @pytest.mark.parametrize(
+        "case, cap, share",
+        [("bits", 8.0, 0.06), ("packets", 2, 0.0015), ("packets", 10, 0.16)],
+        ids=["bits-L8", "packets-L2", "packets-L10"],
+    )
+    def test_finite_seed_leaves_few_blocks_to_repair(self, monkeypatch, case, cap, share):
+        """A finite buffer seeds each block by replaying the slots just
+        before it, so the repair rounds replay few blocks a second time.
+
+        Over seeds 53-55 at 2**18 slots the repairs replayed at most 3.2% of
+        the blocks of adaptive_sim's 8-bit buffer, 0.06% at 2 packets and 7.9%
+        at 10 packets (fixed_rate_sim's thresholds); each bound is about twice
+        that. Seeded from the one-sided walk they replayed 83%, 39% and 24%.
+        """
+        blocks, repaired = [], []
+        levels = sim._replay_levels
+
+        def counted(replay, *args):
+            # the seed replays half a block; the first whole-block replay
+            # covers every block, and the later ones repair
+            calls = []
+
+            def replay_blocks(starts, *rows):
+                if rows[0].shape[0] == sim._BLOCK:
+                    calls.append(starts.shape[0])
+                return replay(starts, *rows)
+
+            out = levels(replay_blocks, *args)
+            blocks.append(calls[0])
+            repaired.append(sum(calls[1:]))
+            return out
+
+        monkeypatch.setattr(sim, "_replay_levels", counted)
+        slots = 1 << 18
+        for seed in (53, 54, 55):
+            blocks.clear()
+            repaired.clear()
+            self._run_at_balance(case, cap, slots, seed)
+            assert sum(blocks) == slots // sim._BLOCK
+            assert sum(repaired) <= share * sum(blocks), (seed, sum(repaired))
