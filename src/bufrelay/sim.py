@@ -36,9 +36,11 @@ FIFO departure carries the oldest queued arrival, a LIFO departure at count c
 the latest arrival that raised the count to c. Fixed-rate totals equal the
 slot loop's exactly, delay and occupancy sums included (every per-slot term is
 an integer), except the error sums, float sums that differ only in the order
-of addition. Adaptive float sums agree within 1e-9 relative, differing only
-in the rounding of the running bit level, of the capacity logarithms, and of
-the order in which batch sums are added. tests/test_sim.py keeps the slot
+of addition. Adaptive cabr runs round each capacity log2(1 + g), and the
+buffer's capacity and start occupancy (SchemeConfig bounds them by 2**32
+bits), to whole multiples of ``_GRID`` = 2**-20 bit, whose sums below 2**33
+bits are exact: every level and adaptive total equals the slot loop's,
+whatever the chunk, block or record length. tests/test_sim.py keeps the slot
 loops as oracles and checks every path against them on the same streams.
 """
 
@@ -69,6 +71,7 @@ _INV_LN2 = 1.0 / math.log(2.0)
 _N_BATCHES = 100
 _CHUNK = 1 << 16  # slots per chunk of bit and finite packet buffers; infinite ones take a quarter
 _BLOCK = 32  # slots per block of the level replay
+_GRID = 2.0**-20  # bits: adaptive cabr capacities, levels and totals are whole multiples of it
 
 
 @dataclass
@@ -114,14 +117,18 @@ class SchemeConfig:
             raise ValueError("slots must be positive")
         if self.scheme == "cabr" and self.thresholds is None:
             raise ValueError("cabr requires thresholds")
+        if self.rate_mode == "fixed" and self.modulation is None:
+            raise ValueError("fixed rate_mode requires modulation")
+        cap, occ = self.buffer.capacity, self.buffer.occupancy
         if self.rate_mode == "fixed":
-            if self.modulation is None:
-                raise ValueError("fixed rate_mode requires modulation")
-            cap, occ = self.buffer.capacity, self.buffer.occupancy
             if not math.isinf(cap) and cap != int(cap):
                 raise ValueError("buffer: packet-mode capacity must be a whole count")
             if occ != int(occ):
                 raise ValueError("buffer: packet-mode occupancy must be a whole count")
+        elif cap <= _GRID / 2:
+            raise ValueError("buffer: bit capacity rounds to 0 on the 2**-20-bit grid")
+        elif occ > 2.0**32 or 2.0**32 < cap < math.inf:
+            raise ValueError("buffer: bit capacity and occupancy must not exceed 2**32")
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,13 @@ _FixedTotals = namedtuple("_FixedTotals", """
     arrivals departures errs_s errs_r delay_sum occ_sum under over n_empty n_full n_inter
     sel_empty sel_inter sel2_full count_final
 """)
+
+
+def _bits(g):
+    """Capacity log2(1 + g) of each SNR in g, rounded to a whole multiple of ``_GRID`` bit."""
+    c = np.log1p(g)
+    c *= _INV_LN2 / _GRID
+    return np.multiply(np.rint(c, out=c), _GRID, out=c)
 
 
 def _reflected_walk(x, start):
@@ -254,12 +268,10 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     before, the difference is carried through every following block that
     met no boundary (such a block only shifts its start), up to the first
     block that did, and only the moved blocks are replayed. The rounds stop
-    when every start is within 2**-45 of its predecessor's end (relative to
-    the level, or to 32 bits near 0) and is empty or full exactly when that
-    end is. A round sets the first wrong start to its predecessor's end, so
-    there are at most as many rounds as blocks. A bit start kept within
-    that tolerance can leave a level a few ulps from the slot loop's, at
-    places that depend on the chunk and block lengths; counts are exact.
+    when every start equals its predecessor's end; bit levels on the
+    ``_GRID`` add exactly, so the levels are then the slot loop's. A round
+    sets the first wrong start to its predecessor's end, so there are at
+    most as many rounds as blocks.
 
     With the carry, and counting the first replay of all blocks but not the
     seed's, measured chunks (2**16 slots, 2**14 for infinite packet buffers)
@@ -296,9 +308,7 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     while True:
         want = np.concatenate(([start], ends[:-1]))
         diff = want - starts
-        bad = np.abs(diff) > 2.0**-46 * (np.abs(want) + np.abs(starts) + 64.0)
-        bad |= (want == 0.0) != (starts == 0.0)
-        bad |= (want >= cap) != (starts >= cap)
+        bad = diff != 0.0
         if not bad.any():
             del rows  # before the levels are copied back to slot order
             return before.T.ravel()[:n], ends[-1]
@@ -395,14 +405,15 @@ def _chunks(gs, gr, thr, cap, start, packets):
     before each slot, level after slot hi - 1) for consecutive slot ranges;
     with ``packets`` the capacity is None and the levels are int64 counts.
     The walk steps by one packet each when ``packets``, else by the chosen
-    hop's capacity in bits. An infinite buffer with rho_c == rho takes it as
-    its levels; every other buffer passes it to ``_replay_levels``, which
-    repairs it. Bit and finite packet buffers use chunks of ``_CHUNK``
-    slots, so that each replay step covers many blocks, and infinite packet
-    buffers a quarter of that, over which their balance-point replay takes
-    fewer repair rounds per chunk. The records are a quarter of ``_CHUNK``
-    long except on the exact bit walk, because their totals keep more per
-    slot alive.
+    hop's capacity in bits from ``_bits``, on the grid where bit levels add
+    exactly. An infinite buffer with rho_c == rho takes it as its levels;
+    every other buffer passes it to ``_replay_levels``, which repairs it.
+    Bit and finite packet buffers use chunks of ``_CHUNK`` slots, so that
+    each replay step covers many blocks, and infinite packet buffers a
+    quarter of that, over which their balance-point replay takes fewer
+    repair rounds per chunk. The records are a quarter of ``_CHUNK`` long
+    except on the exact bit walk, because their totals keep more per slot
+    alive.
     """
     walk = math.isinf(cap) and thr.rho_c == thr.rho
     counts = packets and not math.isinf(cap)
@@ -424,9 +435,7 @@ def _chunks(gs, gr, thr, cap, start, packets):
             c_s = c_r = ones[: hi - lo]
             after = _reflected_walk(np.where(up, 1, -1), level)
         else:
-            c_s, c_r = np.log1p(g_s), np.log1p(g_r)
-            c_s *= _INV_LN2
-            c_r *= _INV_LN2
+            c_s, c_r = _bits(g_s), _bits(g_r)
             after = _reflected_walk(np.where(up, c_s, -c_r), level)
         if walk:
             before = np.empty_like(after)
@@ -598,8 +607,8 @@ def _nan_delay() -> DelayDecomposition:
 
 def _run_cabr_adaptive(config, streams) -> SimOutcome:
     gs, gr = streams
-    cap = config.buffer.capacity
-    start_b = float(config.buffer.occupancy)
+    buf = config.buffer
+    cap, start_b = (float(np.rint(b / _GRID) * _GRID) for b in (buf.capacity, buf.occupancy))
     n = config.slots
     nb = min(_N_BATCHES, n)
     chunks = _chunks(gs, gr, config.thresholds, cap, start_b, packets=False)
@@ -776,5 +785,6 @@ def overflow_probability(
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("l_grid must be a non-empty 1-d array")
     gs, gr = _draw_streams(pair, config.slots, config.seed)
-    counts = _walk_occupancy(gs, gr, thr.rho, float(config.buffer.occupancy), grid)
+    start_b = float(np.rint(config.buffer.occupancy / _GRID) * _GRID)
+    counts = _walk_occupancy(gs, gr, thr.rho, start_b, grid)
     return counts / config.slots

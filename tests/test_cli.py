@@ -279,6 +279,17 @@ class TestAnalyze:
         assert err[0].startswith("config error: pair: ")
         assert "cannot be sampled" in err[0]
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"buffer": {"capacity": 1e-9}}, "rounds to 0"),
+        ({"rho_c": 2.0, "buffer": {"occupancy": 1e12}}, "must not exceed 2**32"),
+    ], ids=["capacity-rounds-to-0", "occupancy-past-2**32"])
+    def test_bit_buffer_off_the_grid_is_config_error(self, tmp_path, capsys, fields, message):
+        doc = {"mode": "run", "scheme": "cabr", "rho": 0.8, "slots": 100, "pair": PAIR, **fields}
+        rc, _, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error: buffer: bit ")
+        assert message in err[0]
+
     def test_non_string_metric_is_config_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, table_doc(metrics=[["capacity"]]))
         assert cli.main(["analyze", path]) == cli.EXIT_CONFIG

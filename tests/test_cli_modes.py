@@ -5,9 +5,10 @@ CLI modes were rebuilt around row records: strings and integers exactly,
 floats to a relative 1e-12 (nan pins nan). Simulated documents run 2000 slots
 with fixed seeds, so their rows are deterministic too; their error-rate
 cells were re-captured when runs began adding each packet's error probability
-in place of drawing its decode error. Every row of the closed-form presets is
-pinned the same way in ``preset_rows.json``, recorded before the quadrature
-tolerances became fixed constants.
+in place of drawing its decode error, and the rate cells of adaptive cabr runs
+when bit capacities moved onto a 2**-20-bit grid. Every row of the
+closed-form presets is pinned the same way in ``preset_rows.json``, recorded
+before the quadrature tolerances became fixed constants.
 """
 
 import copy
@@ -184,8 +185,8 @@ PINS = {
         ],
         [
             'cabr', 'adaptive', 2000, 16920295385781661272, 1.046596167628764,
-            1.2275017187713266, 0.03290574073355199, 1.275629953017497, 1.3095638018368776,
-            1.275629953017497, 1.2524393132758744, 1.27562995443746, 0.5286656519533232,
+            1.2275017170906066, 0.03290574059973543, 1.275629953017497, 1.3095637965202331,
+            1.275629953017497, 1.2524393119812012, 1.27562995443746, 0.5286656519533232,
             0.5226823957162633, 0.4827586206896552, 0.6636199330721383, nan, 0.4773176042837367,
             nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
             15, 0, 2069222500.222108,
@@ -233,9 +234,9 @@ PINS = {
             'overflow', 'delay_bound',
         ],
         [
-            'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 1.16597568601015,
-            0.033393786511447025, 1.150554661136447, 1.1709336111053619, 1.150554661136447,
-            1.3858685123558008, 1.3952416715376235, 0.4716451431779899, 0.4624593470761672,
+            'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 1.1659756836891175,
+            0.033393786905177705, 1.150554661136447, 1.1709336080551147, 1.150554661136447,
+            1.3858685107231141, 1.3952416715376235, 0.4716451431779899, 0.4624593470761672,
             0.4383561643835616, 0.4624593470761672, nan, 0.5375406529238328, nan, nan, nan, nan,
             nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, 123, 0,
             13.039904398293952,
@@ -251,9 +252,9 @@ PINS = {
             'overflow', 'delay_bound',
         ],
         [
-            'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 0.9464028558592598,
-            0.018163658017424866, 1.150554661136447, 1.1937984730588538, 1.150554661136447,
-            1.355161027899745, 1.3952416715376235, 0.4671698113207547, 0.4624593470761672,
+            'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 0.9464028511047363,
+            0.018163658330814868, 1.150554661136447, 1.1937984695434571, 1.150554661136447,
+            1.355161027431488, 1.3952416715376235, 0.4671698113207547, 0.4624593470761672,
             0.5588235294117647, 0.602625680134208, 0.5767790262172284, 0.6389545731172025, nan, nan,
             nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, 180, 267,
             13.039904398293952,
