@@ -168,6 +168,9 @@ def link_pdf(link: LinkParams, s):
     return float(out) if out.ndim == 0 else out
 
 
+_PIECE = 1 << 16  # second-exponential variates drawn at a time by sample_snr
+
+
 def sample_snr(link: LinkParams, rng: np.random.Generator, size=None):
     """Draw instantaneous SNR(s): min(lam, mu/v) * u with u, v unit exponentials.
 
@@ -177,6 +180,15 @@ def sample_snr(link: LinkParams, rng: np.random.Generator, size=None):
     lam * u; any other forced p has no sampling law here.
     """
     u = rng.standard_exponential(size)
+    if np.ndim(u) == 1 and not math.isinf(link.lam) and link.consistent:
+        # min(lam, mu / v) * u in u's storage, with v drawn _PIECE variates at
+        # a time: the same stream and products, without a second full array
+        for lo in range(0, u.shape[0], _PIECE):
+            v = rng.standard_exponential(min(_PIECE, u.shape[0] - lo))
+            np.divide(link.mu, v, out=v)
+            np.minimum(v, link.lam, out=v)
+            u[lo : lo + v.shape[0]] *= v
+        return u
     v = rng.standard_exponential(size)
     if math.isinf(link.lam):
         return link.mu * u / v
@@ -187,10 +199,4 @@ def sample_snr(link: LinkParams, rng: np.random.Generator, size=None):
             f"link (lam={link.lam:g}, mu={link.mu:g}) has a forced p={link.p:g} "
             "that cannot be sampled: only p = exp(-mu/lam) or p = 0 can"
         )
-    if np.ndim(v) == 0:
-        return np.minimum(link.lam, link.mu / v) * u
-    # min(lam, mu / v) * u, computed in v's storage: the same operations
-    np.divide(link.mu, v, out=v)
-    np.minimum(v, link.lam, out=v)
-    v *= u
-    return v
+    return np.minimum(link.lam, link.mu / v) * u

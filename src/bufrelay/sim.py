@@ -11,25 +11,19 @@ default), which also absorbs the buffer-state autocorrelation of fixed-rate
 runs.
 
 A run's buffer is computed in chunks of slots, all in numpy, by ``_chunks``.
-Each chunk's one-sided reflected walk is always computed: Lindley's
-recursion B_n = max(B_{n-1} + x_n, 0), with cumulative sums and running
-minima, where a first-hop slot raises the level and a second-hop slot
-lowers it. An infinite buffer whose empty-buffer threshold equals the
-interior one selects the same way in every slot, so the walk is its level:
-overflow curves, and adaptive-rate and fixed-rate (FIFO or LIFO) cabr runs
-with an infinite buffer and rho_c == rho. Every other buffer (finite bit or
-packet buffers, and infinite buffers with rho_c != rho) has boundaries, and
-the level replay repairs the walk there (``_replay_levels``): it guesses
-each block's start, from the walk for an infinite buffer and for a finite
-one by replaying the half block before it from the clipped walk, replays
-all blocks at once, one numpy step per slot over a contiguous row of every
-block's slot, and repairs the starts that disagree with the end of the
-block before (0.06-8% of the blocks at 8 bits and at 2 and 10 packets). A
-block steps a finite packet buffer's count through a table of per-slot
-count maps, and any other level by the slot rules. Bit and finite packet
-buffers are computed in chunks of ``_CHUNK`` slots, and infinite packet
-buffers in quarter chunks; the totals read quarter-chunk records, except on
-the exact bit walk, whose records are whole chunks.
+An infinite buffer whose empty-buffer threshold equals the interior one
+selects alike in every slot, so its level is the one-sided reflected walk,
+Lindley's recursion B_n = max(B_{n-1} + x_n, 0), by cumulative sums and
+running minima (overflow curves, and cabr runs of either rate mode with an
+infinite buffer and rho_c == rho). Every other buffer has boundaries, and
+``_replay_levels`` replays it in blocks: it guesses each block's start,
+steps all blocks at once, one clipped add per slot over a row of every
+block's slot (a finite packet buffer's count steps through a table of count
+maps), and repairs the starts that disagree with the end of the block
+before. Bit and finite packet buffers are computed in chunks of ``_CHUNK``
+slots, and infinite packet buffers in quarter chunks; the totals read
+quarter-chunk records, except on the exact bit walk, whose records are whole
+chunks.
 
 Given the counts, every per-slot event of a fixed-rate run is elementwise; a
 FIFO departure carries the oldest queued arrival, a LIFO departure at count c
@@ -193,29 +187,34 @@ def _reflected_walk(x, start):
     return level
 
 
-def _replay_blocks(start, up_c, up, up_d, c_s, neg_c_r, cap):
+def _replay_blocks(start, up, flip_c, flip_d, span, c_r, cap):
     """Replay blocks of slots from their start levels, all blocks at once.
 
     Per-slot arrays are (slot of the block, block), one contiguous row per
-    slot. Each slot decides on the level B before it as the slot loop did: an
-    empty buffer (B == 0) selects by ``up_c``, a full one (B >= cap) by
-    ``up_d``, any other by ``up``; a selected slot adds c_s and fills the
-    buffer if c_s >= cap - B, another adds neg_c_r = -c_r (the same float as
-    B - c_r) and empties it if c_r >= B. Returns the level before every slot,
-    the level after each block, and whether each block met a boundary.
+    slot. A slot selects as the slot loop did on the level B before it: by
+    ``up``, flipped by ``flip_c`` if B == 0 and by ``flip_d`` if B >= cap.
+    Its step sel * span - c_r (span = c_s + c_r) is c_s or -c_r, with no
+    branch, and it takes B to min(max(B + step, 0), cap), written into the
+    next row of the levels: on the ``_GRID`` the sums are exact, so this is
+    the slot loop's fill and empty rule. Returns the level before every
+    slot, the level after each block, and whether each block met a boundary.
     """
-    level = start.copy()
-    before = np.empty(up.shape)
+    levels = np.empty((up.shape[0] + 1, start.shape[0]))
+    levels[0] = start
+    step = np.empty(start.shape[0])
     for j in range(up.shape[0]):
-        before[j] = level
-        sel = np.where(level == 0.0, up_c[j], np.where(level >= cap, up_d[j], up[j]))
-        fill = sel & (c_s[j] >= cap - level)
-        level = level + np.where(sel, c_s[j], neg_c_r[j])
-        # B - c_r <= 0 exactly when c_r >= B, so the floor is the emptying test
-        np.maximum(level, 0.0, out=level)
-        np.copyto(level, cap, where=fill)
-    met = ((before == 0.0) | (before >= cap)).any(axis=0) | (level == 0.0) | (level >= cap)
-    return before, level, met
+        level, after = levels[j], levels[j + 1]
+        sel = up[j] ^ (flip_c[j] & (level == 0.0))
+        if cap < math.inf:
+            sel ^= flip_d[j] & (level >= cap)
+        np.multiply(span[j], sel, out=step)
+        step -= c_r[j]
+        np.add(level, step, out=after)
+        np.maximum(after, 0.0, out=after)
+        if cap < math.inf:
+            np.minimum(after, cap, out=after)
+    met = (levels.min(axis=0) == 0.0) | (levels.max(axis=0) >= cap)
+    return levels[:-1], levels[-1], met
 
 
 def _slot_maps(cap_n):
@@ -248,47 +247,36 @@ def _count_blocks(start, off, maps, cap_n):
     return before, count, met
 
 
-def _replay_levels(replay, per_slot, walk, cap, start):
+def _replay_levels(replay, per_slot, cap, start, guess):
     """Level before each slot of a chunk, and after its last, by a blocked replay.
 
     The chunk is cut into blocks of ``_BLOCK`` slots: each (array, fill) of
     ``per_slot`` is padded with fill and laid out slot-major, as a (slot of
     the block, block) array whose row j holds slot j of every block, and
     ``replay(starts, *rows)`` replays the blocks as ``_replay_blocks`` does.
-    It repairs the chunk's one-sided reflected walk, the levels after each
-    slot in ``walk``. An infinite buffer guesses every block's start from
-    it. A finite one replays the last ``_BLOCK // 2`` slots of every block
-    but the last from the walk's level just before them, clipped to the
-    capacity, and guesses the next block's start as where that replay ends:
-    two replays that are empty, or full, before the same slot agree from
-    there on (the coupling of Propp and Wilson, 1996), so a short replay
-    that meets a boundary usually lands on the exact start. All blocks are
-    then replayed from their guesses at once, and the guesses are repaired,
-    round by round: where a block's start differs from the end of the block
-    before, the difference is carried through every following block that
-    met no boundary (such a block only shifts its start), up to the first
-    block that did, and only the moved blocks are replayed. The rounds stop
+    An infinite buffer starts block i + 1 at ``guess[i]``. A finite one
+    replays the last ``_BLOCK // 2`` slots of block i from ``guess[i]``
+    clipped to the capacity and starts block i + 1 where that ends: replays
+    that are empty, or full, before the same slot agree from there on (the
+    coupling of Propp and Wilson, 1996), so a tail that meets a boundary
+    usually lands on the exact start. All blocks are then replayed at once,
+    and the starts repaired, round by round: where a block's start differs
+    from the end of the block before, the difference is carried through
+    every following block that met no boundary (it only shifts), up to the
+    first that did, and only the moved blocks are replayed. The rounds stop
     when every start equals its predecessor's end; bit levels on the
-    ``_GRID`` add exactly, so the levels are then the slot loop's. A round
-    sets the first wrong start to its predecessor's end, so there are at
-    most as many rounds as blocks.
+    ``_GRID`` add exactly, so the levels are then the slot loop's, and a
+    guess changes only the rounds. A round sets the first wrong start to its
+    predecessor's end, so there are at most as many rounds as blocks.
 
-    With the carry, and counting the first replay of all blocks but not the
-    seed's, measured chunks (2**16 slots, 2**14 for infinite packet buffers)
-    took on average 1.1-1.4 rounds for infinite buffers at the balance point
-    (at most 3) and 3.8-4 at other thresholds (at most 6). Over seeds 53-55
-    at 2**18 slots, finite buffers took 1 round at 1 bit, 2 at 8 bits and
-    1.3-1.8 at 2 packets, and 3.3-4.5 at 10 and 64 packets. Where the
-    capacity spans many blocks' drift they took 10-12 at 64 bits, and at
-    256 bits 7-15 with thresholds (1.0, 0.5, 2.0) and 24-30 with (1.0466,
-    2.0, 0.5) (seeds 7, 11 and 53), about 1 fewer than from the clipped
-    walk. The repairs replayed 3% of the blocks a second time at 8 bits and
-    thresholds (1.0466, 2.0, 0.5), 0.06% at 2 packets and 7-8% at 10 at
-    (0.6, 1.2, 0.3), against 83%, 39% and 24% when the clipped walk itself
-    was the guess; at 64 bits they still replay every block more than once.
+    With the seed's replay, 2**16-slot chunks (seeds 7, 11, 53) took 2
+    rounds at 1 bit and 3 at 8 bits, whose repairs replay 2-3% of the blocks
+    again (0.06% at 2 packets, 7-8% at 10; 83%, 39% and 24% from the
+    clipped walk alone); 11-14 at 64 bits and 11-31 at 256, replaying every
+    block 1.1-2.8 times; 1.5-2.3 for infinite buffers at (1.0466, 2.0, 0.5).
     """
     k = _BLOCK
-    n = walk.shape[0]
+    n = per_slot[0][0].shape[0]
     m = -(-n // k)
     pad = m * k - n
     rows = [np.append(a, np.full(pad, fill, a.dtype)) if pad else a for a, fill in per_slot]
@@ -296,13 +284,12 @@ def _replay_levels(replay, per_slot, walk, cap, start):
     starts = np.empty(m)
     starts[0] = start
     if math.isinf(cap):
-        starts[1:] = walk[k - 1 : (m - 1) * k : k]
+        starts[1:] = guess[: m - 1]
     else:
-        # replay the last w slots of every block but the last from the walk
+        # replay the last half of every block but the last from the guess
         # clipped to the capacity: a boundary met there fixes the next start
-        w = k // 2
-        tail = np.minimum(walk[k - w - 1 : (m - 1) * k : k], cap)
-        starts[1:] = replay(tail, *(a[k - w :, : m - 1] for a in rows))[1]
+        tail = np.minimum(guess[: m - 1], cap)
+        starts[1:] = replay(tail, *(a[k // 2 :, : m - 1] for a in rows))[1]
     before, ends, met = replay(starts, *rows)
     index = np.arange(m)
     while True:
@@ -385,7 +372,7 @@ def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
         add = _batch_adder(lo, hi, n_slots, nb)
         _add_state_counts(add, totals, sel, before, cap)
         # one capacity array at a time: the second hop's, then the first hop's
-        part = np.where(sel, 0.0, c)
+        part = np.multiply(c, ~sel)
         add(totals["rate_r"], part)
         add(totals["bits_out"], np.minimum(part, before, out=part))
         np.multiply(c, sel, out=part)
@@ -394,26 +381,26 @@ def _adaptive_totals(chunks, cap, start_b, n_slots, nb):
         add(totals["bits_in"], np.minimum(part, room, out=part))
         add(totals["over"], sel & (c > room))
         b_final = float(level)
-        del part, room  # before the next chunk is built
+        del part, room, sel, c, before  # before the next chunk is built
     return _AdaptiveTotals(**totals, b_final=b_final)
 
 
 def _chunks(gs, gr, thr, cap, start, packets):
-    """Chunk records of a run's buffer: the reflected walk, repaired where it has boundaries.
+    """Chunk records of a run's buffer: the reflected walk, or the level replay.
 
     Each record is (lo, hi, hop-s selected, chosen hop's capacity, level
     before each slot, level after slot hi - 1) for consecutive slot ranges;
     with ``packets`` the capacity is None and the levels are int64 counts.
-    The walk steps by one packet each when ``packets``, else by the chosen
+    A slot steps by one packet each when ``packets``, else by the chosen
     hop's capacity in bits from ``_bits``, on the grid where bit levels add
-    exactly. An infinite buffer with rho_c == rho takes it as its levels;
-    every other buffer passes it to ``_replay_levels``, which repairs it.
-    Bit and finite packet buffers use chunks of ``_CHUNK`` slots, so that
-    each replay step covers many blocks, and infinite packet buffers a
-    quarter of that, over which their balance-point replay takes fewer
-    repair rounds per chunk. The records are a quarter of ``_CHUNK`` long
-    except on the exact bit walk, because their totals keep more per slot
-    alive.
+    exactly. An infinite buffer with rho_c == rho takes the reflected walk
+    as its levels; every other buffer is replayed by ``_replay_levels`` from
+    the guesses described there. Bit and finite packet buffers use chunks of
+    ``_CHUNK`` slots, so that each replay step covers many blocks, and
+    infinite packet buffers a quarter of that, over which their
+    balance-point replay takes fewer repair rounds per chunk. The records
+    are a quarter of ``_CHUNK`` long except on the exact bit walk, because
+    their totals keep more per slot alive.
     """
     walk = math.isinf(cap) and thr.rho_c == thr.rho
     counts = packets and not math.isinf(cap)
@@ -432,37 +419,48 @@ def _chunks(gs, gr, thr, cap, start, packets):
         up = g_r <= thr.rho * g_s
         up_c, up_d = (up if r == thr.rho else g_r <= r * g_s for r in (thr.rho_c, thr.rho_d))
         if packets:
-            c_s = c_r = ones[: hi - lo]
-            after = _reflected_walk(np.where(up, 1, -1), level)
+            span, c_r = 2.0 * ones[: hi - lo], ones[: hi - lo]
+            x = 2 * up.astype(np.int64) - 1
         else:
-            c_s, c_r = _bits(g_s), _bits(g_r)
-            after = _reflected_walk(np.where(up, c_s, -c_r), level)
+            c_r = _bits(g_r)
+            span = _bits(g_s) + c_r  # so that span * sel - c_r is c_s or -c_r, with no branch
+            x = span * up - c_r
         if walk:
-            before = np.empty_like(after)
-            before[0] = level
-            before[1:] = after[:-1]
-            level = after[-1]
+            # the levels after each slot, shifted to the levels before it
+            before = _reflected_walk(x, level)
+            before[1:], before[0], level = before[:-1], level, before[-1]
+        elif packets or math.isinf(cap):
+            # the walk's level before each block, or before the last half of each
+            at = _BLOCK - 1 if math.isinf(cap) else _BLOCK // 2 - 1
+            guess = _reflected_walk(x, level)[at::_BLOCK].copy()
         else:
+            # the walk over half-block sums, at the end of each block's first half
+            halves = np.add.reduceat(x, np.arange(0, hi - lo, _BLOCK // 2))
+            guess = _reflected_walk(halves, level)[::2]
+        del x  # before the replay lays the rows out
+        if not walk:
             if counts:
                 # padding slots take the ninth map, which keeps the count
                 code = up_c.view(np.uint8) << 2 | up.view(np.uint8) << 1 | up_d.view(np.uint8)
                 per_slot = [(code.astype(np.intp) * (cap + 1), 8 * (cap + 1))]
             else:
                 # padding slots select the first hop and add nothing: they keep the level
-                per_slot = [(up_c, True), (up, True), (up_d, True), (c_s, 0.0), (-c_r, 0.0)]
-            before, level = _replay_levels(replay, per_slot, after, cap, level)
-            del after, per_slot  # before the totals and the next chunk's walk
+                flips = [(up_c ^ up, False), (up_d ^ up, False)]
+                per_slot = [(up, True), *flips, (span, 0.0), (c_r, 0.0)]
+            before, level = _replay_levels(replay, per_slot, cap, level, guess)
+            del guess, per_slot  # before the totals and the next chunk's walk
             if packets:
                 before, level = before.astype(np.int64), int(level)
-        if up_c is up is up_d:
+        if walk or up_c is up is up_d:
             sel = up
         else:
-            sel = np.where(before == 0, up_c, np.where(before >= cap, up_d, up))
-        c = None if packets else np.where(sel, c_s, c_r)
+            sel = up ^ ((up_c ^ up) & (before == 0)) ^ ((up_d ^ up) & (before >= cap))
+        c = None if packets else abs(span * sel - c_r)  # the chosen hop's capacity
         for a in range(0, hi - lo, record):
             b = min(a + record, hi - lo)
             end = level if b == hi - lo else before[b]
             yield lo + a, lo + b, sel[a:b], None if packets else c[a:b], before[a:b], end
+        del before, sel, c  # before the next chunk is built, as its consumers do
 
 
 def _match_fifo(queue, lo, hi, push_at, pop_at, before):
@@ -542,6 +540,7 @@ def _fixed_totals(chunks, streams, mod, cap, lifo, start, nb):
         ):
             add(totals[name], values)
         assert held.shape[0] == count
+        del sel, before, empty, full  # before the next chunk is built
     return _FixedTotals(**totals, count_final=held.shape[0])
 
 
@@ -555,6 +554,7 @@ def _walk_occupancy(gs, gr, rho, start_b, l_grid):
     thr = SelectionThresholds.uniform(rho)
     for lo, hi, _, _, before, level in _chunks(gs, gr, thr, math.inf, start_b, packets=False):
         counts += hi - lo - np.searchsorted(np.sort(before), l_grid, side="right")
+        del before  # before the next chunk is built
     # the level after each slot is the one before the next, then the last level
     return counts - (start_b > l_grid) + (level > l_grid)
 

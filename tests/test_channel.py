@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bufrelay import channel
 from bufrelay.channel import (
     LinkParams,
     NodeGeometry,
@@ -195,12 +196,16 @@ class TestSampleSnr:
     def test_exact_draw_bytes_match_reference_expression(self):
         # the in-place build must not change a single bit of the stream
         link = LinkParams.from_lambda_mu(4.0, 10.0)
-        got = sample_snr(link, np.random.default_rng(2024), size=50_000)
-        rng = np.random.default_rng(2024)
-        u = rng.standard_exponential(50_000)
-        v = rng.standard_exponential(50_000)
-        want = np.minimum(link.lam, link.mu / v) * u
-        assert got.tobytes() == want.tobytes()
+        # one piece of the second exponential, and pieces with a partial last one
+        for n in (50_000, 3 * channel._PIECE + 777):
+            drawn = np.random.default_rng(2024)
+            got = sample_snr(link, drawn, size=n)
+            rng = np.random.default_rng(2024)
+            u = rng.standard_exponential(n)
+            v = rng.standard_exponential(n)
+            want = np.minimum(link.lam, link.mu / v) * u
+            assert got.tobytes() == want.tobytes()
+            assert drawn.bit_generator.state == rng.bit_generator.state
         rng = np.random.default_rng(5)
         u, v = rng.standard_exponential(), rng.standard_exponential()
         scalar = sample_snr(link, np.random.default_rng(5))

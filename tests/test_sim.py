@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bufrelay import analytic, cli, queueing, sim
 from bufrelay.analytic import ModulationParams, SelectionThresholds
@@ -161,6 +163,21 @@ class TestFixedRuns:
         ]
         for name, est, ref in checks:
             assert_within_sigma(est, out.ci_halfwidths[name], ref, 4.5, name)
+
+    @pytest.mark.parametrize("capacity", [2, 10])
+    def test_finite_lifo_delay_is_the_newest_first_one(self, capacity):
+        """A finite newest-first buffer's queueing delay is (L - mean
+        occupancy) / arrival rate: its run agrees with the chain's
+        ``lifo_equivalent_queue_delay``, not with the FIFO delay."""
+        th = SelectionThresholds(rho=0.6, rho_c=1.2, rho_d=0.3)
+        out = sim.run(fixed_cfg(th, capacity, slots=200_000, discipline="lifo"), PAIR_MIXED)
+        q_s = analytic.lsp(PAIR_MIXED, th.rho)[0]
+        q_c = analytic.lsp(PAIR_MIXED, th.rho_c)[0]
+        q_d = 1.0 - analytic.lsp(PAIR_MIXED, th.rho_d)[0]
+        chain = queueing.ThresholdProtocolParams(capacity, q_s, q_c, q_d)
+        t_q = queueing.lifo_equivalent_queue_delay(chain)
+        assert_within_sigma(out.delay.t_q, out.ci_halfwidths["t_q"], t_q, 4, f"L={capacity}")
+        assert abs(out.delay.t_q - queueing.delays(chain).t_q) > 10 * out.ci_halfwidths["t_q"]
 
     def test_ser_mix(self):
         th = SelectionThresholds(rho=0.6, rho_c=1.2, rho_d=0.3)
@@ -775,6 +792,53 @@ class TestLifoMatch:
         assert before.max() - before.min() > 1 << 16
 
 
+# whole multiples of the simulator's grid below 2**32 bits, in grid units
+_UNITS = 1 << 52
+
+
+@st.composite
+def _grid_slot(draw, finite):
+    """One slot on the grid: (level, capacity, c_s, c_r), with the ties
+    B + c_s == cap and c_r == B, and empty and full levels, drawn often."""
+    cap = draw(st.integers(1, _UNITS - 1)) if finite else None
+    top = cap if finite else _UNITS - 1
+    b = draw(st.one_of(st.just(0), st.just(top), st.integers(0, top)))
+    c_s = draw(st.one_of(st.just(top - b), st.integers(0, _UNITS - 1)))
+    c_r = draw(st.one_of(st.just(b), st.integers(0, _UNITS - 1)))
+    return b, cap, c_s, c_r
+
+
+class TestClipRule:
+    """One step of ``_replay_blocks`` against the slot loop's fill and empty rule."""
+
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "infinite"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), up=st.booleans(), flip_c=st.booleans(), flip_d=st.booleans())
+    def test_clipped_add_is_the_slot_rule(self, finite, data, up, flip_c, flip_d):
+        b, cap, c_s, c_r = (
+            math.inf if u is None else u * sim._GRID for u in data.draw(_grid_slot(finite))
+        )
+        # the slot loop of _kernel_adaptive
+        if b == 0.0:
+            sel = up ^ flip_c
+        elif b >= cap:
+            sel = up ^ flip_d
+        else:
+            sel = up
+        if sel:
+            want = cap if c_s >= cap - b else b + c_s
+        else:
+            want = 0.0 if c_r >= b else b - c_r
+        row = lambda v, dtype=float: np.full((1, 1), v, dtype)
+        before, after, met = sim._replay_blocks(
+            np.array([b]), row(up, bool), row(flip_c, bool), row(flip_d, bool),
+            row(c_s + c_r), row(c_r), cap,
+        )
+        assert before[0, 0] == b
+        assert after[0] == want
+        assert met[0] == (b == 0.0 or b == cap or want == 0.0 or want == cap)
+
+
 RHO_BALANCE = analytic.avg_rate_cabr(PAIR_MIXED)[1]  # adaptive rate, 1.0466
 RHO_BALANCE_FIXED = analytic.rho_opt_fixed(PAIR_MIXED)  # fixed rate, 0.9461
 
@@ -890,7 +954,7 @@ class TestLevelReplay:
         lengths = []
         levels = sim._replay_levels
         monkeypatch.setattr(
-            sim, "_replay_levels", lambda *a: lengths.append(a[2].shape[0]) or levels(*a)
+            sim, "_replay_levels", lambda *a: lengths.append(a[1][0][0].shape[0]) or levels(*a)
         )
         records = list(sim._chunks(gs, gr, thr, cap, 0.0, packets=False))
         assert lengths == [chunk] * 5 + [333]
@@ -917,7 +981,7 @@ class TestLevelReplay:
         lengths = []
         levels = sim._replay_levels
         monkeypatch.setattr(
-            sim, "_replay_levels", lambda *a: lengths.append(a[2].shape[0]) or levels(*a)
+            sim, "_replay_levels", lambda *a: lengths.append(a[1][0][0].shape[0]) or levels(*a)
         )
         records = list(sim._chunks(*streams, thr, cap_n, 0, packets=True))
         assert lengths == [chunk] * 5 + [333]
@@ -931,10 +995,11 @@ class TestLevelReplay:
         _assert_totals_equal(got, want)
 
     @staticmethod
-    def _run_at_balance(case, cap, slots, seed):
+    def _run_at_balance(case, cap, slots, seed, thr=None):
         """Totals of a run at the benchmark's replayed thresholds: a bit
         buffer at (RHO_BALANCE, 2.0, 0.5), a finite packet buffer at (0.6,
-        1.2, 0.3) and an infinite one at (RHO_BALANCE_FIXED, 1.2, 0.3)."""
+        1.2, 0.3) and an infinite one at (RHO_BALANCE_FIXED, 1.2, 0.3);
+        ``thr`` overrides the thresholds of a bit buffer."""
         streams = sim._draw_streams(PAIR_MIXED, slots, seed)
         if case == "packets":
             rho = RHO_BALANCE_FIXED if math.isinf(cap) else 0.6
@@ -942,9 +1007,27 @@ class TestLevelReplay:
             chunks = sim._chunks(*streams, thr, cap, 0, packets=True)
             sim._fixed_totals(chunks, streams, BPSK, cap, False, 0, 100)
         else:
-            thr = SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
+            thr = thr or SelectionThresholds(RHO_BALANCE, 2.0, 0.5)
             chunks = sim._chunks(*streams, thr, cap, 0.0, packets=False)
             sim._adaptive_totals(chunks, cap, 0.0, slots, 100)
+
+    @staticmethod
+    def _rounds_per_chunk(monkeypatch):
+        """Replays per chunk of every run that follows, the seed's included."""
+        rounds = []
+        levels = sim._replay_levels
+
+        def counted(replay, *args):
+            rounds.append(0)
+
+            def replay_counted(*a):
+                rounds[-1] += 1
+                return replay(*a)
+
+            return levels(replay_counted, *args)
+
+        monkeypatch.setattr(sim, "_replay_levels", counted)
+        return rounds
 
     @pytest.mark.parametrize(
         "case, cap, per_chunk",
@@ -969,19 +1052,34 @@ class TestLevelReplay:
         counts its own chunks: a bit or finite packet chunk is ``_CHUNK``
         slots, an infinite packet chunk a quarter of that.
         """
-        chunks, rounds = [], []
-        levels = sim._replay_levels
-
-        def counted(replay, *args):
-            chunks.append(1)
-            return levels(lambda *a: rounds.append(1) or replay(*a), *args)
-
-        monkeypatch.setattr(sim, "_replay_levels", counted)
+        rounds = self._rounds_per_chunk(monkeypatch)
         slots = 1 << 17
         self._run_at_balance(case, cap, slots, 53)
         chunk = sim._CHUNK // 4 if case == "packets" and math.isinf(cap) else sim._CHUNK
-        assert len(chunks) == slots // chunk
-        assert len(rounds) <= per_chunk * len(chunks)
+        assert len(rounds) == slots // chunk
+        assert sum(rounds) <= per_chunk * len(rounds)
+
+    @pytest.mark.parametrize(
+        "cap, thr, most",
+        [
+            (64.0, SCAN_THRESHOLDS[2], 14),
+            (64.0, REPLAY_THRESHOLDS[3], 13),
+            (256.0, SCAN_THRESHOLDS[2], 22),
+            (256.0, REPLAY_THRESHOLDS[3], 29),
+        ],
+        ids=["bits-L64-outward", "bits-L64-balance", "bits-L256-outward", "bits-L256-balance"],
+    )
+    def test_large_bit_buffers_repair_in_bounded_rounds(self, monkeypatch, cap, thr, most):
+        """Where a bit buffer's capacity spans many blocks' drift, a half
+        block rarely meets a boundary and the chunks take many rounds. Each
+        bound is the most rounds any chunk took over seeds 7, 11 and 53 at
+        2**17 slots when the blocks were seeded from the clipped one-sided
+        walk, so that a cheaper seed cannot slow these shapes."""
+        rounds = self._rounds_per_chunk(monkeypatch)
+        for seed in (7, 11, 53):
+            self._run_at_balance("bits", cap, 1 << 17, seed, thr)
+        assert len(rounds) == 3 * (1 << 17) // sim._CHUNK
+        assert max(rounds) <= most, rounds
 
     @pytest.mark.parametrize(
         "case, cap, share",
