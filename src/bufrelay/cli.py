@@ -1158,8 +1158,11 @@ def _emit(columns, rows, path, fmt):
     if path is None or path == "-":
         writer(columns, rows, sys.stdout)
         return
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer(columns, rows, f)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer(columns, rows, f)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared helpers: parameter-set factories, an independent sampling oracle,
-and the closed forms and checks that more than one test module calls.
+the closed forms and checks that more than one test module calls, and a
+loader for the benchmark's scripts.
 
 The sampler here re-derives the capped-ratio SNR construction from the
 marginal law directly (min of the power cap and the interference cap, each
@@ -9,8 +10,11 @@ sampling code.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +23,18 @@ import pytest
 from bufrelay import analytic, sim, specfun
 from bufrelay.analytic import HopPair, SelectionThresholds
 from bufrelay.channel import LinkParams
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def perfbench_module(name: str):
+    """``perfbench/<name>.py`` as a module: perfbench is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_pair(lam_s, mu_s, lam_r, mu_r) -> HopPair:

@@ -2,17 +2,14 @@
 
 import copy
 import csv
-import importlib.util
 import json
 import math
-import pathlib
 
 import pytest
 
 from bufrelay import cli
 from bufrelay.specfun import ConvergenceError
 
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
 # the same scales with the interference cap forced off (p = 0)
 PAIR_P0 = {"links": {
@@ -356,28 +353,6 @@ class TestOneSidedThresholds:
         (row,) = csv.DictReader(out.splitlines())
         assert all(math.isfinite(float(row[c])) for c in ("ser_s_ref", "ser_r_ref", "tau_ref"))
 
-    def test_fixed_rate_run_references_equal_the_stored_ones(self):
-        # the benchmark's threshold-protocol runs: every analytic cell is the
-        # value perfbench/reference.json stores, bit for bit
-        def load(name):
-            spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-
-        workloads, checks = load("workloads"), load("checks")
-        stored = json.loads((BENCH / "reference.json").read_text())["fixed_rate_sim"]
-        runs = [r for r in workloads.build("fixed_rate_sim", 0) if r.name.startswith("run_fixed_")]
-        assert len(runs) == 2
-        for req in runs:
-            columns, rows = cli.cmd_simulate(copy.deepcopy(req.doc), workers=1)
-            assert list(columns) == stored[req.name]["columns"]
-            for row, want in zip(rows, stored[req.name]["rows"], strict=True):
-                for column, got, value in zip(columns, row, want):
-                    if column not in checks.SIM_COLUMNS:
-                        got = got.item() if hasattr(got, "item") else got
-                        assert repr(got) == repr(value), (req.name, column)
-
     def test_delay_bound_on_the_starving_side_exits_convergence(self, tmp_path, capsys):
         # q_s = 1.4e-9 sits below the bound's 1e-7 floor, yet short of the balance point
         doc = {"metrics": ["delay_bound"], "rho": 1e-9, "pair": PAIR}
@@ -603,6 +578,19 @@ class TestOutputs:
         assert cli.main(["analyze", path]) == 0
         # bytes, not read_text: CSV rows end in \r\n which text mode folds
         assert out_path.read_bytes().decode() == capsys.readouterr().out
+
+    def test_out_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "table.csv"
+        path = write_doc(tmp_path, table_doc())
+        rc, out, err = exit_cleanly(["analyze", path, "--out", str(out_path)], capsys)
+        assert rc == cli.EXIT_CONFIG and out == ""
+        assert err == [f"config error: {out_path}: No such file or directory"]
+
+    def test_out_naming_a_directory_is_config_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, table_doc())
+        rc, out, err = exit_cleanly(["analyze", path, "--out", str(tmp_path)], capsys)
+        assert rc == cli.EXIT_CONFIG and out == ""
+        assert err == [f"config error: {tmp_path}: Is a directory"]
 
     def test_preset_with_overlay(self, tmp_path, capsys):
         overlay = {

@@ -1,4 +1,4 @@
-"""Per-mode output pins, preset row pins, and the balance-solve count of table points.
+"""Per-mode output pins and the balance-solve count of table points.
 
 Each mode's header and first row are pinned to values recorded before the
 CLI modes were rebuilt around row records: strings and integers exactly,
@@ -6,15 +6,13 @@ floats to a relative 1e-12 (nan pins nan). Simulated documents run 2000 slots
 with fixed seeds, so their rows are deterministic too; their error-rate
 cells were re-captured when runs began adding each packet's error probability
 in place of drawing its decode error, and the rate cells of adaptive cabr runs
-when bit capacities moved onto a 2**-20-bit grid. Every row of the
-closed-form presets is pinned the same way in ``preset_rows.json``, recorded
-before the quadrature tolerances became fixed constants.
+when bit capacities moved onto a 2**-20-bit grid. No pinned document is a
+benchmark request; the analytic cells of the presets and of the other
+benchmark documents are checked against ``perfbench/reference.json`` in
+``test_reference.py``.
 """
 
-import copy
-import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -102,6 +100,15 @@ DOCS = {
     }),
 }
 
+# the columns of every run row
+RUN_HEADER = [
+    'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se', 'avg_rate_ref',
+    'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s', 'q_s_ref', 'q_c',
+    'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref', 'ser_r', 'ser_r_se',
+    'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref',
+    't_total', 't_total_ref', 'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
+]
+
 # header and first row of each document, recorded before the rebuild
 PINS = {
     'table': (
@@ -155,14 +162,7 @@ PINS = {
         ],
     ),
     'run': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
-            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
-            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
-            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
-            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.416, 0.007243248336530128,
             0.4201898656183503, nan, nan, nan, nan, 0.40694789081885857, 0.3994361717277644,
@@ -175,14 +175,7 @@ PINS = {
         ],
     ),
     'run-cabr-adaptive': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
-            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
-            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
-            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
-            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'adaptive', 2000, 16920295385781661272, 1.046596167628764,
             1.2275017170906066, 0.03290574059973543, 1.275629953017497, 1.3095637965202331,
@@ -193,14 +186,7 @@ PINS = {
         ],
     ),
     'run-cnbr-fixed': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
-            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
-            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
-            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
-            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cnbr', 'fixed', 2000, 16920295385781661272, nan, 0.5, nan, 0.5, nan, nan, nan, nan,
             nan, nan, nan, nan, nan, nan, 0.05053907035545715, 0.002680146150588896,
@@ -209,14 +195,7 @@ PINS = {
         ],
     ),
     'run-cbr-adaptive': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref',
-            'q_s', 'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se',
-            'ser_s_ref', 'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q',
-            't_q_ref', 't_u', 't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref',
-            'mean_occupancy', 'underflow', 'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cbr', 'adaptive', 2000, 16920295385781661272, nan, 0.9278003961780046,
             0.0193675798984656, 0.9513783360881745, nan, nan, nan, nan, nan, nan, nan, nan, nan,
@@ -225,14 +204,7 @@ PINS = {
         ],
     ),
     'run-cabr-adaptive-walk': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 1.1659756836891175,
             0.033393786905177705, 1.150554661136447, 1.1709336080551147, 1.150554661136447,
@@ -243,14 +215,7 @@ PINS = {
         ],
     ),
     'run-cabr-adaptive-finite': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'adaptive', 2000, 16920295385781661272, 0.8, 0.9464028511047363,
             0.018163658330814868, 1.150554661136447, 1.1937984695434571, 1.150554661136447,
@@ -261,14 +226,7 @@ PINS = {
         ],
     ),
     'run-cabr-fixed-replay': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.4435, 0.009630942347717098,
             0.4404624354497814, nan, nan, nan, nan, 0.41023936170212766, 0.3994361717277644,
@@ -280,14 +238,7 @@ PINS = {
         ],
     ),
     'run-cabr-fixed-replay-lifo': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.445, 0.009600610249964175,
             0.4404624354497814, nan, nan, nan, nan, 0.40981432360742703, 0.3994361717277644,
@@ -299,14 +250,7 @@ PINS = {
         ],
     ),
     'run-cabr-fixed-walk-lifo': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cabr', 'fixed', 2000, 16920295385781661272, 0.6, 0.41, 0.011348474733984247,
             0.39943617172776436, nan, nan, nan, nan, 0.4117647058823529, 0.3994361717277644,
@@ -318,14 +262,7 @@ PINS = {
         ],
     ),
     'run-cnbr-adaptive': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cnbr', 'adaptive', 2000, 16920295385781661272, nan, 0.6397975470469832,
             0.01354643895964663, 0.6317254939127847, nan, nan, nan, nan, nan, nan, nan, nan, nan,
@@ -334,14 +271,7 @@ PINS = {
         ],
     ),
     'run-cbr-fixed': (
-        [
-            'scheme', 'rate_mode', 'slots', 'seed', 'rho', 'avg_rate', 'avg_rate_se',
-            'avg_rate_ref', 'rate_hop_s', 'rate_hop_s_ref', 'rate_hop_r', 'rate_hop_r_ref', 'q_s',
-            'q_s_ref', 'q_c', 'q_c_ref', 'q_d', 'q_d_ref', 'ser_s', 'ser_s_se', 'ser_s_ref',
-            'ser_r', 'ser_r_se', 'ser_r_ref', 'tau_pps', 'tau_ref', 't_q', 't_q_ref', 't_u',
-            't_u_ref', 't_o', 't_o_ref', 't_total', 't_total_ref', 'mean_occupancy', 'underflow',
-            'overflow', 'delay_bound',
-        ],
+        RUN_HEADER,
         [
             'cbr', 'fixed', 2000, 16920295385781661272, nan, 0.5, nan, 0.5, nan, nan, nan, nan, nan,
             nan, nan, nan, nan, nan, 0.05314312007957015, 0.00280660192772712, 0.05410645988406182,
@@ -396,26 +326,6 @@ def test_header_and_first_row(name):
     bad = [
         (col, got, want)
         for col, got, want in zip(header, rows[0], first)
-        if not _same(got, want)
-    ]
-    assert not bad
-
-
-PRESET_ROWS = json.loads((Path(__file__).parent / "preset_rows.json").read_text())
-
-
-@pytest.mark.parametrize("name", sorted(PRESET_ROWS))
-def test_every_row_of_closed_form_preset(name):
-    doc = copy.deepcopy(cli.PRESETS[name])
-    columns, rows = getattr(cli, f"cmd_{doc['kind']}")(doc)
-    pin = PRESET_ROWS[name]
-    assert list(columns) == pin["header"]
-    assert len(rows) == len(pin["rows"])
-    assert all(len(row) == len(columns) for row in rows)
-    bad = [
-        (i, col, got, want)
-        for i, (row, want_row) in enumerate(zip(rows, pin["rows"]))
-        for col, got, want in zip(pin["header"], row, want_row)
         if not _same(got, want)
     ]
     assert not bad
