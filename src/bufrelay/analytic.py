@@ -568,13 +568,13 @@ def avg_capacity_hop(link: LinkParams) -> float:
 
 def avg_rate_cabr_hop_s(pair: HopPair, rho: float) -> float:
     """Average rate carried by the first hop under adaptive selection."""
-    return rate_terms_nats(joint_terms_sr(pair, rho)) / LN2
+    return _hop_moments(pair, rho, _rate_term_nats, LN2)[0]
 
 
 def avg_rate_cabr_hop_r(pair: HopPair, rho: float) -> float:
-    """Average rate carried by the second hop under adaptive selection."""
-    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    return avg_rate_cabr_hop_s(rpair, 1.0 / rho)
+    """Average rate carried by the second hop under adaptive selection: the
+    first hop's rate of the reversed pair at 1/rho."""
+    return _hop_moments(pair, rho, _rate_term_nats, LN2)[2]
 
 
 @memoized

@@ -24,8 +24,10 @@ import argparse
 import contextlib
 import copy
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -1152,6 +1154,17 @@ def _write_json(columns, rows, stream):
     stream.write("\n")
 
 
+def _check_out(path):
+    """Refuse an --out path in a missing directory or naming a directory
+    before any point runs; _emit maps every other failure to open it."""
+    if path is None or path == "-":
+        return
+    if not os.path.exists(os.path.dirname(path) or "."):
+        raise ConfigError(f"{path}: {os.strerror(errno.ENOENT)}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{path}: {os.strerror(errno.EISDIR)}")
+
+
 def _emit(columns, rows, path, fmt):
     rows = [[_py(v) for v in row] for row in rows]
     writer = _write_csv if fmt == "csv" else _write_json
@@ -1257,6 +1270,7 @@ def main(argv=None) -> int:
         doc = _load_document(args)
         kind = _effective_kind(args.command, doc)
         workers = _resolve_workers(args)
+        _check_out(args.out)
         columns, rows = _table_for(kind, doc, workers)
         _emit(columns, rows, args.out, args.fmt)
     except ConfigError as exc:

@@ -151,9 +151,9 @@ def joint_ccdf_rd(pair: HopPair, rho: float, x: float) -> float:
 
 def second_moment_rate_hop_s(pair: HopPair, rho: float) -> float:
     """Second moment of the selected first-hop rate (bits^2 per channel use^2)."""
-    return analytic._sum_with_err(
-        analytic.joint_terms_sr(pair, rho), analytic._w2_term_nats
-    )[0] / (analytic.LN2 * analytic.LN2)
+    return analytic._hop_moments(
+        pair, rho, analytic._w2_term_nats, analytic.LN2 * analytic.LN2
+    )[0]
 
 
 class MinDelay(NamedTuple):

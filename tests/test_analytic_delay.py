@@ -1,4 +1,5 @@
-"""Queue-delay bound for the adaptive scheme and its threshold inversion."""
+"""Queue-delay bound for the adaptive scheme and its threshold inversion; the
+rate moments and the frozen bound against the channel-law oracle."""
 
 import math
 
@@ -6,28 +7,15 @@ import numpy as np
 import pytest
 
 from bufrelay import analytic
-from bufrelay.specfun import quad_semi_infinite
 
+import oracle
 from conftest import (
     PAIR_MIXED,
     assert_within_sigma,
     random_pair,
     sample_pair_snr,
     second_moment_rate_hop_s,
-    semi_infinite,
 )
-
-LN2 = math.log(2.0)
-
-
-def second_moment_rate_hop_s_quad(pair, rho):
-    """Oracle: the first-hop rate's second moment by direct log-squared quadrature."""
-    terms = analytic.joint_terms_sr(pair, rho)
-
-    def f(x):
-        return 2.0 * math.log1p(x) * analytic.eval_terms(terms, x) / (1.0 + x)
-
-    return quad_semi_infinite(semi_infinite(f)) / (LN2 * LN2)
 
 
 class TestSecondMoments:
@@ -37,8 +25,7 @@ class TestSecondMoments:
             pair = random_pair(rng, pip=(k % 4 == 3))
             rho = float(10.0 ** rng.uniform(-0.8, 0.8))
             closed = second_moment_rate_hop_s(pair, rho)
-            quad = second_moment_rate_hop_s_quad(pair, rho)
-            assert closed == pytest.approx(quad, rel=1e-8)
+            assert closed == pytest.approx(oracle.hop(pair, rho, oracle.RATE2, "s"), rel=1e-8)
 
     def test_against_sampling(self):
         rng = np.random.default_rng(62)
@@ -64,6 +51,19 @@ class TestDelayBound:
         assert analytic.delay_bound_adaptive(PAIR_MIXED, 0.5233) == pytest.approx(
             5.71004303570813, rel=1e-9
         )
+
+    def test_frozen_value_from_the_oracle_moments(self):
+        # the bound 0.5 (xi^2 m2s + (2 xi - 1) m2r) / ((xi m1s)^2 (xi - 1)),
+        # xi = m1r / m1s, from the oracle's first and second rate moments
+        rho = 0.5233
+        m1s, m1r, m2s, m2r = (
+            oracle.hop(PAIR_MIXED, rho, kernel, which)
+            for kernel in (oracle.RATE, oracle.RATE2)
+            for which in "sr"
+        )
+        xi = m1r / m1s
+        bound = 0.5 * (xi * xi * m2s + (2.0 * xi - 1.0) * m2r) / ((xi * m1s) ** 2 * (xi - 1.0))
+        assert bound == pytest.approx(5.71004303570813, rel=1e-9)
 
     def test_monotone_in_rho_below_balance(self):
         bounds = [

@@ -1,4 +1,4 @@
-"""Average-rate closed forms against quadrature, sampling, and each other."""
+"""Average-rate closed forms against the channel-law oracle, sampling, and each other."""
 
 import math
 
@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from bufrelay import analytic
 from bufrelay.analytic import SelectionThresholds
-from bufrelay.channel import link_ccdf
-from bufrelay.specfun import quad_semi_infinite
 
+import oracle
 from conftest import (
     PAIR_MIXED,
     PAIR_PIP,
@@ -20,27 +19,11 @@ from conftest import (
     make_pair,
     random_pair,
     sample_pair_snr,
-    semi_infinite,
 )
 
-LN2 = math.log(2.0)
-
-
-def avg_rate_cabr_hop_s_quad(pair, rho):
-    """Oracle: the first-hop adaptive rate by direct quadrature of the joint CCDF."""
-    terms = analytic.joint_terms_sr(pair, rho)
-    nats = quad_semi_infinite(semi_infinite(lambda x: analytic.eval_terms(terms, x) / (1.0 + x)))
-    return nats / LN2
-
-
-def avg_rate_cnbr_quad(pair):
-    """Oracle: the fixed-alternation rate by direct quadrature of the product CCDF."""
-    terms = analytic.product_terms(pair)
-    nats = quad_semi_infinite(semi_infinite(lambda x: analytic.eval_terms(terms, x) / (1.0 + x)))
-    return nats / (2.0 * LN2)
-
 # balance point of the default workhorse pair, frozen from the solver itself
-# after cross-checking both hop rates against quadrature and sampling
+# after cross-checking both hop rates against quadrature and sampling; the
+# oracle's own balance point is 1.2756299537 at rho 1.0465961692
 BALANCE_RATE_MIXED = 1.27562995
 BALANCE_RHO_MIXED = 1.04659617
 
@@ -51,18 +34,12 @@ class TestHopCapacity:
         for _ in range(8):
             link = random_pair(rng).s
             closed = analytic.avg_capacity_hop(link)
-            direct = quad_semi_infinite(
-                semi_infinite(lambda x: link_ccdf(link, x) / (1.0 + x))
-            ) / LN2
-            assert closed == pytest.approx(direct, rel=1e-9)
+            assert closed == pytest.approx(oracle.capacity(link), rel=1e-9)
 
     def test_interference_only_capacity(self):
         link = PAIR_PIP.s
         closed = analytic.avg_capacity_hop(link)
-        direct = quad_semi_infinite(
-            semi_infinite(lambda x: link.mu / (link.mu + x) / (1.0 + x))
-        ) / LN2
-        assert closed == pytest.approx(direct, rel=1e-9)
+        assert closed == pytest.approx(oracle.capacity(link), rel=1e-9)
 
 
 class TestSelectionMaskedRates:
@@ -71,9 +48,13 @@ class TestSelectionMaskedRates:
         for k in range(10):
             pair = random_pair(rng, pip=(k % 4 == 3))
             rho = float(10.0 ** rng.uniform(-1, 1))
-            closed = analytic.avg_rate_cabr_hop_s(pair, rho)
-            quad = avg_rate_cabr_hop_s_quad(pair, rho)
-            assert closed == pytest.approx(quad, rel=1e-8)
+            for closed, which in (
+                (analytic.avg_rate_cabr_hop_s(pair, rho), "s"),
+                (analytic.avg_rate_cabr_hop_r(pair, rho), "r"),
+            ):
+                assert closed == pytest.approx(oracle.hop(pair, rho, oracle.RATE, which), rel=1e-8)
+            q_s = analytic.lsp(pair, rho)[0]
+            assert q_s == pytest.approx(oracle.hop(pair, rho, oracle.ONE, "s"), rel=1e-8)
 
     def test_against_sampling(self):
         rng = np.random.default_rng(23)
@@ -114,6 +95,21 @@ class TestBalancePoint:
         assert rate == pytest.approx(BALANCE_RATE_MIXED, rel=1e-7)
         assert rho == pytest.approx(BALANCE_RHO_MIXED, rel=1e-6)
 
+    def test_frozen_value_is_the_oracle_balance(self):
+        # bisection on log10 rho of the oracle's hop-rate gap, to 1e-12 decades
+        lo, hi = -1.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            rho = 10.0**mid
+            gap = oracle.hop(PAIR_MIXED, rho, oracle.RATE, "s") - oracle.hop(
+                PAIR_MIXED, rho, oracle.RATE, "r"
+            )
+            lo, hi = (lo, mid) if gap > 0.0 else (mid, hi)
+        rho = 10.0**lo
+        rate = oracle.hop(PAIR_MIXED, rho, oracle.RATE, "s")
+        assert rate == pytest.approx(BALANCE_RATE_MIXED, rel=1e-7)
+        assert rho == pytest.approx(BALANCE_RHO_MIXED, rel=1e-6)
+
     def test_hops_balance_at_the_returned_threshold(self):
         rng = np.random.default_rng(31)
         for k in range(6):
@@ -144,7 +140,7 @@ class TestSchedulingBaselines:
         for k in range(8):
             pair = random_pair(rng, pip=(k % 4 == 3))
             assert analytic.avg_rate_cnbr(pair) == pytest.approx(
-                avg_rate_cnbr_quad(pair), rel=1e-8
+                oracle.cnbr_rate(pair), rel=1e-8
             )
 
     def test_cnbr_against_sampling(self):
@@ -159,7 +155,7 @@ class TestSchedulingBaselines:
         # equal mu on both hops exercises the repeated-pole series
         pair = make_pair(4.0, 10.0, 7.0, 10.0)
         assert analytic.avg_rate_cnbr(pair) == pytest.approx(
-            avg_rate_cnbr_quad(pair), rel=1e-8
+            oracle.cnbr_rate(pair), rel=1e-8
         )
         near = make_pair(4.0, 10.0, 7.0, 10.0 + 1e-9)
         assert analytic.avg_rate_cnbr(pair) == pytest.approx(

@@ -1,4 +1,5 @@
-"""Fixed-rate symbol error probabilities: closed forms, asymptotes, floors."""
+"""Fixed-rate symbol error probabilities: closed forms against the channel-law
+oracle and sampling, asymptotes, floors."""
 
 import json
 import math
@@ -10,8 +11,8 @@ from scipy import special
 from bufrelay import analytic, cli
 from bufrelay.analytic import HopPair, ModulationParams
 from bufrelay.channel import LinkParams
-from bufrelay.specfun import quad_semi_infinite
 
+import oracle
 from conftest import (
     PAIR_MIXED,
     PAIR_PIP,
@@ -20,7 +21,6 @@ from conftest import (
     make_pair,
     random_pair,
     sample_pair_snr,
-    semi_infinite,
 )
 
 BPSK = ModulationParams(eta=2.0, phi=1.0, rate_R=1.0)
@@ -39,28 +39,9 @@ def gaussian_ser(g, mod):
     return 0.5 * mod.phi * special.erfc(np.sqrt(0.5 * mod.eta * g))
 
 
-def ew_joint_ccdf_sr_quad(pair, rho, eta):
-    """Oracle: the gaussian-weight expectation of the joint CCDF by direct quadrature.
-
-    The substitution w = t*t removes the weight's 1/sqrt(w) endpoint singularity.
-    """
-    terms = analytic.joint_terms_sr(pair, rho)
-    coef = 2.0 * math.sqrt(0.5 * eta / math.pi)
-
-    def f(t):
-        w = t * t
-        return coef * math.exp(-0.5 * eta * w) * analytic.eval_terms(terms, w)
-
-    return quad_semi_infinite(semi_infinite(f))
-
-
-def ser_exact_cabr_quad(pair, rho, mod):
-    """Oracle: the conditional per-hop error rates through ew_joint_ccdf_sr_quad."""
-    q_s, q_r = analytic.lsp(pair, rho)
-    p_s = 0.5 * mod.phi * (q_s - ew_joint_ccdf_sr_quad(pair, rho, mod.eta)) / q_s
-    rpair, _ = analytic.reverse(pair, analytic.SelectionThresholds.uniform(rho))
-    p_r = 0.5 * mod.phi * (q_r - ew_joint_ccdf_sr_quad(rpair, 1.0 / rho, mod.eta)) / q_r
-    return analytic.SerTriple(p_s, p_r, p_s + p_r)
+def oracle_ser(pair, rho, mod, which):
+    """The oracle's error rate of hop `which`, conditioned on its selection."""
+    return oracle.hop(pair, rho, oracle.ser(mod), which) / oracle.hop(pair, rho, oracle.ONE, which)
 
 
 class TestExactCabr:
@@ -73,9 +54,8 @@ class TestExactCabr:
                 eta=float(rng.uniform(0.5, 4.0)), phi=float(rng.uniform(0.5, 2.0))
             )
             closed = analytic.ser_exact_cabr(pair, rho, mod)
-            quad = ser_exact_cabr_quad(pair, rho, mod)
-            assert closed.p_s == pytest.approx(quad.p_s, rel=1e-7)
-            assert closed.p_r == pytest.approx(quad.p_r, rel=1e-7)
+            assert closed.p_s == pytest.approx(oracle_ser(pair, rho, mod, "s"), rel=1e-7)
+            assert closed.p_r == pytest.approx(oracle_ser(pair, rho, mod, "r"), rel=1e-7)
 
     def test_against_sampling(self):
         rng = np.random.default_rng(52)
@@ -158,18 +138,18 @@ class TestKnownAccuracyDefects:
 
     @pytest.mark.parametrize("rho", [
         1e-5,
-        pytest.param(1e-6, marks=known_defect("4.2e-3")),
+        pytest.param(1e-6, marks=known_defect("4.2e-3 against the oracle")),
     ])
     def test_one_sided_ser_matches_quadrature(self, rho):
         # q_s - Ew carries about 1e-10 absolute error, so p_s about
-        # 1e-10 / (2 p_s q_s) relative; at rho 1e-5 the error is 2e-10
+        # 1e-10 / (2 p_s q_s) relative; at rho 1e-5 the error against the
+        # oracle is 4.4e-10
         closed = analytic.ser_exact_cabr(PAIR_MIXED, rho, BPSK)
-        quad = ser_exact_cabr_quad(PAIR_MIXED, rho, BPSK)
-        assert closed.p_s == pytest.approx(quad.p_s, rel=1e-8)
+        assert closed.p_s == pytest.approx(oracle_ser(PAIR_MIXED, rho, BPSK, "s"), rel=1e-8)
 
     def test_ser_below_the_selection_floor_raises(self, tmp_path, capsys):
         # q_s = 1.4e-9 at rho 1e-9, below the 1e-7 floor: the quotient read
-        # 185.44 against the quadrature's 0.0083664 before the floor rose
+        # 185.44 against the oracle's 0.0083664 before the floor rose
         assert analytic.lsp(PAIR_MIXED, 1e-9)[0] < 1e-7
         with pytest.raises(analytic.OneSidedError):
             analytic.ser_exact_cabr(PAIR_MIXED, 1e-9, BPSK)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from bufrelay import cli
+from bufrelay import analytic, cli
 from bufrelay.specfun import ConvergenceError
 
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
@@ -591,6 +591,32 @@ class TestOutputs:
         rc, out, err = exit_cleanly(["analyze", path, "--out", str(tmp_path)], capsys)
         assert rc == cli.EXIT_CONFIG and out == ""
         assert err == [f"config error: {tmp_path}: Is a directory"]
+
+    def test_out_is_refused_before_any_point_runs(self, tmp_path, capsys, monkeypatch):
+        def computed(*args):
+            raise AssertionError("the table was computed before --out was checked")
+
+        monkeypatch.setattr(cli, "_run_tasks", computed)
+        path = write_doc(tmp_path, table_doc())
+        for out_path, reason in (
+            (tmp_path / "missing" / "table.csv", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            rc, out, err = exit_cleanly(["analyze", path, "--out", str(out_path)], capsys)
+            assert rc == cli.EXIT_CONFIG and out == ""
+            assert err == [f"config error: {out_path}: {reason}"]
+
+    def test_failed_command_leaves_the_out_file_untouched(self, tmp_path, capsys, monkeypatch):
+        def failed(*args):
+            raise analytic.OneSidedError("too one-sided")
+
+        monkeypatch.setattr(cli, "_run_tasks", failed)
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("kept\n")
+        path = write_doc(tmp_path, table_doc())
+        rc, _, err = exit_cleanly(["analyze", path, "--out", str(out_path)], capsys)
+        assert rc == cli.EXIT_CONVERGENCE and err == ["convergence failure: too one-sided"]
+        assert out_path.read_text() == "kept\n"
 
     def test_preset_with_overlay(self, tmp_path, capsys):
         overlay = {

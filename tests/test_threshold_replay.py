@@ -4,7 +4,8 @@ avg_rate_cabr and rho_for_delay_bound evaluate only the bisection midpoints
 whose side is not already proved. The plain bisections they replay are kept
 here as oracles: every result and every exception message must be equal, the
 searches must stay within their evaluation budgets, and a lying error bound
-must still give a correct answer through the plain-bisection rerun.
+must still give a correct answer through the plain-bisection rerun. The
+error bounds the proofs rest on are checked against the channel-law oracle.
 """
 
 import copy
@@ -16,14 +17,17 @@ import pytest
 
 from bufrelay import analytic, cli, specfun
 
+import oracle
 from conftest import PAIR_MIXED, make_pair, random_pair, second_moment_rate_hop_s
-from test_analytic_rates import avg_rate_cabr_hop_s_quad
 
 LN2 = math.log(2.0)
 
 
 def avg_rate_cabr_plain(pair):
-    """Oracle: the balance point by plain bisection, every midpoint evaluated."""
+    """Oracle: the balance point by plain bisection, every midpoint evaluated.
+
+    Both public hop rates read one moment pair, computed once in the memo block.
+    """
     last = [0.0, 0.0, 0.0]
 
     def gap(log10_rho):
@@ -34,7 +38,8 @@ def avg_rate_cabr_plain(pair):
         g = rs - rr
         return 0.0 if abs(g) <= 1e-8 * max(rs, rr) else g
 
-    analytic._bisect_log10_rho(gap, "the rate balance point")
+    with specfun.memo():
+        analytic._bisect_log10_rho(gap, "the rate balance point")
     log10_rho, rs, rr = last
     return 0.5 * (rs + rr), 10.0**log10_rho
 
@@ -125,10 +130,10 @@ def test_moments_with_error_bounds_match_the_public_values():
         )
         m2s = analytic._hop_moments(pair, rho, analytic._w2_term_nats, LN2 * LN2)[0]
         assert m2s == second_moment_rate_hop_s(pair, rho)
-        # the bound the proofs rest on covers the distance to direct
-        # quadrature of the joint CCDF, within that quadrature's own tolerance
-        quad = avg_rate_cabr_hop_s_quad(pair, rho)
-        assert abs(rs - quad) <= es + (1e-10 + 1e-9 * abs(quad)) / LN2
+        # the bound the proofs rest on covers the distance to the oracle's
+        # rate, within the oracle's own relative tolerance
+        quad = oracle.hop(pair, rho, oracle.RATE, "s")
+        assert abs(rs - quad) <= es + 1e-13 * abs(quad)
 
 
 def test_rate_term_error_is_the_reported_quadrature_error():
