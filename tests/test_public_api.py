@@ -20,9 +20,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bufrelay"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
-# exported with no caller yet: the lattice solve of the adaptive buffer
-# (ROADMAP item 9) builds its increment law from these two
-UNCALLED_BY_DESIGN = {"channel": {"link_pdf", "link_ccdf"}}
+# exported with no caller yet, by module. None today: channel's link_pdf and
+# link_ccdf, kept for the lattice solve of the adaptive buffer (ROADMAP item
+# 9), are called by analytic's node rule, which guesses the searches' roots
+UNCALLED_BY_DESIGN: dict[str, set[str]] = {}
 
 
 def _lookup_head(node) -> str | None:

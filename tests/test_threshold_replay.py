@@ -4,13 +4,16 @@ avg_rate_cabr and rho_for_delay_bound evaluate only the bisection midpoints
 whose side is not already proved. The plain bisections they replay are kept
 here as oracles: every result and every exception message must be equal, the
 searches must stay within their evaluation budgets, and a lying error bound
-must still give a correct answer through the plain-bisection rerun. The
-error bounds the proofs rest on are checked against the channel-law oracle.
+must still give a correct answer through the plain-bisection rerun. A wrong
+root guess from the node-rule locators must cost evaluations, never a digit,
+and the locators must warn on nothing. The error bounds the proofs rest on
+are checked against the channel-law oracle.
 """
 
 import copy
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +121,86 @@ def test_unreachable_delay_target_matches_plain_bisection(name):
         )
 
 
+# wrong guesses built from a locator's own (x, slope), or from the bracket
+# midpoint at slope 1 where it has none; _proved_bracket clamps x to the bracket
+WRONG_GUESSES = {
+    "none": lambda x, slope: None,
+    "3 decades high": lambda x, slope: (x + 3.0, slope),
+    "3 decades low": lambda x, slope: (x - 3.0, slope),
+    "negative slope": lambda x, slope: (x, -1.0),
+    "nan": lambda x, slope: (math.nan, math.nan),
+}
+
+
+def wrong_locators(monkeypatch, kind):
+    """Make both node-rule locators return a wrong guess of the given kind."""
+    for name in ("_balance_guess", "_delay_guess"):
+        locate = getattr(analytic, name)
+
+        def wrong(*args, locate=locate):
+            lo, hi = args[-2:]
+            return WRONG_GUESSES[kind](*(locate(*args) or (0.5 * (lo + hi), 1.0)))
+
+        monkeypatch.setattr(analytic, name, wrong)
+
+
+class TestWrongGuess:
+    """A guess decides no sign: a wrong one costs evaluations, never a digit."""
+
+    @pytest.mark.parametrize("name", list(BALANCE_CASES))
+    def test_balance(self, monkeypatch, name):
+        pair = BALANCE_CASES[name]
+        plain = outcome(avg_rate_cabr_plain, pair)
+        for kind in WRONG_GUESSES:
+            with monkeypatch.context() as m:
+                wrong_locators(m, kind)
+                assert outcome(analytic.avg_rate_cabr, pair) == plain, kind
+
+    @pytest.mark.parametrize(
+        "name, t_target",
+        [(name, t) for name in ("mixed", "slow") for t in (3.0, 5.0, 7.3, 12.0, 1e4)]
+        # reachable for some of the cases, for the rest the scan runs out
+        + [(name, 2.2) for name in BALANCE_CASES],
+    )
+    def test_delay_inversion(self, monkeypatch, name, t_target):
+        pair = {**BALANCE_CASES, "slow": PAIR_SLOW}[name]
+        plain = outcome(rho_for_delay_bound_plain, pair, t_target)
+        for kind in WRONG_GUESSES:
+            with monkeypatch.context() as m:
+                wrong_locators(m, kind)
+                assert outcome(analytic.rho_for_delay_bound, pair, t_target) == plain, kind
+
+
+# the 81 grid pairs hold wide_range's 16 corners, {1e-4, 1e4}^4; the others
+# put a scale near the float limits, where the rule's nodes overflow
+LOCATOR_PAIRS = [pair for name, pair in BALANCE_CASES.items() if name.startswith("grid")] + [
+    make_pair(1e300, 1e-300, 1.0, 1.0),
+    make_pair(1.0, 1.0, 1e-300, 1e300),
+    make_pair(1e-300, 1e-300, 1e300, 1e300),
+]
+
+
+def test_locators_emit_no_warning():
+    # a failed command prints one stderr line, so the rule may add none: an
+    # overflow or a NaN gives no guess
+    def check(guess, lo, hi):
+        if guess is not None:
+            x, slope = guess
+            assert lo <= x <= hi and 0.0 < slope < math.inf
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in LOCATOR_PAIRS:
+            guess = analytic._balance_guess(pair, -30.0, 30.0)
+            check(guess, -30.0, 30.0)
+            top = (guess[0] if guess else 0.0) - 1e-3
+            # a downward scan's first bracket, and the whole range below the
+            # balance; 2.2 and -1.0 are the unreachable targets of the tests above
+            for lo, hi in ((top - 0.25, top), (-30.0, top)):
+                for t_target in (5.0, 2.2, -1.0):
+                    check(analytic._delay_guess(pair, t_target, lo, hi), lo, hi)
+
+
 def test_moments_with_error_bounds_match_the_public_values():
     rng = np.random.default_rng(91)
     for k in range(8):
@@ -159,7 +242,7 @@ def counting(monkeypatch, name):
 
 
 class TestEvaluationBudget:
-    """Bounds at the measured counts + 2 (9 rate pairs for the balance, 17
+    """Bounds at the measured counts + 2 (7 rate pairs for the balance, 13
     delay bounds at t = 5), or + 1 for the unreachable target; the plain
     bisections take 33 rate pairs, 36 delay bounds at t = 5 and 120 at t = 2.2."""
 
@@ -167,14 +250,14 @@ class TestEvaluationBudget:
         # one rate pair builds the joint terms of both hops
         calls = counting(monkeypatch, "joint_terms_sr")
         analytic.avg_rate_cabr(PAIR_MIXED)
-        assert calls[0] <= 2 * 11
+        assert calls[0] <= 2 * 9
 
     def test_delay_bounds(self, monkeypatch):
         # delay_bound_adaptive is _delay_bound without the error bound, so
         # counting the latter counts every delay-bound evaluation
         calls = counting(monkeypatch, "_delay_bound")
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
-        assert calls[0] <= 19
+        assert calls[0] <= 15
 
     def test_unreachable_delay_target(self, monkeypatch):
         # the downward scan stops at the first threshold too one-sided for the
@@ -186,13 +269,13 @@ class TestEvaluationBudget:
 
 
 class TestQuadratureBudget:
-    """Bounds at the measured counts + about 2% (206 quadratures at t = 5 and
-    2842 for fig7): each J, L and M integral is computed once per delay-bound
-    search and once per command (without that, 376 and 5492)."""
+    """Bounds at the measured counts + about 2% (158 quadratures at t = 5 and
+    2250 for fig7): each J, L and M integral is computed once per delay-bound
+    search and once per command (without that, 288 and 4352)."""
 
     def test_delay_bound_search(self, quad_calls):
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
-        assert quad_calls[0] <= 210
+        assert quad_calls[0] <= 161
 
     def test_fig7_command(self, quad_calls):
         counts = []
@@ -200,7 +283,7 @@ class TestQuadratureBudget:
             quad_calls[0] = 0
             cli.cmd_compare(copy.deepcopy(cli.PRESETS["fig7"]))
             counts.append(quad_calls[0])
-        assert counts[0] <= 2900
+        assert counts[0] <= 2295
         # a second run in the same process integrates as much as the first:
         # no value outlives its command
         assert counts[1] == counts[0]
@@ -235,8 +318,8 @@ class TestLyingProof:
         bisect = analytic._bisect_log10
         brackets = []
 
-        def recorded(f, lo, hi, xtol=0.0, probe=None):
-            out = bisect(f, lo, hi, xtol, probe)
+        def recorded(f, lo, hi, xtol=0.0, probe=None, locate=None):
+            out = bisect(f, lo, hi, xtol, probe, locate)
             brackets.append((xtol, out))
             return out
 
