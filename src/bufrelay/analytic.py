@@ -87,6 +87,8 @@ _MU_ONE_TOL = 1e-8
 
 _ROUND = 1e-12  # relative rounding allowed per summed piece in the searches' error bounds
 
+_Q_MIN = 1e-7  # the least first-hop selection probability the delay bound conditions on
+
 
 class BracketError(ValueError):
     """A threshold search could not bracket its root within log10 rho in [-30, 30].
@@ -458,7 +460,7 @@ def _regime(pair: HopPair) -> str:
 
 
 def _bisect_log10(
-    f, lo: float, hi: float, xtol: float = 0.0, probe=None, locate=None
+    f, lo: float, hi: float, xtol: float = 0.0, proved=None
 ) -> tuple[float, float]:
     """Bisect an increasing f on a [lo, hi] bracket in log10 rho; return the
     final bracket.
@@ -468,15 +470,13 @@ def _bisect_log10(
     at a midpoint equal to lo or hi, which every later halving would
     evaluate again and leave the bracket as it is; or after 200 halvings.
 
-    With a probe, midpoints on a side that _proved_bracket proved take its
-    sign unevaluated, so the evaluated midpoints and the result stay the plain
-    bisection's; a replay not ending on evaluated points (f == 0.0 when xtol
-    is 0, else both bracket ends) reruns the plain bisection. locate(lo, hi),
-    called only when the probe runs, gives _proved_bracket its starting guess.
+    With a bracket (a, b) from _proved_bracket, midpoints on a proved side
+    take its sign unevaluated, so the evaluated midpoints and the result stay
+    the plain bisection's; a replay not ending on evaluated points (f == 0.0
+    when xtol is 0, else both bracket ends) reruns the plain bisection.
     """
-    lo0, hi0, a, b = lo, hi, -math.inf, math.inf
-    if probe is not None and f(0.5 * (lo + hi)) != 0.0:  # the plain first step
-        a, b = _proved_bracket(probe, lo, hi, locate and locate(lo, hi))
+    lo0, hi0 = lo, hi
+    a, b = proved or (-math.inf, math.inf)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = -1.0 if mid <= a else 1.0 if mid >= b else f(mid)
@@ -489,7 +489,7 @@ def _bisect_log10(
             hi = mid
         if not split or hi - lo < xtol:
             break
-    if probe is not None and (xtol == 0.0 or lo <= a or hi >= b):
+    if proved is not None and (xtol == 0.0 or lo <= a or hi >= b):
         return _bisect_log10(f, lo0, hi0, xtol)
     return lo, hi
 
@@ -542,14 +542,17 @@ def _proved_bracket(probe, lo: float, hi: float, guess=None) -> tuple[float, flo
     return a, b
 
 
-def _bisect_log10_rho(f, what: str, xtol: float = 0.0, probe=None, locate=None) -> float:
+def _bisect_log10_rho(f, what: str, xtol: float = 0.0, prove=None) -> float:
     """_bisect_log10 on log10 rho in [-30, 30], returning rho at the final
-    bracket's midpoint; BracketError unless f changes sign."""
+    bracket's midpoint; BracketError unless f changes sign. prove(lo, hi)
+    gives the bisection its proved bracket, unless f is 0.0 at the plain first
+    midpoint, which ends the search there."""
     lo, hi = -30.0, 30.0
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketError(f"could not bracket {what} within log10 rho in [-30, 30]")
-    lo, hi = _bisect_log10(f, lo, hi, xtol, probe, locate)
+    proved = prove(lo, hi) if prove is not None and f(0.5 * (lo + hi)) != 0.0 else None
+    lo, hi = _bisect_log10(f, lo, hi, xtol, proved)
     return 10.0 ** (0.5 * (lo + hi))
 
 
@@ -634,13 +637,20 @@ def _balance_guess(pair: HopPair, lo: float, hi: float):
 @np.errstate(all="ignore")
 def _delay_guess(pair: HopPair, t_target: float, lo: float, hi: float):
     """(log10 rho, slope) in [lo, hi] where the rule's ln(bound/t_target)
-    crosses zero, or None."""
+    crosses zero, or None: rho_for_delay_bound's scan down from hi on the
+    rule (a value that is not finite counts as above), then secant steps in
+    the bracket it leaves."""
     moments = _rule_moments(pair)
 
     def phi(x: float) -> float:
         return float(np.log(_mean_delay(*moments(x)) / t_target))
 
-    return _secant(phi, lo, 0.5 * (lo + hi), lo, hi)
+    x = hi
+    while not phi(x) < 0.0:
+        x -= 0.25
+        if x < lo:
+            return None
+    return _secant(phi, x, 0.5 * (x + hi), x, hi)
 
 
 def rho_opt_fixed(pair: HopPair) -> float:
@@ -720,8 +730,7 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     _bisect_log10_rho(
         gap,
         "the rate balance point",
-        probe=probe,
-        locate=lambda lo, hi: _balance_guess(pair, lo, hi),
+        prove=lambda lo, hi: _proved_bracket(probe, lo, hi, _balance_guess(pair, lo, hi)),
     )
     log10_rho, rs, rr = last
     return 0.5 * (rs + rr), 10.0**log10_rho
@@ -834,7 +843,7 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     # the masked moments are absolutely accurate, so once the first hop is
     # essentially never selected their ratios carry no correct digits (and
     # the bound has long since plateaued anyway)
-    if lsp(pair, rho)[0] < 1e-7:
+    if lsp(pair, rho)[0] < _Q_MIN:
         raise OneSidedError(
             "threshold too one-sided for the conditional-moment delay bound"
         )
@@ -858,22 +867,30 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
     The search range ends 1e-3 decades below it, which is the answer if its
     bound meets t_target; else 0.25-decade steps down bracket the target
     (an end numerically past the balance point counts as above it) and the
-    bracket is bisected. The bound being monotone, a midpoint beyond a bound
+    bracket is bisected. The bound being monotone, a threshold beyond a bound
     farther from t_target than twice its error bound is on that bound's side,
-    so it is not evaluated and no digit moves. The proof starts at the node
-    rule's guess of the target (13 bounds in all instead of 36 on a moderate
-    pair, 17 from the midpoint). The search runs in one specfun memo block:
-    the hop moments at every rho share their J, L and M integrals, which
-    roughly halves its quadratures.
+    so neither a scan step nor a midpoint there is evaluated, and no digit
+    moves. That proof runs before the scan, from the node rule's guess of the
+    target (10 bounds in all instead of 36 on a moderate pair); without a
+    guess or a bracket proved on both sides, the scan evaluates every step
+    and the proof runs on its bracket. The search runs in one specfun memo
+    block: the hop moments at every rho share their J, L and M integrals,
+    which roughly halves its quadratures.
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
 
-    def side(log10_rho: float) -> float:
+    def side(log10_rho: float, a: float = -math.inf, b: float = math.inf) -> float:
         # meeting the target counts as below it, so only the width rule stops
-        # the bisection
+        # the bisection. At or past a proved end of (a, b) the side is known;
+        # below a, once _delay_bound's own one-sided test passes
+        rho = 10.0**log10_rho
+        if log10_rho >= b:
+            return 1.0
+        if log10_rho <= a and lsp(pair, rho)[0] >= _Q_MIN:
+            return -1.0
         try:
-            val = _delay_bound(pair, 10.0**log10_rho)[0]
+            val = _delay_bound(pair, rho)[0]
         except OneSidedError as exc:
             # only the downward scan meets it, and q_s grows with rho, so every
             # lower threshold is one-sided too
@@ -887,14 +904,24 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
         return val, t_target, 2.0 * err
 
     _, rho_bal = avg_rate_cabr(pair)
-    hi = lo = math.log10(rho_bal) - 1e-3
-    while side(lo) > 0.0:
-        lo -= 0.25
-        if lo < -30.0:
-            raise ValueError("delay target unreachable within the search range")
-    if lo == hi:  # the end of the searched range meets the target
-        return 10.0**hi
-    lo, _ = _bisect_log10(
-        side, lo, hi, 1e-10, probe, lambda lo, hi: _delay_guess(pair, t_target, lo, hi)
-    )
+    hi = math.log10(rho_bal) - 1e-3
+    guess = _delay_guess(pair, t_target, -30.0, hi)
+    a, b = _proved_bracket(probe, -30.0, hi, guess) if guess else (-math.inf, math.inf)
+    # the second pass evaluates every scan step; it runs only after a false
+    # proof (an error bound below the true error) misread the scan's last step
+    for proved in (math.isfinite(b - a), False):
+        if not proved:
+            a, b = -math.inf, math.inf
+        lo = hi
+        while side(lo, a, b) > 0.0:
+            lo -= 0.25
+            if lo < -30.0:
+                raise ValueError("delay target unreachable within the search range")
+        if lo == hi:  # the end of the searched range meets the target
+            return 10.0**hi
+        if not proved:
+            a, b = _proved_bracket(probe, lo, hi, guess)
+        lo, _ = _bisect_log10(side, lo, hi, 1e-10, (a, b))
+        if side(lo) < 0.0:  # a memo hit, unless lo is a scan step read from (a, b)
+            break
     return 10.0**lo

@@ -1,13 +1,13 @@
 """The balance and delay-bound searches replayed from a proved bracket.
 
-avg_rate_cabr and rho_for_delay_bound evaluate only the bisection midpoints
-whose side is not already proved. The plain bisections they replay are kept
-here as oracles: every result and every exception message must be equal, the
-searches must stay within their evaluation budgets, and a lying error bound
-must still give a correct answer through the plain-bisection rerun. A wrong
-root guess from the node-rule locators must cost evaluations, never a digit,
-and the locators must warn on nothing. The error bounds the proofs rest on
-are checked against the channel-law oracle.
+avg_rate_cabr and rho_for_delay_bound evaluate only the bisection midpoints,
+and the delay search only the scan steps, whose side is not already proved.
+The plain searches they replay are kept here as oracles: every result and
+every exception message must be equal, the searches must stay within their
+evaluation budgets, and a lying error bound must still give a correct answer
+through the plain rerun. A wrong root guess from the node-rule locators must
+cost evaluations, never a digit, and the locators must warn on nothing. The
+error bounds the proofs rest on are checked against the channel-law oracle.
 """
 
 import copy
@@ -71,6 +71,11 @@ def rho_for_delay_bound_plain(pair, t_target):
     return 10.0**lo
 
 
+def search_top(pair):
+    """log10 rho at the top of the delay search's range: 1e-3 decades below the balance."""
+    return math.log10(analytic.avg_rate_cabr(pair)[1]) - 1e-3
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -119,6 +124,150 @@ def test_unreachable_delay_target_matches_plain_bisection(name):
         assert outcome(analytic.rho_for_delay_bound, pair, t_target) == outcome(
             rho_for_delay_bound_plain, pair, t_target
         )
+
+
+def scan_steps(pair, n):
+    """The first n thresholds of the delay search's downward scan, in log10 rho,
+    by the search's own repeated subtraction."""
+    steps = [search_top(pair)]
+    while len(steps) < n:
+        steps.append(steps[-1] - 0.25)
+    return steps
+
+
+def computed_thresholds(monkeypatch):
+    """rho of every delay bound the search computes, memo hits left out."""
+    seen = []
+    inner = analytic._delay_bound.__wrapped__
+
+    def recorded(pair, rho):
+        seen.append(rho)
+        return inner(pair, rho)
+
+    monkeypatch.setattr(analytic, "_delay_bound", specfun.memoized(recorded))
+    return seen
+
+
+def replaced_proofs(monkeypatch, replace):
+    """Route _proved_bracket through replace(prove, probe, lo, hi, guess) and
+    return the list of (lo, hi, bracket) of every call."""
+    prove, calls = analytic._proved_bracket, []
+
+    def routed(probe, lo, hi, guess=None):
+        calls.append((lo, hi, replace(prove, probe, lo, hi, guess)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(analytic, "_proved_bracket", routed)
+    return calls
+
+
+def honest(prove, *args):
+    return prove(*args)
+
+
+# pairs whose balance solves, but whose scan meets a failing J quadrature
+# near rho = 1e-5 (ConvergenceError) unless the target is met above it
+FAILING_QUADRATURE_PAIRS = {
+    "lam_r_1": make_pair(1e4, 1e-4, 1.0, 1e-4),
+    "lam_r_1e4": make_pair(1e4, 1e-4, 1e4, 1e-4),
+}
+
+
+class TestScanReadsTheProof:
+    """rho_for_delay_bound proves its bracket (a, b) before the scan, and the
+    scan evaluates only the steps inside it: the outcome, value or exception,
+    is the plain search's. The unreachable targets are checked over every
+    balance case above."""
+
+    def test_steps_outside_the_bracket_are_not_evaluated(self, monkeypatch):
+        steps = scan_steps(PAIR_MIXED, 3)
+        plain = outcome(rho_for_delay_bound_plain, PAIR_MIXED, 5.0)
+        calls = replaced_proofs(monkeypatch, honest)
+        seen = computed_thresholds(monkeypatch)
+        assert outcome(analytic.rho_for_delay_bound, PAIR_MIXED, 5.0) == plain
+        lo, hi, (a, b) = calls[-1]
+        assert (lo, hi) == (-30.0, steps[0]) and steps[2] < a < b < steps[1]
+        assert not {10.0**x for x in steps} & set(seen)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bracket_straddling_a_scan_step(self, monkeypatch, k):
+        # the bound at the k-th step down is the target, so no proof decides
+        # that step's side: the bracket straddles it and the scan evaluates it
+        step = scan_steps(PAIR_MIXED, k + 1)[k]
+        t_target = analytic.delay_bound_adaptive(PAIR_MIXED, 10.0**step)
+        plain = outcome(rho_for_delay_bound_plain, PAIR_MIXED, t_target)
+        calls = replaced_proofs(monkeypatch, honest)
+        seen = computed_thresholds(monkeypatch)
+        assert outcome(analytic.rho_for_delay_bound, PAIR_MIXED, t_target) == plain
+        a, b = calls[-1][2]
+        assert -math.inf < a < step < b < math.inf and 10.0**step in seen
+
+    def test_widened_bracket(self, monkeypatch):
+        # half a decade more on each side is still proved; the scan evaluates
+        # the three steps it now holds
+        steps = scan_steps(PAIR_MIXED, 3)
+        plain = outcome(rho_for_delay_bound_plain, PAIR_MIXED, 5.0)
+
+        def widened(prove, *args):
+            a, b = prove(*args)
+            return a - 0.5, b + 0.5
+
+        replaced_proofs(monkeypatch, widened)
+        seen = computed_thresholds(monkeypatch)
+        assert outcome(analytic.rho_for_delay_bound, PAIR_MIXED, 5.0) == plain
+        assert {10.0**x for x in steps} <= set(seen)
+
+    @pytest.mark.parametrize("pair", [PAIR_MIXED, PAIR_SLOW], ids=["mixed", "slow"])
+    def test_target_met_at_the_top(self, pair):
+        top = search_top(pair)
+        for t_target in (analytic.delay_bound_adaptive(pair, 10.0**top), 1e4):
+            got = outcome(analytic.rho_for_delay_bound, pair, t_target)
+            assert got == outcome(rho_for_delay_bound_plain, pair, t_target) == 10.0**top
+
+    @pytest.mark.parametrize("name", list(FAILING_QUADRATURE_PAIRS))
+    @pytest.mark.parametrize("t_target", [2.5, 5.0, 1e4])
+    def test_failing_quadrature_pairs(self, name, t_target):
+        pair = FAILING_QUADRATURE_PAIRS[name]
+        assert outcome(analytic.rho_for_delay_bound, pair, t_target) == outcome(
+            rho_for_delay_bound_plain, pair, t_target
+        )
+
+    def test_one_sided_step_below_the_bracket(self, monkeypatch):
+        # the target is the bound halfway between the first scan step too
+        # one-sided for the bound (q_s < 1e-7) and the step above it: the
+        # proof brackets it above the one-sided step, so that step is the
+        # first one below the bracket, and the target is unreachable, as the
+        # plain scan finds
+        pair = BALANCE_CASES["grid(1.0, 0.0001, 0.0001, 0.0001)"]
+        step = search_top(pair)
+        while analytic.lsp(pair, 10.0**step)[0] >= 1e-7:
+            step -= 0.25
+        t_target = analytic.delay_bound_adaptive(pair, 10.0 ** (step + 0.125))
+        plain = outcome(rho_for_delay_bound_plain, pair, t_target)
+        assert plain == ("ValueError", "delay target unreachable within the search range")
+        calls = replaced_proofs(monkeypatch, honest)
+        assert outcome(analytic.rho_for_delay_bound, pair, t_target) == plain
+        a, b = calls[-1][2]
+        assert step < a < b < step + 0.25
+
+    def test_false_proof_of_the_last_step(self, monkeypatch):
+        # a false proof puts the target between 0.30 and 0.29 decades below
+        # the top, so the scan stops at the step 0.5 below, read as under the
+        # target. At t = 3 it is over it: the bisection cannot leave that
+        # step, the search evaluates it once the bisection ends, and scans
+        # again evaluating every step
+        steps = scan_steps(PAIR_MIXED, 4)
+        plain = outcome(rho_for_delay_bound_plain, PAIR_MIXED, 3.0)
+
+        def false_before_the_scan(prove, probe, lo, hi, guess):
+            if (lo, hi) == (-30.0, steps[0]):
+                return steps[0] - 0.3, steps[0] - 0.29
+            return prove(probe, lo, hi, guess)
+
+        calls = replaced_proofs(monkeypatch, false_before_the_scan)
+        assert outcome(analytic.rho_for_delay_bound, PAIR_MIXED, 3.0) == plain
+        # the second pass proved over the plain scan's bracket
+        assert [(lo, hi) for lo, hi, _ in calls[-2:]] == [(-30.0, steps[0]), (steps[3], steps[0])]
 
 
 # wrong guesses built from a locator's own (x, slope), or from the bracket
@@ -196,7 +345,13 @@ def test_locators_emit_no_warning():
             top = (guess[0] if guess else 0.0) - 1e-3
             # a downward scan's first bracket, and the whole range below the
             # balance; 2.2 and -1.0 are the unreachable targets of the tests above
-            for lo, hi in ((top - 0.25, top), (-30.0, top)):
+            brackets = [(top - 0.25, top), (-30.0, top)]
+            try:
+                # the range rho_for_delay_bound guesses in before its scan
+                brackets.append((-30.0, search_top(pair)))
+            except ValueError:  # no balance, or a scale the quadratures reject
+                pass
+            for lo, hi in brackets:
                 for t_target in (5.0, 2.2, -1.0):
                     check(analytic._delay_guess(pair, t_target, lo, hi), lo, hi)
 
@@ -242,7 +397,7 @@ def counting(monkeypatch, name):
 
 
 class TestEvaluationBudget:
-    """Bounds at the measured counts + 2 (7 rate pairs for the balance, 13
+    """Bounds at the measured counts + 2 (7 rate pairs for the balance, 10
     delay bounds at t = 5), or + 1 for the unreachable target; the plain
     bisections take 33 rate pairs, 36 delay bounds at t = 5 and 120 at t = 2.2."""
 
@@ -257,7 +412,7 @@ class TestEvaluationBudget:
         # counting the latter counts every delay-bound evaluation
         calls = counting(monkeypatch, "_delay_bound")
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
-        assert calls[0] <= 15
+        assert calls[0] <= 12
 
     def test_unreachable_delay_target(self, monkeypatch):
         # the downward scan stops at the first threshold too one-sided for the
@@ -269,13 +424,13 @@ class TestEvaluationBudget:
 
 
 class TestQuadratureBudget:
-    """Bounds at the measured counts + about 2% (158 quadratures at t = 5 and
-    2250 for fig7): each J, L and M integral is computed once per delay-bound
-    search and once per command (without that, 288 and 4352)."""
+    """Bounds at the measured counts + about 2% (128 quadratures at t = 5 and
+    1870 for fig7): each J, L and M integral is computed once per delay-bound
+    search and once per command (without that, 248 and 4440)."""
 
     def test_delay_bound_search(self, quad_calls):
         analytic.rho_for_delay_bound(PAIR_MIXED, 5.0)
-        assert quad_calls[0] <= 161
+        assert quad_calls[0] <= 131
 
     def test_fig7_command(self, quad_calls):
         counts = []
@@ -283,7 +438,7 @@ class TestQuadratureBudget:
             quad_calls[0] = 0
             cli.cmd_compare(copy.deepcopy(cli.PRESETS["fig7"]))
             counts.append(quad_calls[0])
-        assert counts[0] <= 2295
+        assert counts[0] <= 1907
         # a second run in the same process integrates as much as the first:
         # no value outlives its command
         assert counts[1] == counts[0]
@@ -318,8 +473,8 @@ class TestLyingProof:
         bisect = analytic._bisect_log10
         brackets = []
 
-        def recorded(f, lo, hi, xtol=0.0, probe=None, locate=None):
-            out = bisect(f, lo, hi, xtol, probe, locate)
+        def recorded(f, lo, hi, xtol=0.0, proved=None):
+            out = bisect(f, lo, hi, xtol, proved)
             brackets.append((xtol, out))
             return out
 
