@@ -459,9 +459,7 @@ def _regime(pair: HopPair) -> str:
     return "mixed"
 
 
-def _bisect_log10(
-    f, lo: float, hi: float, xtol: float = 0.0, proved=None
-) -> tuple[float, float]:
+def _bisect_log10(f, lo: float, hi: float, xtol: float = 0.0) -> tuple[float, float]:
     """Bisect an increasing f on a [lo, hi] bracket in log10 rho; return the
     final bracket.
 
@@ -469,17 +467,10 @@ def _bisect_log10(
     returns 0.0 once converged), returning (mid, mid); once hi - lo < xtol;
     at a midpoint equal to lo or hi, which every later halving would
     evaluate again and leave the bracket as it is; or after 200 halvings.
-
-    With a bracket (a, b) from _proved_bracket, midpoints on a proved side
-    take its sign unevaluated, so the evaluated midpoints and the result stay
-    the plain bisection's; a replay not ending on evaluated points (f == 0.0
-    when xtol is 0, else both bracket ends) reruns the plain bisection.
     """
-    lo0, hi0 = lo, hi
-    a, b = proved or (-math.inf, math.inf)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = -1.0 if mid <= a else 1.0 if mid >= b else f(mid)
+        fm = f(mid)
         if fm == 0.0:
             return mid, mid
         split = lo < mid < hi
@@ -489,23 +480,18 @@ def _bisect_log10(
             hi = mid
         if not split or hi - lo < xtol:
             break
-    if proved is not None and (xtol == 0.0 or lo <= a or hi >= b):
-        return _bisect_log10(f, lo0, hi0, xtol)
     return lo, hi
 
 
-def _proved_bracket(probe, lo: float, hi: float, guess=None) -> tuple[float, float]:
-    """(a, b) near the root with every point <= a proved negative and >= b positive.
+def _proved_bracket(probe, lo: float, hi: float, guess) -> tuple[float, float] | None:
+    """(a, b) near the root, every point <= a proved negative and >= b positive, or None.
 
     probe(x) gives u, v > 0 and a margin above f's evaluation error; with f
     monotone, |u - v| > margin proves the sign of u - v for x and beyond.
-    Secant steps on r = ln(u/v) stop within the proof width w. They start at
-    guess = (x, slope of r), else at the midpoint with slope 1. Probes 1.5 w
-    each side of the estimate (its noise is under w/2), quadrupled until both
-    sides are proved, give (a, b); an error ends it. The guess decides no
-    sign, so a wrong one costs probes, never a digit. From a guess within w
-    it makes three probes; from the midpoint, a moderate pair's balance
-    takes six and its delay target nine.
+    Secant steps on r = ln(u/v) from guess = (x, slope of r) stop within the
+    proof width w; probes 1.5 w each side (the estimate's noise is under w/2),
+    quadrupled until both sides are proved, give (a, b). A slope that is not
+    positive or an error ends it. A wrong guess costs probes, never a digit.
     """
     a, b = -math.inf, math.inf
 
@@ -517,14 +503,14 @@ def _proved_bracket(probe, lo: float, hi: float, guess=None) -> tuple[float, flo
         return r, m
 
     try:
-        x, slope = guess or (0.5 * (lo + hi), 1.0)
+        x, slope = guess
         x, prev = min(max(x, lo), hi), None
         for _ in range(16):
             r, m = look(x)
             if prev is not None:
                 slope = (r - prev[1]) / (x - prev[0])
             if not slope > 0.0:
-                return a, b
+                return None
             prev, step = (x, r), -r / slope
             x = min(max(x + step, lo), hi)
             if abs(step) <= m / slope:
@@ -537,22 +523,28 @@ def _proved_bracket(probe, lo: float, hi: float, guess=None) -> tuple[float, flo
                 if max(a, lo) < y < min(b, hi):
                     look(y)
             h *= 4.0
-    except (ArithmeticError, ValueError, RuntimeError):  # the replay meets them exactly
+    except (ArithmeticError, ValueError, RuntimeError):  # the plain search meets them
         pass
-    return a, b
+    return (a, b) if math.isfinite(b - a) else None
 
 
 def _bisect_log10_rho(f, what: str, xtol: float = 0.0, prove=None) -> float:
     """_bisect_log10 on log10 rho in [-30, 30], returning rho at the final
-    bracket's midpoint; BracketError unless f changes sign. prove(lo, hi)
-    gives the bisection its proved bracket, unless f is 0.0 at the plain first
-    midpoint, which ends the search there."""
+    bracket's midpoint; BracketError unless f changes sign. Unless f is 0.0 at
+    the plain first midpoint, which ends the search there, prove(lo, hi) gives
+    a bracket proved on both sides, or None; the bisection reads the signs
+    beyond it unevaluated, and reruns plain unless it ends at an evaluated 0.0."""
     lo, hi = -30.0, 30.0
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketError(f"could not bracket {what} within log10 rho in [-30, 30]")
     proved = prove(lo, hi) if prove is not None and f(0.5 * (lo + hi)) != 0.0 else None
-    lo, hi = _bisect_log10(f, lo, hi, xtol, proved)
+    if proved is not None:
+        a, b = proved
+        x, y = _bisect_log10(lambda m: -1.0 if m <= a else 1.0 if m >= b else f(m), lo, hi, xtol)
+        if x == y:
+            return 10.0**x
+    lo, hi = _bisect_log10(f, lo, hi, xtol)
     return 10.0 ** (0.5 * (lo + hi))
 
 
@@ -708,9 +700,9 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     pair whose gap exceeds twice the tolerance plus both error bounds (quad's
     reported errors) has that gap's sign, so it is not evaluated and no digit
     moves. The proof starts at the node rule's guess of the balance (7 rate
-    pairs in all instead of 33 on a moderate pair, 9 from the midpoint). The
-    solve runs in one specfun memo block, so the probe and the bisection share
-    each pair.
+    pairs in all instead of 33 on a moderate pair); without a guess, or a
+    bracket proved on both sides, the bisection runs plain. The solve runs in
+    one specfun memo block, so the probe and the bisection share each pair.
     """
     last = [0.0, 0.0, 0.0]  # log10 rho, rs and rr of the latest evaluation
 
@@ -727,11 +719,11 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
         rs, es, rr, er = rates(log10_rho)
         return rs, rr, 2.0 * (1e-8 * max(rs, rr) + es + er)
 
-    _bisect_log10_rho(
-        gap,
-        "the rate balance point",
-        prove=lambda lo, hi: _proved_bracket(probe, lo, hi, _balance_guess(pair, lo, hi)),
-    )
+    def prove(lo: float, hi: float) -> tuple[float, float] | None:
+        guess = _balance_guess(pair, lo, hi)
+        return guess and _proved_bracket(probe, lo, hi, guess)
+
+    _bisect_log10_rho(gap, "the rate balance point", prove=prove)
     log10_rho, rs, rr = last
     return 0.5 * (rs + rr), 10.0**log10_rho
 
@@ -865,17 +857,15 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
 
     The bound increases toward infinity as rho approaches the balance point.
     The search range ends 1e-3 decades below it, which is the answer if its
-    bound meets t_target; else 0.25-decade steps down bracket the target
-    (an end numerically past the balance point counts as above it) and the
-    bracket is bisected. The bound being monotone, a threshold beyond a bound
-    farther from t_target than twice its error bound is on that bound's side,
-    so neither a scan step nor a midpoint there is evaluated, and no digit
-    moves. That proof runs before the scan, from the node rule's guess of the
-    target (10 bounds in all instead of 36 on a moderate pair); without a
-    guess or a bracket proved on both sides, the scan evaluates every step
-    and the proof runs on its bracket. The search runs in one specfun memo
-    block: the hop moments at every rho share their J, L and M integrals,
-    which roughly halves its quadratures.
+    bound meets t_target; else 0.25-decade steps down bracket the target (an
+    end numerically past the balance point counts as above it) and the
+    bracket is bisected. The bound being monotone, one proof of both sides
+    from the node rule's guess of the target, before the scan, decides every
+    step and midpoint beyond a bound farther from t_target than twice its
+    error bound (10 bounds instead of 36 on a moderate pair). Without a proof,
+    or unless both final ends evaluate on their sides, the search runs plain.
+    It runs in one specfun memo block: the hop moments at every rho share
+    their J, L and M integrals, which roughly halves its quadratures.
     """
     if not (t_target > 0.0):
         raise ValueError("t_target must be positive")
@@ -903,25 +893,23 @@ def rho_for_delay_bound(pair: HopPair, t_target: float) -> float:
         val, err = _delay_bound(pair, 10.0**log10_rho)
         return val, t_target, 2.0 * err
 
-    _, rho_bal = avg_rate_cabr(pair)
-    hi = math.log10(rho_bal) - 1e-3
-    guess = _delay_guess(pair, t_target, -30.0, hi)
-    a, b = _proved_bracket(probe, -30.0, hi, guess) if guess else (-math.inf, math.inf)
-    # the second pass evaluates every scan step; it runs only after a false
-    # proof (an error bound below the true error) misread the scan's last step
-    for proved in (math.isfinite(b - a), False):
-        if not proved:
-            a, b = -math.inf, math.inf
+    hi = math.log10(avg_rate_cabr(pair)[1]) - 1e-3
+
+    def search(a: float = -math.inf, b: float = math.inf) -> tuple[float, float]:
+        # the scan down from hi and the bisection of its bracket, reading (a, b)
         lo = hi
         while side(lo, a, b) > 0.0:
             lo -= 0.25
             if lo < -30.0:
                 raise ValueError("delay target unreachable within the search range")
         if lo == hi:  # the end of the searched range meets the target
-            return 10.0**hi
-        if not proved:
-            a, b = _proved_bracket(probe, lo, hi, guess)
-        lo, _ = _bisect_log10(side, lo, hi, 1e-10, (a, b))
-        if side(lo) < 0.0:  # a memo hit, unless lo is a scan step read from (a, b)
-            break
-    return 10.0**lo
+            return hi, hi
+        return _bisect_log10(lambda x: side(x, a, b), lo, hi, 1e-10)
+
+    guess = _delay_guess(pair, t_target, -30.0, hi)
+    proved = guess and _proved_bracket(probe, -30.0, hi, guess)
+    if proved:
+        lo, up = search(*proved)
+        if side(lo) < 0.0 and (lo == up or side(up) > 0.0):  # memo hits unless read from the proof
+            return 10.0**lo
+    return 10.0 ** search()[0]

@@ -712,12 +712,12 @@ def _run_tasks(name, payloads, workers):
 # field tables: top-level key -> entry
 
 
-def _axis(key, values, check=None):
+def _axis(key, values, check=None, *extra):
     return _F(key, "map", default=None, fields=(
         _F("parameter", "str", what="non-empty string required"),
         _F(values, "list", check, fields=(_F("", inf=True),)),
         _F("label", "str", default=_OPT, what="must be a non-empty string"),
-        _F("scale_by", "str", default=None, what="must be a parameter path"),
+        *extra,
     ))
 
 
@@ -733,7 +733,8 @@ _LINK = _F("", "map", fields=(
 # every top-level field, the grid modes' first
 _FIELDS = {f.key: f for f in (
     _axis("series", "values"),
-    _axis("sweep", "grid", "monotone"),
+    _axis("sweep", "grid", "monotone",
+          _F("scale_by", "str", default=None, what="must be a parameter path")),
     _F("pair", "map", make=_derive_pair, forms={
         "links": (_F("links", "map", make=HopPair,
                      fields=(_LINK._replace(key="s"), _LINK._replace(key="r"))),),

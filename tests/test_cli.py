@@ -102,6 +102,32 @@ class TestDocumentErrors:
         path = write_doc(tmp_path, table_doc())
         assert cli.main(["analyze", path, "--workers", "0"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("analyze", {"mode": "run", "pair": PAIR},
+         "mode: 'run' not valid for analyze (choices: table, chain-table, tradeoff)"),
+        ("analyze", {"kind": "nope", "pair": PAIR},
+         "kind: must be one of analyze, compare, simulate"),
+        ("sweep", table_doc(kind="simulate"),
+         "sweep runs analyze documents; this one says kind=simulate"),
+        ("analyze",
+         {"pair": {"links": {"s": {"lam": "inf", "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}},
+          "metrics": ["rate_noncognitive"]},
+         "rate_noncognitive: hop s has no peak-power-limited rate (lam=inf)"),
+        ("analyze", table_doc(sweep={"parameter": "pair.links.s.lam.x", "grid": [1.0, 2.0]}),
+         "sweep.parameter: 'lam' in 'pair.links.s.lam.x' is not a section"),
+        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4}, "metrics": ["throughput"]},
+         "chain: needs q_s (with q_c, q_d) or xi (with xi_c, xi_d)"),
+    ], ids=["mode", "kind", "sweep_kind", "noncognitive_lam_inf", "path_through_value", "chain_form"])
+    def test_one_line_config_error(self, tmp_path, capsys, command, doc, message):
+        rc, out, err = exit_cleanly([command, write_doc(tmp_path, doc)], capsys)
+        assert (rc, out, err) == (cli.EXIT_CONFIG, "", [f"config error: {message}"])
+
+    def test_null_modulation_is_the_default(self, tmp_path, capsys):
+        doc = {"pair": PAIR, "metrics": ["ser_cnbr"]}
+        default = run_csv(["analyze", write_doc(tmp_path, doc)], capsys)
+        doc["modulation"] = None
+        assert run_csv(["analyze", write_doc(tmp_path, doc)], capsys) == default
+
 
 class TestAnalyze:
     def test_table(self, tmp_path, capsys):

@@ -150,6 +150,10 @@ class TestSteadyState:
             arrival, departure = flow_rates(p)
             assert arrival == pytest.approx(departure, abs=1e-14)
             assert throughput(p) == pytest.approx(arrival, abs=1e-14)
+        # an infinite buffer (q_s = 1/3, q_c = q_r = 2/3): pi_0 = 1/3 and no full state
+        p = ThresholdProtocolParams.from_xis(math.inf, 2.0, 0.5, 0.0)
+        rates = (*flow_rates(p), throughput(p))
+        assert rates == pytest.approx((4.0 / 9.0,) * 3, abs=1e-15)
 
     def test_occupancy_within_range(self):
         p = ThresholdProtocolParams(10, 0.7, 0.9, 0.3)
@@ -203,6 +207,8 @@ class TestDelays:
         assert d_big.t_q == pytest.approx(d_inf.t_q, abs=1e-12)
         assert d_big.t_u == pytest.approx(d_inf.t_u, abs=1e-12)
         assert throughput(p_big) == pytest.approx(throughput(p_inf), abs=1e-12)
+        with pytest.raises(ValueError, match="^steady_state requires a finite buffer$"):
+            steady_state(p_inf)
 
 
 class TestReversal:
@@ -294,12 +300,18 @@ class TestMdmt:
         r = mdmt_xi_range(0.5, SchemeConstraint(0.5, 0.3))
         assert not r.feasible
         assert r.violated == "t_max below one slot"
+        # the delay interval exists, but the floor's ceiling sits below it
+        r = mdmt_xi_range(1.0, SchemeConstraint(10.0, 0.45))
+        assert not r.feasible
+        assert r.violated == "throughput floor empties the interval"
 
     def test_rejects_bad_x_star(self):
         with pytest.raises(ValueError):
             mdmt_min_delay(0.0)
         with pytest.raises(ValueError):
             mdmt_delay(0.5, 1.0)
+        with pytest.raises(ValueError, match="^x_star must be positive$"):
+            mdmt_xi_range(0.0, SchemeConstraint(4.0, 0.25))
 
 
 class TestCt:
@@ -337,6 +349,8 @@ class TestCt:
         with pytest.raises(ValueError):
             ct_xi_min(0.2, 2.0)  # tau*(1+t_max) < 1
         assert ct_xi_min(0.25, 3.0) == math.inf
+        with pytest.raises(ValueError, match=r"^tau_star must lie in \(0, 1/2\)$"):
+            ct_xi_min(0.6, 2.0)
         with pytest.raises(ValueError):
             ct_xi_c(0.6, 2.0)
         with pytest.raises(ValueError):
@@ -368,6 +382,8 @@ class TestEpsilonFamily:
             epsilon_xi_c(-0.1, 2.0)
         with pytest.raises(ValueError):
             epsilon_xi_c(2.0, 2.0)  # denominator crosses zero
+        with pytest.raises(ValueError, match="^xi must exceed 1$"):
+            epsilon_xi_c(0.0, 1.0)
 
 
 class TestSerAsymThreshold:

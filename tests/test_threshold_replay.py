@@ -153,7 +153,7 @@ def replaced_proofs(monkeypatch, replace):
     return the list of (lo, hi, bracket) of every call."""
     prove, calls = analytic._proved_bracket, []
 
-    def routed(probe, lo, hi, guess=None):
+    def routed(probe, lo, hi, guess):
         calls.append((lo, hi, replace(prove, probe, lo, hi, guess)))
         return calls[-1][2]
 
@@ -254,8 +254,8 @@ class TestScanReadsTheProof:
         # a false proof puts the target between 0.30 and 0.29 decades below
         # the top, so the scan stops at the step 0.5 below, read as under the
         # target. At t = 3 it is over it: the bisection cannot leave that
-        # step, the search evaluates it once the bisection ends, and scans
-        # again evaluating every step
+        # step, the search evaluates it once the bisection ends, and runs the
+        # plain search, evaluating every step
         steps = scan_steps(PAIR_MIXED, 4)
         plain = outcome(rho_for_delay_bound_plain, PAIR_MIXED, 3.0)
 
@@ -265,9 +265,44 @@ class TestScanReadsTheProof:
             return prove(probe, lo, hi, guess)
 
         calls = replaced_proofs(monkeypatch, false_before_the_scan)
+        seen = computed_thresholds(monkeypatch)
         assert outcome(analytic.rho_for_delay_bound, PAIR_MIXED, 3.0) == plain
-        # the second pass proved over the plain scan's bracket
-        assert [(lo, hi) for lo, hi, _ in calls[-2:]] == [(-30.0, steps[0]), (steps[3], steps[0])]
+        # one proof of the delay search, none over the plain scan's bracket
+        assert [(lo, hi) for lo, hi, _ in calls if hi != 30.0] == [(-30.0, steps[0])]
+        assert {10.0**x for x in steps} <= set(seen)
+
+    @pytest.mark.parametrize("offsets", [(0.01, 0.011), (-0.011, -0.01)], ids=["above", "below"])
+    def test_false_proof_inside_the_last_step(self, monkeypatch, offsets):
+        # a false proof of both sides 0.01 decades off the root, inside the
+        # last scan step: the scan reads its steps right, the bisection closes
+        # on the false bracket, and the check of both final ends, one of them
+        # on its wrong side, runs the plain search
+        plain = rho_for_delay_bound_plain(PAIR_MIXED, 5.0)
+        root = math.log10(plain)
+        top = search_top(PAIR_MIXED)
+        last = top - 0.25 * math.ceil((top - root) / 0.25)
+        assert last < root - 0.011 and root + 0.011 < last + 0.25
+
+        def false_before_the_scan(prove, probe, lo, hi, guess):
+            if (lo, hi) == (-30.0, top):
+                return root + offsets[0], root + offsets[1]
+            return prove(probe, lo, hi, guess)
+
+        replaced_proofs(monkeypatch, false_before_the_scan)
+        bisect, brackets = analytic._bisect_log10, []
+
+        def recorded(f, lo, hi, xtol=0.0):
+            out = bisect(f, lo, hi, xtol)
+            brackets.append((xtol, lo, out))
+            return out
+
+        monkeypatch.setattr(analytic, "_bisect_log10", recorded)
+        assert analytic.rho_for_delay_bound(PAIR_MIXED, 5.0) == plain
+        misread, rerun = [(lo, out) for xtol, lo, out in brackets if xtol == 1e-10]
+        # both bisected the last scan step; the misread one closed on the
+        # false bracket's near end
+        assert misread[0] == rerun[0] == last
+        assert abs(misread[1][0] - root) > 0.009 and 10.0 ** rerun[1][0] == plain
 
 
 # wrong guesses built from a locator's own (x, slope), or from the bracket
@@ -473,8 +508,8 @@ class TestLyingProof:
         bisect = analytic._bisect_log10
         brackets = []
 
-        def recorded(f, lo, hi, xtol=0.0, proved=None):
-            out = bisect(f, lo, hi, xtol, proved)
+        def recorded(f, lo, hi, xtol=0.0):
+            out = bisect(f, lo, hi, xtol)
             brackets.append((xtol, out))
             return out
 
@@ -482,7 +517,7 @@ class TestLyingProof:
         rho = analytic.rho_for_delay_bound(PAIR_MIXED, t_target)
         lo, hi = brackets[-1][1]
         assert brackets[-1][0] == 1e-10 and rho == 10.0**lo and hi - lo < 1e-10
-        # the replay did not end on evaluated points, so the plain one reran
-        assert [xtol for xtol, _ in brackets].count(1e-10) == 2
+        # the lying error bounds prove no bracket of the target: the search runs plain
+        assert rho == rho_for_delay_bound_plain(PAIR_MIXED, t_target)
         assert analytic.delay_bound_adaptive(PAIR_MIXED, 10.0**lo) <= t_target
         assert analytic.delay_bound_adaptive(PAIR_MIXED, 10.0**hi) > t_target
