@@ -13,12 +13,12 @@ shapes in the SNR variable x:
                                                   ln(a) offset cancels)
 
 The marginal CCDF, the product CCDF of the bottleneck SNR, and the joint
-CCDF of (selection decision, hop SNR) are all built as term lists once, and
-then rates, gaussian-weight expectations (for error probability) and
-log-squared weights (for the second moment of rate) follow from one small
-dictionary of integrals per shape. The same machinery therefore guarantees
-that a probability, its rate integral and its error-weight integral always
-refer to the same underlying expression.
+CCDF of (selection decision, hop SNR) are all built as term lists once.
+Every exact quantity is E[k(gamma)] for a kernel k under one law, read
+through one seam: _selected for a hop's selected law, _law for a marginal or
+the bottleneck law. Both hand a term list to _expect, which integrates it
+against k from one small dictionary of integrals per shape, so a
+probability, its rate and its error weight refer to the same expression.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "avg_rate_cabr",
     "avg_rate_cnbr",
     "avg_rate_cbr",
-    "ew_joint_ccdf_sr",
     "ser_cabr_hop_s",
     "ser_cabr_hop_r",
     "ser_exact_cabr",
@@ -187,10 +186,6 @@ def _eval_term(t: _Term, x: float) -> float:
     return t.c * decay * exp_integral_en_scaled(1, (x + t.mu) / t.a)
 
 
-def eval_terms(terms: Iterable[_Term], x: float) -> float:
-    return math.fsum(_eval_term(t, x) for t in terms)
-
-
 def _times(c: float, q: QuadValue) -> tuple[float, float]:
     """c q for a quadrature result q, and c times the error quad reported for q."""
     return c * q, abs(c) * q.err
@@ -235,10 +230,6 @@ def _sum_with_err(terms: Iterable[_Term], term) -> tuple[float, float]:
     return math.fsum(v for v, _ in parts), err
 
 
-def rate_terms_nats(terms: Iterable[_Term]) -> float:
-    return _sum_with_err(terms, _rate_term_nats)[0]
-
-
 def _ew_term(t: _Term, eta: float) -> float:
     """Expectation of one shape under the weight sqrt(eta/(2 pi w)) e^(-eta w/2)."""
     c, mu, a = t.c, t.mu, t.a
@@ -257,10 +248,6 @@ def _ew_term(t: _Term, eta: float) -> float:
     if t.kind == "e1":
         return c * integral_L(mu, a, eta)
     return c * integral_L(mu, math.inf, eta)
-
-
-def ew_terms(terms: Iterable[_Term], eta: float) -> float:
-    return math.fsum(_ew_term(t, eta) for t in terms)
 
 
 def _w2_term_nats(t: _Term) -> tuple[float, float]:
@@ -400,6 +387,45 @@ def joint_terms_sr(pair: HopPair, rho: float) -> list[_Term]:
 
 
 # ---------------------------------------------------------------------------
+# the seam: E[k(gamma)] under one law, for every exact quantity
+
+# the kernels k as the tests' oracle names them; a ModulationParams is the SER kernel
+ONE, RATE, RATE2 = "one", "rate", "rate2"
+
+
+def _expect(terms: list[_Term], kernel, q: float = 1.0) -> tuple[float, float]:
+    """E[k(gamma)] in bits over the law whose CCDF the terms sum to, with q its
+    total mass, and an error bound (0.0 for the symbol-error kernel)."""
+    if kernel == RATE:
+        v, e = _sum_with_err(terms, _rate_term_nats)
+        return v / LN2, e / LN2
+    if kernel == RATE2:
+        v, e = _sum_with_err(terms, _w2_term_nats)
+        return v / (LN2 * LN2), e / (LN2 * LN2)
+    return 0.5 * kernel.phi * (q - math.fsum(_ew_term(t, kernel.eta) for t in terms)), 0.0
+
+
+@memoized
+def _selected(pair: HopPair, rho: float, kernel, hop: str) -> tuple[float, float]:
+    """E[k(gamma_hop); hop selected at rho] and its error bound. Hop r is hop s
+    of the reversed pair at 1/rho, but its ONE, on which its symbol-error
+    kernel conditions, is 1 - q_s of the forward pair."""
+    if kernel == ONE:
+        q_s = joint_ccdf_sr(pair, rho, 0.0)
+        return (q_s if hop == "s" else 1.0 - q_s), 0.0
+    q = _selected(pair, rho, ONE, hop)[0] if isinstance(kernel, ModulationParams) else 1.0
+    if hop == "r":
+        pair, rho = reverse(pair, SelectionThresholds.uniform(rho))[0], 1.0 / rho
+    return _expect(joint_terms_sr(pair, rho), kernel, q)
+
+
+def _law(link_or_pair: LinkParams | HopPair, kernel) -> tuple[float, float]:
+    """E[k] and its error bound for a link's SNR or a pair's min(gamma_s, gamma_r)."""
+    terms = marginal_terms if isinstance(link_or_pair, LinkParams) else product_terms
+    return _expect(terms(link_or_pair), kernel)
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -427,13 +453,13 @@ def joint_ccdf_sr(pair: HopPair, rho: float, x: float) -> float:
     """Pr{gamma_r <= rho gamma_s, gamma_s > x}: first hop selected and strong."""
     if x < 0.0:
         raise ValueError("x must be non-negative")
-    v = eval_terms(joint_terms_sr(pair, rho), x)
+    v = math.fsum(_eval_term(t, x) for t in joint_terms_sr(pair, rho))
     return min(1.0, max(0.0, v))
 
 
 def lsp(pair: HopPair, rho: float) -> tuple[float, float]:
     """Link-selection probabilities (q_s, q_r) for the interior threshold."""
-    q_s = joint_ccdf_sr(pair, rho, 0.0)
+    q_s = _selected(pair, rho, ONE, "s")[0]
     return q_s, 1.0 - q_s
 
 
@@ -573,7 +599,7 @@ def _rule_nodes(link: LinkParams) -> tuple[np.ndarray, np.ndarray]:
 def _rule_moments(pair: HopPair):
     """log10 rho -> the rule's first and second moments of ln(1 + gamma) of
     the selected hop, (m1s, m1r, m2s, m2r): hop s weighs F_r(rho g), hop r
-    F_s(g / rho), as _hop_moments' reversed pair does. They are in nats, which
+    F_s(g / rho), as _selected's reversed pair does. They are in nats, which
     changes neither the rate ratio nor the delay bound."""
     gs, ws = _rule_nodes(pair.s)
     gr, wr = _rule_nodes(pair.r)
@@ -666,27 +692,18 @@ def rho_opt_fixed(pair: HopPair) -> float:
 
 def avg_capacity_hop(link: LinkParams) -> float:
     """Ergodic capacity E[log2(1 + gamma)] of one hop in bits per channel use."""
-    return rate_terms_nats(marginal_terms(link)) / LN2
+    return _law(link, RATE)[0]
 
 
 def avg_rate_cabr_hop_s(pair: HopPair, rho: float) -> float:
     """Average rate carried by the first hop under adaptive selection."""
-    return _hop_moments(pair, rho, _rate_term_nats, LN2)[0]
+    return _selected(pair, rho, RATE, "s")[0]
 
 
 def avg_rate_cabr_hop_r(pair: HopPair, rho: float) -> float:
     """Average rate carried by the second hop under adaptive selection: the
     first hop's rate of the reversed pair at 1/rho."""
-    return _hop_moments(pair, rho, _rate_term_nats, LN2)[2]
-
-
-@memoized
-def _hop_moments(pair: HopPair, rho: float, term, scale: float) -> tuple[float, ...]:
-    """(s, err_s, r, err_r): a moment of both hops' selected rate over scale."""
-    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    s, es = _sum_with_err(joint_terms_sr(pair, rho), term)
-    r, er = _sum_with_err(joint_terms_sr(rpair, 1.0 / rho), term)
-    return s / scale, es / scale, r / scale, er / scale
+    return _selected(pair, rho, RATE, "r")[0]
 
 
 @memo()
@@ -707,7 +724,8 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
     last = [0.0, 0.0, 0.0]  # log10 rho, rs and rr of the latest evaluation
 
     def rates(log10_rho: float) -> tuple[float, ...]:
-        return _hop_moments(pair, 10.0**log10_rho, _rate_term_nats, LN2)
+        rho = 10.0**log10_rho
+        return _selected(pair, rho, RATE, "s") + _selected(pair, rho, RATE, "r")
 
     def gap(log10_rho: float) -> float:
         rs, _, rr, _ = rates(log10_rho)
@@ -730,7 +748,7 @@ def avg_rate_cabr(pair: HopPair) -> tuple[float, float]:
 
 def avg_rate_cnbr(pair: HopPair) -> float:
     """Fixed-alternation relay rate (1/2) E[log2(1 + min(gamma_s, gamma_r))]."""
-    return rate_terms_nats(product_terms(pair)) / (2.0 * LN2)
+    return 0.5 * _law(pair, RATE)[0]
 
 
 def avg_rate_cbr(pair: HopPair) -> float:
@@ -738,28 +756,21 @@ def avg_rate_cbr(pair: HopPair) -> float:
     return 0.5 * min(avg_capacity_hop(pair.s), avg_capacity_hop(pair.r))
 
 
-def ew_joint_ccdf_sr(pair: HopPair, rho: float, eta: float) -> float:
-    """Expectation of the joint selection CCDF under the gaussian error weight."""
-    return ew_terms(joint_terms_sr(pair, rho), eta)
-
-
-def _conditioned_ser(pair: HopPair, rho: float, mod: ModulationParams, q: float) -> float:
-    """First-hop symbol error rate of pair at rho, conditioned on that hop's
-    selection probability q."""
+def _conditioned_ser(pair: HopPair, rho: float, mod: ModulationParams, hop: str) -> float:
+    """Symbol error rate of the hop at rho, conditioned on its selection."""
     # conditioning divides two absolutely-accurate closed forms: the numerator
     # q - Ew carries about 1e-10 absolute error, so the quotient is off by
     # about 1e-10 / (2 p q) relative, and below q = 1e-7 it has no correct
     # digits (185.44 at q_s = 1.4e-9 on the acceptance pair)
+    q = _selected(pair, rho, ONE, hop)[0]
     if not (q >= 1e-7):
-        raise OneSidedError(
-            "selection is too one-sided to condition on (q_s or q_r < 1e-7)"
-        )
-    return 0.5 * mod.phi * (q - ew_joint_ccdf_sr(pair, rho, mod.eta)) / q
+        raise OneSidedError("selection is too one-sided to condition on (q_s or q_r < 1e-7)")
+    return _selected(pair, rho, mod, hop)[0] / q
 
 
 def ser_cabr_hop_s(pair: HopPair, rho: float, mod: ModulationParams) -> float:
     """Symbol error rate of the first hop conditioned on its selection."""
-    return _conditioned_ser(pair, rho, mod, lsp(pair, rho)[0])
+    return _conditioned_ser(pair, rho, mod, "s")
 
 
 def ser_cabr_hop_r(pair: HopPair, rho: float, mod: ModulationParams) -> float:
@@ -768,8 +779,7 @@ def ser_cabr_hop_r(pair: HopPair, rho: float, mod: ModulationParams) -> float:
     It conditions on q_r = 1 - q_s of the forward pair and integrates over
     the reversed pair at 1/rho.
     """
-    rpair, _ = reverse(pair, SelectionThresholds.uniform(rho))
-    return _conditioned_ser(rpair, 1.0 / rho, mod, lsp(pair, rho)[1])
+    return _conditioned_ser(pair, rho, mod, "r")
 
 
 def ser_exact_cabr(pair: HopPair, rho: float, mod: ModulationParams) -> SerTriple:
@@ -781,11 +791,8 @@ def ser_exact_cabr(pair: HopPair, rho: float, mod: ModulationParams) -> SerTripl
 
 def ser_exact_cnbr(pair: HopPair, mod: ModulationParams) -> SerTriple:
     """Per-hop symbol error rates of the fixed-alternation relay."""
-    vals = []
-    for link in (pair.s, pair.r):
-        ew = ew_terms(marginal_terms(link), mod.eta)
-        vals.append(0.5 * mod.phi * (1.0 - ew))
-    return SerTriple(vals[0], vals[1], vals[0] + vals[1])
+    p_s, p_r = _law(pair.s, mod)[0], _law(pair.r, mod)[0]
+    return SerTriple(p_s, p_r, p_s + p_r)
 
 
 def _interference_factor(link: LinkParams) -> float:
@@ -836,14 +843,12 @@ def _delay_bound(pair: HopPair, rho: float) -> tuple[float, float]:
     # essentially never selected their ratios carry no correct digits (and
     # the bound has long since plateaued anyway)
     if lsp(pair, rho)[0] < _Q_MIN:
-        raise OneSidedError(
-            "threshold too one-sided for the conditional-moment delay bound"
-        )
-    m1s, e1s, m1r, e1r = _hop_moments(pair, rho, _rate_term_nats, LN2)
+        raise OneSidedError("threshold too one-sided for the conditional-moment delay bound")
+    (m1s, e1s), (m1r, e1r) = _selected(pair, rho, RATE, "s"), _selected(pair, rho, RATE, "r")
     xi = m1r / m1s
     if not (xi > 1.0):
         raise PastBalanceError("delay bound requires a starving buffer (xi > 1)")
-    m2s, e2s, m2r, e2r = _hop_moments(pair, rho, _w2_term_nats, LN2 * LN2)
+    (m2s, e2s), (m2r, e2r) = _selected(pair, rho, RATE2, "s"), _selected(pair, rho, RATE2, "r")
     bound = _mean_delay(m1s, m1r, m2s, m2r)
     d1s, d1r = e1s / abs(m1s), e1r / abs(m1r)
     d2 = max(e2s / abs(m2s), e2r / abs(m2r)) if m2s and m2r else math.inf

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import difflib
 import errno
 import json
 import math
@@ -128,9 +129,13 @@ def _check(f, value, label, path=""):
             fail("must be a mapping" if f.key else f.what)  # list items say what they need
         if not (f.fields or f.forms):
             return value
+        forms = f.forms or {}
+        form = value[f.by] if f.by else next((k for k in forms if k in value), "")
+        # the chosen form's fields, or every form's while none is chosen
+        chosen = forms[form] if isinstance(form, str) and form in forms else sum(forms.values(), ())
+        _refuse_unread(value, [g.key for g in f.fields + chosen], f"{path}.", "unknown key")
         out = _section(value, f.fields, f"{path}.")
         if f.forms:
-            form = value[f.by] if f.by else next((k for k in f.forms if k in value), "")
             if form not in f.forms:
                 fail(f.what)
             out.update(_section(value, f.forms[form], f"{path}."))
@@ -178,6 +183,15 @@ def _check(f, value, label, path=""):
     if (f.range == "> 0" or f.type == "rho") and not (v > 0.0):
         fail("must be positive")
     return v
+
+
+def _refuse_unread(sec, known, prefix, message):
+    """A ConfigError naming the first key of mapping ``sec`` not in ``known``, if any."""
+    for key in sec:
+        if key not in known:
+            close = difflib.get_close_matches(str(key), known, n=1)
+            hint = f" (did you mean '{close[0]}'?)" if close else ""
+            raise ConfigError(f"{prefix}{key}: {message}{hint}")
 
 
 def _section(sec, fields, prefix=""):
@@ -1114,11 +1128,19 @@ PRESETS = {
 # commands
 
 
-def _table_for(kind, doc, workers):
+def _mode_for(kind, doc):
     choices = [name for name, spec in _MODES.items() if spec.kind == kind]
     mode = doc.get("mode", "chain-table" if kind == "analyze" and "chain" in doc else choices[0])
     if mode not in choices:
         raise ConfigError(f"mode: '{mode}' not valid for {kind} (choices: {', '.join(choices)})")
+    return mode
+
+
+def _table_for(kind, doc, workers):
+    # the document is checked whole: a key its mode does not read is refused,
+    # as every nested map's unknown keys are when the map is read
+    mode = _mode_for(kind, doc)
+    _refuse_unread(doc, [*_MODES[mode].fields, "kind", "mode"], "", f"not read by mode '{mode}'")
     columns, payloads = _MODES[mode].build(doc)
     return columns, _run_tasks(mode, payloads, workers)
 
@@ -1204,11 +1226,18 @@ def _load_document(args):
         doc.update(user)
     if not doc:
         raise ConfigError("a config file or --preset is required")
+    return doc
+
+
+def _apply_flags(args, kind, doc):
+    """Set --slots and --seed in the document; refused where its mode does not read them."""
+    mode = _mode_for(kind, doc)
     for flag in ("slots", "seed"):
         value = getattr(args, flag)
         if value is not None:
-            doc[flag] = _check(_FIELDS[flag], value, f"--{flag}")
-    return doc
+            if flag not in _MODES[mode].fields:
+                raise ConfigError(f"--{flag}: not read by mode '{mode}'")
+            doc[flag] = _check(_MODES[mode].fields[flag], value, f"--{flag}")
 
 
 def _resolve_workers(args):
@@ -1270,6 +1299,7 @@ def main(argv=None) -> int:
     try:
         doc = _load_document(args)
         kind = _effective_kind(args.command, doc)
+        _apply_flags(args, kind, doc)
         workers = _resolve_workers(args)
         _check_out(args.out)
         columns, rows = _table_for(kind, doc, workers)

@@ -151,9 +151,7 @@ def joint_ccdf_rd(pair: HopPair, rho: float, x: float) -> float:
 
 def second_moment_rate_hop_s(pair: HopPair, rho: float) -> float:
     """Second moment of the selected first-hop rate (bits^2 per channel use^2)."""
-    return analytic._hop_moments(
-        pair, rho, analytic._w2_term_nats, analytic.LN2 * analytic.LN2
-    )[0]
+    return analytic._selected(pair, rho, analytic.RATE2, "s")[0]
 
 
 class MinDelay(NamedTuple):

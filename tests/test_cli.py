@@ -102,6 +102,11 @@ class TestDocumentErrors:
         path = write_doc(tmp_path, table_doc())
         assert cli.main(["analyze", path, "--workers", "0"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", ["--slots", "--seed"])
+    def test_flag_refused_where_the_mode_reads_none(self, tmp_path, capsys, flag):
+        rc, out, err = exit_cleanly(["analyze", write_doc(tmp_path, table_doc()), flag, "5"], capsys)
+        assert (rc, out, err) == (cli.EXIT_CONFIG, "", [f"config error: {flag}: not read by mode 'table'"])
+
     @pytest.mark.parametrize("command, doc, message", [
         ("analyze", {"mode": "run", "pair": PAIR},
          "mode: 'run' not valid for analyze (choices: table, chain-table, tradeoff)"),
@@ -115,9 +120,15 @@ class TestDocumentErrors:
          "rate_noncognitive: hop s has no peak-power-limited rate (lam=inf)"),
         ("analyze", table_doc(sweep={"parameter": "pair.links.s.lam.x", "grid": [1.0, 2.0]}),
          "sweep.parameter: 'lam' in 'pair.links.s.lam.x' is not a section"),
-        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4}, "metrics": ["throughput"]},
+        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4}},
          "chain: needs q_s (with q_c, q_d) or xi (with xi_c, xi_d)"),
-    ], ids=["mode", "kind", "sweep_kind", "noncognitive_lam_inf", "path_through_value", "chain_form"])
+        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4}, "metrics": ["throughput"]},
+         "metrics: not read by mode 'chain-table' (did you mean 'series'?)"),
+        ("analyze", {"pair": PAIR, "t_target": 5.0}, "t_target: not read by mode 'table'"),
+        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4, "qs": 0.5}},
+         "chain.qs: unknown key (did you mean 'q_s'?)"),
+    ], ids=["mode", "kind", "sweep_kind", "noncognitive_lam_inf", "path_through_value", "chain_form",
+            "unread_key", "key_of_another_mode", "nested_key_before_form"])
     def test_one_line_config_error(self, tmp_path, capsys, command, doc, message):
         rc, out, err = exit_cleanly([command, write_doc(tmp_path, doc)], capsys)
         assert (rc, out, err) == (cli.EXIT_CONFIG, "", [f"config error: {message}"])

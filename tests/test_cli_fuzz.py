@@ -5,8 +5,9 @@ drops or redraws the fields its mode's table lists, then sets the path under
 test and maybe one more to an edge value (no path: a valid document). One
 test case runs per mode and table path, so a field added to a table is
 fuzzed without new test code. Whatever comes out, ``cli.main`` must exit 0, 2,
-3 or 4 with at most one stderr line, never with an exception. The reference
-test keeps the README's field reference and the tables in step.
+3 or 4 with at most one stderr line, never with an exception. A misspelt key
+beside every table path must exit 2 with one stderr line naming it. The
+reference test keeps the README's field reference and the tables in step.
 """
 
 import contextlib
@@ -41,21 +42,29 @@ def small(preset, **fields):
 
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
 
-# mode -> valid documents to start from
+# mode -> valid documents to start from; each section of a mode's table, and
+# each form of the pair, is in one of them
 BASES = {
-    "table": [small("fig3"), {"metrics": ["lsp", "ser_cabr"], "rho": "balance", "pair": PAIR}],
+    "table": [small("fig3"), {
+        "metrics": ["lsp", "ser_cabr"], "rho": "balance", "pair": PAIR, "modulation": {"eta": 2.0},
+    }],
     "chain-table": [{
         "mode": "chain-table",
         "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
         "series": {"parameter": "chain.buffer_size_L", "values": [4, "inf"]},
-    }, {"chain": {"buffer_size_L": 8, "xi": 1.5, "xi_c": 0.25, "xi_d": 1.0}}],
+    }, {
+        "chain": {"buffer_size_L": 8, "xi": 1.5, "xi_c": 0.25, "xi_d": 1.0},
+        "sweep": {"parameter": "chain.xi", "grid": [1.5, 2.0]},
+    }],
     "tradeoff": [
         small("fig10", xi_grid=[1.5, 3.0], designs=[{"name": "ct", "tau_star": 0.4}],
               bound_tau_grid=[0.3], constraint={"t_max": 6.0, "tau_min": 0.3}),
         small("fig11", xi_grid=[2.0], designs=[{"name": "mdmt", "x_star": 0.5}]),
+        small("fig11", xi_grid=[2.0], designs=[{"name": "eps", "epsilon": 0.1}],
+              pair=small("fig3")["pair"]),
     ],
-    "compare": [small("fig5"), small("fig6")],
-    "delay-compare": [small("fig7")],
+    "compare": [small("fig5"), small("fig6"), {"pair": PAIR}],
+    "delay-compare": [small("fig7"), {"pair": PAIR, "t_target": 7.3}],
     "run": [{
         "kind": "simulate", "mode": "run", "scheme": "cabr", "rate_mode": "fixed",
         "rho": 0.6, "rho_c": 1.2, "rho_d": 0.3, "modulation": {"eta": 2.0},
@@ -63,6 +72,9 @@ BASES = {
     }, {
         "kind": "simulate", "mode": "run", "scheme": "cnbr", "pair": small("fig3")["pair"],
         "sweep": {"parameter": "pair.geometry.d_sp", "grid": [1.0, 2.0]}, "slots": SLOTS,
+    }, {
+        "kind": "simulate", "mode": "run", "scheme": "cabr", "rho": 1.0, "pair": PAIR,
+        "series": {"parameter": "buffer.capacity", "values": [4, "inf"]}, "slots": SLOTS,
     }],
     "overflow": [small(
         "fig8", t_targets=[7.3], geometries=[{"d_sp": 1.5, "d_rp": 2.0}], l_grid=[1.0, 4.0],
@@ -156,7 +168,7 @@ def documents(draw, mode, mutate):
 
 
 def exit_code(mode, doc, tmpdir):
-    """main's exit code, checked to be documented and to come with at most one stderr line."""
+    """main's exit code and stderr lines, checked to be documented and at most one line."""
     path = os.path.join(tmpdir, "doc.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
@@ -165,7 +177,7 @@ def exit_code(mode, doc, tmpdir):
         rc = cli.main([cli._MODES[mode].kind, path])
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONVERGENCE, cli.EXIT_INFEASIBLE)
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
-    return rc
+    return rc, err.getvalue().splitlines()
 
 
 CASES = [(mode, path) for mode in sorted(cli._MODES) for path in [None] + [
@@ -187,6 +199,25 @@ def test_documents_exit_cleanly(mode, path):
             exit_code(mode, {**doc, **doc_kind}, tmpdir)
 
         check()
+
+
+def misspelt(mode, path):
+    """A base document of the mode that holds path's section, with path's key
+    doubled at its end set beside it, and the misspelt path."""
+    doc = next(doc for doc in map(copy.deepcopy, BASES[mode]) if place(doc, path))
+    node, key = place(doc, path)
+    node[key + key[-1]] = node.get(key, 1.0)
+    return doc, path + key[-1]
+
+
+@pytest.mark.parametrize("mode, path", [
+    (mode, path) for mode, path in CASES if path and not path.endswith("[]")
+])
+def test_a_misspelt_key_is_refused(mode, path):
+    doc, wrong = misspelt(mode, path)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        rc, err = exit_code(mode, {**doc, "kind": cli._MODES[mode].kind, "mode": mode}, tmpdir)
+    assert rc == cli.EXIT_CONFIG and err[0].startswith(f"config error: {wrong}: "), err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -81,3 +81,43 @@ def test_every_export_has_a_caller(module):
     allowed = UNCALLED_BY_DESIGN.get(module, set())
     assert sorted(uncalled - allowed) == [], f"bufrelay.{module} exports names only tests call"
     assert allowed <= uncalled, "a name in UNCALLED_BY_DESIGN has a caller now; drop it there"
+
+
+
+# the term machinery that only the seam's bodies read: analytic._selected and
+# analytic._law, through analytic._expect. joint_ccdf_sr evaluates the joint
+# CCDF at any x, so it reads the joint terms itself
+SEAM = {"_selected", "_law", "_expect", "joint_ccdf_sr"}
+TERM_MACHINERY = {
+    "joint_terms_sr", "marginal_terms", "product_terms",
+    "_sum_with_err", "_rate_term_nats", "_w2_term_nats", "_ew_term", "_eval_term",
+}
+
+
+def _reads(tops: dict, name: str) -> set:
+    """The term machinery that the top-level definition name refers to, also
+    through the module's other definitions, stopping at the seam."""
+    seen, todo, found = set(), [name], set()
+    while todo:
+        node = tops[todo.pop()]
+        refs = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        found |= refs & TERM_MACHINERY
+        for ref in refs & tops.keys() - SEAM - seen:
+            seen.add(ref)
+            todo.append(ref)
+    return found
+
+
+def test_public_exact_functions_read_only_through_the_seam():
+    # the replacement of the term sums by the defining integrals (ROADMAP item
+    # 12) then changes the seam's bodies and no public function
+    from bufrelay import analytic
+
+    tree = ast.parse((SRC / "analytic.py").read_text())
+    tops = {top.name: top for top in tree.body if hasattr(top, "name")}
+    reads = {name: _reads(tops, name) for name in analytic.__all__ if name != "joint_ccdf_sr"}
+    assert {name: sorted(r) for name, r in reads.items() if r} == {}

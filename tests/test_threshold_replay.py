@@ -23,8 +23,6 @@ from bufrelay import analytic, cli, specfun
 import oracle
 from conftest import PAIR_MIXED, make_pair, random_pair, second_moment_rate_hop_s
 
-LN2 = math.log(2.0)
-
 
 def avg_rate_cabr_plain(pair):
     """Oracle: the balance point by plain bisection, every midpoint evaluated.
@@ -396,12 +394,12 @@ def test_moments_with_error_bounds_match_the_public_values():
     for k in range(8):
         pair = random_pair(rng, pip=(k % 4 == 3))
         rho = float(10.0 ** rng.uniform(-1.0, 1.0))
-        rs, es, rr, _ = analytic._hop_moments(pair, rho, analytic._rate_term_nats, LN2)
+        (rs, es), (rr, _) = (analytic._selected(pair, rho, analytic.RATE, hop) for hop in "sr")
         assert (rs, rr) == (
             analytic.avg_rate_cabr_hop_s(pair, rho),
             analytic.avg_rate_cabr_hop_r(pair, rho),
         )
-        m2s = analytic._hop_moments(pair, rho, analytic._w2_term_nats, LN2 * LN2)[0]
+        m2s = analytic._selected(pair, rho, analytic.RATE2, "s")[0]
         assert m2s == second_moment_rate_hop_s(pair, rho)
         # the bound the proofs rest on covers the distance to the oracle's
         # rate, within the oracle's own relative tolerance
