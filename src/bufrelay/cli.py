@@ -1,12 +1,11 @@
 """Experiment runner: closed-form tables, Monte Carlo runs, and figure presets.
 
 An experiment is a JSON document (or a named built-in preset, or a preset
-overlaid by a document) interpreted by one of four commands:
+overlaid by a document) interpreted by one of two commands:
 
-  analyze    evaluate closed-form metrics on a parameter grid
-  sweep      analyze with a mandatory sweep axis
+  analyze    closed-form tables: metrics on a parameter grid, threshold-protocol
+             chains and designs, and scheme rate ratios
   simulate   run the slot-level engine and join matching analytic columns
-  compare    tabulate scheme rate ratios (adaptive vs fixed schedules)
 
 Results are written to stdout or a file as CSV (RFC-4180 quoting, full
 round-trip float precision) or JSON. Sweep points are dispatched to a pool
@@ -53,7 +52,6 @@ __all__ = [
     "PRESETS",
     "cmd_analyze",
     "cmd_simulate",
-    "cmd_compare",
     "main",
 ]
 
@@ -243,9 +241,15 @@ def _set_by_path(doc, path, value, what):
     node[parts[-1]] = value
 
 
-def _expand_points(doc):
-    """Cross the optional series and sweep axes into labelled point documents."""
+def _expand_points(doc, table):
+    """Cross the optional series and sweep axes into labelled point documents;
+    each axis parameter must name a field of the mode's ``table``."""
     series, sweep = _read(doc, "series sweep")
+    fields = [k for k in table if k not in ("series", "sweep")]
+    for name, ax in (("series", series), ("sweep", sweep)):
+        if ax:
+            key = ax["parameter"].split(".", 1)[0]
+            _refuse_unread([key], fields, f"{name}.parameter: ", "not a field of this mode")
     labels = [ax.get("label", ax["parameter"].rsplit(".", 1)[-1]) for ax in (series, sweep) if ax]
     points = []
     for sv in series["values"] if series else [None]:
@@ -744,6 +748,11 @@ _LINK = _F("", "map", fields=(
     _F("lam", range="> 0", inf=True), _F("mu", range="> 0"), _F("p", default=_OPT),
 ), make=lambda **v: LinkParams(**v) if "p" in v else LinkParams.from_lambda_mu(**v))
 
+# a pair's geometry and power, also read whole by overflow, whose geometries set d_sp and d_rp
+_GEOMETRY = _F("geometry", "map", fields=tuple(_F(k, default=d) for k, d in [
+    ("d_sr", 1.0), ("d_rd", 1.0), ("d_sp", _REQ), ("d_rp", _REQ), ("alpha", 3.0)]))
+_POWER = _F("power", "map", fields=(_F("gamma_max_db"), _F("gamma_p_db")))
+
 # every top-level field, the grid modes' first
 _FIELDS = {f.key: f for f in (
     _axis("series", "values"),
@@ -753,9 +762,8 @@ _FIELDS = {f.key: f for f in (
         "links": (_F("links", "map", make=HopPair,
                      fields=(_LINK._replace(key="s"), _LINK._replace(key="r"))),),
         "": (
-            _F("geometry", "map", fields=tuple(_F(k, default=d) for k, d in [
-                ("d_sr", 1.0), ("d_rd", 1.0), ("d_sp", _REQ), ("d_rp", _REQ), ("alpha", 3.0)])),
-            _F("power", "map", fields=(_F("gamma_max_db"), _F("gamma_p_db"))),
+            _GEOMETRY,
+            _POWER,
             _F("omega_h_s", range="> 0", default=None),
             _F("omega_h_r", range="> 0", default=None),
         ),
@@ -803,9 +811,9 @@ _FIELDS = {f.key: f for f in (
     _F("geometries", "list", what="non-empty list of {d_sp, d_rp} required", fields=(_F(
         "", "map", label="geometries[]", what="must be mappings",
         fields=(_F("d_sp", range="> 0"), _F("d_rp", range="> 0"))),)),
-    # passed to the points, which read them as a pair's geometry and power
-    _F("geometry_base", "map", default={}),
-    _F("power", "map"),
+    _GEOMETRY._replace(key="geometry_base", default={}, fields=tuple(
+        f for f in _GEOMETRY.fields if f.key not in ("d_sp", "d_rp"))),
+    _POWER,
     # ser-sweep
     _F("cases", "list", fields=(_F(
         "", "map", label="cases[]", by="name", what="mapping with a 'name' required", fields=(
@@ -831,24 +839,6 @@ def _read(doc, keys, table=_FIELDS):
 
 # ---------------------------------------------------------------------------
 # mode builders: document -> (columns, payloads)
-
-
-def _grid_builder(fields):
-    """Builder of a mode with one payload per series x sweep point.
-
-    ``fields(doc, labels)`` returns the mode's columns after the labels and the
-    payload entries every point shares.
-    """
-
-    def build(doc):
-        labels, points = _expand_points(doc)
-        columns, shared = fields(doc, labels)
-        payloads = [
-            dict(shared, labels=lab, doc=pt, index=i) for i, (lab, pt) in enumerate(points)
-        ]
-        return list(labels) + list(columns), payloads
-
-    return build
 
 
 def _fields_of(record):
@@ -963,20 +953,37 @@ def _fields(keys, *own):
     return {f.key: f for f in [*(_FIELDS[k] for k in keys.split()), *own]}
 
 
+def _grid_mode(kind, fields, point, keys):
+    """Mode with one payload per series x sweep point that also reads the top-level ``keys``.
+
+    ``fields(doc, labels)`` returns the mode's columns after the labels and the
+    payload entries every point shares.
+    """
+    table = _fields("series sweep " + keys)
+
+    def build(doc):
+        labels, points = _expand_points(doc, table)
+        columns, shared = fields(doc, labels)
+        payloads = [
+            dict(shared, labels=lab, doc=pt, index=i) for i, (lab, pt) in enumerate(points)
+        ]
+        return list(labels) + list(columns), payloads
+
+    return _Mode(kind, build, point, table)
+
+
 # the first mode of each kind is its default
 _MODES = {
-    "table": _Mode("analyze", _grid_builder(_table_fields), _pt_table,
-                   _fields("series sweep metrics pair rho modulation")),
-    "chain-table": _Mode("analyze", _grid_builder(_fields_of(_ChainRow)), _pt_chain,
-                         _fields("series sweep chain")),
+    "table": _grid_mode("analyze", _table_fields, _pt_table, "metrics pair rho modulation"),
+    "chain-table": _grid_mode("analyze", _fields_of(_ChainRow), _pt_chain, "chain"),
     "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff, _fields(
         "objective xi_grid designs constraint bound_tau_grid pair modulation")),
-    "compare": _Mode("compare", _grid_builder(lambda _, labels: _table_fields(_COMPARE, labels)),
-                     _pt_table, _fields("series sweep pair")),
-    "delay-compare": _Mode("compare", _grid_builder(_fields_of(_DelayCompareRow)),
-                           _pt_delay_compare, _fields("series sweep pair t_target")),
-    "run": _Mode("simulate", _grid_builder(_run_fields), _pt_run, _fields(
-        "series sweep seed slots pair scheme rate_mode rho rho_c rho_d modulation buffer")),
+    "compare": _grid_mode("analyze", lambda _, labels: _table_fields(_COMPARE, labels),
+                          _pt_table, "pair"),
+    "delay-compare": _grid_mode("analyze", _fields_of(_DelayCompareRow), _pt_delay_compare,
+                                "pair t_target"),
+    "run": _grid_mode("simulate", _run_fields, _pt_run,
+                      "seed slots pair scheme rate_mode rho rho_c rho_d modulation buffer"),
     "overflow": _Mode("simulate", _build_overflow, _pt_overflow, _fields(
         "l_grid t_targets geometries geometry_base power seed",
         _F("slots", "int", 1, default=500_000))),
@@ -1014,10 +1021,10 @@ def _fig_pair(d_sp, d_rp):
     }
 
 
-def _d_sp_curves(kind, mode, **fields):
+def _d_sp_curves(mode, **fields):
     """Preset over the source-to-primary distance, one curve per relay-to-primary distance."""
     return {
-        "kind": kind,
+        "kind": "analyze",
         "mode": mode,
         **fields,
         "pair": _fig_pair(2.0, 2.0),
@@ -1029,16 +1036,16 @@ def _d_sp_curves(kind, mode, **fields):
 PRESETS = {
     # adaptive-rate throughput vs source-to-primary distance, one curve per
     # relay-to-primary distance, with the unconstrained-power reference
-    "fig3": _d_sp_curves("analyze", "table", metrics=["rate_cabr", "rate_noncognitive"]),
+    "fig3": _d_sp_curves("table", metrics=["rate_cabr", "rate_noncognitive"]),
     # balance threshold (log2) vs source-to-primary distance; crosses zero
     # where the two interference distances coincide
-    "fig4": _d_sp_curves("analyze", "table", metrics=["rho_balance"]),
+    "fig4": _d_sp_curves("table", metrics=["rho_balance"]),
     # adaptive-selection rate gain over the alternating schedule
-    "fig5": _d_sp_curves("compare", "compare"),
+    "fig5": _d_sp_curves("compare"),
     # rate gain over the block fill-then-drain schedule vs the distance ratio;
     # the sweep value multiplies the per-series d_rp to give d_sp
     "fig6": {
-        "kind": "compare",
+        "kind": "analyze",
         "mode": "compare",
         "pair": _fig_pair(2.0, 2.0),
         "series": {"parameter": "pair.geometry.d_rp", "values": [2.0, 3.0]},
@@ -1051,7 +1058,7 @@ PRESETS = {
     },
     # rate gain over the alternating schedule when the mean delay is capped
     "fig7": {
-        "kind": "compare",
+        "kind": "analyze",
         "mode": "delay-compare",
         "pair": _fig_pair(2.0, 2.0),
         "series": {"parameter": "t_target", "values": [7.3, 3.3]},
@@ -1146,18 +1153,13 @@ def _table_for(kind, doc, workers):
 
 
 def cmd_analyze(doc, workers=1):
-    """Closed-form metric table over the configured grid."""
+    """Closed-form table of the document's mode over its grid."""
     return _table_for("analyze", doc, workers)
 
 
 def cmd_simulate(doc, workers=1):
     """Monte Carlo runs joined with their matching analytic columns."""
     return _table_for("simulate", doc, workers)
-
-
-def cmd_compare(doc, workers=1):
-    """Scheme rate-ratio table over the configured grid."""
-    return _table_for("compare", doc, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -1248,19 +1250,14 @@ def _resolve_workers(args):
     return args.workers
 
 
-def _effective_kind(command, doc):
-    kind = doc.get("kind", "analyze" if command == "sweep" else command)
+def _check_kind(command, doc):
+    """Refuse a document whose ``kind`` is not the command that runs it."""
+    kind = doc.get("kind", command)
     kinds = sorted({mode.kind for mode in _MODES.values()})
     if kind not in kinds:
         raise ConfigError(f"kind: must be one of {', '.join(kinds)}")
-    if command == "sweep":
-        if kind != "analyze":
-            raise ConfigError(f"sweep runs analyze documents; this one says kind={kind}")
-        if "sweep" not in doc:
-            raise ConfigError("sweep: a sweep section is required")
-    elif kind != command:
+    if kind != command:
         raise ConfigError(f"this document says kind={kind}; run `bufrelay {kind}`")
-    return kind
 
 
 def _build_parser():
@@ -1274,10 +1271,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
-        "analyze": "evaluate closed-form metrics on a grid",
-        "sweep": "analyze with a mandatory sweep axis",
+        "analyze": "evaluate closed-form tables: metrics, chains, designs, rate ratios",
         "simulate": "run the slot-level engine with analytic overlay columns",
-        "compare": "tabulate scheme rate ratios",
     }
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
@@ -1298,11 +1293,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = _load_document(args)
-        kind = _effective_kind(args.command, doc)
-        _apply_flags(args, kind, doc)
+        _check_kind(args.command, doc)
+        _apply_flags(args, args.command, doc)
         workers = _resolve_workers(args)
         _check_out(args.out)
-        columns, rows = _table_for(kind, doc, workers)
+        columns, rows = _table_for(args.command, doc, workers)
         _emit(columns, rows, args.out, args.fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -79,12 +79,19 @@ class TestDocumentErrors:
         assert cli.main(["simulate", path]) == cli.EXIT_CONFIG
         assert "run `bufrelay analyze`" in capsys.readouterr().err
 
-    def test_sweep_command_requires_axis(self, tmp_path, capsys):
-        doc = table_doc()
-        del doc["sweep"]
-        path = write_doc(tmp_path, doc)
-        assert cli.main(["sweep", path]) == cli.EXIT_CONFIG
-        assert "sweep section" in capsys.readouterr().err
+    def test_compare_and_sweep_are_refused(self, tmp_path, capsys):
+        # analyze runs every closed-form mode: there is no compare or sweep
+        # command, and no compare kind
+        path = write_doc(tmp_path, {"kind": "compare", "mode": "compare", "pair": PAIR})
+        for command in ("compare", "sweep"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, path])
+            assert exc.value.code == cli.EXIT_CONFIG
+            assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        rc, out, err = exit_cleanly(["analyze", path], capsys)
+        assert (rc, out, err) == (
+            cli.EXIT_CONFIG, "", ["config error: kind: must be one of analyze, simulate"]
+        )
 
     def test_unknown_metric(self, tmp_path, capsys):
         path = write_doc(tmp_path, table_doc(metrics=["nope"]))
@@ -109,11 +116,19 @@ class TestDocumentErrors:
 
     @pytest.mark.parametrize("command, doc, message", [
         ("analyze", {"mode": "run", "pair": PAIR},
-         "mode: 'run' not valid for analyze (choices: table, chain-table, tradeoff)"),
+         "mode: 'run' not valid for analyze "
+         "(choices: table, chain-table, tradeoff, compare, delay-compare)"),
         ("analyze", {"kind": "nope", "pair": PAIR},
-         "kind: must be one of analyze, compare, simulate"),
-        ("sweep", table_doc(kind="simulate"),
-         "sweep runs analyze documents; this one says kind=simulate"),
+         "kind: must be one of analyze, simulate"),
+        ("analyze", table_doc(metrics=["rate_cnbr"], sweep={"parameter": "rho_cc", "grid": [1, 2]}),
+         "sweep.parameter: rho_cc: not a field of this mode (did you mean 'rho'?)"),
+        ("analyze", {"mode": "compare", "pair": PAIR,
+                     "series": {"parameter": "t_target", "values": [7.3]}},
+         "series.parameter: t_target: not a field of this mode"),
+        ("simulate", {**cli.PRESETS["fig8"], "power": {"gamma_max_db": 30.0, "gama_p_db": 10.0}},
+         "power.gama_p_db: unknown key (did you mean 'gamma_p_db'?)"),
+        ("simulate", {**cli.PRESETS["fig8"], "geometry_base": {"d_sp": 1.0}},
+         "geometry_base.d_sp: unknown key (did you mean 'd_sr'?)"),
         ("analyze",
          {"pair": {"links": {"s": {"lam": "inf", "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}},
           "metrics": ["rate_noncognitive"]},
@@ -127,7 +142,8 @@ class TestDocumentErrors:
         ("analyze", {"pair": PAIR, "t_target": 5.0}, "t_target: not read by mode 'table'"),
         ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4, "qs": 0.5}},
          "chain.qs: unknown key (did you mean 'q_s'?)"),
-    ], ids=["mode", "kind", "sweep_kind", "noncognitive_lam_inf", "path_through_value", "chain_form",
+    ], ids=["mode", "kind", "sweep_parameter", "series_parameter", "overflow_power",
+            "overflow_geometry_base", "noncognitive_lam_inf", "path_through_value", "chain_form",
             "unread_key", "key_of_another_mode", "nested_key_before_form"])
     def test_one_line_config_error(self, tmp_path, capsys, command, doc, message):
         rc, out, err = exit_cleanly([command, write_doc(tmp_path, doc)], capsys)
@@ -256,21 +272,21 @@ class TestAnalyze:
     def test_unbracketed_balance_point_in_delay_target_exits_convergence(self, tmp_path, capsys):
         links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
         doc = {"mode": "delay-compare", "pair": {"links": links}, "t_target": 7.3}
-        assert cli.main(["compare", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
+        assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("convergence failure: ")
 
     def test_unreachable_delay_target_exits_infeasible(self, tmp_path, capsys):
         # the bound of this pair plateaus near 2.23 as rho -> 0
         links = {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}
         doc = {"mode": "delay-compare", "pair": {"links": links}, "t_target": 2.2}
-        assert cli.main(["compare", write_doc(tmp_path, doc)]) == cli.EXIT_INFEASIBLE
+        assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_INFEASIBLE
         assert "delay target unreachable within the search range" in capsys.readouterr().err
 
     def test_delay_target_met_at_the_end_of_the_range(self, tmp_path, capsys):
         # the bound 1e-3 decades below this pair's balance point is 1388.76,
         # so a looser target gets that end of the range, not a bisected rho
         doc = {"mode": "delay-compare", "pair": PAIR, "t_target": 1e4}
-        header, rows = run_csv(["compare", write_doc(tmp_path, doc)], capsys)
+        header, rows = run_csv(["analyze", write_doc(tmp_path, doc)], capsys)
         row = {k: float(v) for k, v in zip(header, rows[0])}
         assert row["rho"] == pytest.approx(1.0441890632, rel=1e-9)
         assert row["delay_bound"] == pytest.approx(1388.7619, rel=1e-6)
@@ -706,7 +722,7 @@ class TestSimulateDeterminism:
         outs = []
         for i, workers in enumerate((1, 1, 2)):
             out_path = tmp_path / f"run{i}.csv"
-            rc = cli.main(["compare", path, "--out", str(out_path), "--workers", str(workers)])
+            rc = cli.main(["analyze", path, "--out", str(out_path), "--workers", str(workers)])
             assert rc == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1] == outs[2]

@@ -52,8 +52,8 @@ DOCS = {
         "designs": [{"name": "ct", "tau_star": 0.4}, {"name": "mdmt", "x_star": 0.5}],
         "bound_tau_grid": [0.3],
     }),
-    "compare": ("compare", {"mode": "compare", "pair": PAIR}),
-    "delay-compare": ("compare", {"mode": "delay-compare", "pair": PAIR, "t_target": 7.3}),
+    "compare": ("analyze", {"mode": "compare", "pair": PAIR}),
+    "delay-compare": ("analyze", {"mode": "delay-compare", "pair": PAIR, "t_target": 7.3}),
     "run": ("simulate", _run(
         scheme="cabr", rate_mode="fixed", rho=0.6, rho_c=1.2, rho_d=0.3,
         modulation=BPSK, buffer={"capacity": 4},

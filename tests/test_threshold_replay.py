@@ -469,7 +469,7 @@ class TestQuadratureBudget:
         counts = []
         for _ in range(2):
             quad_calls[0] = 0
-            cli.cmd_compare(copy.deepcopy(cli.PRESETS["fig7"]))
+            cli.cmd_analyze(copy.deepcopy(cli.PRESETS["fig7"]))
             counts.append(quad_calls[0])
         assert counts[0] <= 1907
         # a second run in the same process integrates as much as the first:
