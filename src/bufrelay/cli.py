@@ -3,9 +3,12 @@
 An experiment is a JSON document (or a named built-in preset, or a preset
 overlaid by a document) interpreted by one of two commands:
 
-  analyze    closed-form tables: metrics on a parameter grid, threshold-protocol
-             chains and designs, and scheme rate ratios
+  analyze    closed-form tables: metrics on a parameter grid (the schemes' rate
+             ratios among them), threshold-protocol chains and designs
   simulate   run the slot-level engine and join matching analytic columns
+
+A document's mode reads the fields that the document calls for and refuses
+every other key.
 
 Results are written to stdout or a file as CSV (RFC-4180 quoting, full
 round-trip float precision) or JSON. Sweep points are dispatched to a pool
@@ -72,9 +75,11 @@ class InfeasibleError(Exception):
 # ---------------------------------------------------------------------------
 # document fields
 #
-# Each mode lists the fields it reads in one table (after the row records).
-# One validator reads fields against their entries and returns normalized
-# values, which builders and point evaluators use without checking again.
+# Each mode lists every field it may read in one table (after the row records)
+# and works out from a document the ones it reads, its read set: the keys it
+# accepts, the axes it allows and the values each point reads once. One
+# validator reads fields against their entries and returns normalized values,
+# which builders and point evaluators use without checking again.
 
 _REQ = object()  # default of a required field: an absent key reads as null
 _OPT = object()  # default of an optional field, left out when its key is absent
@@ -241,11 +246,12 @@ def _set_by_path(doc, path, value, what):
     node[parts[-1]] = value
 
 
-def _expand_points(doc, table):
+def _expand_points(doc, reads):
     """Cross the optional series and sweep axes into labelled point documents;
-    each axis parameter must name a field of the mode's ``table``."""
-    series, sweep = _read(doc, "series sweep")
-    fields = [k for k in table if k not in ("series", "sweep")]
+    each axis parameter must name another field of the document's read set."""
+    axes = _values(doc, ["series", "sweep"])
+    series, sweep = axes.get("series"), axes.get("sweep")
+    fields = [k for k in reads if k not in ("series", "sweep")]
     for name, ax in (("series", series), ("sweep", sweep)):
         if ax:
             key = ax["parameter"].split(".", 1)[0]
@@ -282,26 +288,18 @@ def _derive_pair(links=None, geometry=None, power=None, omega_h_s=None, omega_h_
     return HopPair(*derive_link_params(geom, power, omega_h_s, omega_h_r))
 
 
-class _Point:
-    """One grid point's document and hop pair."""
-
-    def __init__(self, doc):
-        self.doc = doc
-        (self.pair,) = _read(doc, "pair")
-
-    @property
-    def balance(self):
-        """(rate, rho) at the rate balance point, solved once per memo block."""
-        return analytic.avg_rate_cabr(self.pair)
+def _balance(v):
+    """(rate, rho) at the rate balance point of a point's pair, solved once per memo block."""
+    return analytic.avg_rate_cabr(v["pair"])
 
 
-def _resolve_rho(pt, key="rho", default=None):
-    """Threshold ``key`` of the point; ``default`` where the document leaves it out."""
-    (spec,) = _read(pt.doc, key)
+def _resolve_rho(v, key="rho", default=None):
+    """Threshold ``key`` of a point's values; ``default`` where the document leaves it out."""
+    spec = v.get(key)
     if spec == "balance":
-        return pt.balance[1]
+        return _balance(v)[1]
     if spec == "fixed-opt":
-        return analytic.rho_opt_fixed(pt.pair)
+        return analytic.rho_opt_fixed(v["pair"])
     return default if spec is None else spec
 
 
@@ -315,18 +313,14 @@ def _point_seed(base: int, index: int) -> int:
 #
 # Each mode declares its columns once, as a row record that the evaluator
 # builds with keyword arguments; a header is the point labels followed by the
-# record's fields. Workers get a mode name and a payload of plain data and
-# hand rows back as plain lists, so nothing sent between processes is a record.
+# record's fields. Workers get a mode name and a payload and hand rows back as
+# plain lists, so nothing sent between processes is a record.
 
 
 def _record(name, fields, nan_default=False):
     """Row record over whitespace-separated fields; nan_default fills unset cells with nan."""
     fields = fields.split()
     return namedtuple(name, fields, defaults=[math.nan] * len(fields) if nan_default else None)
-
-
-def _row(p, record):
-    return [list(p["labels"]) + list(record)]
 
 
 def _noncognitive_pair(pair: HopPair) -> HopPair:
@@ -336,14 +330,13 @@ def _noncognitive_pair(pair: HopPair) -> HopPair:
             raise ConfigError(
                 f"rate_noncognitive: hop {name} has no peak-power-limited rate (lam=inf)"
             )
-        # push the interference cap far past the power cap so it never binds
-        links.append(LinkParams.from_lambda_mu(link.lam, 1e9 * link.lam))
+        links.append(LinkParams(link.lam, link.mu, 0.0))  # the interference cap never binds
     return HopPair(s=links[0], r=links[1])
 
 
-def _per_hop(metric, ser, pt, *rho):
+def _per_hop(metric, ser, v, *rho):
     """Cells {metric}_s and {metric}_r of a per-hop symbol error rate."""
-    t = ser(pt.pair, *rho, _read(pt.doc, "modulation")[0])
+    t = ser(v["pair"], *rho, v["modulation"])
     return {f"{metric}_s": t.p_s, f"{metric}_r": t.p_r}
 
 
@@ -355,77 +348,97 @@ def _delay_bound(pair, rho):
         return math.nan
 
 
-# metric name -> (row record, evaluator returning the record's cells by name)
+def _rho_for_delay_bound(pair, t_target):
+    with _reraise(f"t_target={t_target}", InfeasibleError):
+        return analytic.rho_for_delay_bound(pair, t_target)
+
+
+def _delay_capped(v):
+    """The threshold whose delay bound meets the target, and its rate against cnbr's."""
+    pair = v["pair"]
+    rho = _rho_for_delay_bound(pair, v["t_target"])
+    bound = analytic.delay_bound_adaptive(pair, rho)
+    rate = analytic.avg_rate_cabr_hop_s(pair, rho)  # arrival-limited throughput
+    cnbr = analytic.avg_rate_cnbr(pair)
+    return dict(rho=rho, delay_bound=bound, rate_cabr=rate, rate_cnbr=cnbr, ratio_cnbr=rate / cnbr)
+
+
+# metric name -> (row record, the fields it reads besides pair, evaluator
+# returning the record's cells by name from a point's values)
 _METRICS = {
-    name: (_record(name, fields), value)
-    for name, fields, value in [
-        ("capacity", "capacity_s capacity_r", lambda pt: dict(
-            capacity_s=analytic.avg_capacity_hop(pt.pair.s),
-            capacity_r=analytic.avg_capacity_hop(pt.pair.r),
+    name: (_record(name, fields), frozenset(reads.split()), value)
+    for name, fields, reads, value in [
+        ("capacity", "capacity_s capacity_r", "", lambda v: dict(
+            capacity_s=analytic.avg_capacity_hop(v["pair"].s),
+            capacity_r=analytic.avg_capacity_hop(v["pair"].r),
         )),
-        ("rate_cabr", "rho_balance rate_cabr", lambda pt: dict(
-            rho_balance=pt.balance[1], rate_cabr=pt.balance[0]
+        ("rate_cabr", "rho_balance rate_cabr", "", lambda v: dict(
+            rho_balance=_balance(v)[1], rate_cabr=_balance(v)[0]
         )),
-        ("rho_balance", "rho_balance log2_rho_balance", lambda pt: dict(
-            rho_balance=pt.balance[1], log2_rho_balance=math.log2(pt.balance[1])
+        ("rho_balance", "rho_balance log2_rho_balance", "", lambda v: dict(
+            rho_balance=_balance(v)[1], log2_rho_balance=math.log2(_balance(v)[1])
         )),
-        ("rate_noncognitive", "rate_noncognitive", lambda pt: dict(
-            rate_noncognitive=analytic.avg_rate_cabr(_noncognitive_pair(pt.pair))[0]
+        ("rate_noncognitive", "rate_noncognitive", "", lambda v: dict(
+            rate_noncognitive=analytic.avg_rate_cabr(_noncognitive_pair(v["pair"]))[0]
         )),
-        ("rate_cnbr", "rate_cnbr", lambda pt: dict(rate_cnbr=analytic.avg_rate_cnbr(pt.pair))),
-        ("rate_cbr", "rate_cbr", lambda pt: dict(rate_cbr=analytic.avg_rate_cbr(pt.pair))),
-        ("ratio_cnbr", "ratio_cnbr", lambda pt: dict(
-            ratio_cnbr=pt.balance[0] / analytic.avg_rate_cnbr(pt.pair)
+        ("rate_cnbr", "rate_cnbr", "", lambda v: dict(rate_cnbr=analytic.avg_rate_cnbr(v["pair"]))),
+        ("rate_cbr", "rate_cbr", "", lambda v: dict(rate_cbr=analytic.avg_rate_cbr(v["pair"]))),
+        ("ratio_cnbr", "ratio_cnbr", "", lambda v: dict(
+            ratio_cnbr=_balance(v)[0] / analytic.avg_rate_cnbr(v["pair"])
         )),
-        ("ratio_cbr", "ratio_cbr", lambda pt: dict(
-            ratio_cbr=pt.balance[0] / analytic.avg_rate_cbr(pt.pair)
+        ("ratio_cbr", "ratio_cbr", "", lambda v: dict(
+            ratio_cbr=_balance(v)[0] / analytic.avg_rate_cbr(v["pair"])
         )),
-        ("rho_opt_fixed", "rho_opt_fixed", lambda pt: dict(
-            rho_opt_fixed=analytic.rho_opt_fixed(pt.pair)
+        ("rho_opt_fixed", "rho_opt_fixed", "", lambda v: dict(
+            rho_opt_fixed=analytic.rho_opt_fixed(v["pair"])
         )),
-        ("lsp", "q_s q_r", lambda pt: dict(
-            zip(("q_s", "q_r"), analytic.lsp(pt.pair, _resolve_rho(pt)))
+        ("lsp", "q_s q_r", "rho", lambda v: dict(
+            zip(("q_s", "q_r"), analytic.lsp(v["pair"], _resolve_rho(v)))
         )),
-        ("ser_cabr", "ser_cabr_s ser_cabr_r", lambda pt: _per_hop(
-            "ser_cabr", analytic.ser_exact_cabr, pt, _resolve_rho(pt)
+        ("ser_cabr", "ser_cabr_s ser_cabr_r", "rho modulation", lambda v: _per_hop(
+            "ser_cabr", analytic.ser_exact_cabr, v, _resolve_rho(v)
         )),
-        ("ser_asym_cabr", "ser_asym_cabr_s ser_asym_cabr_r", lambda pt: _per_hop(
-            "ser_asym_cabr", analytic.ser_asym_cabr, pt, _resolve_rho(pt)
+        ("ser_asym_cabr", "ser_asym_cabr_s ser_asym_cabr_r", "rho modulation", lambda v: _per_hop(
+            "ser_asym_cabr", analytic.ser_asym_cabr, v, _resolve_rho(v)
         )),
-        ("ser_cnbr", "ser_cnbr_s ser_cnbr_r", lambda pt: _per_hop(
-            "ser_cnbr", analytic.ser_exact_cnbr, pt
+        ("ser_cnbr", "ser_cnbr_s ser_cnbr_r", "modulation", lambda v: _per_hop(
+            "ser_cnbr", analytic.ser_exact_cnbr, v
         )),
-        ("ser_asym_cnbr", "ser_asym_cnbr_s ser_asym_cnbr_r", lambda pt: _per_hop(
-            "ser_asym_cnbr", analytic.ser_asym_cnbr, pt
+        ("ser_asym_cnbr", "ser_asym_cnbr_s ser_asym_cnbr_r", "modulation", lambda v: _per_hop(
+            "ser_asym_cnbr", analytic.ser_asym_cnbr, v
         )),
-        ("delay_bound", "delay_bound", lambda pt: dict(
-            delay_bound=_delay_bound(pt.pair, _resolve_rho(pt))
+        ("delay_bound", "delay_bound", "rho", lambda v: dict(
+            delay_bound=_delay_bound(v["pair"], _resolve_rho(v))
         )),
+        ("delay_capped", "rho delay_bound rate_cabr rate_cnbr ratio_cnbr", "t_target",
+         _delay_capped),
     ]
 }
 
-# the compare mode's fixed columns; a document's metrics do not apply to it
-_COMPARE = {"metrics": ["rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr"]}
+
+def _table_reads(doc):
+    """series, sweep, metrics, pair and every field a requested metric reads."""
+    metrics = _values(doc, ["metrics"])["metrics"]
+    return {"series", "sweep", "metrics", "pair"}.union(*(_METRICS[m][1] for m in metrics))
 
 
-def _table_fields(doc, labels):
-    (metrics,) = _read(doc, "metrics")
+def _table_columns(doc, labels):
+    metrics = _values(doc, ["metrics"])["metrics"]
     fields = []
     for m in metrics:
         for col in _METRICS[m][0]._fields:
             if col in labels or col in fields:
                 raise ConfigError(f"metrics: column '{col}' requested twice")
             fields.append(col)
-    return fields, {"metrics": metrics}
+    return fields
 
 
-def _pt_table(p):
-    pt = _Point(p["doc"])
-    row = list(p["labels"])
-    for metric in p["metrics"]:
-        record, value = _METRICS[metric]
-        row.extend(record(**value(pt)))
-    return [row]
+def _pt_table(v, index):
+    row = []
+    for metric in v["metrics"]:
+        record, _, value = _METRICS[metric]
+        row.extend(record(**value(v)))
+    return row
 
 
 _ChainRow = _record("_ChainRow", """
@@ -433,8 +446,8 @@ _ChainRow = _record("_ChainRow", """
 """)
 
 
-def _pt_chain(p):
-    (chain,) = _read(p["doc"], "chain")
+def _pt_chain(v, index):
+    chain = v["chain"]
     L = chain.buffer_size_L
     if math.isinf(L):
         pi_0, pi_L = queueing._pi0_infinite(chain), 0.0
@@ -446,7 +459,7 @@ def _pt_chain(p):
             occ = queueing.mean_occupancy(chain)
             lifo_tq = queueing.lifo_equivalent_queue_delay(chain)
         pi_0, pi_L = float(pi[0]), float(pi[-1])
-    return _row(p, _ChainRow(
+    return list(_ChainRow(
         L=L, q_s=chain.q_s, q_c=chain.q_c, q_d=chain.q_d,
         xi=chain.xi, xi_c=chain.xi_c, xi_d=chain.xi_d,
         tau=queueing.throughput(chain), pi_0=pi_0, pi_L=pi_L, mean_occupancy=occ,
@@ -488,8 +501,7 @@ def _pt_tradeoff(p):
     )
     if p["objective"] == "delay":
         return [list(_DelayTradeoffRow(**common, **asdict(queueing.delays(chain))))]
-    pair = _read(p["doc"], "pair")[0]
-    mod = _read(p["doc"], "modulation")[0]
+    pair, mod = p["pair"], p["modulation"]
     with _reraise("pair"):
         return [list(_BerTradeoffRow(
             **common,
@@ -498,31 +510,11 @@ def _pt_tradeoff(p):
         ))]
 
 
-_DelayCompareRow = _record("_DelayCompareRow", "rho delay_bound rate_cabr rate_cnbr ratio_cnbr")
-
-
-def _rho_for_delay_bound(pair, t_target):
-    with _reraise(f"t_target={t_target}", InfeasibleError):
-        return analytic.rho_for_delay_bound(pair, t_target)
-
-
-def _pt_delay_compare(p):
-    doc = p["doc"]
-    pair = _read(doc, "pair")[0]
-    rho = _rho_for_delay_bound(pair, _read(doc, "t_target")[0])
-    bound = analytic.delay_bound_adaptive(pair, rho)
-    rate = analytic.avg_rate_cabr_hop_s(pair, rho)  # arrival-limited throughput
-    cnbr = analytic.avg_rate_cnbr(pair)
-    return _row(p, _DelayCompareRow(
-        rho=rho, delay_bound=bound, rate_cabr=rate, rate_cnbr=cnbr, ratio_cnbr=rate / cnbr
-    ))
-
-
 _OverflowRow = _record("_OverflowRow", "t_target d_sp d_rp rho L overflow_prob")
 
 
 def _pt_overflow(p):
-    pair = _read(p["doc"], "pair")[0]
+    pair = p["pair"]
     rho = _rho_for_delay_bound(pair, p["t_target"])
     config = sim.SchemeConfig(
         scheme="cabr",
@@ -565,8 +557,7 @@ def _ser_threshold_cells(buffer_sizes, exact=None, marginal=None):
 
 
 def _pt_ser_sweep(p):
-    pair = _read(p["doc"], "pair")[0]
-    mod = p["modulation"]
+    pair, mod = p["pair"], p["modulation"]
     scheme = p["scheme"]
     marginal = analytic.ser_exact_cnbr(pair, mod)
     if scheme == "cabr":
@@ -574,11 +565,11 @@ def _pt_ser_sweep(p):
         exact = analytic.ser_exact_cabr(pair, rho, mod)
         asym = analytic.ser_asym_cabr(pair, rho, mod)
         thresholds = SelectionThresholds.uniform(rho)
-        thresh_cells = _ser_threshold_cells(p["buffer_sizes"], exact, marginal)
+        thresh_cells = _ser_threshold_cells(p["threshold_buffer_sizes"], exact, marginal)
     else:
         rho, thresholds = math.nan, None
         exact, asym = marginal, analytic.ser_asym_cnbr(pair, mod)
-        thresh_cells = _ser_threshold_cells(p["buffer_sizes"])
+        thresh_cells = _ser_threshold_cells(p["threshold_buffer_sizes"])
     config = sim.SchemeConfig(
         scheme=scheme,
         rate_mode="fixed",
@@ -665,33 +656,31 @@ _RUN_REFS = {
 }
 
 
-def _pt_run(p):
-    pt = _Point(p["doc"])
-    scheme, rate_mode = _read(pt.doc, "scheme rate_mode")
+def _pt_run(v, index):
+    pair, scheme, rate_mode, buffer = v["pair"], v["scheme"], v["rate_mode"], v["buffer"]
     thresholds = None
     if scheme == "cabr":
-        rho = _resolve_rho(pt)
+        rho = _resolve_rho(v)
         thresholds = SelectionThresholds(
-            rho, _resolve_rho(pt, "rho_c", rho), _resolve_rho(pt, "rho_d", rho)
+            rho, _resolve_rho(v, "rho_c", rho), _resolve_rho(v, "rho_d", rho)
         )
-    modulation = _read(pt.doc, "modulation")[0] if rate_mode == "fixed" else None
-    (buffer,) = _read(pt.doc, "buffer")
-    seed = _point_seed(p["seed"], p["index"])
+    modulation = v.get("modulation")  # read at a fixed rate only
+    seed = _point_seed(v["seed"], index)
     with _reraise():
         config = sim.SchemeConfig(
             scheme=scheme,
             rate_mode=rate_mode,
-            slots=p["slots"],
+            slots=v["slots"],
             seed=seed,
             thresholds=thresholds,
             modulation=modulation,
             buffer=buffer,
         )
     with _reraise("pair"):  # a forced p the sampler cannot draw
-        out = sim.run(config, pt.pair)
-    refs = _RUN_REFS[scheme, rate_mode](pt.pair, thresholds, modulation, buffer)
+        out = sim.run(config, pair)
+    refs = _RUN_REFS[scheme, rate_mode](pair, thresholds, modulation, buffer)
     ci = out.ci_halfwidths
-    return _row(p, _RunRow(
+    return list(_RunRow(
         scheme=scheme, rate_mode=rate_mode, slots=out.slots_run, seed=seed,
         rho=thresholds.rho if thresholds else math.nan,
         avg_rate=out.avg_rate, avg_rate_se=ci.get("avg_rate", math.nan),
@@ -831,27 +820,36 @@ _FIELDS = {f.key: f for f in (
 )}
 
 
-def _read(doc, keys, table=_FIELDS):
-    """Normalized values of the space-separated top-level ``keys``; None where absent."""
-    out = _section(doc, [table[k] for k in keys.split()])
-    return [out.get(k) for k in keys.split()]
+def _values(doc, keys, table=_FIELDS):
+    """Normalized values of the top-level ``keys`` by key, absent optional ones left out."""
+    return _section(doc, [table[k] for k in keys])
 
 
 # ---------------------------------------------------------------------------
-# mode builders: document -> (columns, payloads)
+# read sets and mode builders: (document, read set) -> (columns, payloads)
 
 
-def _fields_of(record):
-    return lambda doc, labels: (record._fields, {})
+def _run_reads(doc):
+    """The thresholds only under cabr, the modulation only at a fixed rate."""
+    v = _values(doc, ["scheme", "rate_mode"])
+    keys = "series sweep seed slots pair scheme rate_mode buffer".split()
+    if v["scheme"] == "cabr":
+        keys += ["rho", "rho_c", "rho_d"]
+    if v["rate_mode"] == "fixed":
+        keys.append("modulation")
+    return keys
 
 
-def _run_fields(doc, labels):
-    seed, slots = _read(doc, "seed slots")
-    return _RunRow._fields, {"seed": seed, "slots": slots}
+def _tradeoff_reads(doc):
+    """The delay objective's feasibility boundary, or the ber objective's pair and modulation."""
+    delay = _values(doc, ["objective"])["objective"] == "delay"
+    own = "bound_tau_grid" if delay else "pair modulation"
+    return f"objective xi_grid designs constraint {own}".split()
 
 
-def _build_tradeoff(doc):
-    objective, xi_grid, designs, constraint = _read(doc, "objective xi_grid designs constraint")
+def _build_tradeoff(doc, reads):
+    v = _values(doc, reads)
+    xi_grid, constraint = v["xi_grid"], v.get("constraint")
     if constraint is not None:
         feas = queueing.feasibility(constraint)
         if not feas.feasible:
@@ -859,7 +857,7 @@ def _build_tradeoff(doc):
 
     payloads = []
     # messages quote mdmt and ct knobs as the document wrote them
-    for design, written in zip(designs, doc["designs"]):
+    for design, written in zip(v["designs"], doc["designs"]):
         grid_d = xi_grid
         if constraint is not None:
             if design["name"] == "mdmt":
@@ -885,44 +883,32 @@ def _build_tradeoff(doc):
                     raise InfeasibleError(
                         f"eps epsilon={design['epsilon']}: no xi meets t_max and tau_min"
                     )
-        for xi in grid_d:
-            payloads.append(
-                {"design": design, "xi": xi, "objective": objective, "doc": doc}
-            )
-    if objective == "delay":
-        (taus,) = _read(doc, "bound_tau_grid")
-        payloads += [{"design": None, "tau": tau} for tau in taus]
+        payloads += [dict(v, design=design, xi=xi) for xi in grid_d]
+    if v["objective"] == "delay":
+        payloads += [{"design": None, "tau": tau} for tau in v["bound_tau_grid"]]
         return list(_DelayTradeoffRow._fields), payloads
     return list(_BerTradeoffRow._fields), payloads
 
 
-def _build_overflow(doc):
-    l_grid, t_targets, geometries, base, power, seed, slots = _read(
-        doc, "l_grid t_targets geometries geometry_base power seed slots", _MODES["overflow"].fields
-    )
-    shared = {"l_grid": l_grid, "seed": seed, "slots": slots}
+def _build_overflow(doc, reads):
+    v = _values(doc, reads, _MODES["overflow"].fields)
     payloads = []
-    for t_target in t_targets:
-        for g in geometries:
-            point_doc = {"pair": {"geometry": {**base, **g}, "power": power}}
-            payloads.append(
-                dict(shared, **g, doc=point_doc, t_target=t_target, index=len(payloads))
-            )
+    for t_target in v["t_targets"]:
+        for g in v["geometries"]:
+            with _reraise("pair"):
+                pair = _derive_pair(geometry={**v["geometry_base"], **g}, power=v["power"])
+            payloads.append(dict(v, **g, pair=pair, t_target=t_target, index=len(payloads)))
     return list(_OverflowRow._fields), payloads
 
 
-def _build_ser_sweep(doc):
-    cases, schemes, grid, buffer_sizes, seed, slots = _read(
-        doc, "cases schemes gamma_max_db_grid threshold_buffer_sizes seed slots"
-    )
+def _build_ser_sweep(doc, reads):
+    v = _values(doc, reads)
     gammas = []
-    for i, gdb in enumerate(grid):
+    for i, gdb in enumerate(v["gamma_max_db_grid"]):
         with _reraise(f"gamma_max_db_grid[{i}]"):
             gammas.append((gdb, _pow(10.0, gdb / 10.0, "10^(gamma_max_db/10)")))
-    (mod,) = _read(doc, "modulation")
-    shared = {"buffer_sizes": buffer_sizes, "seed": seed, "slots": slots, "modulation": mod}
     payloads = []
-    for i, case in enumerate(cases):
+    for i, case in enumerate(v["cases"]):
         for gdb, gamma_max in gammas:
             links = {}
             for hop in "sr":
@@ -932,58 +918,61 @@ def _build_ser_sweep(doc):
                         f"cases[{i}].omega_h_{hop}: its product with 10^(gamma_max_db/10) "
                         f"underflows to 0 at gamma_max_db {gdb}"
                     )
-                links[hop] = {"lam": lam, "mu": case[f"mu_{hop}"]}
-            for scheme in schemes:
+                links[hop] = LinkParams.from_lambda_mu(lam, case[f"mu_{hop}"])
+            for scheme in v["schemes"]:
                 payloads.append(dict(
-                    shared, case=case["name"], gamma_max_db=gdb, doc={"pair": {"links": links}},
+                    v, case=case["name"], gamma_max_db=gdb, pair=HopPair(**links),
                     scheme=scheme, index=len(payloads),
                 ))
-    thresh_fields = [name for name, _ in _ser_threshold_cells(buffer_sizes)]
+    thresh_fields = [name for name, _ in _ser_threshold_cells(v["threshold_buffer_sizes"])]
     return list(_SerSweepRow._fields) + thresh_fields, payloads
 
 
 class _Mode(NamedTuple):
     kind: str  # the command that runs the mode
-    build: Callable  # document -> (columns, payloads)
+    build: Callable  # (document, its read set) -> (columns, payloads)
     point: Callable  # payload -> the point's rows
-    fields: dict  # the mode's field table: top-level key -> entry
+    fields: dict  # the mode's field table: every top-level key it may read -> entry
+    reads: Optional[Callable] = None  # document -> the keys it reads; None: every key
 
 
 def _fields(keys, *own):
     return {f.key: f for f in [*(_FIELDS[k] for k in keys.split()), *own]}
 
 
-def _grid_mode(kind, fields, point, keys):
-    """Mode with one payload per series x sweep point that also reads the top-level ``keys``.
+def _grid_mode(kind, columns, point, keys, reads=None):
+    """Mode with one payload per series x sweep point that may also read the top-level ``keys``.
 
-    ``fields(doc, labels)`` returns the mode's columns after the labels and the
-    payload entries every point shares.
+    ``columns(doc, labels)`` returns the mode's columns after the labels, and
+    ``point(values, index)`` a point's cells after its labels, from the values
+    of the read set that the point's document holds.
     """
     table = _fields("series sweep " + keys)
 
-    def build(doc):
-        labels, points = _expand_points(doc, table)
-        columns, shared = fields(doc, labels)
+    def build(doc, reads):
+        labels, points = _expand_points(doc, reads)
+        own = [k for k in reads if k not in ("series", "sweep")]
         payloads = [
-            dict(shared, labels=lab, doc=pt, index=i) for i, (lab, pt) in enumerate(points)
+            dict(labels=lab, doc=pt, reads=own, index=i) for i, (lab, pt) in enumerate(points)
         ]
-        return list(labels) + list(columns), payloads
+        return [*labels, *columns(doc, labels)], payloads
 
-    return _Mode(kind, build, point, table)
+    def evaluate(p):
+        return [list(p["labels"]) + point(_values(p["doc"], p["reads"], table), p["index"])]
+
+    return _Mode(kind, build, evaluate, table, reads)
 
 
 # the first mode of each kind is its default
 _MODES = {
-    "table": _grid_mode("analyze", _table_fields, _pt_table, "metrics pair rho modulation"),
-    "chain-table": _grid_mode("analyze", _fields_of(_ChainRow), _pt_chain, "chain"),
+    "table": _grid_mode("analyze", _table_columns, _pt_table,
+                        "metrics pair rho modulation t_target", _table_reads),
+    "chain-table": _grid_mode("analyze", lambda doc, labels: _ChainRow._fields, _pt_chain, "chain"),
     "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff, _fields(
-        "objective xi_grid designs constraint bound_tau_grid pair modulation")),
-    "compare": _grid_mode("analyze", lambda _, labels: _table_fields(_COMPARE, labels),
-                          _pt_table, "pair"),
-    "delay-compare": _grid_mode("analyze", _fields_of(_DelayCompareRow), _pt_delay_compare,
-                                "pair t_target"),
-    "run": _grid_mode("simulate", _run_fields, _pt_run,
-                      "seed slots pair scheme rate_mode rho rho_c rho_d modulation buffer"),
+        "objective xi_grid designs constraint bound_tau_grid pair modulation"), _tradeoff_reads),
+    "run": _grid_mode("simulate", lambda doc, labels: _RunRow._fields, _pt_run,
+                      "seed slots pair scheme rate_mode rho rho_c rho_d modulation buffer",
+                      _run_reads),
     "overflow": _Mode("simulate", _build_overflow, _pt_overflow, _fields(
         "l_grid t_targets geometries geometry_base power seed",
         _F("slots", "int", 1, default=500_000))),
@@ -1012,6 +1001,8 @@ _TRADEOFF_DESIGNS = [
 ]
 _PIP_LINKS = {"s": {"lam": math.inf, "mu": 33.75}, "r": {"lam": math.inf, "mu": 80.0}}
 _BPSK = {"eta": 2.0, "phi": 1.0, "rate_R": 1.0}
+# adaptive selection's rate against both fixed schedules'
+_RATIOS = ("rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr")
 
 
 def _fig_pair(d_sp, d_rp):
@@ -1041,12 +1032,13 @@ PRESETS = {
     # where the two interference distances coincide
     "fig4": _d_sp_curves("table", metrics=["rho_balance"]),
     # adaptive-selection rate gain over the alternating schedule
-    "fig5": _d_sp_curves("compare"),
+    "fig5": _d_sp_curves("table", metrics=list(_RATIOS)),
     # rate gain over the block fill-then-drain schedule vs the distance ratio;
     # the sweep value multiplies the per-series d_rp to give d_sp
     "fig6": {
         "kind": "analyze",
-        "mode": "compare",
+        "mode": "table",
+        "metrics": list(_RATIOS),
         "pair": _fig_pair(2.0, 2.0),
         "series": {"parameter": "pair.geometry.d_rp", "values": [2.0, 3.0]},
         "sweep": {
@@ -1059,7 +1051,8 @@ PRESETS = {
     # rate gain over the alternating schedule when the mean delay is capped
     "fig7": {
         "kind": "analyze",
-        "mode": "delay-compare",
+        "mode": "table",
+        "metrics": ["delay_capped"],
         "pair": _fig_pair(2.0, 2.0),
         "series": {"parameter": "t_target", "values": [7.3, 3.3]},
         "sweep": {
@@ -1144,11 +1137,14 @@ def _mode_for(kind, doc):
 
 
 def _table_for(kind, doc, workers):
-    # the document is checked whole: a key its mode does not read is refused,
+    # the document is checked whole: a key outside its read set is refused,
     # as every nested map's unknown keys are when the map is read
     mode = _mode_for(kind, doc)
-    _refuse_unread(doc, [*_MODES[mode].fields, "kind", "mode"], "", f"not read by mode '{mode}'")
-    columns, payloads = _MODES[mode].build(doc)
+    spec = _MODES[mode]
+    wanted = spec.fields if spec.reads is None else spec.reads(doc)
+    reads = [k for k in spec.fields if k in wanted]  # in the field table's order
+    _refuse_unread(doc, [*reads, "kind", "mode"], "", f"not read by mode '{mode}'")
+    columns, payloads = spec.build(doc, reads)
     return columns, _run_tasks(mode, payloads, workers)
 
 

@@ -23,15 +23,15 @@ takes e^x E_1(x) from the unchecked _en_scaled that exp_integral_en_scaled
 also ends in.
 
 Inside a ``with memo():`` block, a function decorated with ``memoized``
-(integral_J, integral_L, integral_M here; the balance solve, hop moments and
-delay bound in analytic) computes each distinct argument tuple once and
-returns the stored value on a repeat call; outside any block it computes on
-every call. The store keys on the function's module and qualified name and on
-the exact positional arguments. A nested block shares the outermost block's
-store, and the store is dropped when that block exits, so no value outlives
-it. A call that raises stores nothing, so a ConvergenceError is raised again,
-after integrating again, on a repeat call. The store lives in a context
-variable, so threads never share one.
+(integral_J, integral_L, integral_M here; the balance solve, the selected-hop
+expectations of ``_selected`` and the delay bound in analytic) computes each
+distinct argument tuple once and returns the stored value on a repeat call;
+outside any block it computes on every call. The store keys on the function's
+module and qualified name and on the exact positional arguments. A nested
+block shares the outermost block's store, and the store is dropped when that
+block exits, so no value outlives it. A call that raises stores nothing, so a
+ConvergenceError is raised again, after integrating again, on a repeat call.
+The store lives in a context variable, so threads never share one.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from bufrelay import analytic, cli
 from bufrelay.specfun import ConvergenceError
 
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
+# the rate of adaptive selection against both fixed schedules, as figs. 5 and 6 tabulate it
+RATIOS = ["rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr"]
 # the same scales with the interference cap forced off (p = 0)
 PAIR_P0 = {"links": {
     "s": {"lam": 4.0, "mu": 10.0, "p": 0.0}, "r": {"lam": 7.0, "mu": 3.0, "p": 0.0},
@@ -117,12 +119,12 @@ class TestDocumentErrors:
     @pytest.mark.parametrize("command, doc, message", [
         ("analyze", {"mode": "run", "pair": PAIR},
          "mode: 'run' not valid for analyze "
-         "(choices: table, chain-table, tradeoff, compare, delay-compare)"),
+         "(choices: table, chain-table, tradeoff)"),
         ("analyze", {"kind": "nope", "pair": PAIR},
          "kind: must be one of analyze, simulate"),
         ("analyze", table_doc(metrics=["rate_cnbr"], sweep={"parameter": "rho_cc", "grid": [1, 2]}),
-         "sweep.parameter: rho_cc: not a field of this mode (did you mean 'rho'?)"),
-        ("analyze", {"mode": "compare", "pair": PAIR,
+         "sweep.parameter: rho_cc: not a field of this mode"),
+        ("analyze", {"mode": "table", "metrics": RATIOS, "pair": PAIR,
                      "series": {"parameter": "t_target", "values": [7.3]}},
          "series.parameter: t_target: not a field of this mode"),
         ("simulate", {**cli.PRESETS["fig8"], "power": {"gamma_max_db": 30.0, "gama_p_db": 10.0}},
@@ -142,9 +144,30 @@ class TestDocumentErrors:
         ("analyze", {"pair": PAIR, "t_target": 5.0}, "t_target: not read by mode 'table'"),
         ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4, "qs": 0.5}},
          "chain.qs: unknown key (did you mean 'q_s'?)"),
+        ("analyze", {"mode": "compare", "pair": PAIR},
+         "mode: 'compare' not valid for analyze (choices: table, chain-table, tradeoff)"),
+        ("analyze", table_doc(metrics=["rate_cnbr"], sweep={"parameter": "rho", "grid": [1, 2]}),
+         "sweep.parameter: rho: not a field of this mode"),
+        ("analyze", table_doc(metrics=["capacity"], rho=0.8), "rho: not read by mode 'table'"),
+        ("simulate", {"kind": "simulate", "mode": "run", "scheme": "cnbr", "slots": 2000,
+                      "pair": PAIR, "sweep": {"parameter": "rho", "grid": [1, 2]}},
+         "sweep.parameter: rho: not a field of this mode"),
+        ("simulate", {"kind": "simulate", "mode": "run", "scheme": "cabr", "rho": 0.5,
+                      "modulation": {"eta": 2.0}, "slots": 2000, "pair": PAIR},
+         "modulation: not read by mode 'run'"),
+        ("analyze", {"mode": "tradeoff", "xi_grid": [2.0], "designs": [{"name": "ct", "tau_star": 0.4}],
+                     "pair": {"links": {"s": {"lam": -4, "mu": 10}, "r": {"lam": 7, "mu": 3}}},
+                     "modulation": {"eta": -1}},
+         "pair: not read by mode 'tradeoff'"),
+        ("analyze", {"mode": "tradeoff", "objective": "ber", "xi_grid": [2.0],
+                     "designs": [{"name": "ct", "tau_star": 0.4}], "bound_tau_grid": [0.3],
+                     "pair": {"links": {"s": {"lam": "inf", "mu": 10}, "r": {"lam": "inf", "mu": 3}}}},
+         "bound_tau_grid: not read by mode 'tradeoff'"),
     ], ids=["mode", "kind", "sweep_parameter", "series_parameter", "overflow_power",
             "overflow_geometry_base", "noncognitive_lam_inf", "path_through_value", "chain_form",
-            "unread_key", "key_of_another_mode", "nested_key_before_form"])
+            "unread_key", "key_of_another_mode", "nested_key_before_form", "removed_mode",
+            "axis_no_metric_reads", "key_no_metric_reads", "run_axis_its_scheme_skips",
+            "run_key_its_rate_mode_skips", "delay_tradeoff_pair", "ber_tradeoff_bound_grid"])
     def test_one_line_config_error(self, tmp_path, capsys, command, doc, message):
         rc, out, err = exit_cleanly([command, write_doc(tmp_path, doc)], capsys)
         assert (rc, out, err) == (cli.EXIT_CONFIG, "", [f"config error: {message}"])
@@ -271,21 +294,21 @@ class TestAnalyze:
 
     def test_unbracketed_balance_point_in_delay_target_exits_convergence(self, tmp_path, capsys):
         links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
-        doc = {"mode": "delay-compare", "pair": {"links": links}, "t_target": 7.3}
+        doc = {"metrics": ["delay_capped"], "pair": {"links": links}, "t_target": 7.3}
         assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("convergence failure: ")
 
     def test_unreachable_delay_target_exits_infeasible(self, tmp_path, capsys):
         # the bound of this pair plateaus near 2.23 as rho -> 0
         links = {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}
-        doc = {"mode": "delay-compare", "pair": {"links": links}, "t_target": 2.2}
+        doc = {"metrics": ["delay_capped"], "pair": {"links": links}, "t_target": 2.2}
         assert cli.main(["analyze", write_doc(tmp_path, doc)]) == cli.EXIT_INFEASIBLE
         assert "delay target unreachable within the search range" in capsys.readouterr().err
 
     def test_delay_target_met_at_the_end_of_the_range(self, tmp_path, capsys):
         # the bound 1e-3 decades below this pair's balance point is 1388.76,
         # so a looser target gets that end of the range, not a bisected rho
-        doc = {"mode": "delay-compare", "pair": PAIR, "t_target": 1e4}
+        doc = {"metrics": ["delay_capped"], "pair": PAIR, "t_target": 1e4}
         header, rows = run_csv(["analyze", write_doc(tmp_path, doc)], capsys)
         row = {k: float(v) for k, v in zip(header, rows[0])}
         assert row["rho"] == pytest.approx(1.0441890632, rel=1e-9)
@@ -366,7 +389,10 @@ class TestOneSidedThresholds:
     @pytest.mark.parametrize("pair", [PAIR, PAIR_P0], ids=["mixed", "p0"])
     @pytest.mark.parametrize("metric", sorted(cli._METRICS))
     def test_every_metric_exits_cleanly(self, tmp_path, capsys, metric, pair, rho):
-        doc = {"metrics": [metric], "rho": rho, "pair": pair, "modulation": {"eta": 2.0}}
+        # a metric is given only the fields it reads: any other key is refused
+        fields = {"rho": rho, "modulation": {"eta": 2.0}, "t_target": 7.3}
+        doc = {"metrics": [metric], "pair": pair}
+        doc.update((k, v) for k, v in fields.items() if k in cli._METRICS[metric][1])
         exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
 
     @pytest.mark.parametrize("rho", [1e-14, 1e14])
@@ -713,7 +739,7 @@ class TestSimulateDeterminism:
         # the pool computes each integral once per point, the serial loop
         # once per command; the bytes must not tell them apart
         doc = {
-            "mode": "delay-compare",
+            "metrics": ["delay_capped"],
             "pair": PAIR,
             "t_target": 7.3,
             "sweep": {"parameter": "pair.links.s.lam", "grid": [4.0, 8.0]},

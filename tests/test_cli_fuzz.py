@@ -1,10 +1,11 @@
 """Experiment documents drawn from the CLI's field tables.
 
-The fuzz test starts each document from a small valid one for its mode,
-drops or redraws the fields its mode's table lists, then sets the path under
-test and maybe one more to an edge value (no path: a valid document). One
-test case runs per mode and table path, so a field added to a table is
-fuzzed without new test code. Whatever comes out, ``cli.main`` must exit 0, 2,
+The fuzz test starts each document from a small valid one of a family (a
+mode, or a mode and the metrics its documents request), drops or redraws the
+fields its mode's table lists, then sets the path under test and maybe one
+more to an edge value (no path: a valid document). One test case runs per
+family and table path, so a field added to a table is fuzzed without new
+test code. Whatever comes out, ``cli.main`` must exit 0, 2,
 3 or 4 with at most one stderr line, never with an exception. A misspelt key
 beside every table path must exit 2 with one stderr line naming it. The
 reference test keeps the README's field reference and the tables in step.
@@ -42,11 +43,19 @@ def small(preset, **fields):
 
 PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
 
-# mode -> valid documents to start from; each section of a mode's table, and
-# each form of the pair, is in one of them
+# family -> valid documents to start from; a family is a mode, or a mode and a
+# slash and the metrics its documents request. Each section of a mode's table,
+# and each form of the pair, is in one document of the mode's families
 BASES = {
     "table": [small("fig3"), {
         "metrics": ["lsp", "ser_cabr"], "rho": "balance", "pair": PAIR, "modulation": {"eta": 2.0},
+    }],
+    # the rate ratios of figs. 5 and 6, and of fig. 7 under a mean-delay cap
+    "table/ratios": [small("fig5"), small("fig6"), {
+        "metrics": ["rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr"], "pair": PAIR,
+    }],
+    "table/delay_capped": [small("fig7"), {
+        "metrics": ["delay_capped"], "pair": PAIR, "t_target": 7.3,
     }],
     "chain-table": [{
         "mode": "chain-table",
@@ -63,8 +72,6 @@ BASES = {
         small("fig11", xi_grid=[2.0], designs=[{"name": "eps", "epsilon": 0.1}],
               pair=small("fig3")["pair"]),
     ],
-    "compare": [small("fig5"), small("fig6"), {"pair": PAIR}],
-    "delay-compare": [small("fig7"), {"pair": PAIR, "t_target": 7.3}],
     "run": [{
         "kind": "simulate", "mode": "run", "scheme": "cabr", "rate_mode": "fixed",
         "rho": 0.6, "rho_c": 1.2, "rho_d": 0.3, "modulation": {"eta": 2.0},
@@ -143,10 +150,14 @@ def mode_paths(mode):
     return list(leaves(cli._MODES[mode].fields.values()))
 
 
+def mode_of(family):
+    return family.split("/")[0]
+
+
 @st.composite
-def documents(draw, mode, mutate):
-    doc = copy.deepcopy(draw(st.sampled_from(BASES[mode])))
-    fields = mode_paths(mode)
+def documents(draw, family, mutate):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES[family])))
+    fields = mode_paths(mode_of(family))
     for path, f in fields:
         spot = place(doc, path)
         action = draw(st.sampled_from(["keep", "keep", "keep", "drop", "redraw"]))
@@ -180,41 +191,56 @@ def exit_code(mode, doc, tmpdir):
     return rc, err.getvalue().splitlines()
 
 
-CASES = [(mode, path) for mode in sorted(cli._MODES) for path in [None] + [
-    path for path, _ in mode_paths(mode)
+CASES = [(family, path) for family in sorted(BASES) for path in [None] + [
+    path for path, _ in mode_paths(mode_of(family))
 ]]
 # about 2000 documents in all
 EXAMPLES = -(-2000 // len(CASES))
 
 
-@pytest.mark.parametrize("mode, path", CASES)
-def test_documents_exit_cleanly(mode, path):
+@pytest.mark.parametrize("family, path", CASES)
+def test_documents_exit_cleanly(family, path):
+    mode = mode_of(family)
     doc_kind = {"kind": cli._MODES[mode].kind, "mode": mode}
     with tempfile.TemporaryDirectory() as tmpdir:
 
         @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-        @given(documents(mode, path))
+        @given(documents(family, path))
         def check(doc):
             exit_code(mode, {**doc, **doc_kind}, tmpdir)
 
         check()
 
 
-def misspelt(mode, path):
-    """A base document of the mode that holds path's section, with path's key
+def misspelt(family, path):
+    """A base document of the family that holds path's section, with path's key
     doubled at its end set beside it, and the misspelt path."""
-    doc = next(doc for doc in map(copy.deepcopy, BASES[mode]) if place(doc, path))
+    doc = next(doc for doc in map(copy.deepcopy, BASES[family]) if place(doc, path))
     node, key = place(doc, path)
     node[key + key[-1]] = node.get(key, 1.0)
     return doc, path + key[-1]
 
 
-@pytest.mark.parametrize("mode, path", [
-    (mode, path) for mode, path in CASES if path and not path.endswith("[]")
-])
-def test_a_misspelt_key_is_refused(mode, path):
-    doc, wrong = misspelt(mode, path)
+# every table path but a list item's, in each family with a document holding its section
+MISSPELT = [
+    (family, path) for family, path in CASES if path and not path.endswith("[]")
+    and any(place(doc, path) for doc in BASES[family])
+]
+
+
+def test_every_mode_path_is_misspelt_in_a_family():
+    assert {mode_of(family) for family in BASES} == set(cli._MODES)
+    assert {(mode_of(family), path) for family, path in MISSPELT} == {
+        (mode, path) for mode in cli._MODES for path, _ in mode_paths(mode)
+        if not path.endswith("[]")
+    }
+
+
+@pytest.mark.parametrize("family, path", MISSPELT)
+def test_a_misspelt_key_is_refused(family, path):
+    mode = mode_of(family)
+    doc, wrong = misspelt(family, path)
     with tempfile.TemporaryDirectory() as tmpdir:
         rc, err = exit_code(mode, {**doc, "kind": cli._MODES[mode].kind, "mode": mode}, tmpdir)
     assert rc == cli.EXIT_CONFIG and err[0].startswith(f"config error: {wrong}: "), err

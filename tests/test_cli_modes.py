@@ -52,8 +52,14 @@ DOCS = {
         "designs": [{"name": "ct", "tau_star": 0.4}, {"name": "mdmt", "x_star": 0.5}],
         "bound_tau_grid": [0.3],
     }),
-    "compare": ("analyze", {"mode": "compare", "pair": PAIR}),
-    "delay-compare": ("analyze", {"mode": "delay-compare", "pair": PAIR, "t_target": 7.3}),
+    "table-ratios": ("analyze", {
+        "mode": "table",
+        "metrics": ["rate_cabr", "rate_cnbr", "ratio_cnbr", "rate_cbr", "ratio_cbr"],
+        "pair": PAIR,
+    }),
+    "table-delay-capped": ("analyze", {
+        "mode": "table", "metrics": ["delay_capped"], "pair": PAIR, "t_target": 7.3,
+    }),
     "run": ("simulate", _run(
         scheme="cabr", rate_mode="fixed", rho=0.6, rho_c=1.2, rho_d=0.3,
         modulation=BPSK, buffer={"capacity": 4},
@@ -143,7 +149,7 @@ PINS = {
             3.499999999999999,
         ],
     ),
-    'compare': (
+    'table-ratios': (
         [
             'rho_balance', 'rate_cabr', 'rate_cnbr', 'ratio_cnbr', 'rate_cbr', 'ratio_cbr',
         ],
@@ -152,7 +158,7 @@ PINS = {
             0.9513783360881745, 1.3408229989475526,
         ],
     ),
-    'delay-compare': (
+    'table-delay-capped': (
         [
             'rho', 'delay_bound', 'rate_cabr', 'rate_cnbr', 'ratio_cnbr',
         ],
