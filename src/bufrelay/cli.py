@@ -8,7 +8,8 @@ overlaid by a document) interpreted by one of two commands:
   simulate   run the slot-level engine and join matching analytic columns
 
 A document's mode reads the fields that the document calls for and refuses
-every other key.
+every other key. Every grid point's values are read before the first point
+runs, so a bad value at any point exits 2 before any point runs.
 
 Results are written to stdout or a file as CSV (RFC-4180 quoting, full
 round-trip float precision) or JSON. Sweep points are dispatched to a pool
@@ -248,7 +249,8 @@ def _set_by_path(doc, path, value, what):
 
 def _expand_points(doc, reads):
     """Cross the optional series and sweep axes into labelled point documents;
-    each axis parameter must name another field of the document's read set."""
+    each axis parameter must name another field of the document's read set.
+    Points hold axis values as written, for their fields to check; labels normalize them."""
     axes = _values(doc, ["series", "sweep"])
     series, sweep = axes.get("series"), axes.get("sweep")
     fields = [k for k in reads if k not in ("series", "sweep")]
@@ -258,15 +260,15 @@ def _expand_points(doc, reads):
             _refuse_unread([key], fields, f"{name}.parameter: ", "not a field of this mode")
     labels = [ax.get("label", ax["parameter"].rsplit(".", 1)[-1]) for ax in (series, sweep) if ax]
     points = []
-    for sv in series["values"] if series else [None]:
+    for sv, s_doc in zip(series["values"], doc["series"]["values"]) if series else [(None, None)]:
         base = copy.deepcopy(doc)
         if series:
-            _set_by_path(base, series["parameter"], sv, "series.parameter")
-        for xv in sweep["grid"] if sweep else [None]:
+            _set_by_path(base, series["parameter"], s_doc, "series.parameter")
+        for xv, x_doc in zip(sweep["grid"], doc["sweep"]["grid"]) if sweep else [(None, None)]:
             pt = copy.deepcopy(base)
             lab = [sv] if series else []
             if sweep:
-                actual = xv
+                actual = x_doc
                 if "scale_by" in sweep:
                     target = _get_by_path(pt, sweep["scale_by"], "sweep.scale_by")
                     actual = xv * _check(_F(""), target, "sweep.scale_by target")
@@ -944,21 +946,22 @@ def _grid_mode(kind, columns, point, keys, reads=None):
     """Mode with one payload per series x sweep point that may also read the top-level ``keys``.
 
     ``columns(doc, labels)`` returns the mode's columns after the labels, and
-    ``point(values, index)`` a point's cells after its labels, from the values
-    of the read set that the point's document holds.
+    ``point(values, index)`` a point's cells after its labels. The builder reads
+    each point document's read set before the first point runs; ``point`` sees values only.
     """
     table = _fields("series sweep " + keys)
 
     def build(doc, reads):
         labels, points = _expand_points(doc, reads)
+        header = [*labels, *columns(doc, labels)]
         own = [k for k in reads if k not in ("series", "sweep")]
-        payloads = [
-            dict(labels=lab, doc=pt, reads=own, index=i) for i, (lab, pt) in enumerate(points)
+        return header, [
+            dict(labels=lab, values=_values(pt, own, table), index=i)
+            for i, (lab, pt) in enumerate(points)
         ]
-        return [*labels, *columns(doc, labels)], payloads
 
     def evaluate(p):
-        return [list(p["labels"]) + point(_values(p["doc"], p["reads"], table), p["index"])]
+        return [list(p["labels"]) + point(p["values"], p["index"])]
 
     return _Mode(kind, build, evaluate, table, reads)
 
@@ -1128,7 +1131,18 @@ PRESETS = {
 # commands
 
 
+def _check_kind(command, doc):
+    """Refuse a document whose ``kind`` is not the command that runs it."""
+    kind = doc.get("kind", command)
+    kinds = sorted({mode.kind for mode in _MODES.values()})
+    if kind not in kinds:
+        raise ConfigError(f"kind: must be one of {', '.join(kinds)}")
+    if kind != command:
+        raise ConfigError(f"this document says kind={kind}; run `bufrelay {kind}`")
+
+
 def _mode_for(kind, doc):
+    _check_kind(kind, doc)
     choices = [name for name, spec in _MODES.items() if spec.kind == kind]
     mode = doc.get("mode", "chain-table" if kind == "analyze" and "chain" in doc else choices[0])
     if mode not in choices:
@@ -1246,16 +1260,6 @@ def _resolve_workers(args):
     return args.workers
 
 
-def _check_kind(command, doc):
-    """Refuse a document whose ``kind`` is not the command that runs it."""
-    kind = doc.get("kind", command)
-    kinds = sorted({mode.kind for mode in _MODES.values()})
-    if kind not in kinds:
-        raise ConfigError(f"kind: must be one of {', '.join(kinds)}")
-    if kind != command:
-        raise ConfigError(f"this document says kind={kind}; run `bufrelay {kind}`")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bufrelay",
@@ -1289,7 +1293,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = _load_document(args)
-        _check_kind(args.command, doc)
         _apply_flags(args, args.command, doc)
         workers = _resolve_workers(args)
         _check_out(args.out)

@@ -179,6 +179,85 @@ class TestDocumentErrors:
         assert run_csv(["analyze", write_doc(tmp_path, doc)], capsys) == default
 
 
+def cnbr_run(**fields):
+    return {"kind": "simulate", "mode": "run", "scheme": "cnbr", "pair": PAIR, **fields}
+
+
+class TestPointsReadBeforeAnyRuns:
+    """Every grid point's values are read before the first point runs, each
+    axis value by the field it sets, and every entry point checks the kind."""
+
+    @staticmethod
+    def refuse_computing(monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("a point ran before every point's values were read")
+
+        monkeypatch.setattr(cli.analytic, "avg_rate_cabr", computed)
+        monkeypatch.setattr(cli.sim, "run", computed)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", computed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_last_table_value_refused_before_any_point_runs(self, monkeypatch, workers):
+        self.refuse_computing(monkeypatch)
+        doc = {"metrics": ["rate_cabr"], "pair": PAIR,
+               "series": {"parameter": "pair.links.s.lam", "values": [2, 4, -1]}}
+        with pytest.raises(cli.ConfigError, match=r"^pair\.links\.s\.lam: must be positive$"):
+            cli.cmd_analyze(doc, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_last_run_value_refused_before_any_point_runs(self, monkeypatch, workers):
+        self.refuse_computing(monkeypatch)
+        doc = {"kind": "simulate", "scheme": "cabr", "rho": 0.8, "pair": PAIR, "slots": 2000,
+               "series": {"parameter": "buffer.capacity", "values": [10, 20, -1]}}
+        with pytest.raises(cli.ConfigError, match=r"^buffer\.capacity: must be positive$"):
+            cli.cmd_simulate(doc, workers)
+
+    def test_config_error_at_a_later_point_wins_over_an_earlier_numerical_one(
+        self, tmp_path, capsys
+    ):
+        # the first point's balance search has no bracket (exit 3 when it runs)
+        links = {"s": {"lam": 1e-4, "mu": 1e-4}, "r": {"lam": 100.0, "mu": 1.0}}
+        doc = {"metrics": ["rate_cabr"], "pair": {"links": links},
+               "series": {"parameter": "pair.links.s.lam", "values": [1e-4, 4.0, -1]}}
+        rc, out, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+        assert (rc, out, err) == (
+            cli.EXIT_CONFIG, "", ["config error: pair.links.s.lam: must be positive"]
+        )
+
+    def test_run_over_slots(self, tmp_path, capsys):
+        path = write_doc(tmp_path, cnbr_run(series={"parameter": "slots", "values": [1000, 4000]}))
+        for flags in ([], ["--slots", "2000"]):  # the axis overrides --slots too
+            header, rows = run_csv(["simulate", path, *flags], capsys)
+            # the label column comes first and prints the normalized value
+            assert header[:2] == ["slots", "scheme"]
+            assert [(row[0], dict(zip(header, row))["slots"]) for row in rows] == [
+                ("1000.0", "1000"), ("4000.0", "4000")
+            ]
+
+    def test_run_over_seed(self, tmp_path, capsys):
+        doc = cnbr_run(slots=1000, series={"parameter": "seed", "values": [1, 2]})
+        header, rows = run_csv(["simulate", write_doc(tmp_path, doc)], capsys)
+        assert [row[0] for row in rows] == ["1.0", "2.0"]
+        assert rows[0][header.index("seed", 1)] != rows[1][header.index("seed", 1)]
+
+    def test_non_integer_slots_value_exits_config(self, tmp_path, capsys, monkeypatch):
+        self.refuse_computing(monkeypatch)
+        doc = cnbr_run(series={"parameter": "slots", "values": [1000, 1000.5]})
+        rc, out, err = exit_cleanly(["simulate", write_doc(tmp_path, doc)], capsys)
+        assert (rc, out, err) == (cli.EXIT_CONFIG, "", ["config error: slots: must be an integer"])
+
+    @pytest.mark.parametrize("command, kind, message", [
+        (cli.cmd_analyze, "simulate", "this document says kind=simulate; run `bufrelay simulate`"),
+        (cli.cmd_simulate, "analyze", "this document says kind=analyze; run `bufrelay analyze`"),
+        (cli.cmd_analyze, "foo", "kind: must be one of analyze, simulate"),
+        (cli.cmd_simulate, "foo", "kind: must be one of analyze, simulate"),
+    ])
+    def test_entry_points_check_the_kind(self, command, kind, message):
+        with pytest.raises(cli.ConfigError) as exc:
+            command({"kind": kind, "pair": PAIR})
+        assert str(exc.value) == message
+
+
 class TestAnalyze:
     def test_table(self, tmp_path, capsys):
         path = write_doc(tmp_path, table_doc())
