@@ -4,7 +4,7 @@ An experiment is a JSON document (or a named built-in preset, or a preset
 overlaid by a document) interpreted by one of two commands:
 
   analyze    closed-form tables: metrics on a parameter grid (the schemes' rate
-             ratios among them), threshold-protocol chains and designs
+             ratios and the threshold-protocol chain among them) and designs
   simulate   run the slot-level engine and join matching analytic columns
 
 A document's mode reads the fields that the document calls for and refuses
@@ -247,13 +247,12 @@ def _set_by_path(doc, path, value, what):
     node[parts[-1]] = value
 
 
-def _expand_points(doc, reads):
+def _expand_points(doc, fields):
     """Cross the optional series and sweep axes into labelled point documents;
-    each axis parameter must name another field of the document's read set.
+    each axis parameter must name one of ``fields``, the read set's other fields.
     Points hold axis values as written, for their fields to check; labels normalize them."""
     axes = _values(doc, ["series", "sweep"])
     series, sweep = axes.get("series"), axes.get("sweep")
-    fields = [k for k in reads if k not in ("series", "sweep")]
     for name, ax in (("series", series), ("sweep", sweep)):
         if ax:
             key = ax["parameter"].split(".", 1)[0]
@@ -365,90 +364,7 @@ def _delay_capped(v):
     return dict(rho=rho, delay_bound=bound, rate_cabr=rate, rate_cnbr=cnbr, ratio_cnbr=rate / cnbr)
 
 
-# metric name -> (row record, the fields it reads besides pair, evaluator
-# returning the record's cells by name from a point's values)
-_METRICS = {
-    name: (_record(name, fields), frozenset(reads.split()), value)
-    for name, fields, reads, value in [
-        ("capacity", "capacity_s capacity_r", "", lambda v: dict(
-            capacity_s=analytic.avg_capacity_hop(v["pair"].s),
-            capacity_r=analytic.avg_capacity_hop(v["pair"].r),
-        )),
-        ("rate_cabr", "rho_balance rate_cabr", "", lambda v: dict(
-            rho_balance=_balance(v)[1], rate_cabr=_balance(v)[0]
-        )),
-        ("rho_balance", "rho_balance log2_rho_balance", "", lambda v: dict(
-            rho_balance=_balance(v)[1], log2_rho_balance=math.log2(_balance(v)[1])
-        )),
-        ("rate_noncognitive", "rate_noncognitive", "", lambda v: dict(
-            rate_noncognitive=analytic.avg_rate_cabr(_noncognitive_pair(v["pair"]))[0]
-        )),
-        ("rate_cnbr", "rate_cnbr", "", lambda v: dict(rate_cnbr=analytic.avg_rate_cnbr(v["pair"]))),
-        ("rate_cbr", "rate_cbr", "", lambda v: dict(rate_cbr=analytic.avg_rate_cbr(v["pair"]))),
-        ("ratio_cnbr", "ratio_cnbr", "", lambda v: dict(
-            ratio_cnbr=_balance(v)[0] / analytic.avg_rate_cnbr(v["pair"])
-        )),
-        ("ratio_cbr", "ratio_cbr", "", lambda v: dict(
-            ratio_cbr=_balance(v)[0] / analytic.avg_rate_cbr(v["pair"])
-        )),
-        ("rho_opt_fixed", "rho_opt_fixed", "", lambda v: dict(
-            rho_opt_fixed=analytic.rho_opt_fixed(v["pair"])
-        )),
-        ("lsp", "q_s q_r", "rho", lambda v: dict(
-            zip(("q_s", "q_r"), analytic.lsp(v["pair"], _resolve_rho(v)))
-        )),
-        ("ser_cabr", "ser_cabr_s ser_cabr_r", "rho modulation", lambda v: _per_hop(
-            "ser_cabr", analytic.ser_exact_cabr, v, _resolve_rho(v)
-        )),
-        ("ser_asym_cabr", "ser_asym_cabr_s ser_asym_cabr_r", "rho modulation", lambda v: _per_hop(
-            "ser_asym_cabr", analytic.ser_asym_cabr, v, _resolve_rho(v)
-        )),
-        ("ser_cnbr", "ser_cnbr_s ser_cnbr_r", "modulation", lambda v: _per_hop(
-            "ser_cnbr", analytic.ser_exact_cnbr, v
-        )),
-        ("ser_asym_cnbr", "ser_asym_cnbr_s ser_asym_cnbr_r", "modulation", lambda v: _per_hop(
-            "ser_asym_cnbr", analytic.ser_asym_cnbr, v
-        )),
-        ("delay_bound", "delay_bound", "rho", lambda v: dict(
-            delay_bound=_delay_bound(v["pair"], _resolve_rho(v))
-        )),
-        ("delay_capped", "rho delay_bound rate_cabr rate_cnbr ratio_cnbr", "t_target",
-         _delay_capped),
-    ]
-}
-
-
-def _table_reads(doc):
-    """series, sweep, metrics, pair and every field a requested metric reads."""
-    metrics = _values(doc, ["metrics"])["metrics"]
-    return {"series", "sweep", "metrics", "pair"}.union(*(_METRICS[m][1] for m in metrics))
-
-
-def _table_columns(doc, labels):
-    metrics = _values(doc, ["metrics"])["metrics"]
-    fields = []
-    for m in metrics:
-        for col in _METRICS[m][0]._fields:
-            if col in labels or col in fields:
-                raise ConfigError(f"metrics: column '{col}' requested twice")
-            fields.append(col)
-    return fields
-
-
-def _pt_table(v, index):
-    row = []
-    for metric in v["metrics"]:
-        record, _, value = _METRICS[metric]
-        row.extend(record(**value(v)))
-    return row
-
-
-_ChainRow = _record("_ChainRow", """
-    L q_s q_c q_d xi xi_c xi_d tau pi_0 pi_L mean_occupancy t_q t_u t_o t_total lifo_t_q
-""")
-
-
-def _pt_chain(v, index):
+def _chain(v):
     chain = v["chain"]
     L = chain.buffer_size_L
     if math.isinf(L):
@@ -461,12 +377,95 @@ def _pt_chain(v, index):
             occ = queueing.mean_occupancy(chain)
             lifo_tq = queueing.lifo_equivalent_queue_delay(chain)
         pi_0, pi_L = float(pi[0]), float(pi[-1])
-    return list(_ChainRow(
+    return dict(
         L=L, q_s=chain.q_s, q_c=chain.q_c, q_d=chain.q_d,
         xi=chain.xi, xi_c=chain.xi_c, xi_d=chain.xi_d,
         tau=queueing.throughput(chain), pi_0=pi_0, pi_L=pi_L, mean_occupancy=occ,
         **asdict(queueing.delays(chain)), lifo_t_q=lifo_tq,
-    ))
+    )
+
+
+# metric name -> (row record, the fields it reads, evaluator returning the
+# record's cells by name from a point's values)
+_METRICS = {
+    name: (_record(name, fields), frozenset(reads.split()), value)
+    for name, fields, reads, value in [
+        ("capacity", "capacity_s capacity_r", "pair", lambda v: dict(
+            capacity_s=analytic.avg_capacity_hop(v["pair"].s),
+            capacity_r=analytic.avg_capacity_hop(v["pair"].r),
+        )),
+        ("rate_cabr", "rho_balance rate_cabr", "pair", lambda v: dict(
+            rho_balance=_balance(v)[1], rate_cabr=_balance(v)[0]
+        )),
+        ("rho_balance", "rho_balance log2_rho_balance", "pair", lambda v: dict(
+            rho_balance=_balance(v)[1], log2_rho_balance=math.log2(_balance(v)[1])
+        )),
+        ("rate_noncognitive", "rate_noncognitive", "pair", lambda v: dict(
+            rate_noncognitive=analytic.avg_rate_cabr(_noncognitive_pair(v["pair"]))[0]
+        )),
+        ("rate_cnbr", "rate_cnbr", "pair", lambda v: dict(rate_cnbr=analytic.avg_rate_cnbr(v["pair"]))),
+        ("rate_cbr", "rate_cbr", "pair", lambda v: dict(rate_cbr=analytic.avg_rate_cbr(v["pair"]))),
+        ("ratio_cnbr", "ratio_cnbr", "pair", lambda v: dict(
+            ratio_cnbr=_balance(v)[0] / analytic.avg_rate_cnbr(v["pair"])
+        )),
+        ("ratio_cbr", "ratio_cbr", "pair", lambda v: dict(
+            ratio_cbr=_balance(v)[0] / analytic.avg_rate_cbr(v["pair"])
+        )),
+        ("rho_opt_fixed", "rho_opt_fixed", "pair", lambda v: dict(
+            rho_opt_fixed=analytic.rho_opt_fixed(v["pair"])
+        )),
+        ("lsp", "q_s q_r", "pair rho", lambda v: dict(
+            zip(("q_s", "q_r"), analytic.lsp(v["pair"], _resolve_rho(v)))
+        )),
+        ("ser_cabr", "ser_cabr_s ser_cabr_r", "pair rho modulation", lambda v: _per_hop(
+            "ser_cabr", analytic.ser_exact_cabr, v, _resolve_rho(v)
+        )),
+        ("ser_asym_cabr", "ser_asym_cabr_s ser_asym_cabr_r", "pair rho modulation",
+         lambda v: _per_hop("ser_asym_cabr", analytic.ser_asym_cabr, v, _resolve_rho(v))),
+        ("ser_cnbr", "ser_cnbr_s ser_cnbr_r", "pair modulation", lambda v: _per_hop(
+            "ser_cnbr", analytic.ser_exact_cnbr, v
+        )),
+        ("ser_asym_cnbr", "ser_asym_cnbr_s ser_asym_cnbr_r", "pair modulation", lambda v: _per_hop(
+            "ser_asym_cnbr", analytic.ser_asym_cnbr, v
+        )),
+        ("delay_bound", "delay_bound", "pair rho", lambda v: dict(
+            delay_bound=_delay_bound(v["pair"], _resolve_rho(v))
+        )),
+        ("delay_capped", "rho delay_bound rate_cabr rate_cnbr ratio_cnbr", "pair t_target",
+         _delay_capped),
+        ("chain", """L q_s q_c q_d xi xi_c xi_d tau pi_0 pi_L mean_occupancy
+         t_q t_u t_o t_total lifo_t_q""", "chain", _chain),
+    ]
+}
+
+
+def _table_reads(doc):
+    """series, sweep, metrics and every field a requested metric reads."""
+    metrics = _values(doc, ["metrics"])["metrics"]
+    return {"series", "sweep", "metrics"}.union(*(_METRICS[m][1] for m in metrics))
+
+
+def _unique_columns(key, columns, labels=()):
+    """``columns``, refused as field ``key``'s fault where one is an axis label or repeats."""
+    for i, col in enumerate(columns):
+        if col in labels:
+            raise ConfigError(f"{key}: column '{col}' is also an axis label (set the axis 'label')")
+        if col in columns[:i]:
+            raise ConfigError(f"{key}: column '{col}' requested twice")
+    return columns
+
+
+def _table_columns(doc, labels):
+    metrics = _values(doc, ["metrics"])["metrics"]
+    return _unique_columns("metrics", [c for m in metrics for c in _METRICS[m][0]._fields], labels)
+
+
+def _pt_table(v, index):
+    row = []
+    for metric in v["metrics"]:
+        record, _, value = _METRICS[metric]
+        row.extend(record(**value(v)))
+    return row
 
 
 # design name -> (its free parameter, (knob value, xi) -> boundary drift xi_c)
@@ -659,7 +658,7 @@ _RUN_REFS = {
 
 
 def _pt_run(v, index):
-    pair, scheme, rate_mode, buffer = v["pair"], v["scheme"], v["rate_mode"], v["buffer"]
+    pair, scheme, rate_mode = v["pair"], v["scheme"], v["rate_mode"]
     thresholds = None
     if scheme == "cabr":
         rho = _resolve_rho(v)
@@ -676,11 +675,11 @@ def _pt_run(v, index):
             seed=seed,
             thresholds=thresholds,
             modulation=modulation,
-            buffer=buffer,
+            buffer=v.get("buffer", sim.BufferState()),  # read under cabr only
         )
     with _reraise("pair"):  # a forced p the sampler cannot draw
         out = sim.run(config, pair)
-    refs = _RUN_REFS[scheme, rate_mode](pair, thresholds, modulation, buffer)
+    refs = _RUN_REFS[scheme, rate_mode](pair, thresholds, modulation, config.buffer)
     ci = out.ci_halfwidths
     return list(_RunRow(
         scheme=scheme, rate_mode=rate_mode, slots=out.slots_run, seed=seed,
@@ -832,11 +831,11 @@ def _values(doc, keys, table=_FIELDS):
 
 
 def _run_reads(doc):
-    """The thresholds only under cabr, the modulation only at a fixed rate."""
+    """The thresholds and buffer only under cabr, the modulation only at a fixed rate."""
     v = _values(doc, ["scheme", "rate_mode"])
-    keys = "series sweep seed slots pair scheme rate_mode buffer".split()
+    keys = "series sweep seed slots pair scheme rate_mode".split()
     if v["scheme"] == "cabr":
-        keys += ["rho", "rho_c", "rho_d"]
+        keys += ["rho", "rho_c", "rho_d", "buffer"]
     if v["rate_mode"] == "fixed":
         keys.append("modulation")
     return keys
@@ -926,8 +925,8 @@ def _build_ser_sweep(doc, reads):
                     v, case=case["name"], gamma_max_db=gdb, pair=HopPair(**links),
                     scheme=scheme, index=len(payloads),
                 ))
-    thresh_fields = [name for name, _ in _ser_threshold_cells(v["threshold_buffer_sizes"])]
-    return list(_SerSweepRow._fields) + thresh_fields, payloads
+    thresh = [name for name, _ in _ser_threshold_cells(v["threshold_buffer_sizes"])]
+    return list(_SerSweepRow._fields) + _unique_columns("threshold_buffer_sizes", thresh), payloads
 
 
 class _Mode(NamedTuple):
@@ -952,9 +951,9 @@ def _grid_mode(kind, columns, point, keys, reads=None):
     table = _fields("series sweep " + keys)
 
     def build(doc, reads):
-        labels, points = _expand_points(doc, reads)
-        header = [*labels, *columns(doc, labels)]
         own = [k for k in reads if k not in ("series", "sweep")]
+        labels, points = _expand_points(doc, own)
+        header = [*labels, *columns(doc, labels)]
         return header, [
             dict(labels=lab, values=_values(pt, own, table), index=i)
             for i, (lab, pt) in enumerate(points)
@@ -968,9 +967,9 @@ def _grid_mode(kind, columns, point, keys, reads=None):
 
 # the first mode of each kind is its default
 _MODES = {
-    "table": _grid_mode("analyze", _table_columns, _pt_table,
-                        "metrics pair rho modulation t_target", _table_reads),
-    "chain-table": _grid_mode("analyze", lambda doc, labels: _ChainRow._fields, _pt_chain, "chain"),
+    "table": _grid_mode("analyze", _table_columns, _pt_table, " ".join(
+        k for k in _FIELDS if k == "metrics" or any(k in reads for _, reads, _ in _METRICS.values())
+    ), _table_reads),
     "tradeoff": _Mode("analyze", _build_tradeoff, _pt_tradeoff, _fields(
         "objective xi_grid designs constraint bound_tau_grid pair modulation"), _tradeoff_reads),
     "run": _grid_mode("simulate", lambda doc, labels: _RunRow._fields, _pt_run,
@@ -1144,7 +1143,7 @@ def _check_kind(command, doc):
 def _mode_for(kind, doc):
     _check_kind(kind, doc)
     choices = [name for name, spec in _MODES.items() if spec.kind == kind]
-    mode = doc.get("mode", "chain-table" if kind == "analyze" and "chain" in doc else choices[0])
+    mode = doc.get("mode", choices[0])
     if mode not in choices:
         raise ConfigError(f"mode: '{mode}' not valid for {kind} (choices: {', '.join(choices)})")
     return mode

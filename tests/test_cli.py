@@ -118,8 +118,7 @@ class TestDocumentErrors:
 
     @pytest.mark.parametrize("command, doc, message", [
         ("analyze", {"mode": "run", "pair": PAIR},
-         "mode: 'run' not valid for analyze "
-         "(choices: table, chain-table, tradeoff)"),
+         "mode: 'run' not valid for analyze (choices: table, tradeoff)"),
         ("analyze", {"kind": "nope", "pair": PAIR},
          "kind: must be one of analyze, simulate"),
         ("analyze", table_doc(metrics=["rate_cnbr"], sweep={"parameter": "rho_cc", "grid": [1, 2]}),
@@ -137,15 +136,15 @@ class TestDocumentErrors:
          "rate_noncognitive: hop s has no peak-power-limited rate (lam=inf)"),
         ("analyze", table_doc(sweep={"parameter": "pair.links.s.lam.x", "grid": [1.0, 2.0]}),
          "sweep.parameter: 'lam' in 'pair.links.s.lam.x' is not a section"),
-        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4}},
+        ("analyze", {"metrics": ["chain"], "chain": {"buffer_size_L": 4}},
          "chain: needs q_s (with q_c, q_d) or xi (with xi_c, xi_d)"),
-        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4}, "metrics": ["throughput"]},
-         "metrics: not read by mode 'chain-table' (did you mean 'series'?)"),
+        ("analyze", {"metrics": ["chain"], "chain": {"buffer_size_L": 4}, "pair": PAIR},
+         "pair: not read by mode 'table'"),
         ("analyze", {"pair": PAIR, "t_target": 5.0}, "t_target: not read by mode 'table'"),
-        ("analyze", {"mode": "chain-table", "chain": {"buffer_size_L": 4, "qs": 0.5}},
+        ("analyze", {"metrics": ["chain"], "chain": {"buffer_size_L": 4, "qs": 0.5}},
          "chain.qs: unknown key (did you mean 'q_s'?)"),
         ("analyze", {"mode": "compare", "pair": PAIR},
-         "mode: 'compare' not valid for analyze (choices: table, chain-table, tradeoff)"),
+         "mode: 'compare' not valid for analyze (choices: table, tradeoff)"),
         ("analyze", table_doc(metrics=["rate_cnbr"], sweep={"parameter": "rho", "grid": [1, 2]}),
          "sweep.parameter: rho: not a field of this mode"),
         ("analyze", table_doc(metrics=["capacity"], rho=0.8), "rho: not read by mode 'table'"),
@@ -155,6 +154,18 @@ class TestDocumentErrors:
         ("simulate", {"kind": "simulate", "mode": "run", "scheme": "cabr", "rho": 0.5,
                       "modulation": {"eta": 2.0}, "slots": 2000, "pair": PAIR},
          "modulation: not read by mode 'run'"),
+        ("simulate", {"kind": "simulate", "mode": "run", "scheme": "cnbr", "slots": 2000,
+                      "buffer": {"capacity": 8, "discipline": "lifo"}, "pair": PAIR},
+         "buffer: not read by mode 'run'"),
+        ("analyze", {"metrics": ["chain"], "chain": {"buffer_size_L": 4, "xi": 1.5},
+                     "sweep": {"parameter": "chain.xi", "grid": [1.5, 2.0]}},
+         "metrics: column 'xi' is also an axis label (set the axis 'label')"),
+        ("analyze", table_doc(metrics=["lsp"], rho=0.8, sweep={
+            "parameter": "rho", "grid": [0.5, 1.0], "label": "q_s"}),
+         "metrics: column 'q_s' is also an axis label (set the axis 'label')"),
+        ("analyze", {"metrics": ["lsp", "chain"], "rho": 0.8, "pair": PAIR,
+                     "chain": {"buffer_size_L": 4, "q_s": 0.4}},
+         "metrics: column 'q_s' requested twice"),
         ("analyze", {"mode": "tradeoff", "xi_grid": [2.0], "designs": [{"name": "ct", "tau_star": 0.4}],
                      "pair": {"links": {"s": {"lam": -4, "mu": 10}, "r": {"lam": 7, "mu": 3}}},
                      "modulation": {"eta": -1}},
@@ -167,7 +178,9 @@ class TestDocumentErrors:
             "overflow_geometry_base", "noncognitive_lam_inf", "path_through_value", "chain_form",
             "unread_key", "key_of_another_mode", "nested_key_before_form", "removed_mode",
             "axis_no_metric_reads", "key_no_metric_reads", "run_axis_its_scheme_skips",
-            "run_key_its_rate_mode_skips", "delay_tradeoff_pair", "ber_tradeoff_bound_grid"])
+            "run_key_its_rate_mode_skips", "fixed_schedule_run_buffer",
+            "chain_axis_label_clash", "metric_column_label_clash", "metric_column_twice",
+            "delay_tradeoff_pair", "ber_tradeoff_bound_grid"])
     def test_one_line_config_error(self, tmp_path, capsys, command, doc, message):
         rc, out, err = exit_cleanly([command, write_doc(tmp_path, doc)], capsys)
         assert (rc, out, err) == (cli.EXIT_CONFIG, "", [f"config error: {message}"])
@@ -240,6 +253,14 @@ class TestPointsReadBeforeAnyRuns:
         assert [row[0] for row in rows] == ["1.0", "2.0"]
         assert rows[0][header.index("seed", 1)] != rows[1][header.index("seed", 1)]
 
+    def test_repeated_threshold_buffer_size_refused_before_any_point_runs(self, monkeypatch):
+        self.refuse_computing(monkeypatch)
+        doc = {**cli.PRESETS["fig9"], "threshold_buffer_sizes": [2, 10, 2]}
+        with pytest.raises(
+            cli.ConfigError, match=r"^threshold_buffer_sizes: column 'ser_s_L2' requested twice$"
+        ):
+            cli.cmd_simulate(doc)
+
     def test_non_integer_slots_value_exits_config(self, tmp_path, capsys, monkeypatch):
         self.refuse_computing(monkeypatch)
         doc = cnbr_run(series={"parameter": "slots", "values": [1000, 1000.5]})
@@ -276,17 +297,19 @@ class TestAnalyze:
         assert header[:2] == ["lam", "lam"] or len(rows) == 6
         assert len(rows) == 6
 
-    def test_chain_table_is_default_for_chain_docs(self, tmp_path, capsys):
-        doc = {
-            "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
-        }
-        path = write_doc(tmp_path, doc)
-        header, rows = run_csv(["analyze", path], capsys)
-        assert "tau" in header and "t_q" in header
-        assert len(rows) == 1
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "chain: not read by mode 'table'"),
+        ({"mode": "chain-table"},
+         "mode: 'chain-table' not valid for analyze (choices: table, tradeoff)"),
+    ], ids=["bare_chain", "chain_table_mode"])
+    def test_chain_is_a_table_metric_only(self, tmp_path, capsys, doc, message):
+        doc = {**doc, "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
+        rc, out, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
+        assert (rc, out, err) == (cli.EXIT_CONFIG, "", [f"config error: {message}"])
 
     def test_chain_series_accepts_inf(self, tmp_path, capsys):
         doc = {
+            "metrics": ["chain"],
             "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
             "series": {"parameter": "chain.buffer_size_L", "values": [4, "inf"]},
         }
@@ -589,14 +612,16 @@ def test_chain_buffer_past_the_memory_is_config_error(tmp_path, capsys, monkeypa
         raise MemoryError("Unable to allocate 80.0 GiB for an array")
 
     monkeypatch.setattr(cli.queueing, "steady_state", no_memory)
-    doc = {"chain": {"buffer_size_L": 10_000_000_000, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
+    doc = {"metrics": ["chain"],
+           "chain": {"buffer_size_L": 10_000_000_000, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
     rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
     assert rc == cli.EXIT_CONFIG
     assert err == ["config error: chain: Unable to allocate 80.0 GiB for an array"]
 
 
 def test_chain_buffer_past_any_array_is_config_error(tmp_path, capsys):
-    doc = {"chain": {"buffer_size_L": 1e300, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
+    doc = {"metrics": ["chain"],
+           "chain": {"buffer_size_L": 1e300, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8}}
     rc, _, err = exit_cleanly(["analyze", write_doc(tmp_path, doc)], capsys)
     assert rc == cli.EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("config error: chain: ")
@@ -627,7 +652,7 @@ class TestDocumentForms:
         # q = 1 / (1 + xi): 0.4, 0.8 and 0.5 are exact for xi 1.5, 0.25 and 1
         outs = [
             run_stdout(["analyze", write_doc(tmp_path, {
-                "mode": "chain-table",
+                "metrics": ["chain"],
                 "chain": {"buffer_size_L": 4, **chain},
                 "series": {"parameter": "chain.buffer_size_L", "values": [4, 8, "inf"]},
             })], capsys)

@@ -49,6 +49,14 @@ PAIR = {"links": {"s": {"lam": 4.0, "mu": 10.0}, "r": {"lam": 7.0, "mu": 3.0}}}
 BASES = {
     "table": [small("fig3"), {
         "metrics": ["lsp", "ser_cabr"], "rho": "balance", "pair": PAIR, "modulation": {"eta": 2.0},
+    }, {
+        "metrics": ["chain"],
+        "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
+        "series": {"parameter": "chain.buffer_size_L", "values": [4, "inf"]},
+    }, {
+        "metrics": ["chain"],
+        "chain": {"buffer_size_L": 8, "xi": 1.5, "xi_c": 0.25, "xi_d": 1.0},
+        "sweep": {"parameter": "chain.xi", "grid": [1.5, 2.0], "label": "drift"},
     }],
     # the rate ratios of figs. 5 and 6, and of fig. 7 under a mean-delay cap
     "table/ratios": [small("fig5"), small("fig6"), {
@@ -56,14 +64,6 @@ BASES = {
     }],
     "table/delay_capped": [small("fig7"), {
         "metrics": ["delay_capped"], "pair": PAIR, "t_target": 7.3,
-    }],
-    "chain-table": [{
-        "mode": "chain-table",
-        "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
-        "series": {"parameter": "chain.buffer_size_L", "values": [4, "inf"]},
-    }, {
-        "chain": {"buffer_size_L": 8, "xi": 1.5, "xi_c": 0.25, "xi_d": 1.0},
-        "sweep": {"parameter": "chain.xi", "grid": [1.5, 2.0]},
     }],
     "tradeoff": [
         small("fig10", xi_grid=[1.5, 3.0], designs=[{"name": "ct", "tau_star": 0.4}],

@@ -41,8 +41,9 @@ DOCS = {
         "pair": PAIR,
         "sweep": {"parameter": "pair.links.s.lam", "grid": [4.0, 8.0]},
     }),
-    "chain-table": ("analyze", {
-        "mode": "chain-table",
+    "table-chain": ("analyze", {
+        "mode": "table",
+        "metrics": ["chain"],
         "chain": {"buffer_size_L": 4, "q_s": 0.4, "q_c": 0.9, "q_d": 0.8},
         "series": {"parameter": "chain.buffer_size_L", "values": [4, "inf"]},
     }),
@@ -128,7 +129,7 @@ PINS = {
             13.039904398293952,
         ],
     ),
-    'chain-table': (
+    'table-chain': (
         [
             'buffer_size_L', 'L', 'q_s', 'q_c', 'q_d', 'xi', 'xi_c', 'xi_d', 'tau', 'pi_0',
             'pi_L', 'mean_occupancy', 't_q', 't_u', 't_o', 't_total', 'lifo_t_q',
